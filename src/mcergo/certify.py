@@ -21,6 +21,7 @@ from importlib import resources
 import numpy as np
 
 from .chain_analysis import (
+    is_birth_death,
     max_hitting_time,
     mixing_time,
     pseudo_minorization,
@@ -95,6 +96,9 @@ class GeometricBound:
     and radius r_eff; M(x) = m_offset + V(x).  ``source`` records whether
     eps came from an exact pairwise computation ("pseudo-minorization") or
     the 1/3 overlap of the drift-and-hit theorem ("drift-and-hit").
+    ``certified`` is true only when every input of the bound was verified;
+    T from the "dtable" route rests on the table's upper constant d, which
+    is data, so such a bound is labelled uncertified.
     """
 
     eps: float
@@ -108,6 +112,7 @@ class GeometricBound:
     r_eff: float
     t_route: str = "exact-mixing"
     degenerate_restriction: bool = False
+    certified: bool = False
 
     def m_of(self, v_x: float) -> float:
         return self.m_offset + float(v_x)
@@ -145,6 +150,7 @@ class GeometricBound:
             "r_eff": self.r_eff,
             "t_route": self.t_route,
             "degenerate_restriction": self.degenerate_restriction,
+            "certified": self.certified,
         }
 
 
@@ -433,7 +439,9 @@ def certify_drift_and_hit(
     (ii) verify the restricted chain inherits the drift; (iii) obtain the
     overlap step count T as the exact mixing time of the restriction from
     C' (route "exact-mixing"), or as ceil(d_alpha t_H^{(C)}(alpha)) from
-    the DTable (route "dtable"); (iv) take the pairwise overlap at T + 1
+    the DTable (route "dtable", with t_H from the exact birth-death closed
+    form when the restriction is tridiagonal, else from brute enumeration,
+    never from a lower bound); (iv) take the pairwise overlap at T + 1
     steps, exactly when the chain is small enough, else the 1/3 of the
     drift-and-hit theorem; (v) solve the contraction for the (T+1)-step
     drift parameters at radius r'.
@@ -477,7 +485,8 @@ def certify_drift_and_hit(
         if dtable is None:
             raise IncompatibleCertificate("dtable route requires a DTable")
         if hitting_strategy is None:
-            hitting_strategy = "interval" if dom.kernel.states is not None else "brute"
+            interval_ok = dom.kernel.states is not None and is_birth_death(dom.kernel)
+            hitting_strategy = "interval" if interval_ok else "brute"
         report = max_hitting_time(dom.kernel, alpha, strategy=hitting_strategy)
         d, _ = dtable.lookup(alpha)
         t_mix = int(math.ceil(d * report.t_h))
@@ -510,6 +519,7 @@ def certify_drift_and_hit(
         r_eff=cert.r_prime,
         t_route=t_route,
         degenerate_restriction=degenerate,
+        certified=t_route != "dtable",
     )
     bound.check_equalities()
     return bound

@@ -23,8 +23,10 @@ from .errors import (
     LengthMismatch,
     MissingCoordinates,
     NoFeasibleSet,
+    NotBirthDeath,
     NotMixedByHorizon,
     Reducible,
+    ResidualTooLarge,
     TooManyStates,
     Unreachable,
 )
@@ -32,6 +34,7 @@ from .kernels import FiniteKernel, lazy_transform
 from .tolerances import LINEAR_RESIDUAL_TOL, PROB_NORM_TOL, ROW_SUM_TOL
 
 BRUTE_STATE_CAP = 14
+REFINEMENT_ROUNDS = 3
 DEFAULT_MIX_EPS = 0.25
 
 
@@ -211,12 +214,15 @@ def expected_hitting(k: FiniteKernel, target) -> np.ndarray:
 
     tau counts from t = 0, so entries inside A are 0.  The empty target has
     tau = infinity and yields an all-infinite vector (no exception).  The
-    dense linear solve is iteratively refined to residual 1e-12.
+    dense linear solve is iteratively refined until its residual is at most
+    1e-12 max(1, max|h|).
 
     Raises
     ------
     Unreachable
         If some state cannot reach the (nonempty) target.
+    ResidualTooLarge
+        If refinement leaves the residual above that tolerance.
     """
     n = k.n
     A = np.unique(np.asarray(list(target), dtype=int))
@@ -234,11 +240,17 @@ def expected_hitting(k: FiniteKernel, target) -> np.ndarray:
     b = np.ones(rest.size)
     lu, piv = scipy.linalg.lu_factor(m)
     h = scipy.linalg.lu_solve((lu, piv), b)
-    # one round of iterative refinement keeps the residual at solver tolerance
-    for _ in range(3):
+    for rounds in range(REFINEMENT_ROUNDS + 1):
         r = b - m @ h
-        if np.max(np.abs(r)) <= LINEAR_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(h)))):
+        residual = float(np.max(np.abs(r)))
+        tol = LINEAR_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(h))))
+        if residual <= tol:
             break
+        if rounds == REFINEMENT_ROUNDS:
+            raise ResidualTooLarge(
+                f"hitting-time residual {residual:.3e} > {tol:.3e} "
+                f"after {REFINEMENT_ROUNDS} refinement rounds"
+            )
         h = h + scipy.linalg.lu_solve((lu, piv), r)
     out = np.zeros(n)
     out[rest] = h
@@ -265,7 +277,7 @@ class HitMixReport:
 
     alpha: float
     t_h: float
-    method: str  # "brute" | "interval" | "monte-carlo"
+    method: str  # "brute" | "interval"
     worst_set: tuple
     worst_start: int
     t_m: int | None = None
@@ -294,35 +306,35 @@ def max_hitting_time(
 ) -> HitMixReport:
     """Maximum expected hitting time of sets with stationary mass >= alpha.
 
-    strategy "brute" enumerates every subset (n <= 14); strategy "interval"
-    scans prefix, suffix and window intervals in state-coordinate order,
-    which is exact for birth-death chains (no-skip paths) and a lower bound
-    in general.  Ties break lexicographically on the (set, start) encoding.
+    strategy "brute" enumerates every subset (n <= 14), solves the
+    first-step equations for each, and keeps the first maximum in bitmask
+    order.  Strategy "interval" is the birth-death closed form (Levin,
+    Peres and Wilmer, Markov Chains and Mixing Times, section 2.5); it
+    needs state coordinates and a tridiagonal P, raises NotBirthDeath on
+    any other P, and makes no linear solve.  Paths of a birth-death chain
+    cannot skip states, so the worst sets are contiguous windows [i..j],
+    the worst start is state 0 or n - 1, and E_0[tau_i] and E_{n-1}[tau_j]
+    are prefix sums of the per-edge times E_x[tau_{x+1}] and
+    E_x[tau_{x-1}], which first-step recursions over positive terms give.
+    For each i only the smallest window of mass >= alpha can be worst, so
+    the scan costs O(n w) for windows of w states.
+    Ties break to the lexicographically smallest (set, start).
 
     Raises
     ------
-    TooManyStates, NoFeasibleSet, MissingCoordinates
+    TooManyStates, NoFeasibleSet, MissingCoordinates, NotBirthDeath,
+    Unreachable
     """
     if alpha <= 0.0:
         raise NoFeasibleSet("alpha must be positive")
     if pi is None:
         pi = stationary_distribution(k)
     if strategy == "brute":
-        sets = _brute_family(k.n, pi, alpha)
+        best = _brute_max(k, pi, alpha)
     elif strategy == "interval":
-        sets = _interval_family(k, pi, alpha)
+        best = _birth_death_max(k, pi, alpha)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-
-    best = None  # (value, set, start)
-    feasible = 0
-    for subset in sets:
-        feasible += 1
-        h = expected_hitting(k, subset)
-        start = int(np.argmax(h))
-        val = float(h[start])
-        if best is None or val > best[0]:
-            best = (val, tuple(int(i) for i in subset), start)
     if best is None:
         raise NoFeasibleSet(f"no set has stationary mass >= {alpha}")
     return HitMixReport(
@@ -334,31 +346,74 @@ def max_hitting_time(
     )
 
 
-def _brute_family(n: int, pi: np.ndarray, alpha: float):
-    if n > BRUTE_STATE_CAP:
+def is_birth_death(k: FiniteKernel) -> bool:
+    """True when P moves only between neighbouring indices (tridiagonal)."""
+    return not (np.any(np.triu(k.p, 2)) or np.any(np.tril(k.p, -2)))
+
+
+def _brute_max(k: FiniteKernel, pi: np.ndarray, alpha: float):
+    if k.n > BRUTE_STATE_CAP:
         raise TooManyStates(f"brute enumeration capped at {BRUTE_STATE_CAP} states")
-    for mask in range(1, 1 << n):
-        members = [i for i in range(n) if mask >> i & 1]
-        if pi[members].sum() >= alpha - ROW_SUM_TOL:
-            yield members
+    best = None  # (value, set, start)
+    for mask in range(1, 1 << k.n):
+        members = [i for i in range(k.n) if mask >> i & 1]
+        if pi[members].sum() < alpha - ROW_SUM_TOL:
+            continue
+        h = expected_hitting(k, members)
+        start = int(np.argmax(h))
+        val = float(h[start])
+        if best is None or val > best[0]:
+            best = (val, tuple(members), start)
+    return best
 
 
-def _interval_family(k: FiniteKernel, pi: np.ndarray, alpha: float):
+def _birth_death_max(k: FiniteKernel, pi: np.ndarray, alpha: float):
     if k.states is None:
         raise MissingCoordinates("interval strategy requires state coordinates")
+    if not is_birth_death(k):
+        raise NotBirthDeath("interval strategy requires a tridiagonal (birth-death) kernel")
     n = k.n
-    emitted = set()
-    # all contiguous windows [i..j] with mass >= alpha (includes every
-    # prefix [0..j] and suffix [i..n-1])
+    right = np.append(np.diagonal(k.p, 1), 0.0).tolist()  # P(x, x+1)
+    left = np.insert(np.diagonal(k.p, -1), 0, 0.0).tolist()  # P(x, x-1)
+    from_low = _climb_times(right, left)  # E_0[tau_i]
+    from_high = _climb_times(left[::-1], right[::-1])  # E_{n-1}[tau_{n-1-i}]
+
+    mass_of = pi.tolist()
+    threshold = alpha - ROW_SUM_TOL
+    best = None  # (value, set, start)
     for i in range(n):
+        # the smallest feasible window [i..j]: larger j only lowers E_{n-1}[tau_j]
         mass = 0.0
         for j in range(i, n):
-            mass += pi[j]
-            if mass >= alpha - ROW_SUM_TOL:
-                key = (i, j)
-                if key not in emitted:
-                    emitted.add(key)
-                    yield list(range(i, j + 1))
+            mass += mass_of[j]
+            if mass >= threshold:
+                break
+        else:
+            break  # sums from i + 1 on are no larger, so no later window is feasible
+        if i >= len(from_low) or n - 1 - j >= len(from_high):
+            raise Unreachable(f"window [{i}..{j}] is not reachable from every state")
+        low, high = from_low[i], from_high[n - 1 - j]
+        val, start = (low, 0) if low >= high else (high, n - 1)
+        if best is None or val > best[0]:
+            best = (val, tuple(range(i, j + 1)), start)
+    return best
+
+
+def _climb_times(up: list, down: list) -> list:
+    """[E_0[tau_0], E_0[tau_1], ...] for a birth-death chain with these
+    up and down probabilities, stopping at the first zero up-edge, above
+    which state 0 cannot climb.
+
+    Sums the edge times u_x = E_x[tau_{x+1}] = (1 + down[x] u_{x-1}) / up[x].
+    """
+    times = [0.0]
+    u = 0.0
+    for x in range(len(up) - 1):
+        if up[x] == 0.0:
+            break
+        u = (1.0 + down[x] * u) / up[x]
+        times.append(times[-1] + u)
+    return times
 
 
 # --- pseudo-minorization ----------------------------------------------------------

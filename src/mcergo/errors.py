@@ -89,6 +89,14 @@ class MissingCoordinates(McergoError):
     pass
 
 
+class NotBirthDeath(McergoError):
+    """A birth-death-only computation got a kernel that is not tridiagonal."""
+
+
+class ResidualTooLarge(McergoError):
+    """A linear solve missed its residual tolerance after refinement."""
+
+
 class DegenerateOverlap(McergoError):
     pass
 

@@ -50,7 +50,7 @@ from .montecarlo import estimate_hitting, coupled_escape_estimate
 from .svg import emit_svg
 
 EXPERIMENTS = ("scaling", "certify", "hitmix", "couple")
-STRATEGIES = ("brute", "interval", "monte-carlo")
+STRATEGIES = ("brute", "interval")
 
 SCALING_COLUMNS = [
     "c",
@@ -522,8 +522,7 @@ def run_hitmix(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
     except NotMixedByHorizon as exc:
         errors.append(f"tL:{type(exc).__name__}")
     try:
-        strategy = cfg.strategy if cfg.strategy != "monte-carlo" else "interval"
-        report = max_hitting_time(k, cfg.alpha, strategy=strategy)
+        report = max_hitting_time(k, cfg.alpha, strategy=cfg.strategy)
     except McergoError as exc:
         errors.append(f"tH:{type(exc).__name__}")
 

@@ -52,6 +52,27 @@ def brute_max_hitting(p, pi, alpha):
     return best
 
 
+def interval_scan(p, pi, alpha):
+    """Solve-per-window maximum over contiguous windows of mass >= alpha.
+
+    Scans every window [i..j], i then j ascending, with the mass summed from
+    i upward; keeps the first strict maximum and its first worst start.
+    Returns (value, window, start), or None when no window is feasible.
+    """
+    n = p.shape[0]
+    best = None
+    for i in range(n):
+        mass = 0.0
+        for j in range(i, n):
+            mass += pi[j]
+            if mass >= alpha - 1e-12:
+                h = hitting_solve(p, range(i, j + 1))
+                start = int(np.argmax(h))
+                if best is None or h[start] > best[0]:
+                    best = (float(h[start]), tuple(range(i, j + 1)), start)
+    return best
+
+
 def contraction_bisection(eps, lam, b, r, iters=200):
     """Bisection on the defining equality of the interpolation exponent."""
     a = (1.0 + 2.0 * b + lam * r) / (1.0 + r)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import mcergo as m
 from mcergo import errors
 from mcergo.certify import multistep_drift_params
-from mcergo.corpus import bd_expdrift, escape_corpus, random_dense_chain
+from mcergo.corpus import bd_expdrift, escape_corpus, random_dense_chain, tightest_certificate
 from oracles import contraction_bisection
 
 EXP = m.DensitySpec(kind="exponential-tilt", params={"tilt": -1.0}, unimodal_ratio=1.5)
@@ -318,6 +318,41 @@ def test_certify_dtable_route():
     )
     assert bound.t_route == "dtable"
     assert bound.check_equalities() <= 1e-10
+
+
+def test_certify_dtable_bound_is_uncertified():
+    corp = bd_expdrift()
+    bound = m.certify_drift_and_hit(
+        corp.kernel, corp.cert, variant=corp.variant,
+        dtable=m.default_dtable(), t_route="dtable",
+    )
+    # T rests on the table's unverified upper constant d
+    assert bound.certified is False
+    assert bound.to_dict()["certified"] is False
+    exact = m.certify_drift_and_hit(corp.kernel, corp.cert, variant=corp.variant)
+    assert exact.t_route == "exact-mixing"
+    assert exact.certified is True
+
+
+def test_certify_dtable_route_uses_brute_off_birth_death():
+    # a dense independence sampler on 10 states: C is the whole space
+    n = 10
+    proposal = m.build_finite_kernel(np.full((n, n), 1.0 / n), states=np.linspace(0.0, 1.0, n),
+                                     reversible_wrt=np.full(n, 1.0 / n))
+    k = m.mh_grid_kernel(np.exp(-0.3 * np.arange(n)), proposal)
+    cert = tightest_certificate(k, np.arange(n, dtype=float))
+    table = m.default_dtable()
+    bound = m.certify_drift_and_hit(k, cert, variant="mh-restriction", dtable=table,
+                                    t_route="dtable")
+    t_h = m.max_hitting_time(k, 1.0 / 3.0, strategy="brute").t_h
+    d, _ = table.lookup(1.0 / 3.0)
+    assert bound.t == int(np.ceil(d * t_h)) + 1
+    # a dense restriction beyond the enumeration cap is refused, not bounded below
+    case = escape_corpus()[0]
+    assert case.cert.small_set.size > 14
+    with pytest.raises(errors.TooManyStates):
+        m.certify_drift_and_hit(case.kernel, case.cert, variant=case.variant,
+                                dtable=table, t_route="dtable")
 
 
 def test_drift_propagates_to_every_restriction_variant():

@@ -4,9 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mcergo as m
-from mcergo import errors
+from mcergo import chain_analysis, errors
 from mcergo.corpus import random_dense_chain, random_density
-from oracles import brute_max_hitting, hitting_solve, mixing_scan, stationary_power
+from oracles import (
+    brute_max_hitting,
+    hitting_solve,
+    interval_scan,
+    mixing_scan,
+    stationary_power,
+)
 
 EXP = m.DensitySpec(kind="exponential-tilt", params={"tilt": -1.0}, unimodal_ratio=1.5)
 
@@ -130,6 +136,16 @@ def test_hitting_matches_plain_solve(n, seed):
     assert np.allclose(m.expected_hitting(k, target), hitting_solve(k.p, target), atol=1e-9)
 
 
+def test_hitting_refinement_failure_raises(monkeypatch):
+    k = random_dense_chain(np.random.default_rng(3), 6)
+    exact_solve = chain_analysis.scipy.linalg.lu_solve
+    # every solve, refinement steps included, comes back off by 1e-6
+    monkeypatch.setattr(chain_analysis.scipy.linalg, "lu_solve",
+                        lambda lu_piv, b: exact_solve(lu_piv, b) + 1e-6)
+    with pytest.raises(errors.ResidualTooLarge):
+        m.expected_hitting(k, [0])
+
+
 # --- maximum hitting times --------------------------------------------------------------
 
 def test_max_hitting_flip_chain_enumeration():
@@ -187,14 +203,70 @@ def test_brute_equals_interval_on_birth_death(seed):
 @given(st.integers(2, 7), st.integers(0, 10_000))
 @settings(max_examples=15, deadline=None)
 def test_brute_dominates_interval(n, seed):
+    # on chains that are not birth-death the window scan is only a lower
+    # bound, so the interval strategy refuses them
     rng = np.random.default_rng(seed)
     rows = rng.gamma(1.0, 1.0, (n, n)) + 1e-3
     rows /= rows.sum(axis=1, keepdims=True)
     k = m.build_finite_kernel(rows, states=np.linspace(0.0, 1.0, n))
     alpha = float(rng.uniform(0.2, 0.45))
     brute = m.max_hitting_time(k, alpha, strategy="brute")
-    interval = m.max_hitting_time(k, alpha, strategy="interval")
-    assert brute.t_h >= interval.t_h - 1e-9
+    scan = interval_scan(k.p, m.stationary_distribution(k), alpha)
+    assert brute.t_h >= scan[0] - 1e-9
+    if n > 2:  # every 2-state chain is tridiagonal
+        with pytest.raises(errors.NotBirthDeath):
+            m.max_hitting_time(k, alpha, strategy="interval")
+
+
+@given(st.integers(0, 10_000), st.sampled_from([8, 12, 32, 64]), st.booleans())
+@settings(max_examples=20, deadline=None)
+def test_interval_closed_form_matches_scan(seed, inv_c, flat):
+    rng = np.random.default_rng(seed)
+    density = random_density(rng)
+    if flat:
+        # a constant table gives a symmetric chain with exactly tied windows
+        xs = density.params["xs"]
+        density = m.DensitySpec(kind="piecewise-linear-table",
+                                params={"xs": xs, "ys": (1.0,) * len(xs)})
+    k = m.birth_death_chain(density, 1.0 / inv_c)
+    alpha = float(rng.uniform(0.1, 0.45))
+    pi = m.stationary_distribution(k)
+    rep = m.max_hitting_time(k, alpha, strategy="interval")
+    assert rep.t_h == pytest.approx(interval_scan(k.p, pi, alpha)[0], rel=1e-10)
+    assert pi[list(rep.worst_set)].sum() >= alpha - 1e-12
+    again = m.expected_hitting(k, rep.worst_set)[rep.worst_start]
+    assert again == pytest.approx(rep.t_h, rel=1e-10)
+
+
+def test_interval_tie_break_on_symmetric_walk():
+    # [0..21] from state 63 and [42..63] from state 0 both take 3612 steps
+    rep = m.max_hitting_time(m.lazy_srw(1.0 / 64.0), 1.0 / 3.0, strategy="interval")
+    assert rep.t_h == 3612.0
+    assert rep.worst_set == tuple(range(22))
+    assert rep.worst_start == 63
+    # only the full space is feasible: every start is inside it
+    full = m.max_hitting_time(m.lazy_srw(0.25), 0.9, strategy="interval")
+    assert (full.t_h, full.worst_set, full.worst_start) == (0.0, (0, 1, 2, 3), 0)
+
+
+def test_interval_makes_no_linear_solve(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return m.expected_hitting(*args, **kwargs)
+
+    monkeypatch.setattr(chain_analysis, "expected_hitting", counting)
+    rep = m.max_hitting_time(m.birth_death_chain(EXP, 1.0 / 1024.0), 1.0 / 3.0,
+                             strategy="interval")
+    assert calls == []
+    assert rep.t_h > 0.0
+
+
+def test_interval_separated_window_unreachable():
+    k = m.build_finite_kernel(np.eye(2), states=[0.0, 0.5])
+    with pytest.raises(errors.Unreachable):
+        m.max_hitting_time(k, 0.4, strategy="interval", pi=np.array([0.5, 0.5]))
 
 
 def test_max_hitting_brute_matches_oracle():

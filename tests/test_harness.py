@@ -61,6 +61,12 @@ def test_config_validation():
     assert cfg.experiment == "couple"
 
 
+def test_config_rejects_monte_carlo_strategy():
+    with pytest.raises(errors.ConfigError):
+        parse_config({"experiment": "hitmix", "strategy": "monte-carlo",
+                      "chain": {"kind": "lazy-srw", "c": 0.25}})
+
+
 def test_chain_from_config_variants():
     k, cert, variant = chain_from_config({"kind": "matrix", "rows": [[0.5, 0.5], [0.5, 0.5]]})
     assert k.n == 2 and cert is None and variant is None
@@ -303,6 +309,21 @@ def test_cli_analysis_failure_exit_one(tmp_path):
     })
     assert cli_main(["hitmix", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--quiet"]) == 1
+
+
+def test_cli_hitmix_interval_refuses_dense_chain(tmp_path):
+    cfg = _write_cfg(tmp_path, {
+        "experiment": "hitmix",
+        "chain": {"kind": "matrix", "rows": [[0.5, 0.25, 0.25]] * 3,
+                  "states": [0.0, 0.5, 1.0]},
+        "alpha": 0.4,
+        "strategy": "interval",
+    })
+    assert cli_main(["hitmix", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 1
+    row = (tmp_path / "o" / "hitmix.csv").read_text().splitlines()[1].split(",")
+    assert row[1] == ""  # no tH: the window scan would only be a lower bound
+    assert row[-1] == "tH:NotBirthDeath"
 
 
 def test_cli_seed_override_changes_manifest(tmp_path):

@@ -117,10 +117,14 @@ class GeometricBound:
     def m_of(self, v_x: float) -> float:
         return self.m_offset + float(v_x)
 
-    def evaluate(self, v_x: float, t: int) -> float:
-        """Bound on TV(g(x, t, .), pi) for a state with V(x) = v_x."""
+    def evaluate(self, v_x, t: int):
+        """Bound on TV(g(x, t, .), pi) for a state with V(x) = v_x.
+
+        An array of V values gives the array of bounds; a scalar, a float.
+        """
         k = t // self.t
-        return self.m_of(v_x) * (1.0 - self.rho) ** k
+        bounds = (self.m_offset + np.asarray(v_x, dtype=float)) * (1.0 - self.rho) ** k
+        return float(bounds) if bounds.ndim == 0 else bounds
 
     def lemma_rhs(self, v_x: float, t: int) -> float:
         """The two-term right-hand side at floor(t / T) composite steps."""

@@ -66,11 +66,16 @@ class LengthMismatch(McergoError):
 
 
 class NotMixedByHorizon(McergoError):
-    """Mixing horizon exhausted; carries the TV profile for diagnosis."""
+    """Mixing horizon exhausted; carries the TV profile for diagnosis.
 
-    def __init__(self, message, profile):
+    ``profile[i]`` is the worst-start TV at step count ``times[i]``: the
+    times the search checked, ascending from 0, not every t.
+    """
+
+    def __init__(self, message, profile, times):
         super().__init__(message)
         self.profile = profile
+        self.times = times
 
 
 class Unreachable(McergoError):

@@ -33,10 +33,11 @@ from .chain_analysis import (
     mix_to_hit_bound,
     mixing_time,
     stationary_distribution,
+    tv_trajectory,
 )
 from .corpus import bd_expdrift
 from .density import DensitySpec
-from .errors import ConfigError, McergoError, NotMixedByHorizon
+from .errors import ConfigError, McergoError, NotMixedByHorizon, Reducible
 from .kernels import (
     FiniteKernel,
     birth_death_chain,
@@ -284,10 +285,10 @@ def run_scaling(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
     """The hitting-time scaling study over a grid of step sizes.
 
     Per c: exact maximum hitting times of the birth-death discretization
-    and the lazy random walk (interval strategy), a Monte Carlo maximum
-    hitting estimate for the ball walk over a 33-point start grid and the
-    two extreme quantile intervals, and the exact mixing time of the
-    birth-death chain.  Emits the fixed-column CSV, a least-squares
+    and the lazy random walk (by the configured strategy), a Monte Carlo
+    maximum hitting estimate for the ball walk over a 33-point start grid
+    and the two extreme quantile intervals, and the exact mixing time of
+    the birth-death chain.  Emits the fixed-column CSV, a least-squares
     log-log slope file, and optionally an SVG chart.
     """
     if cfg.experiment != "scaling":
@@ -311,9 +312,10 @@ def run_scaling(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
     for ci, c in enumerate(cfg.c_list):
         h_c = birth_death_chain(density, c)
         w_c = lazy_srw(c)
-        th_bd = max_hitting_time(h_c, alpha, strategy="interval").t_h
-        th_srw = max_hitting_time(w_c, alpha, strategy="interval").t_h
-        tm_bd = mixing_time(h_c)
+        pi_c = stationary_distribution(h_c)
+        th_bd = max_hitting_time(h_c, alpha, strategy=cfg.strategy, pi=pi_c).t_h
+        th_srw = max_hitting_time(w_c, alpha, strategy=cfg.strategy).t_h
+        tm_bd = mixing_time(h_c, pi=pi_c)
         horizon = cfg.horizon or 50 * max(1, math.ceil(th_bd))
         mc_mean, mc_stderr, censored = _ballwalk_max_hitting(
             density, c, alpha_prime, cfg.replicas, horizon, cfg.seed, ci
@@ -473,14 +475,11 @@ def run_certify(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
 
 
 def _dominance_profile(k: FiniteKernel, cert: DriftCertificate, bound):
-    pi = stationary_distribution(k)
-    rows = np.eye(k.n)
     profile_rows = []
     ok = True
     max_violation = -math.inf
-    for t in range(TV_PROFILE_HORIZON + 1):
-        tv = 0.5 * np.abs(rows - pi).sum(axis=1)
-        bounds = np.array([bound.evaluate(v, t) for v in cert.v])
+    for t, tv in enumerate(tv_trajectory(k, TV_PROFILE_HORIZON)):
+        bounds = bound.evaluate(cert.v, t)
         violation = float(np.max(tv - bounds))
         max_violation = max(max_violation, violation)
         dominated = violation <= 1e-9
@@ -491,8 +490,6 @@ def _dominance_profile(k: FiniteKernel, cert: DriftCertificate, bound):
             repr(float(np.min(bounds))),
             "1" if dominated else "0",
         ])
-        if t < TV_PROFILE_HORIZON:
-            rows = rows @ k.p
     return ok, max_violation, profile_rows
 
 
@@ -513,16 +510,22 @@ def run_hitmix(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
     errors = []
     t_m = t_l = None
     report = None
+    # (P + I)/2 has the stationary law of P, so one solve serves all three;
+    # a reducible chain leaves pi to each call, which handles it its own way
     try:
-        t_m = mixing_time(k)
+        pi = stationary_distribution(k)
+    except Reducible:
+        pi = None
+    try:
+        t_m = mixing_time(k, pi=pi)
     except NotMixedByHorizon as exc:
         errors.append(f"tm:{type(exc).__name__}")
     try:
-        t_l = mixing_time(k, lazy=True)
+        t_l = mixing_time(k, lazy=True, pi=pi)
     except NotMixedByHorizon as exc:
         errors.append(f"tL:{type(exc).__name__}")
     try:
-        report = max_hitting_time(k, cfg.alpha, strategy=cfg.strategy)
+        report = max_hitting_time(k, cfg.alpha, strategy=cfg.strategy, pi=pi)
     except McergoError as exc:
         errors.append(f"tH:{type(exc).__name__}")
 

@@ -40,6 +40,23 @@ def mixing_scan(p, pi, eps, t_max):
     return None
 
 
+def mixing_step_scan(p, pi, starts, eps, t_max):
+    """Mixing time by one step at a time over the start rows.
+
+    Returns (t, profile): the smallest t <= t_max with worst-start TV
+    <= eps (None if there is none) and the worst-start TV at every
+    t = 0..t (0..t_max when none mixes).
+    """
+    rows = np.eye(p.shape[0])[list(starts)]
+    profile = []
+    for t in range(t_max + 1):
+        profile.append(0.5 * np.max(np.abs(rows - pi).sum(axis=1)))
+        if profile[-1] <= eps:
+            return t, profile
+        rows = rows @ p
+    return None, profile
+
+
 def brute_max_hitting(p, pi, alpha):
     """Exhaustive maximum over subsets with stationary mass >= alpha."""
     n = p.shape[0]

@@ -292,6 +292,15 @@ def test_certify_proper_small_set_dominates_tv():
         rows = rows @ case.kernel.p
 
 
+def test_bound_evaluate_on_arrays_matches_scalar_calls():
+    corp = bd_expdrift()
+    bound = m.certify_drift_and_hit(corp.kernel, corp.cert, variant=corp.variant)
+    for t in (0, bound.t, 5 * bound.t + 2):
+        scalars = [bound.evaluate(v, t) for v in corp.cert.v]
+        assert all(type(x) is float for x in scalars)
+        assert bound.evaluate(corp.cert.v, t).tolist() == scalars
+
+
 def test_certify_bound_equals_lemma_rhs_repackaging():
     corp = bd_expdrift()
     bound = m.certify_drift_and_hit(corp.kernel, corp.cert, variant=corp.variant)

@@ -1,6 +1,8 @@
+import time
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mcergo as m
@@ -11,6 +13,7 @@ from oracles import (
     hitting_solve,
     interval_scan,
     mixing_scan,
+    mixing_step_scan,
     stationary_power,
 )
 
@@ -92,6 +95,53 @@ def test_mixing_matches_matrix_power_oracle():
 def test_lazy_mixing_of_flip_chain():
     k = m.build_finite_kernel([[0.0, 1.0], [1.0, 0.0]])
     assert m.mixing_time(k, 0.25, lazy=True) == 1
+
+
+@given(st.integers(2, 9), st.integers(0, 10_000), st.floats(0.0, 0.98), st.booleans(),
+       st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_mixing_time_matches_step_scan(n, seed, hold, lazy, pass_pi, data):
+    base = random_dense_chain(np.random.default_rng(seed), n).p
+    k = m.build_finite_kernel((1.0 - hold) * base + hold * np.eye(n))
+    pi = m.stationary_distribution(k)
+    starts = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    eps = data.draw(st.floats(0.01, 0.5))
+    work = m.lazy_transform(k) if lazy else k
+    t_m, profile = mixing_step_scan(work.p, pi, starts, eps, 3000)
+    assume(t_m is not None)
+    # a TV within rounding of eps may fall either side of it on either path
+    assume(all(abs(d - eps) > 1e-12 for d in profile))
+    kwargs = dict(subset=starts, lazy=lazy, pi=pi if pass_pi else None)
+    assert m.mixing_time(k, eps, t_max=t_m, **kwargs) == t_m
+    if t_m == 0:
+        return
+    with pytest.raises(errors.NotMixedByHorizon) as exc:
+        m.mixing_time(k, eps, t_max=t_m - 1, **kwargs)
+    times = exc.value.times
+    assert times[0] == 0 and times[-1] == t_m - 1 and np.all(np.diff(times) > 0)
+    assert np.allclose(exc.value.profile, np.asarray(profile)[times], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("c, t_m, t_l", [(1 / 64, 952, 1905), (1 / 128, 3795, 7591)])
+def test_mixing_time_pinned_on_exp_tilt(c, t_m, t_l):
+    k = m.birth_death_chain(EXP, c)
+    assert m.mixing_time(k) == t_m
+    assert m.mixing_time(k, lazy=True) == t_l
+
+
+def test_mixing_identity_exhausts_default_horizon_fast():
+    k = m.build_finite_kernel(np.eye(256))
+    t_max = chain_analysis.default_mix_horizon(256)
+    assert t_max > 3_900_000
+    start = time.perf_counter()
+    with pytest.raises(errors.NotMixedByHorizon) as exc:
+        m.mixing_time(k)
+    assert time.perf_counter() - start < 1.0
+    times = exc.value.times
+    assert times[0] == 0 and times[-1] == t_max and np.all(np.diff(times) > 0)
+    assert len(times) < 64
+    # every start stays put, TV(e_x, uniform mixture of the 256 classes)
+    assert np.allclose(exc.value.profile, 255.0 / 256.0)
 
 
 @given(st.integers(2, 7), st.integers(0, 10_000))

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import mcergo as m
-from mcergo import errors
+from mcergo import chain_analysis, errors, harness
 from mcergo.cli import main as cli_main
 from mcergo.harness import (
     chain_from_config,
@@ -208,6 +208,42 @@ def test_run_hitmix_identity_chain_error_row(tmp_path):
     assert "NotMixedByHorizon" in row
 
 
+def test_run_hitmix_reducible_chain_row(tmp_path):
+    # two closed classes {0}, {1} and a transient state 2: mixing is measured
+    # against the classes' mixture and never mixes; tH refuses the chain
+    cfg = parse_config({
+        "experiment": "hitmix",
+        "chain": {"kind": "matrix", "rows": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                             [0.5, 0.0, 0.5]]},
+        "alpha": 0.4,
+        "strategy": "brute",
+    })
+    rep = run_hitmix(cfg, out_dir=tmp_path / "run")
+    assert rep["errors"] == ["tm:NotMixedByHorizon", "tL:NotMixedByHorizon", "tH:Reducible"]
+    row = (tmp_path / "run" / "hitmix.csv").read_text().splitlines()[1]
+    assert row == "0.4,,,,,,,,,tm:NotMixedByHorizon;tL:NotMixedByHorizon;tH:Reducible"
+
+
+def test_run_hitmix_solves_stationary_once(tmp_path, monkeypatch):
+    calls = []
+    solve = chain_analysis.stationary_distribution
+
+    def counted(k):
+        calls.append(k.n)
+        return solve(k)
+
+    monkeypatch.setattr(chain_analysis, "stationary_distribution", counted)
+    monkeypatch.setattr(harness, "stationary_distribution", counted)
+    cfg = parse_config({
+        "experiment": "hitmix",
+        "chain": {"kind": "lazy-srw", "c": 0.125},
+        "alpha": 1.0 / 3.0,
+    })
+    rep = run_hitmix(cfg, out_dir=tmp_path / "run")
+    assert rep["ok"]
+    assert calls == [8]
+
+
 def test_run_hitmix_bound_holds(tmp_path):
     cfg = parse_config({
         "experiment": "hitmix",
@@ -324,6 +360,20 @@ def test_cli_hitmix_interval_refuses_dense_chain(tmp_path):
     row = (tmp_path / "o" / "hitmix.csv").read_text().splitlines()[1].split(",")
     assert row[1] == ""  # no tH: the window scan would only be a lower bound
     assert row[-1] == "tH:NotBirthDeath"
+
+
+def test_cli_scaling_honours_brute_strategy(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, {
+        "experiment": "scaling",
+        "density": UNIFORM_CFG,
+        "c_list": [1.0 / 16.0],
+        "alpha": 1.0 / 3.0,
+        "replicas": 16,
+        "strategy": "brute",
+    })
+    assert cli_main(["scaling", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 1
+    assert "TooManyStates" in capsys.readouterr().err
 
 
 def test_cli_seed_override_changes_manifest(tmp_path):

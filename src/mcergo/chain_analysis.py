@@ -31,7 +31,7 @@ from .errors import (
     Unreachable,
 )
 from .kernels import FiniteKernel, lazy_transform
-from .tolerances import LINEAR_RESIDUAL_TOL, PROB_NORM_TOL, ROW_SUM_TOL
+from .tolerances import LINEAR_RESIDUAL_TOL, PROB_NORM_TOL, ROW_SUM_TOL, STATIONARY_TOL
 
 BRUTE_STATE_CAP = 14
 REFINEMENT_ROUNDS = 3
@@ -45,32 +45,20 @@ def stationary_distribution(k: FiniteKernel) -> np.ndarray:
 
     The chain must have a single closed communicating class (checked by
     reachability on the support digraph); transient states receive mass 0.
-    Falls back to power iteration on the lazy kernel if the direct solve
-    misbehaves numerically.
+    The solve is checked, never replaced by another method.
 
     Raises
     ------
     Reducible
         If the support digraph has multiple closed classes.
+    ResidualTooLarge
+        If the solve fails, returns a non-finite or negative vector, or
+        leaves max|pi P - pi| above 1e-10.
     """
-    p = k.p
-    n = k.n
-    closed = _closed_classes(p)
+    closed = _closed_classes(k.p)
     if len(closed) > 1:
         raise Reducible(f"kernel has {len(closed)} closed classes")
-    support = closed[0]
-    q = p[np.ix_(support, support)]
-    pi_s = _solve_stationary_dense(q)
-    if pi_s is None:
-        pi_s = _power_iteration_stationary(q)
-    pi = np.zeros(n)
-    pi[support] = pi_s
-    residual = float(np.max(np.abs(pi @ p - pi)))
-    if residual > 1e-10:
-        pi_s = _power_iteration_stationary(q)
-        pi = np.zeros(n)
-        pi[support] = pi_s
-    return pi
+    return _class_mixture(k.p, closed)
 
 
 def _closed_classes(p: np.ndarray) -> list[np.ndarray]:
@@ -85,7 +73,16 @@ def _closed_classes(p: np.ndarray) -> list[np.ndarray]:
     return closed
 
 
-def _solve_stationary_dense(q: np.ndarray) -> np.ndarray | None:
+def _class_mixture(p: np.ndarray, classes: list[np.ndarray]) -> np.ndarray:
+    """Equal-weight mixture of the stationary laws of the given closed classes."""
+    pi = np.zeros(p.shape[0])
+    for members in classes:
+        pi[members] += _class_stationary(p[np.ix_(members, members)]) / len(classes)
+    return pi
+
+
+def _class_stationary(q: np.ndarray) -> np.ndarray:
+    """Checked dense solve of pi q = pi, sum(pi) = 1 on one closed class."""
     m = q.shape[0]
     a = q.T - np.eye(m)
     a[-1, :] = 1.0
@@ -93,41 +90,18 @@ def _solve_stationary_dense(q: np.ndarray) -> np.ndarray | None:
     b[-1] = 1.0
     try:
         pi = scipy.linalg.solve(a, b)
-    except scipy.linalg.LinAlgError:
-        return None
+    except scipy.linalg.LinAlgError as exc:
+        raise ResidualTooLarge(f"stationary solve failed: {exc}") from exc
     if not np.all(np.isfinite(pi)) or np.any(pi < -1e-9):
-        return None
+        raise ResidualTooLarge("stationary solve returned a non-finite or negative vector")
     pi = np.clip(pi, 0.0, None)
-    s = pi.sum()
-    if s <= 0.0:
-        return None
-    return pi / s
-
-
-def _closed_class_mixture(p: np.ndarray) -> np.ndarray:
-    """Equal-weight mixture of the stationary laws of all closed classes."""
-    classes = _closed_classes(p)
-    pi = np.zeros(p.shape[0])
-    for members in classes:
-        q = p[np.ix_(members, members)]
-        pi_c = _solve_stationary_dense(q)
-        if pi_c is None:
-            pi_c = _power_iteration_stationary(q)
-        pi[members] += pi_c / len(classes)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        pi = pi / pi.sum()
+    residual = float(np.max(np.abs(pi @ q - pi)))
+    if not residual <= STATIONARY_TOL:  # a zero sum leaves NaN, which fails too
+        raise ResidualTooLarge(
+            f"stationary residual {residual:.3e} > {STATIONARY_TOL:.0e}")
     return pi
-
-
-def _power_iteration_stationary(q: np.ndarray, max_iter=2_000_000) -> np.ndarray:
-    m = q.shape[0]
-    lazy = 0.5 * q + 0.5 * np.eye(m)
-    pi = np.full(m, 1.0 / m)
-    for _ in range(max_iter):
-        nxt = pi @ lazy
-        if np.max(np.abs(nxt - pi)) < 1e-15:
-            pi = nxt
-            break
-        pi = nxt
-    return pi / pi.sum()
 
 
 # --- total variation ---------------------------------------------------------
@@ -210,7 +184,7 @@ def mixing_time(
         try:
             pi = stationary_distribution(work)
         except Reducible:
-            pi = _closed_class_mixture(work.p)
+            pi = _class_mixture(work.p, _closed_classes(work.p))
     if t_max is None:
         t_max = default_mix_horizon(k.n)
     starts = np.arange(k.n) if subset is None else np.asarray(subset, dtype=int)

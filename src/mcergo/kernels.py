@@ -140,11 +140,6 @@ def _check_detailed_balance(p: np.ndarray, pi: np.ndarray, tol=DETAILED_BALANCE_
         raise ProposalNotReversible(f"detailed balance violated by {gap:.3e}")
 
 
-def is_reversible(k: FiniteKernel, pi: np.ndarray, tol=DETAILED_BALANCE_TOL) -> bool:
-    flux = pi[:, None] * k.p
-    return float(np.max(np.abs(flux - flux.T))) <= tol
-
-
 def lazy_transform(k: FiniteKernel) -> FiniteKernel:
     """Half-lazy version (P + I) / 2; preserves stationarity and reversibility."""
     p = 0.5 * k.p + 0.5 * np.eye(k.n)
@@ -232,8 +227,7 @@ def mh_grid_kernel(psi: DensitySpec | np.ndarray, proposal: FiniteKernel) -> Fin
         nu = stationary_distribution(proposal)
     if np.any(nu <= 0.0):
         raise ProposalNotReversible("proposal witness vector must be positive")
-    if not is_reversible(proposal, nu):
-        raise ProposalNotReversible("proposal is not reversible w.r.t. its witness")
+    _check_detailed_balance(proposal.p, nu)
 
     q = proposal.p
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -512,9 +506,12 @@ def _check_domination(p: np.ndarray, q: np.ndarray, S: np.ndarray, tol=ROW_SUM_T
 # --- serialization ---------------------------------------------------------
 
 def kernel_to_csv(k: FiniteKernel, path):
-    """Write a kernel as CSV: header of state coordinates, then matrix rows."""
-    coords = k.coordinates()
-    lines = [",".join(repr(float(x)) for x in coords)]
+    """Write a kernel as CSV: header of state coordinates, then matrix rows.
+
+    A kernel without coordinates gets an empty header line.
+    """
+    states = () if k.states is None else k.states
+    lines = [",".join(repr(float(x)) for x in states)]
     for row in k.p:
         lines.append(",".join(repr(float(v)) for v in row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -523,9 +520,15 @@ def kernel_to_csv(k: FiniteKernel, path):
 
 def kernel_from_csv(path) -> FiniteKernel:
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if len(lines) < 2:
+        header = fh.readline().strip()
+        rows = [[float(v) for v in ln.split(",")] for ln in fh if ln.strip()]
+    if not rows:
         raise DimensionMismatch("kernel csv needs a header and at least one row")
-    states = np.array([float(v) for v in lines[0].split(",")])
-    rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
-    return build_finite_kernel(rows, states=states)
+    states = [float(v) for v in header.split(",")] if header else None
+    k = build_finite_kernel(rows, states=states)
+    # rows stochastic to rounding are kept bit for bit, so that reading back
+    # what kernel_to_csv wrote gives the same kernel
+    p = np.array(rows)
+    if np.all(np.abs(p.sum(axis=1) - 1.0) <= ROW_SUM_TOL):
+        return FiniteKernel(p=p, states=k.states)
+    return k

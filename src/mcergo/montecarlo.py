@@ -6,6 +6,11 @@ index, step) and results are independent of scheduling and worker count.
 ``sample_path`` uses the replica-0 stream.  Batch estimators reposition a
 single Philox generator by counter injection, which is stream-identical to
 constructing ``Philox(key=[seed, r])`` per replica but far cheaper.
+
+One walker loop, ``_first_hits``, runs every batch estimate: the hitting
+time of a target set (``estimate_hitting``) and the decoupling time of the
+identity coupling (``coupled_escape_estimate``), which is the g-chain's
+first exit from the coupling set.
 """
 from __future__ import annotations
 
@@ -162,6 +167,51 @@ def _step_states(cdf: np.ndarray, cur: np.ndarray, u: np.ndarray) -> np.ndarray:
     return nxt
 
 
+# --- the walker loop ------------------------------------------------------------
+
+def _finite_advance(k: FiniteKernel):
+    """One step of a finite-kernel walker population from one draw each."""
+    cdf = _row_cdfs(k.p)
+    return lambda pos, u: _step_states(cdf, pos, u[:, 0])
+
+
+def _first_hits(start, advance, arrived, draws, replicas, horizon, seed):
+    """Run walkers from ``start`` until each arrives or the horizon passes.
+
+    The one walker loop: replicas go in chunks of at most 16384, each
+    chunk draws its stream blocks on the ``_block_widths`` schedule,
+    ``advance(pos, u)`` moves the live walkers with u of shape
+    (walkers, draws), and walkers for which ``arrived(pos)`` holds retire.
+    Returns (times, censored): the first arrival time of each replica, the
+    horizon for those that never arrive, and which ones never did.
+    """
+    times = np.full(replicas, float(horizon))
+    censored = np.ones(replicas, dtype=bool)
+    streams = _ReplicaStreams(seed)
+    for done in range(0, replicas, _CHUNK):
+        alive = np.arange(done, min(done + _CHUNK, replicas))
+        pos = np.full(alive.size, start)
+        for step0, width in _block_widths(horizon, draws):
+            if not alive.size:
+                break
+            u = streams.block(alive, step0 * draws, width * draws)
+            u = u.reshape(alive.size, width, draws)
+            for b in range(width):
+                pos = advance(pos, u[:, b])
+                just = arrived(pos)
+                if just.any():
+                    idx = alive[just]
+                    times[idx] = step0 + b + 1
+                    censored[idx] = False
+                    keep = ~just
+                    alive = alive[keep]
+                    pos = pos[keep]
+                    u = u[keep]
+                if not alive.size:
+                    break
+    return times, censored
+
+
 # --- hitting-time estimation ----------------------------------------------------
 
 def estimate_hitting(
@@ -191,68 +241,23 @@ def estimate_hitting(
     if isinstance(sampler, FiniteKernel):
         member = np.zeros(sampler.n, dtype=bool)
         member[np.asarray(list(target), dtype=int)] = True
-        at_start = bool(member[int(x0)])
-
-        cdf = _row_cdfs(sampler.p)
-
-        def start_vec(m):
-            return np.full(m, int(x0), dtype=int)
-
-        def advance(sub, u):
-            return _step_states(cdf, sub, u)
-
-        def arrived(sub):
-            return member[sub]
-
-        draws = 1
+        start, draws = int(x0), 1
+        advance, arrived = _finite_advance(sampler), member.__getitem__
     elif isinstance(sampler, ContinuousSampler1D):
-        at_start = bool(np.asarray(target(np.array([float(x0)])))[0])
+        start, draws = float(x0), 2
 
-        def start_vec(m):
-            return np.full(m, float(x0))
+        def advance(pos, u):
+            return sampler.batch_step(pos, u[:, 0], u[:, 1])
 
-        def advance(sub, u):
-            return sampler.batch_step(sub, u[:, 0], u[:, 1])
-
-        def arrived(sub):
-            return np.asarray(target(sub), dtype=bool)
-
-        draws = 2
+        def arrived(pos):
+            return np.asarray(target(pos), dtype=bool)
     else:
         raise TypeError(f"unsupported sampler type {type(sampler)!r}")
 
-    if at_start:
+    if arrived(np.array([start]))[0]:
         times = np.zeros(replicas)
         return _summarize(times, seed, horizon, np.zeros(replicas, dtype=bool))
-
-    times = np.full(replicas, float(horizon))
-    censored = np.ones(replicas, dtype=bool)
-    streams = _ReplicaStreams(seed)
-    done = 0
-    while done < replicas:
-        m = min(_CHUNK, replicas - done)
-        alive = np.arange(done, done + m)
-        pos = start_vec(m)
-        for step0, width in _block_widths(horizon, draws):
-            if not alive.size:
-                break
-            u = streams.block(alive, step0 * draws, width * draws)
-            if draws == 2:
-                u = u.reshape(len(alive), width, 2)
-            for b in range(width):
-                pos = advance(pos, u[:, b])
-                just = arrived(pos)
-                if just.any():
-                    idx = alive[just]
-                    times[idx] = step0 + b + 1
-                    censored[idx] = False
-                    keep = ~just
-                    alive = alive[keep]
-                    pos = pos[keep]
-                    u = u[keep]
-                if not alive.size:
-                    break
-        done += m
+    times, censored = _first_hits(start, advance, arrived, draws, replicas, horizon, seed)
     if censored.all():
         raise AllCensored(f"no path hit the target within {horizon} steps")
     return _summarize(times, seed, horizon, censored)
@@ -274,7 +279,9 @@ def coupled_escape_estimate(
     corresponding row of the dominating kernel keeps the two chains equal
     until the g-chain first steps outside the support, so the decoupling
     time is distributed as the first exit of the g-chain from the support.
-    Returns the fraction of replicas that decouple within t steps.
+    Returns the fraction of replicas that decouple within t steps: one
+    minus the censored fraction of the g-chain's hitting time of the
+    complement of the support with horizon t.
 
     Raises
     ------
@@ -295,32 +302,10 @@ def coupled_escape_estimate(
     if not in_s[int(x0)]:
         raise ValueError("start state must lie in the coupling set")
 
-    cdf = _row_cdfs(g.p)
     outside = ~in_s
-    escaped = np.zeros(replicas, dtype=bool)
-    streams = _ReplicaStreams(seed)
-    done = 0
-    while done < replicas:
-        m = min(_CHUNK, replicas - done)
-        alive = np.arange(done, done + m)
-        pos = np.full(m, int(x0), dtype=int)
-        for step0, width in _block_widths(t, 1):
-            if not alive.size:
-                break
-            u = streams.block(alive, step0, width)
-            for b in range(width):
-                pos = _step_states(cdf, pos, u[:, b])
-                left = outside[pos]
-                if left.any():
-                    escaped[alive[left]] = True
-                    keep = ~left
-                    alive = alive[keep]
-                    pos = pos[keep]
-                    u = u[keep]
-                if not alive.size:
-                    break
-        done += m
-    values = escaped.astype(float)
+    _, coupled = _first_hits(
+        int(x0), _finite_advance(g), outside.__getitem__, 1, replicas, t, seed)
+    values = (~coupled).astype(float)
     return _summarize(values, seed, t, censored=np.zeros(replicas, dtype=bool))
 
 

@@ -2,6 +2,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -53,6 +54,39 @@ def test_stationary_matches_power_iteration(n, seed):
     pi = m.stationary_distribution(k)
     assert np.allclose(pi, stationary_power(k.p), atol=1e-9)
     assert np.max(np.abs(pi @ k.p - pi)) <= 1e-12
+
+
+def test_stationary_pi_is_the_plain_dense_solve():
+    k = random_dense_chain(np.random.default_rng(4), 7)
+    a = k.p.T - np.eye(7)
+    a[-1, :] = 1.0
+    pi = scipy.linalg.solve(a, np.eye(7)[-1])
+    assert np.array_equal(m.stationary_distribution(k), pi / pi.sum())
+
+
+@pytest.mark.parametrize("broken", ["residual", "singular", "negative"])
+def test_stationary_broken_solve_raises(monkeypatch, broken):
+    k = random_dense_chain(np.random.default_rng(2), 5)
+    exact_solve = chain_analysis.scipy.linalg.solve
+
+    def solve(a, b):
+        if broken == "singular":
+            raise scipy.linalg.LinAlgError("singular matrix")
+        pi = exact_solve(a, b)
+        if broken == "residual":
+            pi[:2] += [1e-3, -1e-3]
+        else:
+            pi[0] = -1.0
+        return pi
+
+    monkeypatch.setattr(chain_analysis.scipy.linalg, "solve", solve)
+    with pytest.raises(errors.ResidualTooLarge):
+        m.stationary_distribution(k)
+    # the closed-class mixture of a reducible chain uses the same checked solve
+    two_pairs = m.build_finite_kernel([[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0],
+                                       [0.0, 0.0, 0.5, 0.5], [0.0, 0.0, 0.3, 0.7]])
+    with pytest.raises(errors.ResidualTooLarge):
+        m.mixing_time(two_pairs)
 
 
 # --- total variation ------------------------------------------------------------

@@ -347,6 +347,22 @@ def test_cli_analysis_failure_exit_one(tmp_path):
                      "--quiet"]) == 1
 
 
+def test_cli_hitmix_broken_stationary_solve_exit_one(tmp_path, monkeypatch, capsys):
+    def singular(a, b):
+        raise chain_analysis.scipy.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(chain_analysis.scipy.linalg, "solve", singular)
+    cfg = _write_cfg(tmp_path, {
+        "experiment": "hitmix",
+        "chain": {"kind": "matrix", "rows": [[0.5, 0.5], [0.25, 0.75]]},
+        "alpha": 0.4,
+        "strategy": "brute",
+    })
+    assert cli_main(["hitmix", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 1
+    assert "analysis failure: ResidualTooLarge" in capsys.readouterr().err
+
+
 def test_cli_hitmix_interval_refuses_dense_chain(tmp_path):
     cfg = _write_cfg(tmp_path, {
         "experiment": "hitmix",

@@ -177,7 +177,7 @@ def test_mh_rejects_unreversible_proposal():
     # directed 3-cycle: uniform stationary law but no detailed balance
     prop = m.build_finite_kernel([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
                                  states=[0.0, 0.5, 1.0])
-    with pytest.raises(errors.ProposalNotReversible):
+    with pytest.raises(errors.ProposalNotReversible, match="detailed balance violated by"):
         m.mh_grid_kernel(np.array([1.0, 1.0, 1.0]), prop)
 
 
@@ -380,3 +380,9 @@ def test_kernel_csv_round_trip(tmp_path):
     back = m.kernel_from_csv(path)
     assert np.array_equal(back.p, k.p)
     assert np.array_equal(back.states, k.states)
+    # an abstract chain keeps states=None instead of gaining 0..n-1
+    k = random_dense_chain(np.random.default_rng(5), 6)
+    m.kernel_to_csv(k, path)
+    back = m.kernel_from_csv(path)
+    assert back == k
+    assert back.states is None

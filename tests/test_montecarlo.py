@@ -66,6 +66,14 @@ def test_estimate_reproducible_and_seed_sensitive():
     assert a.mean != c.mean
 
 
+def test_estimate_hitting_pinned_bits():
+    est = m.estimate_hitting(PATH3, 0, [2], replicas=5000, horizon=500, seed=11)
+    assert repr(est) == (
+        "McEstimate(mean=4.0052, stderr=0.04070781272929609, replicas=5000, "
+        "seed=11, horizon=500, censored_fraction=0.0)"
+    )
+
+
 # fixed seeds: a 3-sigma check under hypothesis' adversarial seed search
 # would eventually fail by construction
 @pytest.mark.parametrize("n,seed", [(2, 0), (4, 1), (5, 2), (6, 3), (8, 4)])
@@ -183,3 +191,34 @@ def test_coupled_escape_below_drift_bound_on_one_case():
     bound = m.escape_bound(case.cert.lam, case.cert.b, case.cert.r, case.cert.r_prime)
     assert est.mean <= bound + 3.0 * est.stderr
     assert est.mean > 0.0
+
+
+def test_coupled_escape_pinned_bits():
+    case = escape_corpus()[8]
+    dom = m.restrict(case.kernel, case.cert.small_set, case.variant)
+    est = m.coupled_escape_estimate(
+        case.kernel, dom, case.x0, case.horizon, replicas=20_000, seed=0,
+    )
+    assert repr(est) == (
+        "McEstimate(mean=0.0308, stderr=0.00122173754633784, replicas=20000, "
+        "seed=0, horizon=30, censored_fraction=0.0)"
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_coupled_escape_is_one_minus_censored_exit(seed):
+    # decoupling by t is the g-chain leaving S by t, on the same streams
+    case = escape_corpus()[9]
+    dom = m.restrict(case.kernel, case.cert.small_set, case.variant)
+    outside = np.setdiff1d(np.arange(case.kernel.n), dom.support)
+    replicas = 5000
+    est = m.coupled_escape_estimate(
+        case.kernel, dom, case.x0, case.horizon, replicas, seed)
+    exit_est = m.estimate_hitting(
+        case.kernel, case.x0, outside, replicas, case.horizon, seed)
+    assert est.mean > 0.0
+    # the same walkers decouple and exit; the two means differ only in how
+    # the fraction is rounded (k / R against 1 - (R - k) / R)
+    assert round(est.mean * replicas) == replicas - round(exit_est.censored_fraction * replicas)
+    assert est.mean == pytest.approx(1.0 - exit_est.censored_fraction, rel=0.0, abs=1e-15)
+    assert est.censored_fraction == 0.0

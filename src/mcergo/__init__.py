@@ -35,6 +35,7 @@ from .montecarlo import (
     coupled_escape_estimate,
     coupled_pair_paths,
     estimate_hitting,
+    estimate_hitting_batch,
     sample_path,
 )
 from .certify import (

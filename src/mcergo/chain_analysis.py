@@ -36,6 +36,7 @@ from .tolerances import LINEAR_RESIDUAL_TOL, PROB_NORM_TOL, ROW_SUM_TOL, STATION
 BRUTE_STATE_CAP = 14
 REFINEMENT_ROUNDS = 3
 DEFAULT_MIX_EPS = 0.25
+MIXING_POWER_BYTES = 64 << 20  # the stored powers of mixing_time; n = 512 needs 50 MiB
 
 
 # --- stationary distribution ------------------------------------------------
@@ -176,17 +177,29 @@ def mixing_time(
     NotMixedByHorizon
         If the threshold is not reached by ``t_max``; the exception carries
         the TV at every time checked, in ascending order from t = 0.
+    TooManyStates
+        If the ceil(log2(t_max + 1)) stored n x n powers would take more
+        than ``MIXING_POWER_BYTES``; raised before any product is formed.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
+    if t_max is None:
+        t_max = default_mix_horizon(k.n)
+    if t_max < 0:
+        raise ValueError("t_max must be nonnegative")
+    squarings = int(t_max).bit_length()  # = ceil(log2(t_max + 1)) stored powers
+    stored = squarings * k.n * k.n * np.dtype(float).itemsize
+    if stored > MIXING_POWER_BYTES:
+        raise TooManyStates(
+            f"mixing_time would store {squarings} powers of a {k.n}-state kernel "
+            f"({stored / 2**20:.0f} MiB > {MIXING_POWER_BYTES / 2**20:.0f} MiB)"
+        )
     work = lazy_transform(k) if lazy else k
     if pi is None:
         try:
             pi = stationary_distribution(work)
         except Reducible:
             pi = _class_mixture(work.p, _closed_classes(work.p))
-    if t_max is None:
-        t_max = default_mix_horizon(k.n)
     starts = np.arange(k.n) if subset is None else np.asarray(subset, dtype=int)
     checked = {}  # t -> max over starts of TV(P^t(x,.), pi)
 

@@ -37,7 +37,7 @@ from .chain_analysis import (
 )
 from .corpus import bd_expdrift
 from .density import DensitySpec
-from .errors import ConfigError, McergoError, NotMixedByHorizon, Reducible
+from .errors import ConfigError, McergoError, NotMixedByHorizon, Reducible, TooManyStates
 from .kernels import (
     FiniteKernel,
     birth_death_chain,
@@ -47,7 +47,7 @@ from .kernels import (
     lazy_srw,
     restrict,
 )
-from .montecarlo import estimate_hitting, coupled_escape_estimate
+from .montecarlo import estimate_hitting_batch, coupled_escape_estimate
 from .svg import emit_svg
 
 EXPERIMENTS = ("scaling", "certify", "hitmix", "couple")
@@ -361,7 +361,8 @@ def run_scaling(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
 
 def _ballwalk_max_hitting(density, c, alpha_prime, replicas, horizon, seed, c_index):
     """Worst Monte Carlo hitting estimate over starts and the two extreme
-    quantile intervals, grid-rounded; censored fraction is the worst seen."""
+    quantile intervals, grid-rounded; censored fraction is the worst seen.
+    Every (start, target) estimate runs in one walker population."""
     sampler = ball_walk_sampler(density, c)
     lo = max(c * math.floor(density.quantile(alpha_prime) / c), c)
     hi = min(c * math.ceil(density.quantile(1.0 - alpha_prime) / c), 1.0 - c)
@@ -370,18 +371,17 @@ def _ballwalk_max_hitting(density, c, alpha_prime, replicas, horizon, seed, c_in
         ("high", lambda xs: np.asarray(xs) >= hi),
     ]
     starts = np.linspace(0.0, 1.0, START_GRID_POINTS)
+    jobs = [
+        (float(x0), pred, _derived_seed(seed, c_index, si, ti))
+        for si, x0 in enumerate(starts)
+        for ti, (_, pred) in enumerate(targets)
+    ]
     best = (0.0, 0.0)
     worst_censored = 0.0
-    for si, x0 in enumerate(starts):
-        for ti, (_, pred) in enumerate(targets):
-            est = estimate_hitting(
-                sampler, float(x0), pred,
-                replicas=replicas, horizon=horizon,
-                seed=_derived_seed(seed, c_index, si, ti),
-            )
-            worst_censored = max(worst_censored, est.censored_fraction)
-            if est.mean > best[0]:
-                best = (est.mean, est.stderr)
+    for est in estimate_hitting_batch(sampler, jobs, replicas, horizon):
+        worst_censored = max(worst_censored, est.censored_fraction)
+        if est.mean > best[0]:
+            best = (est.mean, est.stderr)
     return best[0], best[1], worst_censored
 
 
@@ -518,11 +518,11 @@ def run_hitmix(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
         pi = None
     try:
         t_m = mixing_time(k, pi=pi)
-    except NotMixedByHorizon as exc:
+    except (NotMixedByHorizon, TooManyStates) as exc:
         errors.append(f"tm:{type(exc).__name__}")
     try:
         t_l = mixing_time(k, lazy=True, pi=pi)
-    except NotMixedByHorizon as exc:
+    except (NotMixedByHorizon, TooManyStates) as exc:
         errors.append(f"tL:{type(exc).__name__}")
     try:
         report = max_hitting_time(k, cfg.alpha, strategy=cfg.strategy, pi=pi)

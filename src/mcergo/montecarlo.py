@@ -4,13 +4,17 @@ Randomness is counter-based: replica r draws from the Philox stream keyed
 (seed, r), so every replica's draws are a pure function of (seed, replica
 index, step) and results are independent of scheduling and worker count.
 ``sample_path`` uses the replica-0 stream.  Batch estimators reposition a
-single Philox generator by counter injection, which is stream-identical to
-constructing ``Philox(key=[seed, r])`` per replica but far cheaper.
+single Philox generator by key and counter injection, which is
+stream-identical to constructing ``Philox(key=[seed, r])`` per walker but
+far cheaper.
 
 One walker loop, ``_first_hits``, runs every batch estimate: the hitting
-time of a target set (``estimate_hitting``) and the decoupling time of the
-identity coupling (``coupled_escape_estimate``), which is the g-chain's
-first exit from the coupling set.
+times of target sets (``estimate_hitting_batch`` runs many (start, target,
+seed) jobs as one walker population, ``estimate_hitting`` is its one-job
+case) and the decoupling time of the identity coupling
+(``coupled_escape_estimate``), which is the g-chain's first exit from the
+coupling set.  A walker's draws depend only on its key and its step, so
+neither the population a walker runs in nor its chunk changes a result.
 """
 from __future__ import annotations
 
@@ -22,7 +26,8 @@ from .errors import AllCensored, NotDominating
 from .kernels import ContinuousSampler1D, DominatedKernel, FiniteKernel
 from .tolerances import ROW_SUM_TOL
 
-_CHUNK = 16384
+_CHUNK = 4096  # walkers advanced together
+_BLOCK_DRAWS = 1 << 17  # uniform doubles in one stream block of a chunk
 _PHILOX_WORDS = 4  # uniform doubles per Philox counter increment
 
 
@@ -62,46 +67,38 @@ def replica_generator(seed: int, replica: int) -> np.random.Generator:
 
 
 class _ReplicaStreams:
-    """Batch access to the per-replica Philox streams.
+    """Batch access to the per-walker Philox streams.
 
-    ``block(replicas, offset, width)`` returns draw positions
-    [offset, offset + width) of each requested replica's stream; offsets
-    must be multiples of 4 so the 256-bit Philox output buffer never
-    straddles two requests.
+    ``block(keys, offset, out)`` fills row i of ``out`` with draw positions
+    [offset, offset + out.shape[1]) of the stream keyed ``keys[i]`` =
+    (seed, replica) and returns ``out``; offsets must be multiples of 4 so
+    the 256-bit Philox output buffer never straddles two requests.  Key
+    word 0 is set only when it changes, so keys grouped by seed cost one
+    assignment per group.
     """
 
-    def __init__(self, seed: int):
-        self._bg = np.random.Philox(key=np.uint64(int(seed)))
+    def __init__(self):
+        self._bg = np.random.Philox(key=np.uint64(0))
         self._gen = np.random.Generator(self._bg)
         self._template = self._bg.state
         self._template["state"]["counter"][:] = 0
         self._template["buffer_pos"] = _PHILOX_WORDS
 
-    def block(self, replicas, offset: int, width: int) -> np.ndarray:
+    def block(self, keys, offset: int, out: np.ndarray) -> np.ndarray:
         if offset % _PHILOX_WORDS:
             raise ValueError("stream offset must be a multiple of 4")
-        out = np.empty((len(replicas), width))
+        keys = np.asarray(keys, dtype=np.uint64)
         st = self._template
         key = st["state"]["key"]
-        counter = st["state"]["counter"]
-        counter[0] = offset // _PHILOX_WORDS
-        for i, r in enumerate(replicas):
+        st["state"]["counter"][0] = offset // _PHILOX_WORDS
+        seed = None
+        for row, s, r in zip(out, keys[:, 0], keys[:, 1]):
+            if s != seed:
+                key[0] = seed = s
             key[1] = r
             self._bg.state = st
-            out[i] = self._gen.random(width)
+            self._gen.random(out=row)
         return out
-
-
-def _block_widths(horizon: int, draws_per_step: int):
-    """Step-count block schedule: grows 16 -> 256/d, offsets stay 4-aligned."""
-    cap = max(4, 256 // draws_per_step)
-    width = 16
-    done = 0
-    while done < horizon:
-        w = min(width, horizon - done)
-        yield done, w
-        done += w
-        width = min(width * 2, cap)
 
 
 def _summarize(values: np.ndarray, seed: int, horizon: int, censored: np.ndarray) -> McEstimate:
@@ -175,40 +172,67 @@ def _finite_advance(k: FiniteKernel):
     return lambda pos, u: _step_states(cdf, pos, u[:, 0])
 
 
-def _first_hits(start, advance, arrived, draws, replicas, horizon, seed):
-    """Run walkers from ``start`` until each arrives or the horizon passes.
+def _arrival_spans(groups, arrivals):
+    """(arrived, first, end) for each group present in the sorted ``groups``."""
+    edges = np.searchsorted(groups, np.arange(len(arrivals) + 1)).tolist()
+    return [(arrived, a, b) for arrived, a, b in zip(arrivals, edges, edges[1:]) if a < b]
 
-    The one walker loop: replicas go in chunks of at most 16384, each
-    chunk draws its stream blocks on the ``_block_widths`` schedule,
-    ``advance(pos, u)`` moves the live walkers with u of shape
-    (walkers, draws), and walkers for which ``arrived(pos)`` holds retire.
-    Returns (times, censored): the first arrival time of each replica, the
-    horizon for those that never arrive, and which ones never did.
+
+def _first_hits(starts, seeds, groups, arrivals, advance, draws, replicas, horizon):
+    """Run ``replicas`` walkers per job until each arrives or the horizon passes.
+
+    The one walker loop.  Job j's walkers start at ``starts[j]``, draw from
+    the streams keyed (seeds[j], r) for r < replicas, and arrive when
+    ``arrivals[groups[j]](pos)`` holds.  Walkers go in chunks of at most
+    ``_CHUNK``, ordered by group within a chunk so that each arrival test
+    runs once per step, on one slice.  A chunk draws its stream blocks into
+    one buffer: block widths grow 16 -> 256/draws steps, capped so that a
+    block holds at most ``_BLOCK_DRAWS`` doubles.  ``advance(pos, u)`` moves
+    the live walkers with u of shape (walkers, draws), read through each
+    walker's block row, and walkers that arrive retire.  Returns (times,
+    censored), ordered by job and then replica: the first arrival time of
+    each walker, the horizon for those that never arrive, and which ones
+    never did.
     """
-    times = np.full(replicas, float(horizon))
-    censored = np.ones(replicas, dtype=bool)
-    streams = _ReplicaStreams(seed)
-    for done in range(0, replicas, _CHUNK):
-        alive = np.arange(done, min(done + _CHUNK, replicas))
-        pos = np.full(alive.size, start)
-        for step0, width in _block_widths(horizon, draws):
-            if not alive.size:
-                break
-            u = streams.block(alive, step0 * draws, width * draws)
-            u = u.reshape(alive.size, width, draws)
+    starts = np.asarray(starts)
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    groups = np.asarray(groups, dtype=int)
+    total = seeds.size * replicas
+    times = np.full(total, float(horizon))
+    censored = np.ones(total, dtype=bool)
+    streams = _ReplicaStreams()
+    buf = np.empty(_BLOCK_DRAWS)
+    grow_cap = max(4, 256 // draws // 4 * 4)
+    for done in range(0, total, _CHUNK):
+        walkers = np.arange(done, min(done + _CHUNK, total))
+        alive = walkers[np.argsort(groups[walkers // replicas], kind="stable")]
+        job = alive // replicas
+        pos, grp = starts[job], groups[job]
+        spans = _arrival_spans(grp, arrivals)
+        step0, grow = 0, 16
+        while alive.size and step0 < horizon:
+            n = alive.size
+            fits = max(4, _BLOCK_DRAWS // (n * draws) // 4 * 4)  # steps the buffer holds
+            width = min(grow, fits, horizon - step0)
+            keys = np.column_stack((seeds[alive // replicas],
+                                    (alive % replicas).astype(np.uint64)))
+            u = streams.block(keys, step0 * draws, buf[:n * width * draws].reshape(n, -1))
+            u = u.reshape(n, width, draws)
+            row = np.arange(n)
             for b in range(width):
-                pos = advance(pos, u[:, b])
-                just = arrived(pos)
+                pos = advance(pos, u[row, b])
+                just = np.concatenate([arrived(pos[a:z]) for arrived, a, z in spans])
                 if just.any():
                     idx = alive[just]
                     times[idx] = step0 + b + 1
                     censored[idx] = False
                     keep = ~just
-                    alive = alive[keep]
-                    pos = pos[keep]
-                    u = u[keep]
-                if not alive.size:
-                    break
+                    alive, pos, grp, row = alive[keep], pos[keep], grp[keep], row[keep]
+                    if not alive.size:
+                        break
+                    spans = _arrival_spans(grp, arrivals)
+            step0 += width
+            grow = min(2 * grow, grow_cap)
     return times, censored
 
 
@@ -227,40 +251,79 @@ def estimate_hitting(
     ``target`` is a set of state indices for finite kernels, or a
     vectorized predicate (array -> bool array) for continuous samplers.
     Censored paths contribute the horizon value and raise
-    ``censored_fraction``.
+    ``censored_fraction``.  The one-job case of ``estimate_hitting_batch``.
 
     Raises
     ------
     AllCensored
         If no replica hits within the horizon.
     """
+    return estimate_hitting_batch(sampler, [(x0, target, seed)], replicas, horizon)[0]
+
+
+def estimate_hitting_batch(sampler, jobs, replicas: int, horizon: int) -> list[McEstimate]:
+    """``estimate_hitting`` of every job (x0, target, seed), as one walker population.
+
+    Each walker's draws depend only on its key (seed, replica) and its
+    step, so every estimate equals the one ``estimate_hitting`` returns for
+    its job, bit for bit.  Jobs that pass the same target object share one
+    arrival test per step; a job whose start lies in its target takes no
+    walkers and reports zero.
+
+    Raises
+    ------
+    AllCensored
+        For the first job, in job order, none of whose replicas hits
+        within the horizon.
+    """
     if replicas < 1:
         raise ValueError("need at least one replica")
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     if isinstance(sampler, FiniteKernel):
-        member = np.zeros(sampler.n, dtype=bool)
-        member[np.asarray(list(target), dtype=int)] = True
-        start, draws = int(x0), 1
-        advance, arrived = _finite_advance(sampler), member.__getitem__
+        draws, advance, place = 1, _finite_advance(sampler), int
+
+        def arrival(target):
+            member = np.zeros(sampler.n, dtype=bool)
+            member[np.asarray(list(target), dtype=int)] = True
+            return member.__getitem__
     elif isinstance(sampler, ContinuousSampler1D):
-        start, draws = float(x0), 2
+        draws, place = 2, float
 
         def advance(pos, u):
             return sampler.batch_step(pos, u[:, 0], u[:, 1])
 
-        def arrived(pos):
-            return np.asarray(target(pos), dtype=bool)
+        def arrival(target):
+            return lambda pos: np.asarray(target(pos), dtype=bool)
     else:
         raise TypeError(f"unsupported sampler type {type(sampler)!r}")
 
-    if arrived(np.array([start]))[0]:
-        times = np.zeros(replicas)
-        return _summarize(times, seed, horizon, np.zeros(replicas, dtype=bool))
-    times, censored = _first_hits(start, advance, arrived, draws, replicas, horizon, seed)
-    if censored.all():
-        raise AllCensored(f"no path hit the target within {horizon} steps")
-    return _summarize(times, seed, horizon, censored)
+    jobs = list(jobs)
+    arrivals, group_of = [], {}
+    walking = []  # (job index, start, seed, group) of jobs not started in their target
+    for j, (x0, target, seed) in enumerate(jobs):
+        if id(target) not in group_of:
+            group_of[id(target)] = len(arrivals)
+            arrivals.append(arrival(target))
+        g, start = group_of[id(target)], place(x0)
+        if not arrivals[g](np.array([start]))[0]:
+            walking.append((j, start, seed, g))
+    _, starts, seeds, groups = zip(*walking) if walking else ((),) * 4
+    times, censored = _first_hits(
+        starts, seeds, groups, arrivals, advance, draws, replicas, horizon)
+
+    rows = {j: slice(k * replicas, (k + 1) * replicas) for k, (j, *_) in enumerate(walking)}
+    estimates = []
+    for j, (x0, _, seed) in enumerate(jobs):
+        if j not in rows:
+            zero = np.zeros(replicas)
+            estimates.append(_summarize(zero, seed, horizon, zero.astype(bool)))
+        elif censored[rows[j]].all():
+            raise AllCensored(
+                f"no path from {x0} hit the target within {horizon} steps (seed {seed})")
+        else:
+            estimates.append(_summarize(times[rows[j]], seed, horizon, censored[rows[j]]))
+    return estimates
 
 
 # --- coupling with a dominated restriction ----------------------------------------
@@ -304,7 +367,7 @@ def coupled_escape_estimate(
 
     outside = ~in_s
     _, coupled = _first_hits(
-        int(x0), _finite_advance(g), outside.__getitem__, 1, replicas, t, seed)
+        [int(x0)], [seed], [0], [outside.__getitem__], _finite_advance(g), 1, replicas, t)
     values = (~coupled).astype(float)
     return _summarize(values, seed, t, censored=np.zeros(replicas, dtype=bool))
 

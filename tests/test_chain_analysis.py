@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,6 +162,35 @@ def test_mixing_time_pinned_on_exp_tilt(c, t_m, t_l):
     k = m.birth_death_chain(EXP, c)
     assert m.mixing_time(k) == t_m
     assert m.mixing_time(k, lazy=True) == t_l
+
+
+def test_mixing_refuses_powers_above_the_memory_cap():
+    k = m.build_finite_kernel(np.eye(2048))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(errors.TooManyStates, match="29 powers of a 2048-state kernel"):
+            m.mixing_time(k)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 2**20  # not one 32 MiB power, nor the lazy copy, was allocated
+
+
+def test_mixing_rejects_a_negative_horizon():
+    k = m.build_finite_kernel([[0.9, 0.1], [0.1, 0.9]])
+    with pytest.raises(ValueError, match="t_max"):
+        m.mixing_time(k, t_max=-1)
+
+
+def test_mixing_power_cap_admits_512_states_at_the_default_horizon():
+    n = 512
+    stored = chain_analysis.default_mix_horizon(n).bit_length() * n * n * 8
+    assert stored <= chain_analysis.MIXING_POWER_BYTES
+    k = m.build_finite_kernel(np.full((n, n), 1.0 / n))
+    assert m.mixing_time(k) == 1
 
 
 def test_mixing_identity_exhausts_default_horizon_fast():

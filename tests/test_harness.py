@@ -120,6 +120,19 @@ def test_run_scaling_byte_identical_rerun(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+# values the per-estimate loop gave before the (start, target) estimates of
+# one c ran as one walker population
+@pytest.mark.parametrize("c,horizon,c_index,seed,expected", [
+    (1.0 / 6.0, 900, 0, 0, (133.33203125, 7.158539028704555, 0.0)),
+    (1.0 / 8.0, 1750, 1, 0, (254.8828125, 13.31635052270289, 0.0)),
+    (1.0 / 8.0, 1750, 1, 3, (252.9453125, 15.041940566854194, 0.00390625)),
+])
+def test_ballwalk_max_hitting_pinned_bits(c, horizon, c_index, seed, expected):
+    exp_tilt = m.DensitySpec(kind="exponential-tilt", params={"tilt": -1.0}, unimodal_ratio=1.5)
+    got = harness._ballwalk_max_hitting(exp_tilt, c, 1.0 / 12.0, 256, horizon, seed, c_index)
+    assert got == expected
+
+
 def test_run_scaling_rejects_violated_unimodality(tmp_path):
     two_bumps = {
         "kind": "piecewise-linear-table",
@@ -376,6 +389,19 @@ def test_cli_hitmix_interval_refuses_dense_chain(tmp_path):
     row = (tmp_path / "o" / "hitmix.csv").read_text().splitlines()[1].split(",")
     assert row[1] == ""  # no tH: the window scan would only be a lower bound
     assert row[-1] == "tH:NotBirthDeath"
+
+
+def test_cli_hitmix_reports_the_mixing_memory_cap(tmp_path):
+    cfg = _write_cfg(tmp_path, {
+        "experiment": "hitmix",
+        "chain": {"kind": "birth-death", "c": 1.0 / 1024.0, "density": {
+            "kind": "exponential-tilt", "tilt": -1.0, "unimodal_ratio": 1.5}},
+    })
+    assert cli_main(["hitmix", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 1
+    row = (tmp_path / "o" / "hitmix.csv").read_text().splitlines()[1].split(",")
+    assert float(row[1]) > 0.0  # tH still comes from the closed form
+    assert row[-1] == "tm:TooManyStates;tL:TooManyStates"
 
 
 def test_cli_scaling_honours_brute_strategy(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import mcergo as m
-from mcergo import errors
+from mcergo import errors, harness, montecarlo
 from mcergo.corpus import escape_corpus, random_dense_chain
 
 EXP = m.DensitySpec(kind="exponential-tilt", params={"tilt": -1.0}, unimodal_ratio=1.5)
@@ -120,6 +120,87 @@ def test_ballwalk_and_birth_death_share_the_diffusive_scale():
         assert est.censored_fraction <= 0.01
         scaled.extend([c * c * exact, c * c * est.mean])
     assert max(scaled) / min(scaled) <= 4.0
+
+
+# --- one walker population for many estimates ------------------------------------
+
+def _per_job(sampler, jobs, replicas, horizon):
+    return [m.estimate_hitting(sampler, x0, target, replicas, horizon, seed)
+            for x0, target, seed in jobs]
+
+
+def test_batch_equals_per_job_on_a_finite_kernel():
+    k = random_dense_chain(np.random.default_rng(7), 6)
+    near, far = [5], [0, 1]
+    jobs = [(0, near, 11), (5, near, 12), (2, far, 13), (3, near, 14), (4, [5], 15)]
+    replicas, horizon = 1500, 4  # 7500 walkers: job 2 straddles the 4096 chunk edge
+    assert 2 * replicas < montecarlo._CHUNK < 3 * replicas
+    batch = m.estimate_hitting_batch(k, jobs, replicas, horizon)
+    assert list(map(repr, batch)) == list(map(repr, _per_job(k, jobs, replicas, horizon)))
+    assert batch[1].mean == 0.0 and batch[1].censored_fraction == 0.0  # starts in its target
+    assert any(0.0 < est.censored_fraction < 1.0 for est in batch)
+
+
+def test_batch_equals_per_job_on_the_ball_walk():
+    sampler = m.ball_walk_sampler(EXP, 1.0 / 8.0)
+    high = lambda xs: np.asarray(xs) >= 0.75  # noqa: E731
+    low = lambda xs: np.asarray(xs) <= 0.2  # noqa: E731
+    jobs = [(0.0, high, 3), (1.0, high, 4), (0.5, low, 5), (0.5, high, 6), (0.9, low, 7)]
+    replicas, horizon = 1100, 60  # 4400 walkers: job 4 straddles the chunk edge
+    batch = m.estimate_hitting_batch(sampler, jobs, replicas, horizon)
+    assert list(map(repr, batch)) == list(map(repr, _per_job(sampler, jobs, replicas, horizon)))
+    assert batch[1].mean == 0.0  # starts in its target
+    assert any(0.0 < est.censored_fraction < 1.0 for est in batch)
+
+
+def test_batch_raises_for_the_first_all_censored_job():
+    k = m.build_finite_kernel([[1.0, 0.0], [0.5, 0.5]])
+    jobs = [(1, [0], 1), (0, [1], 7), (1, [0], 2), (0, [1], 8)]
+    with pytest.raises(errors.AllCensored) as batch:
+        m.estimate_hitting_batch(k, jobs, 50, 100)
+    with pytest.raises(errors.AllCensored) as per_job:
+        _per_job(k, jobs, 50, 100)
+    assert str(batch.value) == str(per_job.value)
+    assert "(seed 7)" in str(batch.value)
+
+
+def test_replica_streams_block_matches_replica_generators():
+    keys = [(5, 0), (5, 3), (2**64 - 1, 7), (11, 2), (5, 1)]
+    streams = montecarlo._ReplicaStreams()
+    for offset, width in [(0, 10), (8, 7), (4, 33), (300, 4)]:
+        expected = np.array([montecarlo.replica_generator(s, r).random(offset + width)[offset:]
+                             for s, r in keys])
+        out = np.empty((len(keys), width))
+        assert streams.block(keys, offset, out) is out
+        assert np.array_equal(out, expected)
+    with pytest.raises(ValueError):
+        streams.block(keys, 6, np.empty((len(keys), 4)))
+
+
+def test_fused_population_blocks_stay_within_budget(monkeypatch):
+    sizes, started, runs = [], [], []
+    block, first_hits = montecarlo._ReplicaStreams.block, montecarlo._first_hits
+
+    def recording_block(self, keys, offset, out):
+        filled = block(self, keys, offset, out)
+        sizes.append(filled.size)
+        if offset == 0:
+            started.append(len(filled))
+        return filled
+
+    def counting_first_hits(*args):
+        runs.append(args)
+        return first_hits(*args)
+
+    monkeypatch.setattr(montecarlo._ReplicaStreams, "block", recording_block)
+    monkeypatch.setattr(montecarlo, "_first_hits", counting_first_hits)
+    harness._ballwalk_max_hitting(EXP, 1.0 / 6.0, 1.0 / 12.0, 256, 900, 0, 0)
+    # 33 starts x 2 targets in one population; 12 of the 66 jobs start in
+    # their target and take no walkers
+    assert len(runs) == 1
+    seeds = runs[0][1]
+    assert len(seeds) == 54 and sum(started) == 54 * 256
+    assert max(sizes) <= montecarlo._BLOCK_DRAWS
 
 
 # --- coupled escape --------------------------------------------------------------------

@@ -33,7 +33,6 @@ from .chain_analysis import (
 from .montecarlo import (
     McEstimate,
     coupled_escape_estimate,
-    coupled_pair_paths,
     estimate_hitting,
     estimate_hitting_batch,
     sample_path,

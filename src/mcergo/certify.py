@@ -436,6 +436,7 @@ def certify_drift_and_hit(
     pi_table=None,
     t_route: str = "auto",
     hitting_strategy: str | None = None,
+    pi: np.ndarray | None = None,
 ) -> GeometricBound:
     """Assemble the geometric bound from a drift certificate.
 
@@ -448,7 +449,9 @@ def certify_drift_and_hit(
     never from a lower bound); (iv) take the pairwise overlap at T + 1
     steps, exactly when the chain is small enough, else the 1/3 of the
     drift-and-hit theorem; (v) solve the contraction for the (T+1)-step
-    drift parameters at radius r'.
+    drift parameters at radius r'.  ``pi``, when given, is the stationary
+    law of k, so a caller that already solved it is not made to solve it
+    again.
 
     Raises
     ------
@@ -471,7 +474,8 @@ def certify_drift_and_hit(
         raise IncompatibleCertificate("sublevel sets are empty")
     degenerate = C.size == k.n
 
-    pi = stationary_distribution(k)
+    if pi is None:
+        pi = stationary_distribution(k)
     dom = restrict(k, C, variant, pi_table=pi_table, base_stationary=pi)
     sub_check = verify_drift(dom.kernel, cert.v[C], cert.lam, cert.b)
     if not sub_check.passed:

@@ -437,8 +437,9 @@ def run_certify(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
             "small_set_size": int(cert.small_set.size),
             "inner_set_size": int(cert.inner_set.size),
         }
+        pi = stationary_distribution(k)
         bound = certify_drift_and_hit(
-            k, cert, variant=variant, alpha=cfg.alpha, dtable=dtable,
+            k, cert, variant=variant, alpha=cfg.alpha, dtable=dtable, pi=pi,
         )
         report["bound"] = bound.to_dict()
         report["m_per_state"] = [bound.m_of(v) for v in cert.v]
@@ -446,7 +447,7 @@ def run_certify(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
             report["note"] = "restriction is degenerate: C is the full space"
 
         if k.n <= TV_PROFILE_STATE_CAP:
-            verdict, max_violation, profile_rows = _dominance_profile(k, cert, bound)
+            verdict, max_violation, profile_rows = _dominance_profile(k, cert, bound, pi)
             report["dominance_verdict"] = "PASS" if verdict else "FAIL"
             report["max_dominance_violation"] = max_violation
             _write_csv(
@@ -474,11 +475,11 @@ def run_certify(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
     return report
 
 
-def _dominance_profile(k: FiniteKernel, cert: DriftCertificate, bound):
+def _dominance_profile(k: FiniteKernel, cert: DriftCertificate, bound, pi):
     profile_rows = []
     ok = True
     max_violation = -math.inf
-    for t, tv in enumerate(tv_trajectory(k, TV_PROFILE_HORIZON)):
+    for t, tv in enumerate(tv_trajectory(k, TV_PROFILE_HORIZON, pi=pi)):
         bounds = bound.evaluate(cert.v, t)
         violation = float(np.max(tv - bounds))
         max_violation = max(max_violation, violation)

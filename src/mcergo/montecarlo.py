@@ -4,20 +4,25 @@ Randomness is counter-based: replica r draws from the Philox stream keyed
 (seed, r), so every replica's draws are a pure function of (seed, replica
 index, step) and results are independent of scheduling and worker count.
 ``sample_path`` uses the replica-0 stream.  Batch estimators reposition a
-single Philox generator by key and counter injection, which is
-stream-identical to constructing ``Philox(key=[seed, r])`` per walker but
-far cheaper.
+single Philox generator per walker and block by writing its key, counter
+and buffer position straight into numpy's state struct (``_ReplicaStreams``;
+it falls back to assigning ``Philox.state`` if the struct does not check
+out), which is stream-identical to constructing ``Philox(key=[seed, r])``
+per walker but far cheaper.
 
 One walker loop, ``_first_hits``, runs every batch estimate: the hitting
 times of target sets (``estimate_hitting_batch`` runs many (start, target,
 seed) jobs as one walker population, ``estimate_hitting`` is its one-job
 case) and the decoupling time of the identity coupling
 (``coupled_escape_estimate``), which is the g-chain's first exit from the
-coupling set.  A walker's draws depend only on its key and its step, so
-neither the population a walker runs in nor its chunk changes a result.
+coupling set.  The population refills as walkers retire, so walkers run at
+different steps side by side.  A walker's draws depend only on its key and
+its step, so neither the population a walker runs in nor when it is
+admitted changes a result.
 """
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +31,11 @@ from .errors import AllCensored, NotDominating
 from .kernels import ContinuousSampler1D, DominatedKernel, FiniteKernel
 from .tolerances import ROW_SUM_TOL
 
-_CHUNK = 4096  # walkers advanced together
-_BLOCK_DRAWS = 1 << 17  # uniform doubles in one stream block of a chunk
+_CHUNK = 4096  # most walkers advanced together
+# A ball-walk step costs far less than a stream row (about 1 us per row), so
+# the ball walk runs fewer walkers with wider rows: 64 steps a row at 1024.
+_CONTINUOUS_POPULATION = _CHUNK // 4
+_BLOCK_DRAWS = 1 << 17  # uniform doubles in one stream block of a population
 _PHILOX_WORDS = 4  # uniform doubles per Philox counter increment
 
 
@@ -69,12 +77,21 @@ def replica_generator(seed: int, replica: int) -> np.random.Generator:
 class _ReplicaStreams:
     """Batch access to the per-walker Philox streams.
 
-    ``block(keys, offset, out)`` fills row i of ``out`` with draw positions
-    [offset, offset + out.shape[1]) of the stream keyed ``keys[i]`` =
-    (seed, replica) and returns ``out``; offsets must be multiples of 4 so
-    the 256-bit Philox output buffer never straddles two requests.  Key
-    word 0 is set only when it changes, so keys grouped by seed cost one
-    assignment per group.
+    ``block(keys, offsets, out)`` fills row i of ``out`` with draw positions
+    [offsets[i], offsets[i] + out.shape[1]) of the stream keyed ``keys[i]``
+    = (seed, replica) and returns ``out``; ``offsets`` is one offset per row
+    or one for all, and each must be a multiple of 4 so the 256-bit Philox
+    output buffer never straddles two requests.  One generator is
+    repositioned per row: on the ``"direct"`` path by writing key, counter
+    word 0 and ``buffer_pos`` straight into numpy's ``philox_state`` struct
+    (through ``Philox.ctypes.state_address``: counter pointer at byte 0,
+    key pointer at byte 8, int ``buffer_pos`` at byte 16), on the
+    ``"state"`` path by assigning ``Philox.state``, which validates and
+    copies a dict per row.  Both give the bits of ``replica_generator``.
+    Construction takes the direct path only when the struct reads back as
+    expected and a few directly written draws match ``replica_generator``;
+    ``path`` names the path taken.  Key word 0 is set only when it
+    changes, so keys grouped by seed cost one assignment per group.
     """
 
     def __init__(self):
@@ -83,22 +100,67 @@ class _ReplicaStreams:
         self._template = self._bg.state
         self._template["state"]["counter"][:] = 0
         self._template["buffer_pos"] = _PHILOX_WORDS
+        self.path = "direct" if self._layout_ok() else "state"
+        self._fill = self._fill_direct if self.path == "direct" else self._fill_state
 
-    def block(self, keys, offset: int, out: np.ndarray) -> np.ndarray:
-        if offset % _PHILOX_WORDS:
-            raise ValueError("stream offset must be a multiple of 4")
-        keys = np.asarray(keys, dtype=np.uint64)
-        st = self._template
-        key = st["state"]["key"]
-        st["state"]["counter"][0] = offset // _PHILOX_WORDS
+    def block(self, keys, offsets, out: np.ndarray) -> np.ndarray:
+        seeds, replicas = np.asarray(keys, dtype=np.uint64).T.copy()
+        offsets = np.broadcast_to(np.asarray(offsets, dtype=np.int64), seeds.shape)
+        if np.any(offsets % _PHILOX_WORDS):
+            raise ValueError("stream offsets must be multiples of 4")
+        # memoryviews hand out one Python int at a time, not a list of them all
+        self._fill(memoryview(seeds), memoryview(replicas),
+                   memoryview(offsets // _PHILOX_WORDS), out)
+        return out
+
+    def _fill_direct(self, seeds, replicas, counters, out):
+        key, ctr, buffer_pos, random = self._key, self._ctr, self._buffer_pos, self._gen.random
         seed = None
-        for row, s, r in zip(out, keys[:, 0], keys[:, 1]):
+        for row, s, r, c in zip(out, seeds, replicas, counters):
             if s != seed:
                 key[0] = seed = s
-            key[1] = r
+            key[1], ctr[0] = r, c
+            buffer_pos.value = _PHILOX_WORDS
+            random(out=row)
+
+    def _fill_state(self, seeds, replicas, counters, out):
+        st = self._template
+        key, ctr = st["state"]["key"], st["state"]["counter"]
+        seed = None
+        for row, s, r, c in zip(out, seeds, replicas, counters):
+            if s != seed:
+                key[0] = seed = s
+            key[1], ctr[0] = r, c
             self._bg.state = st
             self._gen.random(out=row)
-        return out
+
+    def _layout_ok(self) -> bool:
+        """Bind the ``philox_state`` fields and check direct writes against fresh streams."""
+        try:
+            addr = self._bg.ctypes.state_address
+            ctr_at, key_at = (ctypes.c_void_p * 2).from_address(addr)
+        except (AttributeError, TypeError, ValueError):
+            return False
+        # the counter and key live inside the generator object; refuse any
+        # pointer that does not, rather than read through it
+        if not (ctr_at and key_at and abs(ctr_at - addr) < 4096 and abs(key_at - addr) < 4096):
+            return False
+        probe = self._bg.state
+        probe["state"]["key"][:] = (3, 5)
+        probe["state"]["counter"][:] = (7, 0, 0, 0)
+        probe["buffer_pos"] = 2
+        self._bg.state = probe
+        self._key = (ctypes.c_uint64 * 2).from_address(key_at)
+        self._ctr = (ctypes.c_uint64 * 4).from_address(ctr_at)
+        self._buffer_pos = ctypes.c_int.from_address(addr + 16)
+        if (list(self._key), list(self._ctr), self._buffer_pos.value) != ([3, 5], [7, 0, 0, 0], 2):
+            return False
+        for s, r, offset, width in [(2**64 - 1, 7, 12, 9), (5, 0, 0, 3), (5, 3, 300, 8)]:
+            out = np.empty((1, width))
+            self._fill_direct([s], [r], [offset // _PHILOX_WORDS], out)
+            if not np.array_equal(out[0], replica_generator(s, r).random(offset + width)[offset:]):
+                return False
+        return True
 
 
 def _summarize(values: np.ndarray, seed: int, horizon: int, censored: np.ndarray) -> McEstimate:
@@ -178,21 +240,27 @@ def _arrival_spans(groups, arrivals):
     return [(arrived, a, b) for arrived, a, b in zip(arrivals, edges, edges[1:]) if a < b]
 
 
-def _first_hits(starts, seeds, groups, arrivals, advance, draws, replicas, horizon):
+def _first_hits(starts, seeds, groups, arrivals, advance, draws, replicas, horizon,
+                population):
     """Run ``replicas`` walkers per job until each arrives or the horizon passes.
 
     The one walker loop.  Job j's walkers start at ``starts[j]``, draw from
     the streams keyed (seeds[j], r) for r < replicas, and arrive when
-    ``arrivals[groups[j]](pos)`` holds.  Walkers go in chunks of at most
-    ``_CHUNK``, ordered by group within a chunk so that each arrival test
-    runs once per step, on one slice.  A chunk draws its stream blocks into
-    one buffer: block widths grow 16 -> 256/draws steps, capped so that a
-    block holds at most ``_BLOCK_DRAWS`` doubles.  ``advance(pos, u)`` moves
-    the live walkers with u of shape (walkers, draws), read through each
-    walker's block row, and walkers that arrive retire.  Returns (times,
-    censored), ordered by job and then replica: the first arrival time of
-    each walker, the horizon for those that never arrive, and which ones
-    never did.
+    ``arrivals[groups[j]](pos)`` holds.  The loop keeps one population of
+    at most ``population`` <= ``_CHUNK`` walkers: at each block boundary
+    the next unstarted walkers, in job and then replica order, take the
+    places of walkers that retired, and the population is ordered by group
+    so that each arrival test runs once per step, on one slice.  Every
+    walker carries its own step count, and its block row starts at that
+    step's position of its own stream.  A block is 256/draws steps wide,
+    narrowed so that it holds at most ``_BLOCK_DRAWS`` doubles and reaches
+    no further than the horizon of the walker with most steps left.
+    ``advance(pos, u)`` moves the live walkers with u of shape (walkers,
+    draws), read through each walker's block row; a walker retires when it
+    arrives or when its own step count reaches the horizon.  Returns
+    (times, censored), ordered by job and then replica: the first arrival
+    time of each walker, the horizon for those that never arrive, and which
+    ones never did.
     """
     starts = np.asarray(starts)
     seeds = np.asarray(seeds, dtype=np.uint64)
@@ -202,37 +270,45 @@ def _first_hits(starts, seeds, groups, arrivals, advance, draws, replicas, horiz
     censored = np.ones(total, dtype=bool)
     streams = _ReplicaStreams()
     buf = np.empty(_BLOCK_DRAWS)
-    grow_cap = max(4, 256 // draws // 4 * 4)
-    for done in range(0, total, _CHUNK):
-        walkers = np.arange(done, min(done + _CHUNK, total))
-        alive = walkers[np.argsort(groups[walkers // replicas], kind="stable")]
-        job = alive // replicas
-        pos, grp = starts[job], groups[job]
-        spans = _arrival_spans(grp, arrivals)
-        step0, grow = 0, 16
-        while alive.size and step0 < horizon:
-            n = alive.size
-            fits = max(4, _BLOCK_DRAWS // (n * draws) // 4 * 4)  # steps the buffer holds
-            width = min(grow, fits, horizon - step0)
-            keys = np.column_stack((seeds[alive // replicas],
-                                    (alive % replicas).astype(np.uint64)))
-            u = streams.block(keys, step0 * draws, buf[:n * width * draws].reshape(n, -1))
-            u = u.reshape(n, width, draws)
-            row = np.arange(n)
-            for b in range(width):
-                pos = advance(pos, u[row, b])
-                just = np.concatenate([arrived(pos[a:z]) for arrived, a, z in spans])
-                if just.any():
-                    idx = alive[just]
-                    times[idx] = step0 + b + 1
-                    censored[idx] = False
-                    keep = ~just
-                    alive, pos, grp, row = alive[keep], pos[keep], grp[keep], row[keep]
-                    if not alive.size:
-                        break
-                    spans = _arrival_spans(grp, arrivals)
-            step0 += width
-            grow = min(2 * grow, grow_cap)
+    cap = max(4, 256 // draws // 4 * 4)
+    walker = np.empty(0, dtype=np.int64)  # the population, ordered by group
+    pos, steps = starts[:0], np.empty(0, dtype=np.int64)
+    admitted = 0 if horizon else total
+    while walker.size or admitted < total:
+        if admitted < total and walker.size < population:
+            new = np.arange(admitted, min(admitted + population - walker.size, total))
+            admitted += new.size
+            walker = np.concatenate((walker, new))
+            pos = np.concatenate((pos, starts[new // replicas]))
+            steps = np.concatenate((steps, np.zeros_like(new)))
+            order = np.argsort(groups[walker // replicas], kind="stable")
+            walker, pos, steps = walker[order], pos[order], steps[order]
+            grp = groups[walker // replicas]
+            spans = _arrival_spans(grp, arrivals)
+        n = walker.size
+        left = horizon - steps  # steps each walker may still take
+        fits = max(4, _BLOCK_DRAWS // (n * draws) // 4 * 4)  # steps the buffer holds
+        width = min(cap, fits, int(left.max()))  # a multiple of 4 unless every walker ends here
+        keys = np.column_stack((seeds[walker // replicas], (walker % replicas).astype(np.uint64)))
+        u = streams.block(keys, steps * draws, buf[:n * width * draws].reshape(n, -1))
+        u = u.reshape(n, width, draws)
+        row = np.arange(n)
+        expiring = int(left.min()) <= width
+        for b in range(width):
+            pos = advance(pos, u[row, b])
+            just = np.concatenate([arrived(pos[a:z]) for arrived, a, z in spans])
+            done = just | (left == b + 1) if expiring else just
+            if done.any():
+                idx = walker[just]
+                times[idx] = steps[just] + b + 1
+                censored[idx] = False
+                keep = ~done
+                walker, pos, grp, row = walker[keep], pos[keep], grp[keep], row[keep]
+                steps, left = steps[keep], left[keep]
+                if not walker.size:
+                    break
+                spans = _arrival_spans(grp, arrivals)
+        steps += width
     return times, censored
 
 
@@ -281,14 +357,14 @@ def estimate_hitting_batch(sampler, jobs, replicas: int, horizon: int) -> list[M
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     if isinstance(sampler, FiniteKernel):
-        draws, advance, place = 1, _finite_advance(sampler), int
+        draws, advance, place, population = 1, _finite_advance(sampler), int, _CHUNK
 
         def arrival(target):
             member = np.zeros(sampler.n, dtype=bool)
             member[np.asarray(list(target), dtype=int)] = True
             return member.__getitem__
     elif isinstance(sampler, ContinuousSampler1D):
-        draws, place = 2, float
+        draws, place, population = 2, float, _CONTINUOUS_POPULATION
 
         def advance(pos, u):
             return sampler.batch_step(pos, u[:, 0], u[:, 1])
@@ -310,7 +386,7 @@ def estimate_hitting_batch(sampler, jobs, replicas: int, horizon: int) -> list[M
             walking.append((j, start, seed, g))
     _, starts, seeds, groups = zip(*walking) if walking else ((),) * 4
     times, censored = _first_hits(
-        starts, seeds, groups, arrivals, advance, draws, replicas, horizon)
+        starts, seeds, groups, arrivals, advance, draws, replicas, horizon, population)
 
     rows = {j: slice(k * replicas, (k + 1) * replicas) for k, (j, *_) in enumerate(walking)}
     estimates = []
@@ -367,64 +443,8 @@ def coupled_escape_estimate(
 
     outside = ~in_s
     _, coupled = _first_hits(
-        [int(x0)], [seed], [0], [outside.__getitem__], _finite_advance(g), 1, replicas, t)
+        [int(x0)], [seed], [0], [outside.__getitem__], _finite_advance(g), 1, replicas, t,
+        _CHUNK)
     values = (~coupled).astype(float)
     return _summarize(values, seed, t, censored=np.zeros(replicas, dtype=bool))
 
-
-def coupled_pair_paths(g: FiniteKernel, g_c: DominatedKernel, x0: int, t: int, seed: int):
-    """One explicit realization of the identity coupling, for inspection.
-
-    Returns (x_path, y_path, decouple_time).  The X path follows g on the
-    full space; the Y path follows the dominating kernel on its support,
-    indexed in base-state labels.  Both paths agree until X first leaves
-    the support (decouple_time; None if still coupled at t).
-    """
-    S = g_c.support
-    pos_in_s = {int(s): i for i, s in enumerate(S)}
-    in_s = np.zeros(g.n, dtype=bool)
-    in_s[S] = True
-    if not in_s[int(x0)]:
-        raise ValueError("start state must lie in the coupling set")
-    rng = replica_generator(seed, 0)
-    cdf_g = _row_cdfs(g.p)
-    cdf_sub = _row_cdfs(g_c.kernel.p)
-    x = int(x0)
-    y = int(x0)
-    xs = [x]
-    ys = [y]
-    decouple = None
-    for _ in range(t):
-        if decouple is None:
-            u = rng.random()
-            nx = int(np.searchsorted(cdf_g[x], u, side="right"))
-            if in_s[nx]:
-                # shared sub-probability event: both move together
-                x = nx
-                y = nx
-            else:
-                # X escapes the support; Y redraws from the residual
-                # (dominating row minus the shared within-support part)
-                row = g_c.kernel.p[pos_in_s[y]]
-                resid = np.clip(row - g.p[y, S], 0.0, None)
-                total = resid.sum()
-                if total <= 0.0:
-                    yi = pos_in_s[y]
-                else:
-                    u2 = rng.random()
-                    c = np.cumsum(resid / total)
-                    c[-1] = 1.0
-                    yi = int(np.searchsorted(c, u2, side="right"))
-                x = nx
-                y = int(S[yi])
-                decouple = len(xs)
-        else:
-            u = rng.random()
-            x = int(np.searchsorted(cdf_g[x], u, side="right"))
-            u2 = rng.random()
-            yi = pos_in_s[y]
-            yi = int(np.searchsorted(cdf_sub[yi], u2, side="right"))
-            y = int(S[yi])
-        xs.append(x)
-        ys.append(y)
-    return np.array(xs), np.array(ys), decouple

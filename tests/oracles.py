@@ -135,3 +135,17 @@ def trace_transition_frequency(p, subset, steps, seed):
             counts[last, pos[x]] += 1.0
             last = pos[x]
     return counts / counts.sum(axis=1, keepdims=True)
+
+
+def decoupling_exact(p, S, x0, t):
+    """P(the identity coupling from x0 has decoupled by t) = 1 - (Q^t 1)(x0), Q = P[S, S].
+
+    The chains stay equal until the base chain first leaves S, so this is
+    the probability that the base chain has left S within t steps.
+    """
+    S = [int(s) for s in S]
+    q = np.asarray(p)[np.ix_(S, S)]
+    stay = np.ones(len(S))
+    for _ in range(t):
+        stay = q @ stay
+    return 1.0 - stay[S.index(int(x0))]

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import mcergo as m
-from mcergo import chain_analysis, errors, harness
+from mcergo import certify, chain_analysis, errors, harness
 from mcergo.cli import main as cli_main
 from mcergo.harness import (
     chain_from_config,
@@ -186,6 +186,27 @@ def test_run_certify_structured_failure(tmp_path):
     rep = run_certify(cfg, out_dir=tmp_path / "run")
     assert not rep["ok"]
     assert rep["error"]["type"] == "IncompatibleCertificate"
+
+
+def test_run_certify_solves_the_base_chain_once(tmp_path, monkeypatch):
+    solved = []
+    solve = chain_analysis.stationary_distribution
+
+    def counted(k):
+        solved.append(k)
+        return solve(k)
+
+    for module in (chain_analysis, certify, harness):
+        monkeypatch.setattr(module, "stationary_distribution", counted)
+    cfg = parse_config({
+        "experiment": "certify",
+        "chain": {"kind": "corpus", "name": "bd-expdrift"},
+        "alpha": 1.0 / 3.0,
+    })
+    rep = run_certify(cfg, out_dir=tmp_path / "run")
+    assert rep["dominance_verdict"] == "PASS"
+    # the restriction is another kernel object; mixing_time solves its own law
+    assert sum(k is solved[0] for k in solved) == 1
 
 
 # --- hitmix ----------------------------------------------------------------------

@@ -1,9 +1,13 @@
+import bisect
+import math
+
 import numpy as np
 import pytest
 
 import mcergo as m
 from mcergo import errors, harness, montecarlo
 from mcergo.corpus import escape_corpus, random_dense_chain
+from oracles import decoupling_exact
 
 EXP = m.DensitySpec(kind="exponential-tilt", params={"tilt": -1.0}, unimodal_ratio=1.5)
 
@@ -177,15 +181,75 @@ def test_replica_streams_block_matches_replica_generators():
         streams.block(keys, 6, np.empty((len(keys), 4)))
 
 
+def test_replica_streams_block_takes_one_offset_per_walker():
+    keys = [(5, 0), (5, 3), (2**64 - 1, 7), (11, 2), (5, 1)]
+    offsets = [0, 300, 8, 4, 0]
+    width = 13
+    expected = np.array([montecarlo.replica_generator(s, r).random(o + width)[o:]
+                         for (s, r), o in zip(keys, offsets)])
+    out = np.empty((len(keys), width))
+    assert np.array_equal(montecarlo._ReplicaStreams().block(keys, offsets, out), expected)
+    with pytest.raises(ValueError):
+        montecarlo._ReplicaStreams().block(keys, [0, 4, 8, 10, 0], out)
+
+
+def test_replica_streams_write_philox_state_directly():
+    # a failure here means numpy's philox_state layout no longer matches and
+    # every block goes through the slower Philox.state assignment
+    assert montecarlo._ReplicaStreams().path == "direct"
+
+
+def _walk_alone(p, x0, target, seed, replica, horizon):
+    """Oracle: one walker stepped by itself from its own fresh stream."""
+    cdf = np.cumsum(p, axis=1)
+    cdf[:, -1] = 1.0
+    rows = [list(r) for r in cdf]
+    cur = x0
+    for t, u in enumerate(montecarlo.replica_generator(seed, replica).random(horizon), 1):
+        cur = bisect.bisect_right(rows[cur], u)
+        if cur in target:
+            return float(t), False
+    return float(horizon), True
+
+
+def test_refilled_population_matches_walkers_stepped_alone(monkeypatch):
+    # hitting times spread from 1 to past the horizon, so walkers retire at
+    # every step and the later ones are admitted while others are mid-stream
+    p = np.array([[0.97, 0.03, 0.0], [0.2, 0.6, 0.2], [0.0, 0.0, 1.0]])
+    k = m.build_finite_kernel(p)
+    jobs = [(0, {2}, 5), (1, {2}, 6), (0, {1}, 7)]
+    replicas, horizon = 3000, 250
+    assert len(jobs) * replicas > 2 * montecarlo._CHUNK
+    mixed = []
+    block = montecarlo._ReplicaStreams.block
+
+    def recording_block(self, keys, offsets, out):
+        offsets = np.asarray(offsets)
+        mixed.append(bool((offsets == 0).any() and (offsets > 0).any()))
+        return block(self, keys, offsets, out)
+
+    monkeypatch.setattr(montecarlo._ReplicaStreams, "block", recording_block)
+    members = [np.isin(np.arange(3), list(target)) for _, target, _ in jobs]
+    times, censored = montecarlo._first_hits(
+        [x0 for x0, _, _ in jobs], [seed for *_, seed in jobs], [0, 1, 2],
+        [member.__getitem__ for member in members], montecarlo._finite_advance(k),
+        1, replicas, horizon, montecarlo._CHUNK)
+    alone = [_walk_alone(p, x0, target, seed, r, horizon)
+             for x0, target, seed in jobs for r in range(replicas)]
+    assert times.tolist() == [t for t, _ in alone]
+    assert censored.tolist() == [c for _, c in alone]
+    assert any(mixed)  # some blocks served new and old walkers together
+    assert 0.0 < censored.mean() < 0.1
+
+
 def test_fused_population_blocks_stay_within_budget(monkeypatch):
     sizes, started, runs = [], [], []
     block, first_hits = montecarlo._ReplicaStreams.block, montecarlo._first_hits
 
-    def recording_block(self, keys, offset, out):
-        filled = block(self, keys, offset, out)
+    def recording_block(self, keys, offsets, out):
+        filled = block(self, keys, offsets, out)
         sizes.append(filled.size)
-        if offset == 0:
-            started.append(len(filled))
+        started.append(int(np.count_nonzero(np.asarray(offsets) == 0)))  # first blocks
         return filled
 
     def counting_first_hits(*args):
@@ -248,21 +312,6 @@ def test_coupled_escape_rejects_non_dominating():
         m.coupled_escape_estimate(k, fake, 0, 5, replicas=10, seed=0)
 
 
-def test_coupled_pair_paths_identical_until_exit():
-    case = escape_corpus()[8]  # jump-home chain with visible decoupling
-    dom = m.restrict(case.kernel, case.cert.small_set, case.variant)
-    saw_decouple = False
-    for seed in range(30):
-        xs, ys, dec = m.coupled_pair_paths(case.kernel, dom, 0, 60, seed=seed)
-        upto = dec if dec is not None else len(xs)
-        assert np.array_equal(xs[:upto], ys[:upto])
-        if dec is not None:
-            saw_decouple = True
-            assert xs[dec] not in set(int(s) for s in dom.support)
-            assert ys[dec] in set(int(s) for s in dom.support)
-    assert saw_decouple
-
-
 def test_coupled_escape_below_drift_bound_on_one_case():
     case = escape_corpus()[8]
     dom = m.restrict(case.kernel, case.cert.small_set, case.variant)
@@ -303,3 +352,78 @@ def test_coupled_escape_is_one_minus_censored_exit(seed):
     assert round(est.mean * replicas) == replicas - round(exit_est.censored_fraction * replicas)
     assert est.mean == pytest.approx(1.0 - exit_est.censored_fraction, rel=0.0, abs=1e-15)
     assert est.censored_fraction == 0.0
+
+
+# --- the whole escape corpus ----------------------------------------------------------
+
+CORPUS_REPLICAS = 10_000
+
+# recorded before the walker population refilled and Philox state was
+# written directly; compared with ==
+CORPUS_PINNED = {
+    (0, 0): "mean=0.0, stderr=0.0, replicas=10000, seed=0, horizon=30, censored_fraction=0.0",
+    (1, 0): "mean=0.0, stderr=0.0, replicas=10000, seed=0, horizon=30, censored_fraction=0.0",
+    (2, 0): "mean=0.0, stderr=0.0, replicas=10000, seed=0, horizon=40, censored_fraction=0.0",
+    (3, 0): "mean=0.0, stderr=0.0, replicas=10000, seed=0, horizon=25, censored_fraction=0.0",
+    (4, 0): "mean=0.0, stderr=0.0, replicas=10000, seed=0, horizon=30, censored_fraction=0.0",
+    (5, 0): "mean=0.0, stderr=0.0, replicas=10000, seed=0, horizon=25, censored_fraction=0.0",
+    (6, 0): "mean=0.0, stderr=0.0, replicas=10000, seed=0, horizon=30, censored_fraction=0.0",
+    (7, 0): "mean=0.0, stderr=0.0, replicas=10000, seed=0, horizon=30, censored_fraction=0.0",
+    (8, 0): "mean=0.0303, stderr=0.0017142009358546181, replicas=10000, seed=0, horizon=30, censored_fraction=0.0",
+    (9, 0): "mean=0.049, stderr=0.0021587880944186396, replicas=10000, seed=0, horizon=25, censored_fraction=0.0",
+    (0, 3): "mean=0.0001, stderr=0.0001, replicas=10000, seed=3, horizon=30, censored_fraction=0.0",
+    (1, 3): "mean=0.0, stderr=0.0, replicas=10000, seed=3, horizon=30, censored_fraction=0.0",
+    (2, 3): "mean=0.0, stderr=0.0, replicas=10000, seed=3, horizon=40, censored_fraction=0.0",
+    (3, 3): "mean=0.0, stderr=0.0, replicas=10000, seed=3, horizon=25, censored_fraction=0.0",
+    (4, 3): "mean=0.0, stderr=0.0, replicas=10000, seed=3, horizon=30, censored_fraction=0.0",
+    (5, 3): "mean=0.0, stderr=0.0, replicas=10000, seed=3, horizon=25, censored_fraction=0.0",
+    (6, 3): "mean=0.0, stderr=0.0, replicas=10000, seed=3, horizon=30, censored_fraction=0.0",
+    (7, 3): "mean=0.0, stderr=0.0, replicas=10000, seed=3, horizon=30, censored_fraction=0.0",
+    (8, 3): "mean=0.0295, stderr=0.0016921174090862054, replicas=10000, seed=3, horizon=30, censored_fraction=0.0",
+    (9, 3): "mean=0.048, stderr=0.0021377691656726105, replicas=10000, seed=3, horizon=25, censored_fraction=0.0",
+}
+
+
+def _corpus_estimates():
+    estimates = {}
+    for i, case in enumerate(escape_corpus()):
+        dom = m.restrict(case.kernel, case.cert.small_set, case.variant)
+        for seed in (0, 3):
+            estimates[i, seed] = m.coupled_escape_estimate(
+                case.kernel, dom, case.x0, case.horizon, CORPUS_REPLICAS, seed)
+    return estimates
+
+
+@pytest.fixture(scope="module")
+def corpus_estimates():
+    return _corpus_estimates()
+
+
+def test_coupled_escape_pinned_on_the_corpus(corpus_estimates):
+    assert {key: repr(est) for key, est in corpus_estimates.items()} == {
+        key: f"McEstimate({fields})" for key, fields in CORPUS_PINNED.items()}
+
+
+def test_coupled_escape_agrees_with_the_exact_decoupling_probability(corpus_estimates):
+    cases = escape_corpus()
+    for (i, seed), est in corpus_estimates.items():
+        case = cases[i]
+        dom = m.restrict(case.kernel, case.cert.small_set, case.variant)
+        exact = decoupling_exact(case.kernel.p, dom.support, case.x0, case.horizon)
+        # no walker escapes where exact * replicas is tiny, so est.stderr is
+        # 0; the binomial deviation of the exact value bounds those cases
+        sd = max(est.stderr, math.sqrt(exact * (1.0 - exact) / CORPUS_REPLICAS))
+        assert abs(est.mean - exact) <= 4.0 * sd, (i, seed, est.mean, exact)
+
+
+def test_state_path_when_the_layout_check_fails(monkeypatch, corpus_estimates):
+    monkeypatch.setattr(montecarlo._ReplicaStreams, "_layout_ok", lambda self: False)
+    assert montecarlo._ReplicaStreams().path == "state"
+    assert _corpus_estimates() == corpus_estimates
+    sampler = m.ball_walk_sampler(EXP, 1.0 / 8.0)
+    high = lambda xs: np.asarray(xs) >= 0.75  # noqa: E731
+    jobs = [(0.0, high, 3), (0.5, high, 6)]
+    fallback = m.estimate_hitting_batch(sampler, jobs, 700, 300)
+    monkeypatch.undo()
+    assert montecarlo._ReplicaStreams().path == "direct"
+    assert fallback == m.estimate_hitting_batch(sampler, jobs, 700, 300)

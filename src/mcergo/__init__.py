@@ -21,6 +21,7 @@ from .kernels import (
 from .chain_analysis import (
     HitMixReport,
     MinorizationReport,
+    exit_probability,
     expected_hitting,
     max_hitting_time,
     mix_to_hit_bound,

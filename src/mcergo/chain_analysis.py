@@ -3,7 +3,8 @@
 Stationary distributions by dense linear algebra, total variation
 distances, mixing and lazy mixing times by literal matrix powers, expected
 hitting times by linear solves, maximum hitting times over set families,
-and pairwise pseudo-minorization constants.
+the probability of leaving a set within t steps, and pairwise
+pseudo-minorization constants.
 
 All functions are pure over immutable kernels; enumeration results carry a
 deterministic lexicographic tie-break on (set, start) encodings.
@@ -446,6 +447,43 @@ def _climb_times(up: list, down: list) -> list:
         u = (1.0 + down[x] * u) / up[x]
         times.append(times[-1] + u)
     return times
+
+
+# --- exit from a set ---------------------------------------------------------------
+
+def exit_probability(k: FiniteKernel, subset, x0: int, t: int) -> float:
+    """P_x0(the chain leaves ``subset`` within t steps) = 1 - (Q^t 1)(x0), Q = P[S, S].
+
+    (Q^t 1)(x) is the probability of t steps from x that all stay in S, so
+    this costs t matrix-vector products with Q.  The identity coupling of
+    a kernel with a restriction that dominates it on S keeps the two chains
+    equal until the base chain first leaves S, so this is the exact
+    decoupling probability that ``montecarlo.coupled_escape_estimate``
+    estimates.
+
+    Raises
+    ------
+    EmptySubset
+        If ``subset`` is empty.
+    ValueError
+        If t < 0, a state of ``subset`` lies outside [0, n), or x0 is not in
+        ``subset``.
+    """
+    S = np.unique(np.asarray(subset, dtype=int))
+    if S.size == 0:
+        raise EmptySubset("exit subset is empty")
+    if t < 0:
+        raise ValueError("step count must be nonnegative")
+    if S[0] < 0 or S[-1] >= k.n:
+        raise ValueError(f"subset states must lie in 0..{k.n - 1}")
+    at = np.flatnonzero(S == x0)
+    if not at.size:
+        raise ValueError(f"start {x0} is not in the subset")
+    q = k.p[np.ix_(S, S)]
+    stay = np.ones(S.size)
+    for _ in range(t):
+        stay = q @ stay
+    return 1.0 - float(stay[at[0]])
 
 
 # --- pseudo-minorization ----------------------------------------------------------

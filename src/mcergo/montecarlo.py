@@ -19,11 +19,20 @@ coupling set.  The population refills as walkers retire, so walkers run at
 different steps side by side.  A walker's draws depend only on its key and
 its step, so neither the population a walker runs in nor when it is
 admitted changes a result.
+
+A finite-kernel step inverts the current state's row CDF at the walker's
+draw.  ``_finite_advance`` builds a guide table (Chen and Asau's index
+table) over the row CDFs once per kernel, and ``_step_states`` then finds
+every walker's next state from its draw's bucket with a few vectorized
+gathers, instead of one masked search per occupied state.  The result is
+``searchsorted(cdf[s], u, side="right")`` bit for bit; ``_step_states``
+gives the argument.
 """
 from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +45,8 @@ _CHUNK = 4096  # most walkers advanced together
 # the ball walk runs fewer walkers with wider rows: 64 steps a row at 1024.
 _CONTINUOUS_POPULATION = _CHUNK // 4
 _BLOCK_DRAWS = 1 << 17  # uniform doubles in one stream block of a population
+_GUIDE_BYTES = 1 << 21  # most bytes of one finite kernel's guide table
+_SCAN_STEPS = 8  # forward steps of a finite step before its binary search
 _PHILOX_WORDS = 4  # uniform doubles per Philox counter increment
 
 
@@ -218,20 +229,85 @@ def _row_cdfs(p: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _step_states(cdf: np.ndarray, cur: np.ndarray, u: np.ndarray) -> np.ndarray:
-    nxt = np.empty_like(cur)
-    for s in np.unique(cur):
-        sel = cur == s
-        nxt[sel] = np.searchsorted(cdf[s], u[sel], side="right")
-    return nxt
+class _GuideTable(NamedTuple):
+    """The row CDFs of a finite kernel with a Chen-Asau guide table over each row."""
+
+    cdf: np.ndarray  # flattened row CDFs: state s's row starts at s * n
+    guide: np.ndarray  # int32, flattened: state s's row starts at s * (buckets + 1)
+    n: int
+    buckets: int  # a power of two
+
+
+def _guide_table(p: np.ndarray) -> _GuideTable:
+    """Row CDFs and guide[s, k] = searchsorted(cdf[s], k / buckets, side="right").
+
+    ``buckets`` is the smallest power of two >= 4n, halved until the int32
+    table fits in ``_GUIDE_BYTES`` (true for every n <= _GUIDE_BYTES / 8, at
+    one bucket; the kernel's own n x n doubles are far larger by then).  The
+    last column is n - 1 rather than the search for 1.0: no draw reaches
+    1.0, and every row's last CDF entry is 1.0, which exceeds every draw.
+    """
+    cdf = _row_cdfs(p)
+    n = cdf.shape[0]
+    buckets = 1 << (4 * n - 1).bit_length()
+    while buckets > 1 and 4 * n * (buckets + 1) > _GUIDE_BYTES:
+        buckets //= 2
+    # k / buckets is exact, because buckets is a power of two
+    edges = np.arange(buckets + 1) / buckets
+    guide = np.empty((n, buckets + 1), dtype=np.int32)
+    for s in range(n):
+        guide[s] = np.searchsorted(cdf[s], edges, side="right")
+    guide[:, -1] = n - 1
+    return _GuideTable(cdf.ravel(), guide.ravel(), n, buckets)
+
+
+def _step_states(table: _GuideTable, cur: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Next state of each walker: searchsorted(cdf[cur], u, side="right"), bit for bit.
+
+    Walker i starts from guide[cur[i], k] with k = floor(u[i] * buckets).
+    Both u * buckets and k / buckets are exact, so k / buckets <= u and the
+    guide entry never passes the answer; the answer is also at most
+    guide[cur[i], k + 1], because u < (k + 1) / buckets.  The walkers whose
+    CDF entry is still <= u move forward one entry at a time, at most
+    ``_SCAN_STEPS`` times, and any left then finish with a binary search
+    over the rest of their bucket, one round per bit of its width, so a
+    step costs O(_SCAN_STEPS + log n) vectorized rounds whatever the row.
+    The entries <= u of a row are always a prefix, even where the cumulative
+    sum passes 1.0 before the last entry is set to 1.0: every entry past the
+    first one above u is a cumulative sum no smaller than it, or that last
+    1.0.  So the first entry above u is the one searchsorted returns.
+    """
+    cdf, guide, n, buckets = table
+    k = cur * (buckets + 1) + (u * buckets).astype(np.intp)
+    base = cur * n
+    pos = base + guide[k]  # flat index into cdf
+    i = np.flatnonzero(cdf[pos] <= u)  # walkers whose answer lies further on
+    for _ in range(_SCAN_STEPS):
+        if not i.size:
+            break
+        pos[i] += 1
+        i = i[cdf[pos[i]] <= u[i]]
+    if i.size:
+        lo, hi, ui = pos[i] + 1, base[i] + guide[k[i] + 1], u[i]
+        for _ in range(int((hi - lo).max()).bit_length()):
+            mid = (lo + hi) >> 1
+            right = cdf[mid] <= ui
+            lo = np.where(right, mid + 1, lo)
+            hi = np.where(right, hi, mid)
+        pos[i] = lo
+    return pos - base
 
 
 # --- the walker loop ------------------------------------------------------------
 
 def _finite_advance(k: FiniteKernel):
-    """One step of a finite-kernel walker population from one draw each."""
-    cdf = _row_cdfs(k.p)
-    return lambda pos, u: _step_states(cdf, pos, u[:, 0])
+    """One step of a finite-kernel walker population from one draw each.
+
+    Builds the kernel's guide table (``_guide_table``) once; every step is
+    then one ``_step_states`` lookup per walker.
+    """
+    table = _guide_table(k.p)
+    return lambda pos, u: _step_states(table, pos, u[:, 0])
 
 
 def _arrival_spans(groups, arrivals):
@@ -314,6 +390,18 @@ def _first_hits(starts, seeds, groups, arrivals, advance, draws, replicas, horiz
 
 # --- hitting-time estimation ----------------------------------------------------
 
+def _state_indices(n: int, states, what: str) -> np.ndarray:
+    """``states`` as an index array; ValueError if any lies outside [0, n).
+
+    A negative index would otherwise count from the end of the chain.
+    """
+    idx = np.asarray(list(states), dtype=int)
+    outside = idx[(idx < 0) | (idx >= n)]
+    if outside.size:
+        raise ValueError(f"{what} {outside[0]} is not a state of this {n}-state chain")
+    return idx
+
+
 def estimate_hitting(
     sampler,
     x0,
@@ -333,6 +421,8 @@ def estimate_hitting(
     ------
     AllCensored
         If no replica hits within the horizon.
+    ValueError
+        If a finite-kernel start or target state lies outside [0, n).
     """
     return estimate_hitting_batch(sampler, [(x0, target, seed)], replicas, horizon)[0]
 
@@ -351,17 +441,23 @@ def estimate_hitting_batch(sampler, jobs, replicas: int, horizon: int) -> list[M
     AllCensored
         For the first job, in job order, none of whose replicas hits
         within the horizon.
+    ValueError
+        If a finite-kernel start or target state lies outside [0, n); no
+        walker runs.
     """
     if replicas < 1:
         raise ValueError("need at least one replica")
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     if isinstance(sampler, FiniteKernel):
-        draws, advance, place, population = 1, _finite_advance(sampler), int, _CHUNK
+        draws, advance, population = 1, _finite_advance(sampler), _CHUNK
+
+        def place(x0):
+            return int(_state_indices(sampler.n, [x0], "start")[0])
 
         def arrival(target):
             member = np.zeros(sampler.n, dtype=bool)
-            member[np.asarray(list(target), dtype=int)] = True
+            member[_state_indices(sampler.n, target, "target state")] = True
             return member.__getitem__
     elif isinstance(sampler, ContinuousSampler1D):
         draws, place, population = 2, float, _CONTINUOUS_POPULATION
@@ -426,6 +522,8 @@ def coupled_escape_estimate(
     ------
     NotDominating
         If the entrywise domination check fails on the support.
+    ValueError
+        If x0 lies outside [0, n) or outside the support.
     """
     if t < 0:
         raise ValueError("step count must be nonnegative")
@@ -436,14 +534,15 @@ def coupled_escape_estimate(
     gap = float(np.min(g_c.kernel.p - base))
     if gap < -ROW_SUM_TOL:
         raise NotDominating(f"restriction does not dominate the base (gap {gap:.3e})")
+    x0 = int(_state_indices(g.n, [x0], "start")[0])
     in_s = np.zeros(g.n, dtype=bool)
     in_s[S] = True
-    if not in_s[int(x0)]:
+    if not in_s[x0]:
         raise ValueError("start state must lie in the coupling set")
 
     outside = ~in_s
     _, coupled = _first_hits(
-        [int(x0)], [seed], [0], [outside.__getitem__], _finite_advance(g), 1, replicas, t,
+        [x0], [seed], [0], [outside.__getitem__], _finite_advance(g), 1, replicas, t,
         _CHUNK)
     values = (~coupled).astype(float)
     return _summarize(values, seed, t, censored=np.zeros(replicas, dtype=bool))

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 import mcergo as m
 from mcergo import chain_analysis, errors
-from mcergo.corpus import random_dense_chain, random_density
+from mcergo.corpus import escape_corpus, random_dense_chain, random_density
 from oracles import (
     brute_max_hitting,
+    decoupling_exact,
     hitting_solve,
     interval_scan,
     mixing_scan,
@@ -426,6 +427,40 @@ def test_minorization_witness_valid(n, seed, t):
     x, y = rep.worst_pair
     assert np.min(rows[x] - rep.eps * rep.mu) >= -1e-12
     assert np.min(rows[y] - rep.eps * rep.mu) >= -1e-12
+
+
+# --- exit probability ------------------------------------------------------------------
+
+def test_exit_probability_is_the_decoupling_oracle_on_the_corpus():
+    for case in escape_corpus():
+        dom = m.restrict(case.kernel, case.cert.small_set, case.variant)
+        for t in (0, 1, case.horizon):
+            exact = m.exit_probability(case.kernel, dom.support, case.x0, t)
+            want = decoupling_exact(case.kernel.p, dom.support, case.x0, t)
+            assert abs(exact - want) <= 1e-15, (case.name, t)
+        assert m.exit_probability(case.kernel, dom.support, case.x0, 0) == 0.0
+
+
+def test_exit_probability_of_iid_rows():
+    # every row puts 0.05 outside {0, 1, 2}, so leaving by t has 1 - 0.95^t
+    k = m.build_finite_kernel(np.tile([0.55, 0.25, 0.15, 0.05], (4, 1)))
+    for t in (1, 2, 10):
+        assert abs(m.exit_probability(k, [2, 0, 1], 1, t) - (1.0 - 0.95 ** t)) <= 1e-15
+    assert m.exit_probability(k, range(4), 3, 10) == 0.0
+
+
+def test_exit_probability_rejects_bad_arguments():
+    k = m.build_finite_kernel(np.tile([0.55, 0.25, 0.15, 0.05], (4, 1)))
+    with pytest.raises(errors.EmptySubset):
+        m.exit_probability(k, [], 0, 3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        m.exit_probability(k, [0, 1], 0, -1)
+    with pytest.raises(ValueError, match="not in the subset"):
+        m.exit_probability(k, [0, 1], 3, 3)
+    with pytest.raises(ValueError, match="must lie in 0..3"):
+        m.exit_probability(k, [0, 4], 0, 3)
+    with pytest.raises(ValueError, match="must lie in 0..3"):
+        m.exit_probability(k, [-1, 0], 0, 3)
 
 
 # --- mix-to-hit direction ------------------------------------------------------------------

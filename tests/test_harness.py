@@ -307,6 +307,29 @@ def test_run_couple_corpus(tmp_path):
     assert rep["ok"]
     lines = (tmp_path / "run" / "couple.csv").read_text().splitlines()
     assert lines[0] == "quantity,mean,stderr,replicas,censored_fraction,seed"
+    # the rows before decoupling_exact, as they were written before it existed
+    assert lines[1:3] == ["decoupling_frequency,0.0,0.0,500,0.0,3",
+                          "escape_bound,0.07928268050967438,,,,3"]
+    assert lines[3] == f"decoupling_exact,{rep['exact']!r},,,,3"
+    assert len(lines) == 4
+
+
+def test_run_couple_verdict_is_exact_against_the_bound(tmp_path, monkeypatch):
+    cfg = parse_config({
+        "experiment": "couple",
+        "chain": {"kind": "corpus", "name": "bd-expdrift"},
+        "replicas": 200,
+        "horizon": 20,
+        "seed": 0,
+    })
+    for exact, ok in [(0.5, False), (0.01, True)]:
+        # no walker leaves S here, so the Monte Carlo frequency is 0 either way
+        monkeypatch.setattr(harness, "exit_probability", lambda *args: exact)
+        rep = run_couple(cfg, out_dir=tmp_path / str(exact))
+        assert rep["estimate"].mean == 0.0 and rep["bound"] < 0.5
+        assert rep["exact"] == exact and rep["ok"] == ok
+        lines = (tmp_path / str(exact) / "couple.csv").read_text().splitlines()
+        assert lines[3] == f"decoupling_exact,{exact!r},,,,0"
 
 
 # --- svg -------------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mcergo as m
 from mcergo import errors, harness, montecarlo
@@ -265,6 +267,145 @@ def test_fused_population_blocks_stay_within_budget(monkeypatch):
     seeds = runs[0][1]
     assert len(seeds) == 54 and sum(started) == 54 * 256
     assert max(sizes) <= montecarlo._BLOCK_DRAWS
+
+
+# --- the finite step: guide table against searchsorted -----------------------------
+
+BELOW_ONE = np.nextafter(1.0, 0.0)  # the largest draw there can be
+
+
+def _searchsorted_steps(p, cur, u):
+    cdf = montecarlo._row_cdfs(p)
+    nxt = np.empty_like(cur)
+    for s in np.unique(cur):
+        nxt[cur == s] = np.searchsorted(cdf[s], u[cur == s], side="right")
+    return nxt
+
+
+def _edge_draws(table, s, rng):
+    """Draws at and next to every CDF entry and bucket edge of row s, plus random ones."""
+    n, buckets = table.n, table.buckets
+    marks = np.concatenate((table.cdf[s * n:(s + 1) * n], np.arange(buckets) / buckets))
+    u = np.concatenate(([0.0, BELOW_ONE], marks, np.nextafter(marks, 0.0),
+                        np.nextafter(marks, 2.0), rng.random(16)))
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+def _assert_step_is_searchsorted(p, rng, rows=None):
+    """``_step_states`` on the edge draws of ``rows`` (default all) and random
+    draws from every row, with forward scans of 8, 1 and 0 steps."""
+    p = np.asarray(p, dtype=float)
+    table = montecarlo._guide_table(p)
+    rows = range(table.n) if rows is None else rows
+    u = [_edge_draws(table, s, rng) for s in rows] + [rng.random(table.n)]
+    cur = np.concatenate([np.full(x.size, s) for s, x in zip(rows, u)] + [np.arange(table.n)])
+    u = np.concatenate(u)
+    want = _searchsorted_steps(p, cur, u)
+    for scan in (montecarlo._SCAN_STEPS, 1, 0):  # 0: every straggler binary-searches
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(montecarlo, "_SCAN_STEPS", scan)
+            got = montecarlo._step_states(table, cur, u)
+        assert np.array_equal(got, want), scan
+    return table
+
+
+@given(st.integers(1, 12), st.integers(0, 10_000), st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+@settings(max_examples=150, deadline=None)
+def test_step_states_equals_searchsorted(n, seed, zero_share):
+    rng = np.random.default_rng(seed)
+    p = rng.gamma(0.5, size=(n, n)) * (rng.random((n, n)) >= zero_share)
+    p[np.arange(n), rng.integers(0, n, size=n)] += 1e-3  # at least one entry per row
+    _assert_step_is_searchsorted(p / p.sum(axis=1, keepdims=True), rng)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17])
+def test_step_states_on_the_identity(n):
+    _assert_step_is_searchsorted(np.eye(n), np.random.default_rng(n))
+
+
+def test_step_states_on_two_state_chains():
+    rng = np.random.default_rng(2)
+    for a, b in [(0.0, 1.0), (1.0, 0.0), (0.5, 0.5), (1e-300, 1.0), (0.25, 0.75)]:
+        _assert_step_is_searchsorted([[1.0 - a, a], [b, 1.0 - b]], rng)
+
+
+def test_step_states_when_the_cumsum_passes_one_early():
+    row = np.array([8.0, 6.0, 5.0, 3.0]) / 10.0
+    row = np.append(row / row.sum(), 0.0)
+    assert np.cumsum(row)[-2] > 1.0  # so the forced last 1.0 is below the entry before it
+    p = np.vstack([row, np.roll(row, 1), np.full(5, 0.2), row[::-1], np.eye(5)[4]])
+    _assert_step_is_searchsorted(p, np.random.default_rng(3))
+
+
+def test_step_states_in_a_bucket_of_many_tiny_entries():
+    n = 300
+    p = np.full((n, n), 1.0 / n)
+    p[0] = 0.0
+    p[0, 0] = 0.5
+    p[0, 1:251] = 1e-9  # 250 entries inside the one bucket above 0.5
+    p[0, 251:] = (0.5 - 250e-9) / (n - 251)
+    table = _assert_step_is_searchsorted(p, np.random.default_rng(4), rows=[0, 1])
+    row = table.guide[:table.buckets + 1]
+    assert np.diff(row).max() > 200 > montecarlo._SCAN_STEPS
+
+
+def test_guide_table_is_coarsened_to_its_memory_cap(monkeypatch):
+    # 4n = 1600 asks for 2048 buckets, 3.3 MB of int32 entries at n = 400
+    k = random_dense_chain(np.random.default_rng(6), 400)
+    table = _assert_step_is_searchsorted(k.p, np.random.default_rng(6), rows=[0, 199, 399])
+    assert table.buckets == 1024 < 4 * k.n
+    assert table.guide.dtype == np.int32
+    assert table.guide.nbytes <= montecarlo._GUIDE_BYTES
+    # the coarsest table, one bucket a row, still steps exactly
+    monkeypatch.setattr(montecarlo, "_GUIDE_BYTES", 64)
+    small = random_dense_chain(np.random.default_rng(7), 8)
+    table = _assert_step_is_searchsorted(small.p, np.random.default_rng(7))
+    assert table.buckets == 1 and table.guide.nbytes <= 64
+
+
+def test_step_calls_count_every_walker_step(monkeypatch):
+    # the traced benchmark counts walker-steps as the summed len() of what
+    # _step_states returns, looked up through the module global
+    calls = []
+    step = montecarlo._step_states
+
+    def counting_step(table, cur, u):
+        nxt = step(table, cur, u)
+        calls.append(len(nxt))
+        return nxt
+
+    monkeypatch.setattr(montecarlo, "_step_states", counting_step)
+    k = random_dense_chain(np.random.default_rng(8), 6)
+    est = m.estimate_hitting(k, 0, [5], replicas=9000, horizon=10_000, seed=4)
+    assert est.censored_fraction == 0.0
+    assert sum(calls) == pytest.approx(est.mean * est.replicas, rel=1e-12, abs=0)
+    assert len(calls) > 1
+
+
+# --- finite states outside the chain ---------------------------------------------------
+
+def _no_walkers(*args):
+    raise AssertionError("the walker loop ran")
+
+
+@pytest.mark.parametrize("x0,target", [(-1, [0]), (4, [0]), (0, [-1]), (0, [1, 4])])
+def test_finite_states_outside_the_chain_are_rejected(monkeypatch, x0, target):
+    k = random_dense_chain(np.random.default_rng(1), 4)
+    monkeypatch.setattr(montecarlo, "_first_hits", _no_walkers)
+    with pytest.raises(ValueError, match="is not a state of this 4-state chain"):
+        m.estimate_hitting(k, x0, target, replicas=10, horizon=10, seed=0)
+    with pytest.raises(ValueError, match="is not a state of this 4-state chain"):
+        m.estimate_hitting_batch(k, [(0, [1], 0), (x0, target, 0)], replicas=10, horizon=10)
+
+
+@pytest.mark.parametrize("x0", [-1, 4])
+def test_coupled_escape_rejects_a_start_outside_the_chain(monkeypatch, x0):
+    rows = np.tile([0.55, 0.25, 0.15, 0.05], (4, 1))
+    k = m.build_finite_kernel(rows, reversible_wrt=rows[0])
+    dom = m.restrict(k, [1, 2, 3], "mh-restriction")  # holds state n - 1 = 3
+    monkeypatch.setattr(montecarlo, "_first_hits", _no_walkers)
+    with pytest.raises(ValueError, match="is not a state of this 4-state chain"):
+        m.coupled_escape_estimate(k, dom, x0, 5, replicas=10, seed=0)
 
 
 # --- coupled escape --------------------------------------------------------------------

@@ -1,4 +1,7 @@
-"""Geometric ergodicity certificates for Markov kernels via drift and hitting times."""
+"""Geometric ergodicity certificates for Markov kernels via drift and hitting times.
+
+The runtime needs numpy alone; importing the package loads no scipy.
+"""
 
 __version__ = "0.1.0"
 

@@ -353,7 +353,7 @@ def escape_bound(lam: float, b: float, r: float, r_prime: float) -> float:
     denom = r * (1.0 - lam) - b
     if denom <= 0.0:
         raise NonpositiveDenominator(f"r(1 - lambda) - b = {denom} <= 0")
-    return 2.0 * r_prime / denom
+    return float(2.0 * r_prime / denom)
 
 
 # --- contraction solve ----------------------------------------------------------------

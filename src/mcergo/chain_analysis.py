@@ -7,7 +7,9 @@ the probability of leaving a set within t steps, and pairwise
 pseudo-minorization constants.
 
 All functions are pure over immutable kernels; enumeration results carry a
-deterministic lexicographic tie-break on (set, start) encodings.
+deterministic lexicographic tie-break on (set, start) encodings.  The
+module needs numpy alone: dense solves are ``np.linalg.solve``, and closed
+classes and reachability come from one depth-first search (``_reach``).
 """
 from __future__ import annotations
 
@@ -15,8 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.csgraph as csgraph
 
 from .errors import (
     DegenerateOverlap,
@@ -64,15 +64,89 @@ def stationary_distribution(k: FiniteKernel) -> np.ndarray:
 
 
 def _closed_classes(p: np.ndarray) -> list[np.ndarray]:
-    adj = (p > 0.0).astype(np.int8)
-    n_comp, labels = csgraph.connected_components(adj, directed=True, connection="strong")
+    """The closed communicating classes of the support digraph of p, each sorted.
+
+    A forward/backward reachability decomposition.  From an unclassified
+    pivot v, F is every state reachable from v and B every unclassified
+    state that reaches v through unclassified states; every state of B is
+    then classified, as a member of F or as transient.  The invariant is
+    that each classified state is transient or in a class already returned.
+
+    - If F is a subset of B, F is closed (it holds every successor of its
+      states) and strongly connected (v reaches each state of F, and each
+      reaches v), so F is a closed class.  A state u of B outside F reaches
+      v but is not reached from it; were u recurrent, its class would be
+      closed and hold v, so u would be in F.  So u is transient.
+    - Otherwise every state of B is transient.  Were some u in B recurrent,
+      v would lie in u's closed class C, so F = C.  No state of C is
+      classified (the invariant, and C was not returned, since v is not),
+      and a path inside C from any state of C to v meets only states of C,
+      so C lies in B, against F not a subset of B.
+
+    B holds v, so each round classifies at least one state.  The next pivot
+    is the state the forward search found deepest, which tends to lie in a
+    closed class, while it is unclassified; otherwise the first
+    unclassified state.
+    """
+    n = p.shape[0]
+    adj = p > 0.0
+    succ, pred = _adjacency(adj), _adjacency(adj.T)
+    classified = bytearray(n)
     closed = []
-    for comp in range(n_comp):
-        members = np.flatnonzero(labels == comp)
-        outside = np.flatnonzero(labels != comp)
-        if outside.size == 0 or not np.any(p[np.ix_(members, outside)] > 0.0):
-            closed.append(members)
+    first, pivot = 0, 0
+    while pivot >= 0:
+        forward, deepest = _reach(succ, [pivot], bytearray(n))
+        backward, _ = _reach(pred, [pivot], classified)  # marks B as classified
+        if set(forward).issubset(backward):
+            closed.append(np.sort(forward))
+        if not classified[deepest]:
+            pivot = deepest
+        else:
+            first = pivot = classified.find(0, first)
     return closed
+
+
+def _adjacency(adj: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """(ptr, nbr): the states j with adj[i, j] are nbr[ptr[i]:ptr[i + 1]].
+
+    ``nbr`` stays an array; ``_reach`` converts one state's list when it
+    reads it, so the lists of a dense graph that the search never reads
+    cost nothing.
+    """
+    rows, cols = np.nonzero(adj)
+    return np.searchsorted(rows, np.arange(adj.shape[0] + 1)).tolist(), cols
+
+
+def _reach(graph, sources: list[int], blocked: bytearray) -> tuple[list[int], int]:
+    """The states reachable from ``sources`` along ``graph`` through unblocked states.
+
+    A node-by-node depth-first search over the adjacency lists of
+    ``_adjacency``.  ``blocked`` has one byte per state; the search steps
+    onto no state whose byte is set, and sets the byte of every state it
+    finds, the sources included.  It stops once every state that was
+    unblocked is found, so on a dense graph it reads a few adjacency lists
+    rather than all n^2 entries.  Returns the states found, in the order
+    found, and one found at the greatest depth.
+    """
+    ptr, nbr = graph
+    for s in sources:
+        blocked[s] = 1
+    found = list(sources)
+    total = len(found) + blocked.count(0)
+    stack = [(s, 0) for s in sources]
+    deepest, most = sources[0], 0
+    while stack and len(found) < total:
+        u, depth = stack.pop()
+        depth += 1
+        before = len(found)
+        for w in nbr[ptr[u]:ptr[u + 1]].tolist():
+            if not blocked[w]:
+                blocked[w] = 1
+                found.append(w)
+                stack.append((w, depth))
+        if depth > most and len(found) > before:
+            deepest, most = found[-1], depth
+    return found, deepest
 
 
 def _class_mixture(p: np.ndarray, classes: list[np.ndarray]) -> np.ndarray:
@@ -91,8 +165,8 @@ def _class_stationary(q: np.ndarray) -> np.ndarray:
     b = np.zeros(m)
     b[-1] = 1.0
     try:
-        pi = scipy.linalg.solve(a, b)
-    except scipy.linalg.LinAlgError as exc:
+        pi = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
         raise ResidualTooLarge(f"stationary solve failed: {exc}") from exc
     if not np.all(np.isfinite(pi)) or np.any(pi < -1e-9):
         raise ResidualTooLarge("stationary solve returned a non-finite or negative vector")
@@ -255,7 +329,8 @@ def expected_hitting(k: FiniteKernel, target) -> np.ndarray:
     Unreachable
         If some state cannot reach the (nonempty) target.
     ResidualTooLarge
-        If refinement leaves the residual above that tolerance.
+        If the solve fails, or refinement leaves the residual above that
+        tolerance.
     """
     n = k.n
     A = np.unique(np.asarray(list(target), dtype=int))
@@ -266,13 +341,16 @@ def expected_hitting(k: FiniteKernel, target) -> np.ndarray:
     rest = np.setdiff1d(np.arange(n), A)
     if rest.size == 0:
         return np.zeros(n)
-    if not _all_reach(k.p, A):
+    reached, _ = _reach(_adjacency(k.p.T > 0.0), A.tolist(), bytearray(n))
+    if len(reached) < n:
         raise Unreachable("target is not reachable from every state")
     q = k.p[np.ix_(rest, rest)]
     m = np.eye(rest.size) - q
     b = np.ones(rest.size)
-    lu, piv = scipy.linalg.lu_factor(m)
-    h = scipy.linalg.lu_solve((lu, piv), b)
+    try:
+        h = np.linalg.solve(m, b)
+    except np.linalg.LinAlgError as exc:  # a later round solves with the same m
+        raise ResidualTooLarge(f"hitting-time solve failed: {exc}") from exc
     for rounds in range(REFINEMENT_ROUNDS + 1):
         r = b - m @ h
         residual = float(np.max(np.abs(r)))
@@ -284,22 +362,10 @@ def expected_hitting(k: FiniteKernel, target) -> np.ndarray:
                 f"hitting-time residual {residual:.3e} > {tol:.3e} "
                 f"after {REFINEMENT_ROUNDS} refinement rounds"
             )
-        h = h + scipy.linalg.lu_solve((lu, piv), r)
+        h = h + np.linalg.solve(m, r)
     out = np.zeros(n)
     out[rest] = h
     return out
-
-
-def _all_reach(p: np.ndarray, target: np.ndarray) -> bool:
-    adj = p > 0.0
-    seen = np.zeros(p.shape[0], dtype=bool)
-    seen[target] = True
-    while not seen.all():
-        grown = seen | (adj @ seen)
-        if np.array_equal(grown, seen):
-            return False
-        seen = grown
-    return True
 
 
 # --- maximum hitting times -------------------------------------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .density import DensitySpec, _checked_inverse
 from .errors import (
@@ -455,8 +454,8 @@ def _trace_matrix(p: np.ndarray, S: np.ndarray) -> np.ndarray:
     m = np.eye(comp.size) - d
     try:
         with np.errstate(divide="ignore", invalid="ignore"):
-            x = scipy.linalg.solve(m, c)
-    except scipy.linalg.LinAlgError as exc:
+            x = np.linalg.solve(m, c)
+    except np.linalg.LinAlgError as exc:
         raise SingularCensoring("complement contains an absorbing set") from exc
     if not np.all(np.isfinite(x)):
         raise SingularCensoring("complement contains an absorbing set")

@@ -246,17 +246,24 @@ def _guide_table(p: np.ndarray) -> _GuideTable:
     one bucket; the kernel's own n x n doubles are far larger by then).  The
     last column is n - 1 rather than the search for 1.0: no draw reaches
     1.0, and every row's last CDF entry is 1.0, which exceeds every draw.
+
+    The table is built in one pass, without a search.  Because buckets is a
+    power of two, cdf[s, j] * buckets is exact, so cdf[s, j] <= k / buckets
+    exactly when ceil(cdf[s, j] * buckets) <= k.  For k < buckets the
+    entries <= k / buckets < 1 are a prefix of the row (see
+    ``_step_states``), so their count, read off a cumulative histogram of
+    the ceilings, is the searchsorted position.
     """
     cdf = _row_cdfs(p)
     n = cdf.shape[0]
     buckets = 1 << (4 * n - 1).bit_length()
     while buckets > 1 and 4 * n * (buckets + 1) > _GUIDE_BYTES:
         buckets //= 2
-    # k / buckets is exact, because buckets is a power of two
-    edges = np.arange(buckets + 1) / buckets
-    guide = np.empty((n, buckets + 1), dtype=np.int32)
-    for s in range(n):
-        guide[s] = np.searchsorted(cdf[s], edges, side="right")
+    width = buckets + 2  # columns 0..buckets, and one for ceilings past buckets
+    col = np.minimum(np.ceil(cdf * buckets), buckets + 1).astype(np.intp)
+    col += width * np.arange(n)[:, None]
+    counts = np.bincount(col.ravel(), minlength=n * width).reshape(n, width)
+    guide = np.cumsum(counts[:, :-1], axis=1, dtype=np.int32)
     guide[:, -1] = n - 1
     return _GuideTable(cdf.ravel(), guide.ravel(), n, buckets)
 

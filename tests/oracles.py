@@ -4,6 +4,7 @@ Deliberately simple textbook implementations, kept separate from the
 library code they verify.
 """
 import numpy as np
+import scipy.sparse.csgraph as csgraph
 
 
 def hitting_solve(p, target):
@@ -149,3 +150,20 @@ def decoupling_exact(p, S, x0, t):
     for _ in range(t):
         stay = q @ stay
     return 1.0 - stay[S.index(int(x0))]
+
+
+def closed_classes_scc(p):
+    """Closed communicating classes of the support digraph, as sorted tuples in sorted order.
+
+    Strongly connected components by scipy's csgraph; a component is closed
+    when no edge leaves it.
+    """
+    adj = np.asarray(p) > 0.0
+    n_comp, labels = csgraph.connected_components(adj.astype(np.int8), directed=True,
+                                                  connection="strong")
+    closed = []
+    for comp in range(n_comp):
+        inside = labels == comp
+        if not np.any(adj[np.ix_(inside, ~inside)]):
+            closed.append(tuple(np.flatnonzero(inside).tolist()))
+    return sorted(closed)

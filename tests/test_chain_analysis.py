@@ -3,7 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +11,7 @@ from mcergo import chain_analysis, errors
 from mcergo.corpus import escape_corpus, random_dense_chain, random_density
 from oracles import (
     brute_max_hitting,
+    closed_classes_scc,
     decoupling_exact,
     hitting_solve,
     interval_scan,
@@ -62,18 +62,18 @@ def test_stationary_pi_is_the_plain_dense_solve():
     k = random_dense_chain(np.random.default_rng(4), 7)
     a = k.p.T - np.eye(7)
     a[-1, :] = 1.0
-    pi = scipy.linalg.solve(a, np.eye(7)[-1])
+    pi = np.linalg.solve(a, np.eye(7)[-1])
     assert np.array_equal(m.stationary_distribution(k), pi / pi.sum())
 
 
 @pytest.mark.parametrize("broken", ["residual", "singular", "negative"])
 def test_stationary_broken_solve_raises(monkeypatch, broken):
     k = random_dense_chain(np.random.default_rng(2), 5)
-    exact_solve = chain_analysis.scipy.linalg.solve
+    exact_solve = chain_analysis.np.linalg.solve
 
     def solve(a, b):
         if broken == "singular":
-            raise scipy.linalg.LinAlgError("singular matrix")
+            raise np.linalg.LinAlgError("singular matrix")
         pi = exact_solve(a, b)
         if broken == "residual":
             pi[:2] += [1e-3, -1e-3]
@@ -81,7 +81,7 @@ def test_stationary_broken_solve_raises(monkeypatch, broken):
             pi[0] = -1.0
         return pi
 
-    monkeypatch.setattr(chain_analysis.scipy.linalg, "solve", solve)
+    monkeypatch.setattr(chain_analysis.np.linalg, "solve", solve)
     with pytest.raises(errors.ResidualTooLarge):
         m.stationary_distribution(k)
     # the closed-class mixture of a reducible chain uses the same checked solve
@@ -89,6 +89,88 @@ def test_stationary_broken_solve_raises(monkeypatch, broken):
                                        [0.0, 0.0, 0.5, 0.5], [0.0, 0.0, 0.3, 0.7]])
     with pytest.raises(errors.ResidualTooLarge):
         m.mixing_time(two_pairs)
+
+
+@st.composite
+def support_digraphs(draw):
+    """Weighted n x n matrices, n = 1..40, whose positive entries are the edges.
+
+    Sparse, dense or chain-like (i -> i + 1 always, i -> i - 1 sometimes),
+    with self-loops and absorbing states at drawn rates; a state left with
+    no successor gets one at random, as every kernel row has one.
+    """
+    n = draw(st.integers(1, 40))
+    shape = draw(st.sampled_from(["sparse", "dense", "chain"]))
+    loops = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    absorbing = draw(st.sampled_from([0.0, 0.1, 0.4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "chain":
+        adj = np.eye(n, k=1, dtype=bool) | (np.eye(n, k=-1, dtype=bool) & (rng.random((n, n)) < 0.3))
+    else:
+        adj = rng.random((n, n)) < (1.5 / n if shape == "sparse" else 0.6)
+    adj[np.diag_indices(n)] |= rng.random(n) < loops
+    sinks = np.flatnonzero(rng.random(n) < absorbing)
+    adj[sinks] = False
+    adj[sinks, sinks] = True
+    lone = np.flatnonzero(~adj.any(axis=1))
+    adj[lone, rng.integers(0, n, lone.size)] = True
+    return np.where(adj, rng.random((n, n)) + 0.01, 0.0)
+
+
+@given(support_digraphs())
+@settings(max_examples=300, deadline=None)
+def test_closed_classes_equal_the_scc_oracle(p):
+    classes = chain_analysis._closed_classes(p)
+    assert all(np.all(np.diff(c) > 0) for c in classes)
+    assert sorted(tuple(c.tolist()) for c in classes) == closed_classes_scc(p)
+
+
+def _birth_chain(n):
+    return np.eye(n, k=1) + np.diag(np.r_[np.zeros(n - 1), 1.0])
+
+
+def _transient_into_absorbing(n):
+    # transient i -> i + 1, i + 2 (mod n/2) and into the absorbing state
+    # n/2 + i: every absorbing state is reached from every transient one
+    half = n // 2
+    p = np.zeros((n, n))
+    p[np.arange(half), (np.arange(half) + 1) % half] = 0.25
+    p[np.arange(half), (np.arange(half) + 2) % half] = 0.25
+    p[np.arange(half), np.arange(half, n)] = 0.5
+    p[np.arange(half, n), np.arange(half, n)] = 1.0
+    return p
+
+
+def _functional_graph(n):
+    p = np.zeros((n, n))
+    p[np.arange(n), np.random.default_rng(8).integers(0, n, n)] = 1.0
+    return p
+
+
+@pytest.mark.parametrize("build", [_birth_chain, lambda n: _birth_chain(n)[::-1, ::-1],
+                                   np.eye, _transient_into_absorbing, _functional_graph,
+                                   lambda n: np.full((n, n), 1.0 / n)],
+                         ids=["birth", "death", "identity", "transient-into-absorbing",
+                              "functional", "uniform"])
+def test_closed_classes_fast_on_pathological_chains(build, monkeypatch):
+    p = build(2000)
+    start = time.perf_counter()
+    classes = chain_analysis._closed_classes(p)
+    assert time.perf_counter() - start < 0.5
+    assert sorted(tuple(c.tolist()) for c in classes) == closed_classes_scc(p)
+    # and in a count, free of the host's speed: no state is found more than
+    # a few times over all the searches
+    found = []
+    reach = chain_analysis._reach
+
+    def counting_reach(*args):
+        states, deepest = reach(*args)
+        found.append(len(states))
+        return states, deepest
+
+    monkeypatch.setattr(chain_analysis, "_reach", counting_reach)
+    chain_analysis._closed_classes(p)
+    assert sum(found) <= 3 * len(p)
 
 
 # --- total variation ------------------------------------------------------------
@@ -253,12 +335,21 @@ def test_hitting_matches_plain_solve(n, seed):
 
 def test_hitting_refinement_failure_raises(monkeypatch):
     k = random_dense_chain(np.random.default_rng(3), 6)
-    exact_solve = chain_analysis.scipy.linalg.lu_solve
+    exact_solve = chain_analysis.np.linalg.solve
     # every solve, refinement steps included, comes back off by 1e-6
-    monkeypatch.setattr(chain_analysis.scipy.linalg, "lu_solve",
-                        lambda lu_piv, b: exact_solve(lu_piv, b) + 1e-6)
+    monkeypatch.setattr(chain_analysis.np.linalg, "solve",
+                        lambda a, b: exact_solve(a, b) + 1e-6)
     with pytest.raises(errors.ResidualTooLarge):
         m.expected_hitting(k, [0])
+
+
+def test_hitting_singular_solve_raises(monkeypatch):
+    def singular(a, b):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(chain_analysis.np.linalg, "solve", singular)
+    with pytest.raises(errors.ResidualTooLarge, match="solve failed"):
+        m.expected_hitting(random_dense_chain(np.random.default_rng(3), 6), [0])
 
 
 # --- maximum hitting times --------------------------------------------------------------

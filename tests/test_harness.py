@@ -1,4 +1,10 @@
+import csv
 import json
+import os
+import runpy
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -332,6 +338,21 @@ def test_run_couple_verdict_is_exact_against_the_bound(tmp_path, monkeypatch):
         assert lines[3] == f"decoupling_exact,{exact!r},,,,0"
 
 
+def test_coupling_survey_csv_is_numeric(tmp_path, monkeypatch):
+    out = tmp_path / "coupling.csv"
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_coupling_survey.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--replicas", "20", "--out", str(out)])
+    runpy.run_path(str(script), run_name="__main__")
+    with open(out, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 10
+    for row in rows:
+        for column, value in row.items():
+            if column not in ("name", "variant"):
+                float(value)  # escape_bound was once written as np.float64(...)
+        assert float(row["decoupling_exact"]) <= float(row["escape_bound"]) < 1.0
+
+
 # --- svg -------------------------------------------------------------------------------
 
 def test_emit_svg_deterministic(tmp_path):
@@ -406,9 +427,9 @@ def test_cli_analysis_failure_exit_one(tmp_path):
 
 def test_cli_hitmix_broken_stationary_solve_exit_one(tmp_path, monkeypatch, capsys):
     def singular(a, b):
-        raise chain_analysis.scipy.linalg.LinAlgError("singular matrix")
+        raise chain_analysis.np.linalg.LinAlgError("singular matrix")
 
-    monkeypatch.setattr(chain_analysis.scipy.linalg, "solve", singular)
+    monkeypatch.setattr(chain_analysis.np.linalg, "solve", singular)
     cfg = _write_cfg(tmp_path, {
         "experiment": "hitmix",
         "chain": {"kind": "matrix", "rows": [[0.5, 0.5], [0.25, 0.75]]},
@@ -471,3 +492,12 @@ def test_cli_seed_override_changes_manifest(tmp_path):
                      "--seed", "9", "--quiet"]) == 0
     manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
     assert manifest["seed"] == 9
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, mcergo, mcergo.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    src = Path(m.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"

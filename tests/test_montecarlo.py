@@ -291,11 +291,23 @@ def _edge_draws(table, s, rng):
     return u[(u >= 0.0) & (u < 1.0)]
 
 
+def _searchsorted_guide(p, buckets):
+    """The guide table by one searchsorted per row, with the forced last column."""
+    cdf = montecarlo._row_cdfs(p)
+    edges = np.arange(buckets + 1) / buckets
+    guide = np.array([np.searchsorted(row, edges, side="right") for row in cdf])
+    guide[:, -1] = len(cdf) - 1
+    return guide
+
+
 def _assert_step_is_searchsorted(p, rng, rows=None):
-    """``_step_states`` on the edge draws of ``rows`` (default all) and random
-    draws from every row, with forward scans of 8, 1 and 0 steps."""
+    """The guide table against ``_searchsorted_guide``, then ``_step_states`` on
+    the edge draws of ``rows`` (default all) and random draws from every row,
+    with forward scans of 8, 1 and 0 steps."""
     p = np.asarray(p, dtype=float)
     table = montecarlo._guide_table(p)
+    assert np.array_equal(table.guide.reshape(table.n, -1),
+                          _searchsorted_guide(p, table.buckets))
     rows = range(table.n) if rows is None else rows
     u = [_edge_draws(table, s, rng) for s in rows] + [rng.random(table.n)]
     cur = np.concatenate([np.full(x.size, s) for s, x in zip(rows, u)] + [np.arange(table.n)])
@@ -347,6 +359,15 @@ def test_step_states_in_a_bucket_of_many_tiny_entries():
     table = _assert_step_is_searchsorted(p, np.random.default_rng(4), rows=[0, 1])
     row = table.guide[:table.buckets + 1]
     assert np.diff(row).max() > 200 > montecarlo._SCAN_STEPS
+
+
+def test_guide_table_equals_searchsorted_on_the_corpus():
+    for case in escape_corpus():
+        for p in (case.kernel.p, m.restrict(case.kernel, case.cert.small_set, case.variant).kernel.p):
+            table = montecarlo._guide_table(p)
+            assert table.guide.dtype == np.int32
+            assert np.array_equal(table.guide.reshape(table.n, -1),
+                                  _searchsorted_guide(p, table.buckets)), case.name
 
 
 def test_guide_table_is_coarsened_to_its_memory_cap(monkeypatch):

@@ -32,7 +32,13 @@ from .errors import (
     Unreachable,
 )
 from .kernels import FiniteKernel, lazy_transform
-from .tolerances import LINEAR_RESIDUAL_TOL, PROB_NORM_TOL, ROW_SUM_TOL, STATIONARY_TOL
+from .tolerances import (
+    HITTING_CONDITION_TOL,
+    LINEAR_RESIDUAL_TOL,
+    PROB_NORM_TOL,
+    ROW_SUM_TOL,
+    STATIONARY_TOL,
+)
 
 BRUTE_STATE_CAP = 14
 REFINEMENT_ROUNDS = 3
@@ -324,13 +330,21 @@ def expected_hitting(k: FiniteKernel, target) -> np.ndarray:
     dense linear solve is iteratively refined until its residual is at most
     1e-12 max(1, max|h|).
 
+    A small residual does not make the answer meaningful when I - Q is
+    ill-conditioned (Q = P off the target).  Q is substochastic, so
+    (I - Q)^-1 = sum_k Q^k is entrywise nonnegative with row sums h >= 1,
+    and kappa_inf(I - Q) = ||I - Q||_inf max h is known from the answer.
+    kappa_inf 2^-52 bounds the error of h relative to max h, to first order.
+
     Raises
     ------
     Unreachable
         If some state cannot reach the (nonempty) target.
     ResidualTooLarge
-        If the solve fails, or refinement leaves the residual above that
-        tolerance.
+        If the solve fails, refinement leaves the residual above that
+        tolerance, some off-target entry is non-finite or below 1 by more
+        than its error bound, or kappa_inf 2^-52 exceeds
+        ``HITTING_CONDITION_TOL``.
     """
     n = k.n
     A = np.unique(np.asarray(list(target), dtype=int))
@@ -363,6 +377,17 @@ def expected_hitting(k: FiniteKernel, target) -> np.ndarray:
                 f"after {REFINEMENT_ROUNDS} refinement rounds"
             )
         h = h + np.linalg.solve(m, r)
+    low, top = float(h.min()), float(h.max())
+    error = float(np.abs(m).sum(axis=1).max()) * top * 2.0**-52  # kappa_inf 2^-52
+    # every time is >= 1, up to the error bound
+    if not (np.isfinite(h).all() and top >= 1.0 and low >= 1.0 - error * top):
+        raise ResidualTooLarge(
+            f"hitting-time solve returned times from {low!r} to {top!r}; every time is >= 1")
+    if error > HITTING_CONDITION_TOL:
+        raise ResidualTooLarge(
+            f"hitting-time system too ill-conditioned: kappa_inf(I - Q) 2^-52 = {error:.3e} "
+            f"> {HITTING_CONDITION_TOL:.0e}"
+        )
     out = np.zeros(n)
     out[rest] = h
     return out

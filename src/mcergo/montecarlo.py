@@ -40,11 +40,19 @@ from .errors import AllCensored, NotDominating
 from .kernels import ContinuousSampler1D, DominatedKernel, FiniteKernel
 from .tolerances import ROW_SUM_TOL
 
-_CHUNK = 4096  # most walkers advanced together
-# A ball-walk step costs far less than a stream row (about 1 us per row), so
-# the ball walk runs fewer walkers with wider rows: 64 steps a row at 1024.
-_CONTINUOUS_POPULATION = _CHUNK // 4
-_BLOCK_DRAWS = 1 << 17  # uniform doubles in one stream block of a population
+_CHUNK = 4096  # most walkers advanced together; the finite-kernel population
+# One stream block holds population x row steps x draws uniform doubles; the
+# ball walk sets that budget.  A ball-walk loop step costs mostly fixed numpy
+# overhead, and the population refills only at block boundaries, so more
+# walkers with shorter rows cut loop steps: 4784 -> 3100 for the same 2.8M
+# walker-steps of bench `scaling` at seed 0, going from 1024 x 64 steps
+# (1 MiB) to 2048 x 48 (1.5 MiB).  In a committed sweep of bench `scaling`,
+# 2048 x 48 had the lowest wall_s, 18% below 1024 x 64; 2048 x 32 or x 64,
+# 3072 x 32 and 4096 x 24 were 11-16% below, and 2 MiB cost 4% more peak RSS.
+_CONTINUOUS_POPULATION = 2048
+_CONTINUOUS_ROW_STEPS = 48
+_BLOCK_DRAWS = (_CONTINUOUS_POPULATION * _CONTINUOUS_ROW_STEPS
+                * ContinuousSampler1D.draws_per_step)
 _GUIDE_BYTES = 1 << 21  # most bytes of one finite kernel's guide table
 _SCAN_STEPS = 8  # forward steps of a finite step before its binary search
 _PHILOX_WORDS = 4  # uniform doubles per Philox counter increment
@@ -429,7 +437,8 @@ def estimate_hitting(
     AllCensored
         If no replica hits within the horizon.
     ValueError
-        If a finite-kernel start or target state lies outside [0, n).
+        If a finite-kernel start or target state lies outside [0, n), or a
+        ball-walk start outside [0, 1].
     """
     return estimate_hitting_batch(sampler, [(x0, target, seed)], replicas, horizon)[0]
 
@@ -449,8 +458,8 @@ def estimate_hitting_batch(sampler, jobs, replicas: int, horizon: int) -> list[M
         For the first job, in job order, none of whose replicas hits
         within the horizon.
     ValueError
-        If a finite-kernel start or target state lies outside [0, n); no
-        walker runs.
+        If a finite-kernel start or target state lies outside [0, n), or a
+        ball-walk start outside [0, 1] (NaN included); no walker runs.
     """
     if replicas < 1:
         raise ValueError("need at least one replica")
@@ -467,7 +476,13 @@ def estimate_hitting_batch(sampler, jobs, replicas: int, horizon: int) -> list[M
             member[_state_indices(sampler.n, target, "target state")] = True
             return member.__getitem__
     elif isinstance(sampler, ContinuousSampler1D):
-        draws, place, population = 2, float, _CONTINUOUS_POPULATION
+        draws, population = sampler.draws_per_step, _CONTINUOUS_POPULATION
+
+        def place(x0):
+            x = float(x0)
+            if not 0.0 <= x <= 1.0:  # NaN fails too
+                raise ValueError(f"start {x0!r} is not a point of the ball walk's [0, 1]")
+            return x
 
         def advance(pos, u):
             return sampler.batch_step(pos, u[:, 0], u[:, 1])

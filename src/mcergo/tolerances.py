@@ -24,5 +24,10 @@ EQUALITY_TOL = 1e-10
 # Linear solves (hitting times, censored traces): max residual after refinement.
 LINEAR_RESIDUAL_TOL = 1e-12
 
+# Hitting-time solves: kappa_inf(I - Q) * 2^-52, a first-order bound on the
+# error of the hitting times relative to the largest, may be at most this,
+# so a returned vector keeps about eight significant digits.
+HITTING_CONDITION_TOL = 1e-8
+
 # Adaptive Simpson quadrature and quantile bisection.
 QUAD_TOL = 1e-8

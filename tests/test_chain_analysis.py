@@ -352,6 +352,63 @@ def test_hitting_singular_solve_raises(monkeypatch):
         m.expected_hitting(random_dense_chain(np.random.default_rng(3), 6), [0])
 
 
+@pytest.mark.parametrize("case,target,reason", [
+    ("escape-5", 239, "every time is >= 1"),  # the solve returns about -9.8e16
+    ("escape-4", 191, "too ill-conditioned"),  # about 4.6e16, kappa_inf about 9e16
+])
+def test_hitting_refuses_an_ill_conditioned_corpus_system(case, target, reason):
+    k = next(c.kernel for c in escape_corpus() if c.name == case)
+    with pytest.raises(errors.ResidualTooLarge, match=reason):
+        m.expected_hitting(k, [target])
+
+
+@given(st.integers(2, 9), st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None)
+def test_hitting_condition_number_is_norm_times_max_time(n, seed):
+    # (I - Q)^-1 >= 0 entrywise with row sums h, so its inf-norm is max h
+    rng = np.random.default_rng(seed)
+    k = random_dense_chain(rng, n)
+    target = [int(rng.integers(0, n))]
+    rest = np.setdiff1d(np.arange(n), target)
+    i_q = np.eye(rest.size) - k.p[np.ix_(rest, rest)]
+    h = m.expected_hitting(k, target)
+    assert np.all(h[rest] >= 1.0)
+    assert np.abs(i_q).sum(axis=1).max() * h.max() == pytest.approx(
+        np.linalg.cond(i_q, p=np.inf), rel=1e-9)
+
+
+def test_hitting_condition_limit_is_enforced(monkeypatch):
+    k = m.build_finite_kernel([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]])
+    error = 2.0 * 4.0 * 2.0**-52  # ||I - Q||_inf = 2 and max h = 4
+    monkeypatch.setattr(chain_analysis, "HITTING_CONDITION_TOL", error)
+    assert m.expected_hitting(k, [2]).tolist() == [4.0, 3.0, 0.0]
+    monkeypatch.setattr(chain_analysis, "HITTING_CONDITION_TOL", error * 0.99)
+    with pytest.raises(errors.ResidualTooLarge, match="too ill-conditioned"):
+        m.expected_hitting(k, [2])
+
+
+def test_hitting_time_below_one_is_refused(monkeypatch):
+    k = m.build_finite_kernel([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]])
+    exact_solve = chain_analysis.np.linalg.solve
+    # a residual loose enough to pass h = (4, 0.5) instead of (4, 3)
+    monkeypatch.setattr(chain_analysis, "LINEAR_RESIDUAL_TOL", 10.0)
+    monkeypatch.setattr(chain_analysis.np.linalg, "solve",
+                        lambda a, b: exact_solve(a, b) * [1.0, 1.0 / 6.0])
+    with pytest.raises(errors.ResidualTooLarge, match="from 0.5 to 4.0; every time is >= 1"):
+        m.expected_hitting(k, [2])
+
+
+def test_hitting_time_within_rounding_of_one_is_accepted(monkeypatch):
+    # h(0) = 1 exactly; a solve that returns it one rounding low is inside
+    # the error bound, not below 1
+    k = m.build_finite_kernel([[0.0, 0.0, 1.0], [0.5, 0.0, 0.5], [0.3, 0.3, 0.4]])
+    exact_solve = chain_analysis.np.linalg.solve
+    low = np.nextafter(1.0, 0.0)
+    monkeypatch.setattr(chain_analysis.np.linalg, "solve",
+                        lambda a, b: exact_solve(a, b) * [low, 1.0])
+    assert m.expected_hitting(k, [2]).tolist() == [low, 1.5, 0.0]
+
+
 # --- maximum hitting times --------------------------------------------------------------
 
 def test_max_hitting_flip_chain_enumeration():

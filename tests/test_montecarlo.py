@@ -244,13 +244,59 @@ def test_refilled_population_matches_walkers_stepped_alone(monkeypatch):
     assert 0.0 < censored.mean() < 0.1
 
 
+def _ball_walk_first_hits(replicas, population):
+    sampler = m.ball_walk_sampler(EXP, 1.0 / 8.0)
+    arrivals = [lambda xs: xs <= 0.2, lambda xs: xs >= 0.75]
+    # (start, seed, target): every job starts outside its target
+    jobs = [(0.5, 3, 0), (0.0, 4, 1), (0.9, 5, 0), (0.5, 6, 1)]
+    return montecarlo._first_hits(
+        [x0 for x0, _, _ in jobs], [seed for _, seed, _ in jobs], [g for *_, g in jobs],
+        arrivals, lambda pos, u: sampler.batch_step(pos, u[:, 0], u[:, 1]),
+        sampler.draws_per_step, replicas, 300, population)  # past the 128-step row cap
+
+
+def _finite_first_hits(replicas, population):
+    p = np.array([[0.97, 0.03, 0.0], [0.2, 0.6, 0.2], [0.0, 0.0, 1.0]])
+    members = [np.array([False, False, True]), np.array([False, True, False])]
+    return montecarlo._first_hits(
+        [0, 1, 0], [5, 6, 7], [0, 0, 1], [member.__getitem__ for member in members],
+        montecarlo._finite_advance(m.build_finite_kernel(p)), 1, replicas, 250, population)
+
+
+def _replica_prefix(result, replicas, jobs, keep):
+    """The first ``keep`` replicas of each job; walker (job, r) is the same walker at any count."""
+    return [a.reshape(jobs, replicas)[:, :keep].ravel().tolist() for a in result]
+
+
+def test_population_is_a_pure_performance_parameter(monkeypatch):
+    # times and censoring depend only on each walker's key and step, never
+    # on how many walkers share a loop step or how wide the stream rows are
+    wide = _ball_walk_first_hits(700, montecarlo._CONTINUOUS_POPULATION)  # 2800 walkers
+    assert 0.0 < wide[1].mean() < 0.5  # some walkers are censored, most are not
+    assert _replica_prefix(_ball_walk_first_hits(700, 1024), 700, 4, 700) == \
+        _replica_prefix(wide, 700, 4, 700)
+    for population in (1, 3):
+        assert _replica_prefix(_ball_walk_first_hits(6, population), 6, 4, 6) == \
+            _replica_prefix(wide, 700, 4, 6)
+    full = _finite_first_hits(3000, montecarlo._CHUNK)  # 9000 walkers
+    assert 0.0 < full[1].mean() < 0.1
+    assert _replica_prefix(_finite_first_hits(40, 7), 40, 3, 40) == \
+        _replica_prefix(full, 3000, 3, 40)
+    monkeypatch.setattr(montecarlo, "_BLOCK_DRAWS", 64)  # 4-step rows at 8 and 16 walkers
+    assert _replica_prefix(_ball_walk_first_hits(6, 8), 6, 4, 6) == \
+        _replica_prefix(wide, 700, 4, 6)
+    assert _replica_prefix(_finite_first_hits(40, 16), 40, 3, 40) == \
+        _replica_prefix(full, 3000, 3, 40)
+
+
 def test_fused_population_blocks_stay_within_budget(monkeypatch):
-    sizes, started, runs = [], [], []
+    sizes, rows, started, runs = [], [], [], []
     block, first_hits = montecarlo._ReplicaStreams.block, montecarlo._first_hits
 
     def recording_block(self, keys, offsets, out):
         filled = block(self, keys, offsets, out)
         sizes.append(filled.size)
+        rows.append(filled.shape[0])
         started.append(int(np.count_nonzero(np.asarray(offsets) == 0)))  # first blocks
         return filled
 
@@ -266,7 +312,10 @@ def test_fused_population_blocks_stay_within_budget(monkeypatch):
     assert len(runs) == 1
     seeds = runs[0][1]
     assert len(seeds) == 54 and sum(started) == 54 * 256
-    assert max(sizes) <= montecarlo._BLOCK_DRAWS
+    # the 13 824 walkers fill the ball-walk population, whose full block is
+    # the whole budget: population x row steps x draws
+    assert max(rows) == montecarlo._CONTINUOUS_POPULATION
+    assert max(sizes) == montecarlo._BLOCK_DRAWS
 
 
 # --- the finite step: guide table against searchsorted -----------------------------
@@ -417,6 +466,24 @@ def test_finite_states_outside_the_chain_are_rejected(monkeypatch, x0, target):
         m.estimate_hitting(k, x0, target, replicas=10, horizon=10, seed=0)
     with pytest.raises(ValueError, match="is not a state of this 4-state chain"):
         m.estimate_hitting_batch(k, [(0, [1], 0), (x0, target, 0)], replicas=10, horizon=10)
+
+
+@pytest.mark.parametrize("x0", [1.5, -0.05, float("nan"), float("inf")])
+def test_ball_walk_starts_outside_the_unit_interval_are_rejected(monkeypatch, x0):
+    sampler = m.ball_walk_sampler(EXP, 1.0 / 8.0)
+    low = lambda xs: np.asarray(xs) <= 0.2  # noqa: E731  (-0.05 would lie in it)
+    monkeypatch.setattr(montecarlo, "_first_hits", _no_walkers)
+    with pytest.raises(ValueError, match="is not a point of the ball walk's"):
+        m.estimate_hitting(sampler, x0, low, replicas=10, horizon=10, seed=0)
+    with pytest.raises(ValueError, match="is not a point of the ball walk's"):
+        m.estimate_hitting_batch(sampler, [(0.5, low, 0), (x0, low, 1)], replicas=10, horizon=10)
+
+
+def test_ball_walk_starts_at_the_interval_ends_are_accepted():
+    sampler = m.ball_walk_sampler(EXP, 1.0 / 8.0)
+    ends = m.estimate_hitting_batch(sampler, [(0.0, lambda xs: xs <= 0.2, 0),
+                                              (1.0, lambda xs: xs >= 0.75, 1)], 10, 10)
+    assert [est.mean for est in ends] == [0.0, 0.0]  # each starts in its target
 
 
 @pytest.mark.parametrize("x0", [-1, 4])

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Decoupling survey over the escape corpus: for each scenario, the Monte
 Carlo decoupling frequency of the identity coupling and the exact
-decoupling probability 1 - (Q^t 1)(x0), Q = P[S, S], against the drift
-escape bound 2r' / (r(1 - lambda) - b).  ``within_bound`` is exact <= bound.
+decoupling probability (the chance that the chain leaves S within t
+steps) against the drift escape bound 2r' / (r(1 - lambda) - b).
+``within_bound`` is exact <= bound.
 """
 import argparse
 import csv

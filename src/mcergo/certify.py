@@ -435,7 +435,6 @@ def certify_drift_and_hit(
     dtable: DTable | None = None,
     pi_table=None,
     t_route: str = "auto",
-    hitting_strategy: str | None = None,
     pi: np.ndarray | None = None,
 ) -> GeometricBound:
     """Assemble the geometric bound from a drift certificate.
@@ -492,10 +491,9 @@ def certify_drift_and_hit(
     elif t_route == "dtable":
         if dtable is None:
             raise IncompatibleCertificate("dtable route requires a DTable")
-        if hitting_strategy is None:
-            interval_ok = dom.kernel.states is not None and is_birth_death(dom.kernel)
-            hitting_strategy = "interval" if interval_ok else "brute"
-        report = max_hitting_time(dom.kernel, alpha, strategy=hitting_strategy)
+        interval_ok = dom.kernel.states is not None and is_birth_death(dom.kernel)
+        report = max_hitting_time(dom.kernel, alpha,
+                                  strategy="interval" if interval_ok else "brute")
         d, _ = dtable.lookup(alpha)
         t_mix = int(math.ceil(d * report.t_h))
     else:

@@ -406,7 +406,6 @@ class HitMixReport:
     worst_start: int
     t_m: int | None = None
     t_l: int | None = None
-    eps_mix: float = DEFAULT_MIX_EPS
 
     def csv_row(self) -> list[str]:
         return [
@@ -543,14 +542,17 @@ def _climb_times(up: list, down: list) -> list:
 # --- exit from a set ---------------------------------------------------------------
 
 def exit_probability(k: FiniteKernel, subset, x0: int, t: int) -> float:
-    """P_x0(the chain leaves ``subset`` within t steps) = 1 - (Q^t 1)(x0), Q = P[S, S].
+    """P_x0(the chain leaves ``subset`` within t steps) = sum_{s<t} (delta_x0 Q^s) e.
 
-    (Q^t 1)(x) is the probability of t steps from x that all stay in S, so
-    this costs t matrix-vector products with Q.  The identity coupling of
-    a kernel with a restriction that dominates it on S keeps the two chains
-    equal until the base chain first leaves S, so this is the exact
-    decoupling probability that ``montecarlo.coupled_escape_estimate``
-    estimates.
+    Q = P[S, S], and e = P[S, S^c] 1 is the mass each state sends out of S
+    in one step, so the term s is the probability of the first exit at step
+    s + 1.  That costs t vector-matrix products with Q and sums
+    nonnegative terms, with no 1 - (Q^t 1)(x0) to lose digits to
+    cancellation; the value is exactly 0 when S is the whole space.  The
+    identity coupling of a kernel with a restriction that dominates it on S
+    keeps the two chains equal until the base chain first leaves S, so this
+    is the exact decoupling probability that
+    ``montecarlo.coupled_escape_estimate`` estimates.
 
     Raises
     ------
@@ -571,10 +573,14 @@ def exit_probability(k: FiniteKernel, subset, x0: int, t: int) -> float:
     if not at.size:
         raise ValueError(f"start {x0} is not in the subset")
     q = k.p[np.ix_(S, S)]
-    stay = np.ones(S.size)
+    exit_mass = k.p[S][:, np.setdiff1d(np.arange(k.n), S)].sum(axis=1)
+    law = np.zeros(S.size)  # delta_x0 Q^s: where the chain is at step s, still in S
+    law[at[0]] = 1.0
+    left = 0.0
     for _ in range(t):
-        stay = q @ stay
-    return 1.0 - float(stay[at[0]])
+        left += float(law @ exit_mass)
+        law = law @ q
+    return left
 
 
 # --- pseudo-minorization ----------------------------------------------------------

@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -105,13 +105,6 @@ class ExperimentConfig:
         object.__setattr__(self, "c_list", tuple(float(c) for c in self.c_list))
 
 
-_CONFIG_KEYS = (
-    "experiment", "density", "c_list", "alpha", "replicas", "seed",
-    "horizon", "strategy", "dtable_path", "output_path", "chain",
-    "certificate", "restriction", "svg",
-)
-
-
 def parse_config(payload) -> ExperimentConfig:
     """Parse a config dict or JSON string; unknown keys are errors."""
     if isinstance(payload, (str, bytes)):
@@ -121,7 +114,7 @@ def parse_config(payload) -> ExperimentConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(payload) - set(_CONFIG_KEYS)
+    unknown = set(payload) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "experiment" not in payload:
@@ -144,22 +137,8 @@ def load_config(path) -> ExperimentConfig:
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    payload = {
-        "experiment": cfg.experiment,
-        "density": cfg.density,
-        "c_list": list(cfg.c_list),
-        "alpha": cfg.alpha,
-        "replicas": cfg.replicas,
-        "seed": cfg.seed,
-        "horizon": cfg.horizon,
-        "strategy": cfg.strategy,
-        "dtable_path": cfg.dtable_path,
-        "output_path": cfg.output_path,
-        "chain": cfg.chain,
-        "certificate": cfg.certificate,
-        "restriction": cfg.restriction,
-        "svg": cfg.svg,
-    }
+    payload = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    payload["c_list"] = list(cfg.c_list)
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 

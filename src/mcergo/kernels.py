@@ -72,9 +72,6 @@ class FiniteKernel:
     def n(self) -> int:
         return self.p.shape[0]
 
-    def row(self, i: int) -> np.ndarray:
-        return self.p[i]
-
     def coordinates(self) -> np.ndarray:
         """State coordinates; abstract chains fall back to 0..n-1."""
         if self.states is not None:
@@ -90,8 +87,8 @@ class FiniteKernel:
         return np.array_equal(self.p, other.p) and same_states
 
 
-def _frozen_array(a) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
+def _frozen_array(a, dtype=float) -> np.ndarray:
+    out = np.array(a, dtype=dtype, copy=True)
     out.setflags(write=False)
     return out
 
@@ -99,8 +96,10 @@ def _frozen_array(a) -> np.ndarray:
 def build_finite_kernel(rows, states=None, reversible_wrt=None) -> FiniteKernel:
     """Validate a transition matrix and wrap it as a FiniteKernel.
 
-    Rows are renormalized only when each row sum deviates from 1 by at most
-    1e-9; larger deviations raise ``RowSumViolation``.
+    Rows that sum to 1 within ``ROW_SUM_TOL`` are kept exactly as given, so
+    wrapping a kernel's ``p`` again gives the same kernel; rows off by more,
+    up to ``ROW_RENORM_TOL``, are divided by their sums, and larger
+    deviations raise ``RowSumViolation``.
 
     Raises
     ------
@@ -119,7 +118,8 @@ def build_finite_kernel(rows, states=None, reversible_wrt=None) -> FiniteKernel:
     if np.any(dev > ROW_RENORM_TOL):
         i = int(np.argmax(dev))
         raise RowSumViolation(f"row {i} sums to {sums[i]!r}")
-    p = p / sums[:, None]
+    off = dev > ROW_SUM_TOL
+    p[off] /= sums[off, None]
     if states is not None:
         states = np.asarray(states, dtype=float)
         if states.shape != (p.shape[0],):
@@ -288,21 +288,14 @@ class ContinuousSampler1D:
     rejected (the chain stays), and in-range proposals are accepted with
     probability min{1, psi(y)/psi(x)} (the uniform proposal density ratio
     is 1).  A step consumes exactly two uniform draws and is a
-    deterministic function of (x, draw1, draw2).
+    deterministic function of (x, draw1, draw2); ``batch_step`` steps an
+    array of walkers, one element each of ``xs``, ``u1`` and ``u2``.
     """
 
     target: DensitySpec
     c: float
 
     draws_per_step = 2
-
-    def step(self, x: float, u1: float, u2: float) -> float:
-        y = x + self.c * (2.0 * u1 - 1.0)
-        if y < 0.0 or y > 1.0:
-            return x
-        if u2 <= min(1.0, self.target.pdf(y) / self.target.pdf(x)):
-            return y
-        return x
 
     def batch_step(self, xs: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
         y = xs + self.c * (2.0 * u1 - 1.0)
@@ -325,7 +318,7 @@ def ball_walk_sampler(psi: DensitySpec, c: float) -> ContinuousSampler1D:
 class DominatedKernel:
     """A kernel supported on S that is S-dominated by its base kernel.
 
-    Invariants (verified at construction unless ``validate=False``):
+    Invariants (verified by ``restrict``, which builds it):
     the conditional stationary law pi(. | S) is stationary for ``kernel``
     within 1e-10, and ``kernel`` dominates ``base`` entrywise on S.
     """
@@ -337,16 +330,10 @@ class DominatedKernel:
     conditional_stationary: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "support", _frozen_array_int(self.support))
+        object.__setattr__(self, "support", _frozen_array(self.support, int))
         object.__setattr__(
             self, "conditional_stationary", _frozen_array(self.conditional_stationary)
         )
-
-
-def _frozen_array_int(a) -> np.ndarray:
-    out = np.array(a, dtype=int, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 def restrict(
@@ -355,7 +342,6 @@ def restrict(
     variant: str,
     pi_table=None,
     base_stationary=None,
-    validate: bool = True,
 ) -> DominatedKernel:
     """Restrict a kernel to a state subset by one of three dominated variants.
 
@@ -372,8 +358,6 @@ def restrict(
         censors time spent outside S.
     base_stationary : ndarray, optional
         Stationary law of the base; computed when omitted and needed.
-    validate : bool
-        Verify both dominated-chain invariants (skip for very large chains).
 
     Raises
     ------
@@ -414,14 +398,13 @@ def restrict(
         raise EmptySubset("subset carries no stationary mass")
     pi_s = pi_s / total
 
-    if validate:
-        _check_domination(k.p, q, S)
-        drift = float(np.max(np.abs(pi_s @ q - pi_s)))
-        if drift > STATIONARY_TOL:
-            raise DominationViolation(
-                f"conditional stationarity violated by {drift:.3e} "
-                f"({variant} of a kernel that is not reversible on S?)"
-            )
+    _check_domination(k.p, q, S)
+    drift = float(np.max(np.abs(pi_s @ q - pi_s)))
+    if drift > STATIONARY_TOL:
+        raise DominationViolation(
+            f"conditional stationarity violated by {drift:.3e} "
+            f"({variant} of a kernel that is not reversible on S?)"
+        )
 
     sub = FiniteKernel(p=q, states=sub_states)
     return DominatedKernel(
@@ -524,10 +507,4 @@ def kernel_from_csv(path) -> FiniteKernel:
     if not rows:
         raise DimensionMismatch("kernel csv needs a header and at least one row")
     states = [float(v) for v in header.split(",")] if header else None
-    k = build_finite_kernel(rows, states=states)
-    # rows stochastic to rounding are kept bit for bit, so that reading back
-    # what kernel_to_csv wrote gives the same kernel
-    p = np.array(rows)
-    if np.all(np.abs(p.sum(axis=1) - 1.0) <= ROW_SUM_TOL):
-        return FiniteKernel(p=p, states=k.states)
-    return k
+    return build_finite_kernel(rows, states=states)

@@ -10,15 +10,16 @@ it falls back to assigning ``Philox.state`` if the struct does not check
 out), which is stream-identical to constructing ``Philox(key=[seed, r])``
 per walker but far cheaper.
 
-One walker loop, ``_first_hits``, runs every batch estimate: the hitting
-times of target sets (``estimate_hitting_batch`` runs many (start, target,
-seed) jobs as one walker population, ``estimate_hitting`` is its one-job
-case) and the decoupling time of the identity coupling
-(``coupled_escape_estimate``), which is the g-chain's first exit from the
-coupling set.  The population refills as walkers retire, so walkers run at
-different steps side by side.  A walker's draws depend only on its key and
-its step, so neither the population a walker runs in nor when it is
-admitted changes a result.
+One walker loop, ``_first_hits``, runs every walker: the hitting times of
+target sets (``estimate_hitting_batch`` runs many (start, target, seed)
+jobs as one walker population, ``estimate_hitting`` is its one-job case),
+the decoupling time of the identity coupling (``coupled_escape_estimate``),
+which is the g-chain's first exit from the coupling set, and the single
+walker of ``sample_path``.  Each sampler has one step rule, start check and
+arrival test, given by ``_walker_rule``.  The population refills as walkers
+retire, so walkers run at different steps side by side.  A walker's draws
+depend only on its key and its step, so neither the population a walker
+runs in nor when it is admitted changes a result.
 
 A finite-kernel step inverts the current state's row CDF at the walker's
 draw.  ``_finite_advance`` builds a guide table (Chen and Asau's index
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -40,19 +41,18 @@ from .errors import AllCensored, NotDominating
 from .kernels import ContinuousSampler1D, DominatedKernel, FiniteKernel
 from .tolerances import ROW_SUM_TOL
 
-_CHUNK = 4096  # most walkers advanced together; the finite-kernel population
-# One stream block holds population x row steps x draws uniform doubles; the
-# ball walk sets that budget.  A ball-walk loop step costs mostly fixed numpy
-# overhead, and the population refills only at block boundaries, so more
-# walkers with shorter rows cut loop steps: 4784 -> 3100 for the same 2.8M
-# walker-steps of bench `scaling` at seed 0, going from 1024 x 64 steps
-# (1 MiB) to 2048 x 48 (1.5 MiB).  In a committed sweep of bench `scaling`,
-# 2048 x 48 had the lowest wall_s, 18% below 1024 x 64; 2048 x 32 or x 64,
-# 3072 x 32 and 4096 x 24 were 11-16% below, and 2 MiB cost 4% more peak RSS.
-_CONTINUOUS_POPULATION = 2048
-_CONTINUOUS_ROW_STEPS = 48
-_BLOCK_DRAWS = (_CONTINUOUS_POPULATION * _CONTINUOUS_ROW_STEPS
-                * ContinuousSampler1D.draws_per_step)
+# One stream block holds population x row steps x draws uniform doubles, and
+# the population of a sampler is what fills it: 4096 finite-kernel walkers
+# (one draw a step) and 2048 ball walkers (two).  A ball-walk loop step costs
+# mostly fixed numpy overhead, and the population refills only at block
+# boundaries, so more walkers with shorter rows cut loop steps: 4784 -> 3100
+# for the same 2.8M walker-steps of bench `scaling` at seed 0, going from
+# 1024 x 64 steps (1 MiB) to 2048 x 48 (1.5 MiB).  In a committed sweep of
+# bench `scaling`, 2048 x 48 had the lowest wall_s, 18% below 1024 x 64;
+# 2048 x 32 or x 64, 3072 x 32 and 4096 x 24 were 11-16% below, and 2 MiB
+# cost 4% more peak RSS.  A `couple` walker (horizons 25-40) needs one row.
+_ROW_STEPS = 48
+_BLOCK_DRAWS = 3 << 16  # 1.5 MiB of doubles
 _GUIDE_BYTES = 1 << 21  # most bytes of one finite kernel's guide table
 _SCAN_STEPS = 8  # forward steps of a finite step before its binary search
 _PHILOX_WORDS = 4  # uniform doubles per Philox counter increment
@@ -196,40 +196,7 @@ def _summarize(values: np.ndarray, seed: int, horizon: int, censored: np.ndarray
     )
 
 
-# --- path sampling -----------------------------------------------------------
-
-def sample_path(sampler, x0, t: int, seed: int):
-    """Simulate a length t+1 path; deterministic given (seed, x0, t).
-
-    ``sampler`` is a FiniteKernel (states are indices) or a
-    ContinuousSampler1D (states are points in [0, 1]).
-    """
-    if t < 0:
-        raise ValueError("path length must be nonnegative")
-    rng = replica_generator(seed, 0)
-    if isinstance(sampler, FiniteKernel):
-        cdf = _row_cdfs(sampler.p)
-        path = np.empty(t + 1, dtype=int)
-        path[0] = int(x0)
-        if t:
-            u = rng.random(t)
-            cur = int(x0)
-            for i in range(t):
-                cur = int(np.searchsorted(cdf[cur], u[i], side="right"))
-                path[i + 1] = cur
-        return path
-    if isinstance(sampler, ContinuousSampler1D):
-        path = np.empty(t + 1, dtype=float)
-        path[0] = float(x0)
-        if t:
-            u = rng.random(2 * t)
-            cur = float(x0)
-            for i in range(t):
-                cur = sampler.step(cur, u[2 * i], u[2 * i + 1])
-                path[i + 1] = cur
-        return path
-    raise TypeError(f"unsupported sampler type {type(sampler)!r}")
-
+# --- the finite step --------------------------------------------------------------
 
 def _row_cdfs(p: np.ndarray) -> np.ndarray:
     cdf = np.cumsum(p, axis=1)
@@ -338,7 +305,7 @@ def _first_hits(starts, seeds, groups, arrivals, advance, draws, replicas, horiz
     The one walker loop.  Job j's walkers start at ``starts[j]``, draw from
     the streams keyed (seeds[j], r) for r < replicas, and arrive when
     ``arrivals[groups[j]](pos)`` holds.  The loop keeps one population of
-    at most ``population`` <= ``_CHUNK`` walkers: at each block boundary
+    at most ``population`` walkers: at each block boundary
     the next unstarted walkers, in job and then replica order, take the
     places of walkers that retired, and the population is ordered by group
     so that each arrival test runs once per step, on one slice.  Every
@@ -352,7 +319,13 @@ def _first_hits(starts, seeds, groups, arrivals, advance, draws, replicas, horiz
     (times, censored), ordered by job and then replica: the first arrival
     time of each walker, the horizon for those that never arrive, and which
     ones never did.
+
+    Raises ValueError, before any walker runs, unless 1 <= ``population``
+    and a 4-step block of the whole population fits in ``_BLOCK_DRAWS``.
     """
+    if not 1 <= population * draws * 4 <= _BLOCK_DRAWS:
+        raise ValueError(f"{population} walkers of {draws} draws a step do not fit "
+                         f"4-step blocks of {_BLOCK_DRAWS} draws")
     starts = np.asarray(starts)
     seeds = np.asarray(seeds, dtype=np.uint64)
     groups = np.asarray(groups, dtype=int)
@@ -403,7 +376,55 @@ def _first_hits(starts, seeds, groups, arrivals, advance, draws, replicas, horiz
     return times, censored
 
 
-# --- hitting-time estimation ----------------------------------------------------
+# --- one step rule per sampler ----------------------------------------------------
+
+class _WalkerRule(NamedTuple):
+    """How ``_first_hits`` walks one sampler."""
+
+    draws: int  # uniform draws a step takes
+    advance: Callable  # (positions, draws of shape (walkers, draws)) -> positions
+    place: Callable  # start -> position; ValueError if it is not a state
+    arrival: Callable  # target -> arrival test (positions -> bool array)
+
+
+def _walker_rule(sampler) -> _WalkerRule:
+    """The step, start check and arrival test of a FiniteKernel or ContinuousSampler1D.
+
+    A FiniteKernel's states are indices and its targets are sets of them; a
+    ContinuousSampler1D's states are points of [0, 1] and its targets are
+    vectorized predicates.
+    """
+    if isinstance(sampler, FiniteKernel):
+        def place(x0):
+            return int(_state_indices(sampler.n, [x0], "start")[0])
+
+        def arrival(target):
+            member = np.zeros(sampler.n, dtype=bool)
+            member[_state_indices(sampler.n, target, "target state")] = True
+            return member.__getitem__
+
+        return _WalkerRule(1, _finite_advance(sampler), place, arrival)
+    if isinstance(sampler, ContinuousSampler1D):
+        def place(x0):
+            x = float(x0)
+            if not 0.0 <= x <= 1.0:  # NaN fails too
+                raise ValueError(f"start {x0!r} is not a point of the ball walk's [0, 1]")
+            return x
+
+        def advance(pos, u):
+            return sampler.batch_step(pos, u[:, 0], u[:, 1])
+
+        def arrival(target):
+            return lambda pos: np.asarray(target(pos), dtype=bool)
+
+        return _WalkerRule(sampler.draws_per_step, advance, place, arrival)
+    raise TypeError(f"unsupported sampler type {type(sampler)!r}")
+
+
+def _population(draws: int) -> int:
+    """Walkers whose ``_ROW_STEPS``-step rows of ``draws`` draws a step fill one block."""
+    return _BLOCK_DRAWS // (_ROW_STEPS * draws)
+
 
 def _state_indices(n: int, states, what: str) -> np.ndarray:
     """``states`` as an index array; ValueError if any lies outside [0, n).
@@ -416,6 +437,36 @@ def _state_indices(n: int, states, what: str) -> np.ndarray:
         raise ValueError(f"{what} {outside[0]} is not a state of this {n}-state chain")
     return idx
 
+
+def sample_path(sampler, x0, t: int, seed: int) -> np.ndarray:
+    """The length t+1 path of one walker from x0; deterministic given (seed, x0, t).
+
+    ``sampler`` is a FiniteKernel (states are indices) or a
+    ContinuousSampler1D (states are points in [0, 1]).  The walker is
+    replica 0 of ``seed``, stepped by ``_first_hits`` with the step of
+    ``estimate_hitting``, so its path is the one that estimate's replica 0
+    walks.
+
+    Raises
+    ------
+    ValueError
+        If t < 0, or x0 is not a state of the sampler.
+    """
+    if t < 0:
+        raise ValueError("path length must be nonnegative")
+    rule = _walker_rule(sampler)
+    path = [np.array([rule.place(x0)])]
+
+    def advance(pos, u):
+        path.append(rule.advance(pos, u))
+        return path[-1]
+
+    never = np.zeros(1, dtype=bool)
+    _first_hits(path[0], [seed], [0], [lambda pos: never], advance, rule.draws, 1, t, 1)
+    return np.concatenate(path)
+
+
+# --- hitting-time estimation ----------------------------------------------------
 
 def estimate_hitting(
     sampler,
@@ -465,46 +516,21 @@ def estimate_hitting_batch(sampler, jobs, replicas: int, horizon: int) -> list[M
         raise ValueError("need at least one replica")
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    if isinstance(sampler, FiniteKernel):
-        draws, advance, population = 1, _finite_advance(sampler), _CHUNK
-
-        def place(x0):
-            return int(_state_indices(sampler.n, [x0], "start")[0])
-
-        def arrival(target):
-            member = np.zeros(sampler.n, dtype=bool)
-            member[_state_indices(sampler.n, target, "target state")] = True
-            return member.__getitem__
-    elif isinstance(sampler, ContinuousSampler1D):
-        draws, population = sampler.draws_per_step, _CONTINUOUS_POPULATION
-
-        def place(x0):
-            x = float(x0)
-            if not 0.0 <= x <= 1.0:  # NaN fails too
-                raise ValueError(f"start {x0!r} is not a point of the ball walk's [0, 1]")
-            return x
-
-        def advance(pos, u):
-            return sampler.batch_step(pos, u[:, 0], u[:, 1])
-
-        def arrival(target):
-            return lambda pos: np.asarray(target(pos), dtype=bool)
-    else:
-        raise TypeError(f"unsupported sampler type {type(sampler)!r}")
-
+    rule = _walker_rule(sampler)
     jobs = list(jobs)
     arrivals, group_of = [], {}
     walking = []  # (job index, start, seed, group) of jobs not started in their target
     for j, (x0, target, seed) in enumerate(jobs):
         if id(target) not in group_of:
             group_of[id(target)] = len(arrivals)
-            arrivals.append(arrival(target))
-        g, start = group_of[id(target)], place(x0)
+            arrivals.append(rule.arrival(target))
+        g, start = group_of[id(target)], rule.place(x0)
         if not arrivals[g](np.array([start]))[0]:
             walking.append((j, start, seed, g))
     _, starts, seeds, groups = zip(*walking) if walking else ((),) * 4
     times, censored = _first_hits(
-        starts, seeds, groups, arrivals, advance, draws, replicas, horizon, population)
+        starts, seeds, groups, arrivals, rule.advance, rule.draws, replicas, horizon,
+        _population(rule.draws))
 
     rows = {j: slice(k * replicas, (k + 1) * replicas) for k, (j, *_) in enumerate(walking)}
     estimates = []
@@ -556,16 +582,15 @@ def coupled_escape_estimate(
     gap = float(np.min(g_c.kernel.p - base))
     if gap < -ROW_SUM_TOL:
         raise NotDominating(f"restriction does not dominate the base (gap {gap:.3e})")
-    x0 = int(_state_indices(g.n, [x0], "start")[0])
-    in_s = np.zeros(g.n, dtype=bool)
-    in_s[S] = True
-    if not in_s[x0]:
+    rule = _walker_rule(g)
+    x0 = rule.place(x0)
+    outside = rule.arrival(np.setdiff1d(np.arange(g.n), S))
+    if outside(x0):
         raise ValueError("start state must lie in the coupling set")
 
-    outside = ~in_s
     _, coupled = _first_hits(
-        [x0], [seed], [0], [outside.__getitem__], _finite_advance(g), 1, replicas, t,
-        _CHUNK)
+        [x0], [seed], [0], [outside], rule.advance, rule.draws, replicas, t,
+        _population(rule.draws))
     values = (~coupled).astype(float)
     return _summarize(values, seed, t, censored=np.zeros(replicas, dtype=bool))
 

@@ -8,8 +8,9 @@ what "equal" means throughout the toolkit.
 ROW_SUM_TOL = 1e-12
 DETAILED_BALANCE_TOL = 1e-12
 
-# build_finite_kernel renormalizes a row only if its sum deviates by less
-# than this; larger deviations are rejected as data errors.
+# build_finite_kernel keeps a row that sums to 1 within ROW_SUM_TOL as given,
+# divides one off by more but less than this by its sum, and rejects larger
+# deviations as data errors.
 ROW_RENORM_TOL = 1e-9
 
 # Probability vectors handed to tv_distance must be normalized this well.

@@ -139,17 +139,22 @@ def trace_transition_frequency(p, subset, steps, seed):
 
 
 def decoupling_exact(p, S, x0, t):
-    """P(the identity coupling from x0 has decoupled by t) = 1 - (Q^t 1)(x0), Q = P[S, S].
+    """P(the identity coupling from x0 has decoupled by t), by the backward recursion.
 
     The chains stay equal until the base chain first leaves S, so this is
-    the probability that the base chain has left S within t steps.
+    h_t(x0), where h_s(x) is the probability of leaving S within s steps
+    from x: h_0 = 0 and h_{s+1} = e + Q h_s, with Q = P[S, S] and
+    e = P[S, S^c] 1 the one-step exit mass.
     """
     S = [int(s) for s in S]
-    q = np.asarray(p)[np.ix_(S, S)]
-    stay = np.ones(len(S))
+    p = np.asarray(p)
+    rest = [j for j in range(p.shape[0]) if j not in set(S)]
+    q = p[np.ix_(S, S)]
+    e = p[np.ix_(S, rest)].sum(axis=1)
+    h = np.zeros(len(S))
     for _ in range(t):
-        stay = q @ stay
-    return 1.0 - stay[S.index(int(x0))]
+        h = e + q @ h
+    return float(h[S.index(int(x0))])
 
 
 def closed_classes_scc(p):

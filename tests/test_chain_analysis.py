@@ -589,6 +589,27 @@ def test_exit_probability_is_the_decoupling_oracle_on_the_corpus():
         assert m.exit_probability(case.kernel, dom.support, case.x0, 0) == 0.0
 
 
+def test_exit_probability_keeps_its_relative_digits_on_the_corpus():
+    # 1 - (Q^t 1)(x0) lost up to 1e-4 of a value near 2e-11 to cancellation;
+    # the reference is the backward recursion in long double where available
+    for case in escape_corpus():
+        dom = m.restrict(case.kernel, case.cert.small_set, case.variant)
+        want = decoupling_exact(case.kernel.p.astype(np.longdouble), dom.support, case.x0,
+                                case.horizon)
+        got = m.exit_probability(case.kernel, dom.support, case.x0, case.horizon)
+        assert abs(got - want) <= 1e-14 * want, (case.name, got, want)
+
+
+def test_exit_probability_from_the_whole_space_is_exactly_zero():
+    whole = [case for case in escape_corpus() if case.cert.small_set.size == case.kernel.n]
+    assert len(whole) == 2  # escape-7 reported 5.55e-16 by cancellation
+    for case in whole:
+        dom = m.restrict(case.kernel, case.cert.small_set, case.variant)
+        for t in (1, case.horizon, 500):
+            assert m.exit_probability(case.kernel, dom.support, case.x0, t) == 0.0
+            assert decoupling_exact(case.kernel.p, dom.support, case.x0, t) == 0.0
+
+
 def test_exit_probability_of_iid_rows():
     # every row puts 0.05 outside {0, 1, 2}, so leaving by t has 1 - 0.95^t
     k = m.build_finite_kernel(np.tile([0.55, 0.25, 0.15, 0.05], (4, 1)))

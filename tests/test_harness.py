@@ -47,6 +47,30 @@ def test_config_round_trip():
     assert parse_config(serialize_config(cfg)) == cfg
 
 
+# recorded when serialize_config listed every field by hand
+PINNED_CONFIG_HASHES = [
+    ({"experiment": "scaling", "density": {"kind": "exponential-tilt", "tilt": -1.0},
+      "c_list": [1 / 8, 1 / 16], "replicas": 64, "seed": 3, "svg": True},
+     "806d06912268e3fd2fe41a481eda0a2705219b627f538b4c754220ebd53b16c1"),
+    ({"experiment": "hitmix", "strategy": "brute",
+      "chain": {"kind": "birth-death", "density": {"kind": "uniform"}, "c": 0.125}},
+     "49f09680242097a3563c39514256be017fe98f29afab924577af7f2bd09f4b3e"),
+    ({"experiment": "certify", "chain": {"kind": "corpus", "name": "bd-expdrift"},
+      "alpha": 0.25, "dtable_path": "d.json"},
+     "a60d2743f914da67f8d6711160ffc94b5a4f496feb50d7a929a89170afdf0741"),
+    ({"experiment": "couple", "chain": {"kind": "corpus", "name": "bd-expdrift"},
+      "horizon": 40, "restriction": "trace",
+      "certificate": {"v": {"kind": "exp-of-coordinate", "kappa": 0.5}}},
+     "2cbdb9feaf9c61b2cfe31b0c8d94abb4dbebde7ef384262337420a1dc6844aa8"),
+]
+
+
+@pytest.mark.parametrize("payload,digest", PINNED_CONFIG_HASHES,
+                         ids=[p["experiment"] for p, _ in PINNED_CONFIG_HASHES])
+def test_config_hash_pinned(payload, digest):
+    assert config_hash(parse_config(payload)) == digest
+
+
 def test_config_unknown_key_rejected():
     with pytest.raises(errors.ConfigError):
         parse_config({"experiment": "scaling", "denssity": {}})

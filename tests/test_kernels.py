@@ -53,6 +53,23 @@ def test_build_renormalizes_tiny_deviation_only():
         m.build_finite_kernel([[0.5, 0.5 + 1e-8], [0.25, 0.75]])
 
 
+@pytest.mark.parametrize("seed,n", [(5, 6), (0, 3), (11, 40)])
+def test_build_keeps_stochastic_rows_bit_for_bit(seed, n):
+    # rows already stochastic to rounding are not divided by their sums again
+    k = random_dense_chain(np.random.default_rng(seed), n)
+    again = m.build_finite_kernel(k.p)
+    assert again == k
+    assert np.array_equal(again.p, k.p)
+
+
+def test_build_divides_only_the_rows_off_by_more_than_rounding():
+    # row 0 sums to 1 - 2^-53, and dividing it by that sum would move its bits
+    rows = np.array([[0.7, 0.2, 0.1], [0.5, 0.5 + 2e-10, 0.0], [0.3, 0.3, 0.4]])
+    k = m.build_finite_kernel(rows)
+    assert np.array_equal(k.p[[0, 2]], rows[[0, 2]])
+    assert np.array_equal(k.p[1], rows[1] / rows[1].sum())
+
+
 def test_build_requires_sorted_states():
     with pytest.raises(errors.StatesNotOrdered):
         m.build_finite_kernel(np.eye(2), states=[0.5, 0.25])
@@ -249,15 +266,16 @@ def test_gibbs_stationary_matches_table(n1, n2, seed):
 
 def test_ball_walk_accepts_interior_uniform_proposals():
     s = m.ball_walk_sampler(UNIFORM, 1.0 / 16.0)
-    x = 0.5
-    for u1 in (0.0, 0.3, 0.99):
-        y = s.step(x, u1, 0.999999)
-        assert y == x + s.c * (2.0 * u1 - 1.0)
+    u1 = np.array([0.0, 0.3, 0.99])
+    y = s.batch_step(np.full(3, 0.5), u1, np.full(3, 0.999999))
+    assert np.array_equal(y, 0.5 + s.c * (2.0 * u1 - 1.0))
 
 
 def test_ball_walk_rejects_out_of_range():
     s = m.ball_walk_sampler(UNIFORM, 1.0 / 8.0)
-    assert s.step(0.0, 0.25, 0.0) == 0.0  # proposal -c/2 < 0: stay
+    # proposals -c/2 < 0 and 1 + c/2 > 1 stay, even at an acceptance draw of 0
+    y = s.batch_step(np.array([0.0, 1.0, 0.5]), np.array([0.25, 0.75, 0.25]), np.zeros(3))
+    assert np.array_equal(y, [0.0, 1.0, 0.5 - s.c / 2.0])
 
 
 def test_ball_walk_paths_bit_identical():
@@ -270,15 +288,20 @@ def test_ball_walk_paths_bit_identical():
 
 
 def test_ball_walk_occupation_frequency_matches_quadrature():
-    # target mass of [0, 1/2] for psi ~ exp(-x), via the closed form
+    # target mass of [0, 1/2] for psi ~ exp(-x), via the closed form; walkers
+    # start from psi itself (inverse CDF), so each step must keep the mass
     target = (1.0 - math.exp(-0.5)) / (1.0 - math.exp(-1.0))
     s = m.ball_walk_sampler(EXP, 1.0 / 16.0)
-    n_steps = 1_000_000
-    path = m.sample_path(s, 0.5, n_steps, seed=2024)
-    occupied = (path[1:] <= 0.5).astype(float)
-    batches = occupied.reshape(100, -1).mean(axis=1)
-    freq = batches.mean()
-    stderr = batches.std(ddof=1) / math.sqrt(len(batches))
+    walkers, n_steps = 1000, 1000
+    rng = np.random.default_rng(2024)
+    xs = -np.log1p(-rng.random(walkers) * (1.0 - math.exp(-1.0)))
+    occupied = np.zeros(walkers)
+    for _ in range(n_steps):
+        xs = s.batch_step(xs, rng.random(walkers), rng.random(walkers))
+        occupied += xs <= 0.5
+    per_walker = occupied / n_steps  # independent chains
+    freq = per_walker.mean()
+    stderr = per_walker.std(ddof=1) / math.sqrt(walkers)
     assert abs(freq - target) <= 3.0 * stderr
 
 

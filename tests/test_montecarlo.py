@@ -16,6 +16,10 @@ EXP = m.DensitySpec(kind="exponential-tilt", params={"tilt": -1.0}, unimodal_rat
 PATH3 = m.build_finite_kernel([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]])
 
 
+def _no_walkers(*args):
+    raise AssertionError("the walker loop ran")
+
+
 # --- sample_path -----------------------------------------------------------------
 
 def test_path_length_zero():
@@ -32,6 +36,55 @@ def test_paths_bit_identical_same_seed():
     p2 = m.sample_path(PATH3, 0, 200, seed=9)
     assert np.array_equal(p1, p2)
     assert not np.array_equal(p1, m.sample_path(PATH3, 0, 200, seed=10))
+
+
+def test_sample_path_pinned_on_a_finite_kernel():
+    # recorded when sample_path ran its own searchsorted loop
+    path = m.sample_path(PATH3, 0, 12, seed=6)
+    assert path.dtype.kind == "i"
+    assert path.tolist() == [0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 2]
+    assert m.sample_path(PATH3, 0, 6, seed=4).tolist() == [0, 1, 0, 1, 0, 1, 2]
+
+
+def test_sample_path_pinned_on_the_ball_walk():
+    # recorded when sample_path ran its own scalar ball-walk step
+    s = m.ball_walk_sampler(EXP, 1.0 / 16.0)
+    path = m.sample_path(s, 0.5, 12, seed=123)
+    assert [x.hex() for x in path.tolist()] == [
+        "0x1.0000000000000p-1", "0x1.01169d23d214bp-1", "0x1.dd6b7aa8be686p-2",
+        "0x1.cbdc3df3cbc8cp-2", "0x1.0133effacc3b2p-1", "0x1.0fb6cad0f2d7fp-1",
+        "0x1.0fb6cad0f2d7fp-1", "0x1.1c03aa592a6ecp-1", "0x1.3985343608a88p-1",
+        "0x1.1ed9d76816098p-1", "0x1.3130b02bf0137p-1", "0x1.2b1ea6efeaf40p-1",
+        "0x1.11d509548ed66p-1",
+    ]
+    assert m.sample_path(s, 1.0, 3, seed=5).tolist() == [
+        1.0, 1.0, 0.9634761175827589, 0.9321009716397155]
+
+
+def test_sample_path_is_replica_zero_of_the_estimate():
+    # the first arrival of the path is replica 0's hitting time
+    k = random_dense_chain(np.random.default_rng(7), 6)
+    path = m.sample_path(k, 0, 400, seed=13)
+    first = int(np.flatnonzero(path == 5)[0])
+    est = m.estimate_hitting(k, 0, [5], replicas=1, horizon=400, seed=13)
+    assert est.mean == first
+
+
+@pytest.mark.parametrize("x0", [-1, 3])
+def test_sample_path_rejects_finite_starts_outside_the_chain(monkeypatch, x0):
+    monkeypatch.setattr(montecarlo, "_first_hits", _no_walkers)
+    with pytest.raises(ValueError, match="is not a state of this 3-state chain"):
+        m.sample_path(PATH3, x0, 5, seed=0)
+
+
+@pytest.mark.parametrize("x0", [1.5, -0.05, float("nan")])
+def test_sample_path_rejects_ball_walk_starts_outside_the_unit_interval(monkeypatch, x0):
+    s = m.ball_walk_sampler(EXP, 1.0 / 16.0)
+    monkeypatch.setattr(montecarlo, "_first_hits", _no_walkers)
+    with pytest.raises(ValueError, match="is not a point of the ball walk's"):
+        m.sample_path(s, x0, 5, seed=0)
+    with pytest.raises(ValueError, match="is not a point of the ball walk's"):
+        m.sample_path(s, x0, 0, seed=0)
 
 
 # --- estimate_hitting ---------------------------------------------------------------
@@ -140,7 +193,7 @@ def test_batch_equals_per_job_on_a_finite_kernel():
     near, far = [5], [0, 1]
     jobs = [(0, near, 11), (5, near, 12), (2, far, 13), (3, near, 14), (4, [5], 15)]
     replicas, horizon = 1500, 4  # 7500 walkers: job 2 straddles the 4096 chunk edge
-    assert 2 * replicas < montecarlo._CHUNK < 3 * replicas
+    assert 2 * replicas < montecarlo._population(1) < 3 * replicas
     batch = m.estimate_hitting_batch(k, jobs, replicas, horizon)
     assert list(map(repr, batch)) == list(map(repr, _per_job(k, jobs, replicas, horizon)))
     assert batch[1].mean == 0.0 and batch[1].censored_fraction == 0.0  # starts in its target
@@ -221,7 +274,7 @@ def test_refilled_population_matches_walkers_stepped_alone(monkeypatch):
     k = m.build_finite_kernel(p)
     jobs = [(0, {2}, 5), (1, {2}, 6), (0, {1}, 7)]
     replicas, horizon = 3000, 250
-    assert len(jobs) * replicas > 2 * montecarlo._CHUNK
+    assert len(jobs) * replicas > 2 * montecarlo._population(1)
     mixed = []
     block = montecarlo._ReplicaStreams.block
 
@@ -235,7 +288,7 @@ def test_refilled_population_matches_walkers_stepped_alone(monkeypatch):
     times, censored = montecarlo._first_hits(
         [x0 for x0, _, _ in jobs], [seed for *_, seed in jobs], [0, 1, 2],
         [member.__getitem__ for member in members], montecarlo._finite_advance(k),
-        1, replicas, horizon, montecarlo._CHUNK)
+        1, replicas, horizon, montecarlo._population(1))
     alone = [_walk_alone(p, x0, target, seed, r, horizon)
              for x0, target, seed in jobs for r in range(replicas)]
     assert times.tolist() == [t for t, _ in alone]
@@ -271,14 +324,14 @@ def _replica_prefix(result, replicas, jobs, keep):
 def test_population_is_a_pure_performance_parameter(monkeypatch):
     # times and censoring depend only on each walker's key and step, never
     # on how many walkers share a loop step or how wide the stream rows are
-    wide = _ball_walk_first_hits(700, montecarlo._CONTINUOUS_POPULATION)  # 2800 walkers
+    wide = _ball_walk_first_hits(700, montecarlo._population(2))  # 2800 walkers
     assert 0.0 < wide[1].mean() < 0.5  # some walkers are censored, most are not
     assert _replica_prefix(_ball_walk_first_hits(700, 1024), 700, 4, 700) == \
         _replica_prefix(wide, 700, 4, 700)
     for population in (1, 3):
         assert _replica_prefix(_ball_walk_first_hits(6, population), 6, 4, 6) == \
             _replica_prefix(wide, 700, 4, 6)
-    full = _finite_first_hits(3000, montecarlo._CHUNK)  # 9000 walkers
+    full = _finite_first_hits(3000, montecarlo._population(1))  # 9000 walkers
     assert 0.0 < full[1].mean() < 0.1
     assert _replica_prefix(_finite_first_hits(40, 7), 40, 3, 40) == \
         _replica_prefix(full, 3000, 3, 40)
@@ -287,6 +340,24 @@ def test_population_is_a_pure_performance_parameter(monkeypatch):
         _replica_prefix(wide, 700, 4, 6)
     assert _replica_prefix(_finite_first_hits(40, 16), 40, 3, 40) == \
         _replica_prefix(full, 3000, 3, 40)
+
+
+@pytest.mark.parametrize("draws,population", [(1, 4096), (2, 2048)])
+def test_population_fills_the_block_with_rows_of_row_steps(draws, population):
+    # finite kernels take one draw a step, the ball walk two
+    assert montecarlo._population(draws) == population
+    assert population * montecarlo._ROW_STEPS * draws == montecarlo._BLOCK_DRAWS
+
+
+def test_a_population_too_large_for_the_block_is_refused(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_BLOCK_DRAWS", 64)  # 4-step rows hold 8 ball walkers
+    monkeypatch.setattr(montecarlo, "_ReplicaStreams", _no_walkers)
+    with pytest.raises(ValueError, match="do not fit"):
+        _ball_walk_first_hits(6, 9)
+    with pytest.raises(ValueError, match="do not fit"):
+        _finite_first_hits(40, 17)
+    with pytest.raises(ValueError, match="do not fit"):
+        _finite_first_hits(40, 0)
 
 
 def test_fused_population_blocks_stay_within_budget(monkeypatch):
@@ -314,7 +385,7 @@ def test_fused_population_blocks_stay_within_budget(monkeypatch):
     assert len(seeds) == 54 and sum(started) == 54 * 256
     # the 13 824 walkers fill the ball-walk population, whose full block is
     # the whole budget: population x row steps x draws
-    assert max(rows) == montecarlo._CONTINUOUS_POPULATION
+    assert max(rows) == montecarlo._population(2)
     assert max(sizes) == montecarlo._BLOCK_DRAWS
 
 
@@ -453,10 +524,6 @@ def test_step_calls_count_every_walker_step(monkeypatch):
 
 
 # --- finite states outside the chain ---------------------------------------------------
-
-def _no_walkers(*args):
-    raise AssertionError("the walker loop ran")
-
 
 @pytest.mark.parametrize("x0,target", [(-1, [0]), (4, [0]), (0, [-1]), (0, [1, 4])])
 def test_finite_states_outside_the_chain_are_rejected(monkeypatch, x0, target):

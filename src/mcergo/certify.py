@@ -59,15 +59,9 @@ class DriftCertificate:
     r_prime: float
 
     def __post_init__(self):
-        v = np.array(self.v, dtype=float)
+        v = np.array(_check_drift(self.lam, self.b, self.v))
         v.setflags(write=False)
         object.__setattr__(self, "v", v)
-        if np.any(v < 0.0):
-            raise InvalidParameters("V must be nonnegative")
-        if not (0.0 <= self.lam < 1.0):
-            raise InvalidParameters("lambda must lie in [0, 1)")
-        if self.b < 0.0:
-            raise InvalidParameters("b must be nonnegative")
 
     def sublevel(self, radius: float) -> np.ndarray:
         return np.flatnonzero(self.v <= radius)
@@ -132,8 +126,7 @@ class GeometricBound:
         return bound_rhs(self.eps, self.lam_eff, self.b_eff, self.r_eff, self.p, v_x, k)
 
     def check_equalities(self, tol=EQUALITY_TOL) -> float:
-        a = (1.0 + 2.0 * self.b_eff + self.lam_eff * self.r_eff) / (1.0 + self.r_eff)
-        bb = 1.0 + 2.0 * (self.lam_eff * self.r_eff + self.b_eff)
+        a, bb = _contraction_terms(self.lam_eff, self.b_eff, self.r_eff)
         lhs = (1.0 - self.eps) ** self.p
         mid = a ** (1.0 - self.p) * bb ** self.p
         worst = max(abs(lhs - mid), abs(lhs - (1.0 - self.rho)))
@@ -185,7 +178,6 @@ class DTable:
             if prev_d is not None and d > prev_d + ROW_SUM_TOL:
                 raise DTableInvalid("d_alpha must be non-increasing in alpha")
             prev_d = d
-        object.__setattr__(self, "entries", ordered)
 
     def lookup(self, alpha: float) -> tuple[float, float]:
         for a, d, d_prime, _ in self.entries:
@@ -241,19 +233,26 @@ class DriftCheck:
     worst_state: int
 
 
+def _check_drift(lam: float, b: float, v=()) -> np.ndarray:
+    """``v`` as a float array; InvalidParameters unless 0 <= lambda < 1, b >= 0 and
+    V >= 0 (NaN fails).  The one check of drift parameters."""
+    v = np.asarray(v, dtype=float)
+    if not np.all(v >= 0.0):
+        raise InvalidParameters("V must be nonnegative")
+    if not (0.0 <= lam < 1.0):
+        raise InvalidParameters("lambda must lie in [0, 1)")
+    if not b >= 0.0:
+        raise InvalidParameters("b must be nonnegative")
+    return v
+
+
 def verify_drift(k: FiniteKernel, v, lam: float, b: float) -> DriftCheck:
     """Check (PV)(x) <= lam V(x) + b for all x; one matrix-vector product.
 
     Returns the worst slack min_x(lam V(x) + b - (PV)(x)); passes iff the
     slack is >= -1e-12.
     """
-    v = np.asarray(v, dtype=float)
-    if np.any(v < 0.0):
-        raise InvalidParameters("V must be nonnegative")
-    if not (0.0 <= lam < 1.0):
-        raise InvalidParameters("lambda must lie in [0, 1)")
-    if b < 0.0:
-        raise InvalidParameters("b must be nonnegative")
+    v = _check_drift(lam, b, v)
     if v.shape != (k.n,):
         raise InvalidParameters("V length does not match the kernel")
     slack = lam * v + b - k.p @ v
@@ -287,8 +286,7 @@ def fit_drift(k: FiniteKernel, v, lam_grid=None) -> tuple[float, float]:
 
 def lazy_drift_params(lam: float, b: float) -> tuple[float, float]:
     """Drift parameters of the half-lazy chain: ((1 + lam)/2, b/2)."""
-    if not (0.0 <= lam < 1.0) or b < 0.0:
-        raise InvalidParameters("need 0 <= lambda < 1 and b >= 0")
+    _check_drift(lam, b)
     return (1.0 + lam) / 2.0, b / 2.0
 
 
@@ -296,9 +294,9 @@ def multistep_drift_params(lam: float, b: float, t: int) -> tuple[float, float]:
     """Drift parameters inherited by the t-step kernel."""
     if t < 1:
         raise InvalidParameters("step count must be >= 1")
+    _check_drift(lam, b)
     lam_t = lam ** t
-    b_t = b * t if lam == 1.0 else b * (1.0 - lam_t) / (1.0 - lam)
-    return lam_t, b_t
+    return lam_t, b * (1.0 - lam_t) / (1.0 - lam)
 
 
 # --- compatibility -----------------------------------------------------------------
@@ -336,8 +334,7 @@ def compatibility_check(cert: DriftCertificate, mode: str = "classic") -> Compat
 
 def drift_envelope(lam: float, b: float, v0: float, t: int) -> float:
     """Upper bound lam^t V(X_0) + b/(1 - lam) on E[V(X_t)]."""
-    if not (0.0 <= lam < 1.0):
-        raise InvalidParameters("lambda must lie in [0, 1)")
+    _check_drift(lam, b, v0)
     return lam ** t * v0 + b / (1.0 - lam)
 
 
@@ -373,12 +370,12 @@ def solve_contraction(eps: float, lam: float, b: float, r: float) -> tuple[float
     """
     if not (0.0 < eps < 1.0):
         raise InvalidParameters("eps must lie in (0, 1)")
-    if not (0.0 <= lam < 1.0) or b < 0.0 or r <= 0.0:
-        raise InvalidParameters("need 0 <= lambda < 1, b >= 0, r > 0")
-    a = (1.0 + 2.0 * b + lam * r) / (1.0 + r)
+    _check_drift(lam, b)
+    if not r > 0.0:
+        raise InvalidParameters("r must be positive")
+    a, big_b = _contraction_terms(lam, b, r)
     if a >= 1.0:
         raise IncompatibleRadius(f"(1 + 2b + lam r)/(1 + r) = {a} >= 1")
-    big_b = 1.0 + 2.0 * (lam * r + b)
     log_a = math.log(a)
     log_b = math.log(big_b)
     log_e = math.log1p(-eps)
@@ -406,12 +403,17 @@ def solve_contraction(eps: float, lam: float, b: float, r: float) -> tuple[float
     return p, rho
 
 
+def _contraction_terms(lam: float, b: float, r: float) -> tuple[float, float]:
+    """A = (1 + 2b + lam r)/(1 + r) and B = 1 + 2(lam r + b) of the contraction."""
+    return (1.0 + 2.0 * b + lam * r) / (1.0 + r), 1.0 + 2.0 * (lam * r + b)
+
+
 def bound_rhs(eps: float, lam: float, b: float, r: float, p: float, v_x: float, t: int) -> float:
     """(1-eps)^(pt) + (1 + b/(1-lam) + V(x)) [A^(1-p) B^p]^t."""
     if t < 0:
         raise InvalidParameters("t must be a nonnegative integer")
-    a = (1.0 + 2.0 * b + lam * r) / (1.0 + r)
-    big_b = 1.0 + 2.0 * (lam * r + b)
+    _check_drift(lam, b, v_x)
+    a, big_b = _contraction_terms(lam, b, r)
     first = (1.0 - eps) ** (p * t)
     second = (1.0 + b / (1.0 - lam) + v_x) * (a ** (1.0 - p) * big_b ** p) ** t
     return first + second
@@ -494,8 +496,7 @@ def certify_drift_and_hit(
         interval_ok = dom.kernel.states is not None and is_birth_death(dom.kernel)
         report = max_hitting_time(dom.kernel, alpha,
                                   strategy="interval" if interval_ok else "brute")
-        d, _ = dtable.lookup(alpha)
-        t_mix = int(math.ceil(d * report.t_h))
+        t_mix = int(math.ceil(hit_to_mix(report.t_h, alpha, dtable)[0]))
     else:
         raise ValueError(f"unknown t route {t_route!r}")
 

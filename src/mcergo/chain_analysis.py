@@ -6,10 +6,12 @@ hitting times by linear solves, maximum hitting times over set families,
 the probability of leaving a set within t steps, and pairwise
 pseudo-minorization constants.
 
-All functions are pure over immutable kernels; enumeration results carry a
-deterministic lexicographic tie-break on (set, start) encodings.  The
-module needs numpy alone: dense solves are ``np.linalg.solve``, and closed
-classes and reachability come from one depth-first search (``_reach``).
+All functions are pure over immutable kernels and read every argument that
+names states through ``FiniteKernel.state_set`` (a ValueError for a value
+that is not a state); enumeration results carry a deterministic
+lexicographic tie-break on (set, start) encodings.  The module needs numpy
+alone: dense solves are ``np.linalg.solve``, and closed classes and
+reachability come from one depth-first search (``_reach``).
 """
 from __future__ import annotations
 
@@ -203,12 +205,15 @@ def tv_distance(p, q) -> float:
 def tv_trajectory(k: FiniteKernel, t_max: int, starts=None, pi=None):
     """Yield the vector of TV(P^t(x, .), pi) over the starts x for t = 0..t_max.
 
-    The one every-t loop: one (starts x n) block times P per step.  pi
-    defaults to the stationary law of k, solved when iteration begins.
-    """
+    The one every-t loop: one (starts x n) block times P per step, starts
+    ascending.  pi defaults to the stationary law of k, solved when
+    iteration begins."""
+    starts = np.arange(k.n) if starts is None else k.state_set(starts, "start")
+    if not starts.size:
+        raise EmptySubset("start set is empty")
+    rows = np.eye(k.n)[starts]
     if pi is None:
         pi = stationary_distribution(k)
-    rows = np.eye(k.n) if starts is None else np.eye(k.n)[np.asarray(starts, dtype=int)]
     for t in range(t_max + 1):
         yield 0.5 * np.abs(rows - pi).sum(axis=1)
         if t < t_max:
@@ -261,6 +266,8 @@ def mixing_time(
     TooManyStates
         If the ceil(log2(t_max + 1)) stored n x n powers would take more
         than ``MIXING_POWER_BYTES``; raised before any product is formed.
+    EmptySubset
+        If ``subset`` is empty.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
@@ -268,6 +275,9 @@ def mixing_time(
         t_max = default_mix_horizon(k.n)
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
+    starts = np.arange(k.n) if subset is None else k.state_set(subset, "start")
+    if not starts.size:
+        raise EmptySubset("start set is empty")
     squarings = int(t_max).bit_length()  # = ceil(log2(t_max + 1)) stored powers
     stored = squarings * k.n * k.n * np.dtype(float).itemsize
     if stored > MIXING_POWER_BYTES:
@@ -281,7 +291,6 @@ def mixing_time(
             pi = stationary_distribution(work)
         except Reducible:
             pi = _class_mixture(work.p, _closed_classes(work.p))
-    starts = np.arange(k.n) if subset is None else np.asarray(subset, dtype=int)
     checked = {}  # t -> max over starts of TV(P^t(x,.), pi)
 
     def mixed(t, rows):
@@ -347,12 +356,10 @@ def expected_hitting(k: FiniteKernel, target) -> np.ndarray:
         ``HITTING_CONDITION_TOL``.
     """
     n = k.n
-    A = np.unique(np.asarray(list(target), dtype=int))
+    A = k.state_set(target, "target state")
     if A.size == 0:
         return np.full(n, np.inf)
-    if A[0] < 0 or A[-1] >= n:
-        raise Unreachable("target indices out of range")
-    rest = np.setdiff1d(np.arange(n), A)
+    rest = np.delete(np.arange(n), A)
     if rest.size == 0:
         return np.zeros(n)
     reached, _ = _reach(_adjacency(k.p.T > 0.0), A.tolist(), bytearray(n))
@@ -559,21 +566,19 @@ def exit_probability(k: FiniteKernel, subset, x0: int, t: int) -> float:
     EmptySubset
         If ``subset`` is empty.
     ValueError
-        If t < 0, a state of ``subset`` lies outside [0, n), or x0 is not in
-        ``subset``.
+        If t < 0, a value of ``subset`` or x0 is not a state of k, or x0 is
+        not in ``subset``.
     """
-    S = np.unique(np.asarray(subset, dtype=int))
+    S = k.state_set(subset, "subset state")
     if S.size == 0:
         raise EmptySubset("exit subset is empty")
     if t < 0:
         raise ValueError("step count must be nonnegative")
-    if S[0] < 0 or S[-1] >= k.n:
-        raise ValueError(f"subset states must lie in 0..{k.n - 1}")
-    at = np.flatnonzero(S == x0)
+    at = np.flatnonzero(S == k.state_set([x0], "start"))
     if not at.size:
         raise ValueError(f"start {x0} is not in the subset")
     q = k.p[np.ix_(S, S)]
-    exit_mass = k.p[S][:, np.setdiff1d(np.arange(k.n), S)].sum(axis=1)
+    exit_mass = k.p[S][:, np.delete(np.arange(k.n), S)].sum(axis=1)
     law = np.zeros(S.size)  # delta_x0 Q^s: where the chain is at step s, still in S
     law[at[0]] = 1.0
     left = 0.0
@@ -621,7 +626,7 @@ def pseudo_minorization(k: FiniteKernel, subset, t: int) -> MinorizationReport:
     DegenerateOverlap
         If eps <= 0 within tolerance, signalling t too small.
     """
-    S = np.unique(np.asarray(subset, dtype=int))
+    S = k.state_set(subset, "subset state")
     if S.size == 0:
         raise EmptySubset("minorization subset is empty")
     if t < 1:

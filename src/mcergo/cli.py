@@ -42,14 +42,6 @@ def main(argv=None) -> int:
             )
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         result = RUNNERS[cfg.experiment](cfg, out_dir=args.out, quiet=args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

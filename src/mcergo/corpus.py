@@ -16,7 +16,6 @@ from .kernels import FiniteKernel, birth_death_chain, build_finite_kernel, mh_gr
 
 EXP_DENSITY = DensitySpec(kind="exponential-tilt", params={"tilt": -1.0},
                           unimodal_alpha=1.0 / 3.0, unimodal_ratio=1.5)
-UNIFORM_DENSITY = DensitySpec(kind="uniform", unimodal_alpha=1.0 / 3.0, unimodal_ratio=1.0)
 
 
 @dataclass(frozen=True)

@@ -118,9 +118,6 @@ class DensitySpec:
         """Z with integral of pdf/Z over [0,1] equal to 1."""
         return _normalizer_cached(self)
 
-    def normalized_pdf(self, x):
-        return self.pdf(x) / self.normalizer
-
     def mass(self, a: float, b: float) -> float:
         """Probability assigned to [a, b]."""
         a, b = max(0.0, a), min(1.0, b)

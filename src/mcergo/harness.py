@@ -53,6 +53,7 @@ from .svg import emit_svg
 
 EXPERIMENTS = ("scaling", "certify", "hitmix", "couple")
 STRATEGIES = ("brute", "interval")
+RESTRICTIONS = ("mh-restriction", "trace")  # gibbs needs a probability table no config carries
 
 SCALING_COLUMNS = [
     "c",
@@ -92,6 +93,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
+        if self.restriction not in RESTRICTIONS:
+            raise ConfigError(f"unknown restriction {self.restriction!r}; use {RESTRICTIONS}")
         if not (0.0 < self.alpha < 0.5):
             raise ConfigError("alpha must lie in (0, 0.5)")
         if self.replicas < 1:

@@ -78,6 +78,20 @@ class FiniteKernel:
             return self.states
         return np.arange(self.n, dtype=float)
 
+    def state_set(self, states, what: str) -> np.ndarray:
+        """The sorted, distinct indices of ``states``: the one reading of a set of states.
+
+        A state is a value of integer type in [0, n): 1.5, NaN and boolean masks are
+        refused, not truncated, and -1 is not counted from the end.  ``what`` names
+        the values in the ValueError."""
+        idx = np.unique(np.asarray(states if isinstance(states, np.ndarray) else list(states)))
+        whole = idx.dtype.kind in "iu"
+        if idx.size and not (whole and 0 <= idx[0] and idx[-1] < self.n):
+            bad = idx[-1] if whole and idx[0] >= 0 else idx[0]
+            raise ValueError(f"{what} {bad.item()!r} is not a state of this {self.n}-state "
+                             f"chain: states are integers that must lie in 0..{self.n - 1}")
+        return idx.astype(int, copy=False)
+
     def __eq__(self, other):
         if not isinstance(other, FiniteKernel):
             return NotImplemented
@@ -349,8 +363,8 @@ def restrict(
     ----------
     k : FiniteKernel
         The base kernel.
-    subset : index sequence
-        Nonempty subset S of state indices.
+    subset : states
+        Nonempty subset S of states, read by ``FiniteKernel.state_set``.
     variant : {"mh-restriction", "gibbs-restriction", "trace"}
         mh-restriction keeps within-S transitions and turns escaping mass
         into holding mass; gibbs-restriction builds the Gibbs kernel of the
@@ -362,14 +376,14 @@ def restrict(
     Raises
     ------
     EmptySubset, SingularCensoring, DominationViolation
+    ValueError
+        For an unknown variant, or a subset value that is not a state of k.
     """
     if variant not in RESTRICTION_VARIANTS:
         raise ValueError(f"unknown restriction variant {variant!r}")
-    S = np.unique(np.asarray(subset, dtype=int))
+    S = k.state_set(subset, "subset state")
     if S.size == 0:
         raise EmptySubset("restriction subset is empty")
-    if S.size and (S[0] < 0 or S[-1] >= k.n):
-        raise DimensionMismatch("subset indices out of range")
 
     if variant == "gibbs-restriction":
         if pi_table is None:
@@ -427,7 +441,7 @@ def _trace_matrix(p: np.ndarray, S: np.ndarray) -> np.ndarray:
     n = p.shape[0]
     if n > TRACE_STATE_CAP:
         raise DimensionMismatch(f"trace restriction capped at {TRACE_STATE_CAP} states")
-    comp = np.setdiff1d(np.arange(n), S)
+    comp = np.delete(np.arange(n), S)
     if comp.size == 0:
         return p.copy()
     a = p[np.ix_(S, S)]

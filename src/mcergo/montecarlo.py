@@ -396,11 +396,11 @@ def _walker_rule(sampler) -> _WalkerRule:
     """
     if isinstance(sampler, FiniteKernel):
         def place(x0):
-            return int(_state_indices(sampler.n, [x0], "start")[0])
+            return int(sampler.state_set([x0], "start")[0])
 
         def arrival(target):
             member = np.zeros(sampler.n, dtype=bool)
-            member[_state_indices(sampler.n, target, "target state")] = True
+            member[sampler.state_set(target, "target state")] = True
             return member.__getitem__
 
         return _WalkerRule(1, _finite_advance(sampler), place, arrival)
@@ -424,18 +424,6 @@ def _walker_rule(sampler) -> _WalkerRule:
 def _population(draws: int) -> int:
     """Walkers whose ``_ROW_STEPS``-step rows of ``draws`` draws a step fill one block."""
     return _BLOCK_DRAWS // (_ROW_STEPS * draws)
-
-
-def _state_indices(n: int, states, what: str) -> np.ndarray:
-    """``states`` as an index array; ValueError if any lies outside [0, n).
-
-    A negative index would otherwise count from the end of the chain.
-    """
-    idx = np.asarray(list(states), dtype=int)
-    outside = idx[(idx < 0) | (idx >= n)]
-    if outside.size:
-        raise ValueError(f"{what} {outside[0]} is not a state of this {n}-state chain")
-    return idx
 
 
 def sample_path(sampler, x0, t: int, seed: int) -> np.ndarray:
@@ -488,8 +476,8 @@ def estimate_hitting(
     AllCensored
         If no replica hits within the horizon.
     ValueError
-        If a finite-kernel start or target state lies outside [0, n), or a
-        ball-walk start outside [0, 1].
+        If a finite-kernel start or target value is not a state of the chain
+        (``FiniteKernel.state_set``), or a ball-walk start lies outside [0, 1].
     """
     return estimate_hitting_batch(sampler, [(x0, target, seed)], replicas, horizon)[0]
 
@@ -509,8 +497,8 @@ def estimate_hitting_batch(sampler, jobs, replicas: int, horizon: int) -> list[M
         For the first job, in job order, none of whose replicas hits
         within the horizon.
     ValueError
-        If a finite-kernel start or target state lies outside [0, n), or a
-        ball-walk start outside [0, 1] (NaN included); no walker runs.
+        If a finite-kernel start or target value is not a state of the chain,
+        or a ball-walk start lies outside [0, 1] (NaN included); no walker runs.
     """
     if replicas < 1:
         raise ValueError("need at least one replica")
@@ -571,7 +559,7 @@ def coupled_escape_estimate(
     NotDominating
         If the entrywise domination check fails on the support.
     ValueError
-        If x0 lies outside [0, n) or outside the support.
+        If x0 is not a state of g or lies outside the support.
     """
     if t < 0:
         raise ValueError("step count must be nonnegative")
@@ -584,7 +572,7 @@ def coupled_escape_estimate(
         raise NotDominating(f"restriction does not dominate the base (gap {gap:.3e})")
     rule = _walker_rule(g)
     x0 = rule.place(x0)
-    outside = rule.arrival(np.setdiff1d(np.arange(g.n), S))
+    outside = rule.arrival(np.delete(np.arange(g.n), S))
     if outside(x0):
         raise ValueError("start state must lie in the coupling set")
 

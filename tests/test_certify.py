@@ -100,6 +100,27 @@ def test_multistep_drift_params():
     assert b_t / (1.0 - lam_t) == pytest.approx(1.0 / 0.5)
 
 
+DRIFT_TAKERS = {
+    "DriftCertificate": lambda lam, b: m.DriftCertificate(v=[0.0, 1.0], lam=lam, b=b, r=5.0,
+                                                          r_prime=1.0),
+    "verify_drift": lambda lam, b: m.verify_drift(m.build_finite_kernel(np.eye(2)),
+                                                  [0.0, 1.0], lam, b),
+    "lazy_drift_params": lambda lam, b: m.lazy_drift_params(lam, b),
+    "multistep_drift_params": lambda lam, b: multistep_drift_params(lam, b, 3),
+    "drift_envelope": lambda lam, b: m.drift_envelope(lam, b, 1.0, 2),
+    "solve_contraction": lambda lam, b: m.solve_contraction(0.5, lam, b, 5.0),
+    "bound_rhs": lambda lam, b: m.bound_rhs(0.5, lam, b, 5.0, 0.1, 1.0, 1),
+}
+
+
+@pytest.mark.parametrize("lam,b", [(1.0, 0.0), (-0.1, 0.0), (0.5, -0.1), (float("nan"), 0.0),
+                                   (0.5, float("nan"))])
+@pytest.mark.parametrize("taker", list(DRIFT_TAKERS))
+def test_every_drift_parameter_taker_refuses_the_same_values(taker, lam, b):
+    with pytest.raises(errors.InvalidParameters, match="lambda must lie in|b must be"):
+        DRIFT_TAKERS[taker](lam, b)
+
+
 # --- compatibility ------------------------------------------------------------------------
 
 def test_compatibility_classic_threshold():

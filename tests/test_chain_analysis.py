@@ -618,6 +618,14 @@ def test_exit_probability_of_iid_rows():
     assert m.exit_probability(k, range(4), 3, 10) == 0.0
 
 
+def test_empty_start_sets_are_refused():
+    k = random_dense_chain(np.random.default_rng(0), 6)
+    with pytest.raises(errors.EmptySubset):
+        m.mixing_time(k, subset=[])
+    with pytest.raises(errors.EmptySubset):
+        m.tv_profile(k, 3, starts=[])
+
+
 def test_exit_probability_rejects_bad_arguments():
     k = m.build_finite_kernel(np.tile([0.55, 0.25, 0.15, 0.05], (4, 1)))
     with pytest.raises(errors.EmptySubset):

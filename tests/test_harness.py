@@ -438,6 +438,19 @@ def test_cli_subcommand_mismatch_exit_two(tmp_path):
     assert cli_main(["certify", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("restriction", ["foo", "gibbs-restriction"])
+def test_cli_unknown_restriction_exit_two(tmp_path, restriction):
+    # no config can carry the probability table a Gibbs restriction needs
+    cfg = _write_cfg(tmp_path, {
+        "experiment": "certify",
+        "chain": {"kind": "birth-death", "density": {"kind": "exponential-tilt", "tilt": -1.0},
+                  "c": 0.125},
+        "certificate": {"v": {"kind": "exp-of-coordinate", "kappa": 0.5}},
+        "restriction": restriction,
+    })
+    assert cli_main(["certify", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+
+
 def test_cli_analysis_failure_exit_one(tmp_path):
     cfg = _write_cfg(tmp_path, {
         "experiment": "hitmix",

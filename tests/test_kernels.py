@@ -84,6 +84,17 @@ def test_rows_stochastic_after_build(n, seed):
     assert k.p.min() >= 0.0
 
 
+def test_state_set_is_the_sorted_distinct_states():
+    k = m.build_finite_kernel(np.full((4, 4), 0.25))
+    assert k.state_set([3, 1, 3], "state").tolist() == [1, 3]
+    assert k.state_set({2, 0}, "state").tolist() == [0, 2]
+    assert k.state_set(np.array([3], dtype=np.uint8), "state").tolist() == [3]
+    empty = k.state_set([], "state")
+    assert empty.size == 0 and empty.dtype.kind == "i"
+    with pytest.raises(ValueError, match="start 4 is not a state of this 4-state chain"):
+        k.state_set([0, 4], "start")
+
+
 # --- lazy transform -----------------------------------------------------------
 
 def test_lazy_identity_fixed_point():

@@ -535,6 +535,49 @@ def test_finite_states_outside_the_chain_are_rejected(monkeypatch, x0, target):
         m.estimate_hitting_batch(k, [(0, [1], 0), (x0, target, 0)], replicas=10, horizon=10)
 
 
+K6 = random_dense_chain(np.random.default_rng(0), 6)
+TRACE6 = m.restrict(K6, [0, 1, 2], "trace")  # dominates K6 on {0, 1, 2}
+MASK6 = np.arange(6) >= 3  # a boolean mask is not a set of states
+
+
+def _bad_set(bad):
+    return MASK6 if bad is None else [0, bad]
+
+
+def _bad_state(bad):
+    return True if bad is None else bad
+
+
+# every function that takes states of a finite chain, fed one value that is not a state
+STATE_TAKERS = {
+    "mixing_time": lambda bad: m.mixing_time(K6, subset=_bad_set(bad)),
+    "tv_profile": lambda bad: m.tv_profile(K6, 3, starts=_bad_set(bad)),
+    "pseudo_minorization": lambda bad: m.pseudo_minorization(K6, _bad_set(bad), 2),
+    "expected_hitting": lambda bad: m.expected_hitting(K6, _bad_set(bad)),
+    "exit_probability-subset": lambda bad: m.exit_probability(K6, _bad_set(bad), 0, 3),
+    "exit_probability-x0": lambda bad: m.exit_probability(K6, range(6), _bad_state(bad), 3),
+    "restrict": lambda bad: m.restrict(K6, _bad_set(bad), "trace"),
+    "estimate_hitting-x0": lambda bad: m.estimate_hitting(
+        K6, _bad_state(bad), [5], replicas=10, horizon=10, seed=0),
+    "estimate_hitting-target": lambda bad: m.estimate_hitting(
+        K6, 0, _bad_set(bad), replicas=10, horizon=10, seed=0),
+    "estimate_hitting_batch": lambda bad: m.estimate_hitting_batch(
+        K6, [(0, [5], 0), (_bad_state(bad), [5], 1)], replicas=10, horizon=10),
+    "coupled_escape_estimate": lambda bad: m.coupled_escape_estimate(
+        K6, TRACE6, _bad_state(bad), 5, replicas=10, seed=0),
+    "sample_path": lambda bad: m.sample_path(K6, _bad_state(bad), 5, seed=0),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, -1, 6, float("nan"), None],
+                         ids=["1.5", "-1", "n", "nan", "mask"])
+@pytest.mark.parametrize("taker", list(STATE_TAKERS))
+def test_values_that_are_not_states_are_rejected(monkeypatch, taker, bad):
+    monkeypatch.setattr(montecarlo, "_first_hits", _no_walkers)
+    with pytest.raises(ValueError, match="is not a state of this 6-state chain"):
+        STATE_TAKERS[taker](bad)
+
+
 @pytest.mark.parametrize("x0", [1.5, -0.05, float("nan"), float("inf")])
 def test_ball_walk_starts_outside_the_unit_interval_are_rejected(monkeypatch, x0):
     sampler = m.ball_walk_sampler(EXP, 1.0 / 8.0)

@@ -25,7 +25,6 @@ from .chain_analysis import (
     max_hitting_time,
     mixing_time,
     pseudo_minorization,
-    stationary_distribution,
 )
 from .errors import (
     DegenerateOverlap,
@@ -200,14 +199,18 @@ class DTable:
                 (float(e["alpha"]), float(e["d"]), float(e["d_prime"]), str(e.get("note", "")))
                 for e in payload["entries"]
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DTableInvalid(f"malformed dtable payload: {exc}") from exc
         return cls(entries=entries)
 
     @classmethod
     def load(cls, path) -> "DTable":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                payload = json.load(fh)
+            except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+                raise DTableInvalid(f"dtable {path} is not JSON: {exc}") from exc
+        return cls.from_dict(payload)
 
     def save(self, path):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -271,11 +274,14 @@ def fit_drift(k: FiniteKernel, v, lam_grid=None) -> tuple[float, float]:
     returned pair always satisfies ``verify_drift``.
     """
     v = np.asarray(v, dtype=float)
-    if lam_grid is None:
-        lam_grid = np.arange(0.0, 1.0, 0.05)
+    if v.shape != (k.n,):
+        raise InvalidParameters("V length does not match the kernel")
+    lam_grid = np.arange(0.0, 1.0, 0.05) if lam_grid is None else np.asarray(lam_grid, dtype=float)
+    if lam_grid.ndim != 1 or lam_grid.size == 0:
+        raise InvalidParameters("lambda grid must be a nonempty list of values")
     pv = k.p @ v
     best = None
-    for lam in np.asarray(lam_grid, dtype=float):
+    for lam in lam_grid:
         if not (0.0 <= lam < 1.0):
             raise InvalidParameters("lambda grid must lie in [0, 1)")
         b = float(max(0.0, np.max(pv - lam * v)))
@@ -435,9 +441,7 @@ def certify_drift_and_hit(
     variant: str = "mh-restriction",
     alpha: float = 1.0 / 3.0,
     dtable: DTable | None = None,
-    pi_table=None,
     t_route: str = "auto",
-    pi: np.ndarray | None = None,
 ) -> GeometricBound:
     """Assemble the geometric bound from a drift certificate.
 
@@ -450,9 +454,7 @@ def certify_drift_and_hit(
     never from a lower bound); (iv) take the pairwise overlap at T + 1
     steps, exactly when the chain is small enough, else the 1/3 of the
     drift-and-hit theorem; (v) solve the contraction for the (T+1)-step
-    drift parameters at radius r'.  ``pi``, when given, is the stationary
-    law of k, so a caller that already solved it is not made to solve it
-    again.
+    drift parameters at radius r'.
 
     Raises
     ------
@@ -475,9 +477,7 @@ def certify_drift_and_hit(
         raise IncompatibleCertificate("sublevel sets are empty")
     degenerate = C.size == k.n
 
-    if pi is None:
-        pi = stationary_distribution(k)
-    dom = restrict(k, C, variant, pi_table=pi_table, base_stationary=pi)
+    dom = restrict(k, C, variant)
     sub_check = verify_drift(dom.kernel, cert.v[C], cert.lam, cert.b)
     if not sub_check.passed:
         raise IncompatibleCertificate(

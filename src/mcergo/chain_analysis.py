@@ -6,9 +6,10 @@ hitting times by linear solves, maximum hitting times over set families,
 the probability of leaving a set within t steps, and pairwise
 pseudo-minorization constants.
 
-All functions are pure over immutable kernels and read every argument that
+All functions are pure over immutable kernels, read every argument that
 names states through ``FiniteKernel.state_set`` (a ValueError for a value
-that is not a state); enumeration results carry a deterministic
+that is not a state) and the stationary law through
+``FiniteKernel.stationary``; enumeration results carry a deterministic
 lexicographic tie-break on (set, start) encodings.  The module needs numpy
 alone: dense solves are ``np.linalg.solve``, and closed classes and
 reachability come from one depth-first search (``_reach``).
@@ -202,27 +203,25 @@ def tv_distance(p, q) -> float:
     return 0.5 * float(np.abs(p - q).sum())
 
 
-def tv_trajectory(k: FiniteKernel, t_max: int, starts=None, pi=None):
+def tv_trajectory(k: FiniteKernel, t_max: int, starts=None):
     """Yield the vector of TV(P^t(x, .), pi) over the starts x for t = 0..t_max.
 
     The one every-t loop: one (starts x n) block times P per step, starts
-    ascending.  pi defaults to the stationary law of k, solved when
-    iteration begins."""
+    ascending.  pi is ``k.stationary``, read when iteration begins."""
     starts = np.arange(k.n) if starts is None else k.state_set(starts, "start")
     if not starts.size:
         raise EmptySubset("start set is empty")
     rows = np.eye(k.n)[starts]
-    if pi is None:
-        pi = stationary_distribution(k)
+    pi = k.stationary
     for t in range(t_max + 1):
         yield 0.5 * np.abs(rows - pi).sum(axis=1)
         if t < t_max:
             rows = rows @ k.p
 
 
-def tv_profile(k: FiniteKernel, t_max: int, starts=None, pi=None) -> np.ndarray:
+def tv_profile(k: FiniteKernel, t_max: int, starts=None) -> np.ndarray:
     """max over starts of TV(P^t(x, .), pi) for t = 0..t_max."""
-    return np.array([float(np.max(tv)) for tv in tv_trajectory(k, t_max, starts, pi)])
+    return np.array([float(np.max(tv)) for tv in tv_trajectory(k, t_max, starts)])
 
 
 # --- mixing times -------------------------------------------------------------
@@ -237,7 +236,6 @@ def mixing_time(
     subset=None,
     lazy: bool = False,
     t_max: int | None = None,
-    pi: np.ndarray | None = None,
 ) -> int:
     """Smallest t with max over starts in the subset of TV(P^t(x,.), pi) <= eps.
 
@@ -252,11 +250,11 @@ def mixing_time(
     product kept whenever its TV still exceeds eps: about 2 log2(t) dense
     products instead of t.
 
-    The lazy flag replaces P with (P + I)/2 first; ``pi``, when given, is
-    the stationary law of k, which the lazy kernel shares.  A reducible
-    chain is measured against the equal mixture of its closed classes'
-    stationary laws, which is stationary too, so a chain that cannot mix
-    ends in ``NotMixedByHorizon`` rather than a reducibility error.
+    pi is ``k.stationary``.  The lazy flag replaces P with (P + I)/2
+    first, which has the same stationary law.  A reducible chain is
+    measured against the equal mixture of its closed classes' stationary
+    laws, which is stationary too, so a chain that cannot mix ends in
+    ``NotMixedByHorizon`` rather than a reducibility error.
 
     Raises
     ------
@@ -286,11 +284,10 @@ def mixing_time(
             f"({stored / 2**20:.0f} MiB > {MIXING_POWER_BYTES / 2**20:.0f} MiB)"
         )
     work = lazy_transform(k) if lazy else k
-    if pi is None:
-        try:
-            pi = stationary_distribution(work)
-        except Reducible:
-            pi = _class_mixture(work.p, _closed_classes(work.p))
+    try:
+        pi = k.stationary
+    except Reducible:
+        pi = _class_mixture(k.p, _closed_classes(k.p))
     checked = {}  # t -> max over starts of TV(P^t(x,.), pi)
 
     def mixed(t, rows):
@@ -432,7 +429,6 @@ def max_hitting_time(
     k: FiniteKernel,
     alpha: float,
     strategy: str = "brute",
-    pi: np.ndarray | None = None,
 ) -> HitMixReport:
     """Maximum expected hitting time of sets with stationary mass >= alpha.
 
@@ -453,12 +449,11 @@ def max_hitting_time(
     Raises
     ------
     TooManyStates, NoFeasibleSet, MissingCoordinates, NotBirthDeath,
-    Unreachable
+    Unreachable, Reducible, ResidualTooLarge
     """
     if alpha <= 0.0:
         raise NoFeasibleSet("alpha must be positive")
-    if pi is None:
-        pi = stationary_distribution(k)
+    pi = k.stationary
     if strategy == "brute":
         best = _brute_max(k, pi, alpha)
     elif strategy == "interval":

@@ -175,19 +175,21 @@ class DensitySpec:
         kind = cfg.pop("kind", None)
         if kind is None:
             raise ConfigError("density config needs a 'kind'")
-        alpha = cfg.pop("unimodal_alpha", 1.0 / 3.0)
-        ratio = cfg.pop("unimodal_ratio", 2.0)
+        alpha = _config_float(cfg.pop("unimodal_alpha", 1.0 / 3.0), "unimodal_alpha")
+        ratio = _config_float(cfg.pop("unimodal_ratio", 2.0), "unimodal_ratio")
         params = {}
         if kind == "exponential-tilt":
             if "tilt" not in cfg:
                 raise ConfigError("exponential-tilt density needs 'tilt'")
-            params["tilt"] = float(cfg.pop("tilt"))
+            params["tilt"] = _config_float(cfg.pop("tilt"), "tilt")
         elif kind == "piecewise-linear-table":
             try:
-                params["xs"] = tuple(float(v) for v in cfg.pop("xs"))
-                params["ys"] = tuple(float(v) for v in cfg.pop("ys"))
+                for key in ("xs", "ys"):
+                    params[key] = tuple(_config_float(v, key) for v in cfg.pop(key))
             except KeyError as exc:
                 raise ConfigError(f"piecewise table config missing {exc}") from exc
+            except TypeError as exc:  # not a list
+                raise ConfigError(f"piecewise table 'xs' and 'ys' must be lists: {exc}") from exc
         if cfg:
             raise ConfigError(f"unknown density config keys: {sorted(cfg)}")
         return cls(kind=kind, params=params, unimodal_alpha=alpha, unimodal_ratio=ratio)
@@ -209,6 +211,14 @@ def _normalizer_cached(spec: DensitySpec) -> float:
 
 def _freeze(v):
     return tuple(v) if isinstance(v, (list, tuple, np.ndarray)) else v
+
+
+def _config_float(value, what: str) -> float:
+    """A number read from a config; ConfigError when ``value`` is not one."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
 
 
 def _checked_inverse(c: float) -> int:

@@ -11,6 +11,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, fields
 
@@ -33,12 +34,11 @@ from .chain_analysis import (
     max_hitting_time,
     mix_to_hit_bound,
     mixing_time,
-    stationary_distribution,
     tv_trajectory,
 )
 from .corpus import bd_expdrift
-from .density import DensitySpec
-from .errors import ConfigError, McergoError, NotMixedByHorizon, Reducible, TooManyStates
+from .density import DensitySpec, _config_float
+from .errors import ConfigError, InvalidParameters, McergoError, NotMixedByHorizon, TooManyStates
 from .kernels import (
     FiniteKernel,
     birth_death_chain,
@@ -97,15 +97,28 @@ class ExperimentConfig:
             raise ConfigError(f"unknown restriction {self.restriction!r}; use {RESTRICTIONS}")
         if not (0.0 < self.alpha < 0.5):
             raise ConfigError("alpha must lie in (0, 0.5)")
-        if self.replicas < 1:
-            raise ConfigError("replicas must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
+        if not (_is_int(self.replicas) and self.replicas >= 1):
+            raise ConfigError(f"replicas must be an integer >= 1, got {self.replicas!r}")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if not (self.horizon is None or _is_int(self.horizon) and self.horizon >= 1):
+            raise ConfigError(f"horizon must be null or an integer >= 1, got {self.horizon!r}")
+        if not isinstance(self.svg, bool):
+            raise ConfigError(f"svg must be true or false, got {self.svg!r}")
+        if not (isinstance(self.output_path, str)
+                and (self.dtable_path is None or isinstance(self.dtable_path, str))):
+            raise ConfigError("output_path must be a path, and dtable_path null or a path")
         for c in self.c_list:
+            if not (isinstance(c, numbers.Real) and not isinstance(c, bool) and c > 0.0):
+                raise ConfigError(f"c_list entries must be positive numbers, got {c!r}")
             n = round(1.0 / c)
             if n < 2 or abs(n * c - 1.0) > 1e-9:
                 raise ConfigError(f"c = {c} does not have an integer reciprocal >= 2")
         object.__setattr__(self, "c_list", tuple(float(c) for c in self.c_list))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def parse_config(payload) -> ExperimentConfig:
@@ -123,7 +136,9 @@ def parse_config(payload) -> ExperimentConfig:
     if "experiment" not in payload:
         raise ConfigError("config needs an 'experiment'")
     kwargs = dict(payload)
-    if "c_list" in kwargs and kwargs["c_list"] is not None:
+    if kwargs.get("c_list") is not None:
+        if not isinstance(kwargs["c_list"], (list, tuple)):
+            raise ConfigError(f"c_list must be a list of step sizes, got {kwargs['c_list']!r}")
         kwargs["c_list"] = tuple(kwargs["c_list"])
     try:
         return ExperimentConfig(**kwargs)
@@ -195,13 +210,13 @@ def chain_from_config(spec: dict) -> tuple[FiniteKernel, DriftCertificate | None
         if density is None or c is None:
             raise ConfigError("birth-death chain needs 'density' and 'c'")
         _reject_unknown(spec, "chain")
-        return birth_death_chain(DensitySpec.from_config(density), float(c)), None, None
+        return birth_death_chain(DensitySpec.from_config(density), _config_float(c, "c")), None, None
     if kind == "lazy-srw":
         c = spec.pop("c", None)
         if c is None:
             raise ConfigError("lazy-srw chain needs 'c'")
         _reject_unknown(spec, "chain")
-        return lazy_srw(float(c)), None, None
+        return lazy_srw(_config_float(c, "c")), None, None
     if kind == "kernel-csv":
         path = spec.pop("path", None)
         if path is None:
@@ -234,26 +249,41 @@ def certificate_from_config(spec: dict, k: FiniteKernel) -> DriftCertificate:
     if isinstance(v_spec, dict):
         kind = v_spec.get("kind")
         if kind == "exp-of-coordinate":
-            kappa = float(v_spec.get("kappa", 1.0))
+            kappa = _config_float(v_spec.get("kappa", 1.0), "kappa")
             v = np.exp(kappa * k.coordinates())
         else:
             raise ConfigError(f"unknown v kind {kind!r}")
     else:
-        v = np.asarray(v_spec, dtype=float)
-    lam = spec.pop("lambda", None)
-    b = spec.pop("b", None)
+        v = _config_floats(v_spec, "v")
+        if v.shape != (k.n,):
+            raise InvalidParameters(
+                f"certificate V needs one value per state: shape {v.shape}, {k.n} states")
+
+    def number(key):
+        value = spec.pop(key, None)
+        return None if value is None else _config_float(value, key)
+
+    lam, b, r, r_prime = (number(key) for key in ("lambda", "b", "r", "r_prime"))
     lam_grid = spec.pop("fit_lambda_grid", None)
     if lam is None or b is None:
+        if lam_grid is not None:
+            lam_grid = _config_floats(lam_grid, "fit_lambda_grid")
         lam, b = fit_drift(k, v, lam_grid)
-    r = spec.pop("r", None)
-    r_prime = spec.pop("r_prime", None)
-    margin = float(spec.pop("radius_margin", 1.05))
+    margin = _config_float(spec.pop("radius_margin", 1.05), "radius_margin")
     _reject_unknown(spec, "certificate")
     if r_prime is None:
         r_prime = margin * 2.0 * b / (1.0 - lam)
     if r is None:
         r = margin * (2.0 * b + 24.0 * r_prime) / (1.0 - lam)
-    return DriftCertificate(v=v, lam=float(lam), b=float(b), r=float(r), r_prime=float(r_prime))
+    return DriftCertificate(v=v, lam=lam, b=b, r=r, r_prime=r_prime)
+
+
+def _config_floats(value, what: str) -> np.ndarray:
+    """An array of numbers read from a config; ConfigError when ``value`` is not one."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a list of numbers, got {value!r}") from None
 
 
 def _load_dtable(cfg: ExperimentConfig) -> DTable:
@@ -295,10 +325,9 @@ def run_scaling(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
     for ci, c in enumerate(cfg.c_list):
         h_c = birth_death_chain(density, c)
         w_c = lazy_srw(c)
-        pi_c = stationary_distribution(h_c)
-        th_bd = max_hitting_time(h_c, alpha, strategy=cfg.strategy, pi=pi_c).t_h
+        th_bd = max_hitting_time(h_c, alpha, strategy=cfg.strategy).t_h
         th_srw = max_hitting_time(w_c, alpha, strategy=cfg.strategy).t_h
-        tm_bd = mixing_time(h_c, pi=pi_c)
+        tm_bd = mixing_time(h_c)
         horizon = cfg.horizon or 50 * max(1, math.ceil(th_bd))
         mc_mean, mc_stderr, censored = _ballwalk_max_hitting(
             density, c, alpha_prime, cfg.replicas, horizon, cfg.seed, ci
@@ -420,17 +449,14 @@ def run_certify(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
             "small_set_size": int(cert.small_set.size),
             "inner_set_size": int(cert.inner_set.size),
         }
-        pi = stationary_distribution(k)
-        bound = certify_drift_and_hit(
-            k, cert, variant=variant, alpha=cfg.alpha, dtable=dtable, pi=pi,
-        )
+        bound = certify_drift_and_hit(k, cert, variant=variant, alpha=cfg.alpha, dtable=dtable)
         report["bound"] = bound.to_dict()
         report["m_per_state"] = [bound.m_of(v) for v in cert.v]
         if bound.degenerate_restriction:
             report["note"] = "restriction is degenerate: C is the full space"
 
         if k.n <= TV_PROFILE_STATE_CAP:
-            verdict, max_violation, profile_rows = _dominance_profile(k, cert, bound, pi)
+            verdict, max_violation, profile_rows = _dominance_profile(k, cert, bound)
             report["dominance_verdict"] = "PASS" if verdict else "FAIL"
             report["max_dominance_violation"] = max_violation
             _write_csv(
@@ -458,11 +484,11 @@ def run_certify(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
     return report
 
 
-def _dominance_profile(k: FiniteKernel, cert: DriftCertificate, bound, pi):
+def _dominance_profile(k: FiniteKernel, cert: DriftCertificate, bound):
     profile_rows = []
     ok = True
     max_violation = -math.inf
-    for t, tv in enumerate(tv_trajectory(k, TV_PROFILE_HORIZON, pi=pi)):
+    for t, tv in enumerate(tv_trajectory(k, TV_PROFILE_HORIZON)):
         bounds = bound.evaluate(cert.v, t)
         violation = float(np.max(tv - bounds))
         max_violation = max(max_violation, violation)
@@ -494,22 +520,17 @@ def run_hitmix(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
     errors = []
     t_m = t_l = None
     report = None
-    # (P + I)/2 has the stationary law of P, so one solve serves all three;
-    # a reducible chain leaves pi to each call, which handles it its own way
+    # all three calls read k.stationary: (P + I)/2 has the law of P
     try:
-        pi = stationary_distribution(k)
-    except Reducible:
-        pi = None
-    try:
-        t_m = mixing_time(k, pi=pi)
+        t_m = mixing_time(k)
     except (NotMixedByHorizon, TooManyStates) as exc:
         errors.append(f"tm:{type(exc).__name__}")
     try:
-        t_l = mixing_time(k, lazy=True, pi=pi)
+        t_l = mixing_time(k, lazy=True)
     except (NotMixedByHorizon, TooManyStates) as exc:
         errors.append(f"tL:{type(exc).__name__}")
     try:
-        report = max_hitting_time(k, cfg.alpha, strategy=cfg.strategy, pi=pi)
+        report = max_hitting_time(k, cfg.alpha, strategy=cfg.strategy)
     except McergoError as exc:
         errors.append(f"tH:{type(exc).__name__}")
 

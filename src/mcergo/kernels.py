@@ -7,12 +7,13 @@ half-lazy simple random walk, grid Metropolis-Hastings and random-scan
 Gibbs kernels, the continuous ball walk, and the three dominated
 restrictions (Metropolis-Hastings rejection, restricted Gibbs, trace).
 
-All kernel values are immutable after construction; samplers carry no
-hidden mutable state.
+Kernel values are immutable; the one value a FiniteKernel adds later is its
+stationary law ``FiniteKernel.stationary``, solved at most once per object.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +73,15 @@ class FiniteKernel:
     def n(self) -> int:
         return self.p.shape[0]
 
+    @cached_property
+    def stationary(self) -> np.ndarray:
+        """The read-only stationary law pi of P, solved on first read: the one source of pi.
+
+        ``Reducible`` and ``ResidualTooLarge`` propagate uncached, so each read raises."""
+        pi = chain_analysis.stationary_distribution(self)
+        pi.setflags(write=False)
+        return pi
+
     def coordinates(self) -> np.ndarray:
         """State coordinates; abstract chains fall back to 0..n-1."""
         if self.states is not None:
@@ -101,6 +111,14 @@ class FiniteKernel:
         return np.array_equal(self.p, other.p) and same_states
 
 
+def _float_array(values, what: str) -> np.ndarray:
+    """``values`` as a new float array; DimensionMismatch if they are ragged or not numbers."""
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"{what} is not a rectangular array of numbers: {exc}") from None
+
+
 def _frozen_array(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype, copy=True)
     out.setflags(write=False)
@@ -119,7 +137,7 @@ def build_finite_kernel(rows, states=None, reversible_wrt=None) -> FiniteKernel:
     ------
     NegativeEntry, RowSumViolation, DimensionMismatch, StatesNotOrdered
     """
-    p = np.array(rows, dtype=float)
+    p = _float_array(rows, "transition matrix")
     if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] < 1:
         raise DimensionMismatch(f"transition matrix must be square, got shape {p.shape}")
     if not np.all(np.isfinite(p)):
@@ -135,7 +153,7 @@ def build_finite_kernel(rows, states=None, reversible_wrt=None) -> FiniteKernel:
     off = dev > ROW_SUM_TOL
     p[off] /= sums[off, None]
     if states is not None:
-        states = np.asarray(states, dtype=float)
+        states = _float_array(states, "states")
         if states.shape != (p.shape[0],):
             raise DimensionMismatch("states length does not match matrix dimension")
         if np.any(np.diff(states) <= 0.0):
@@ -215,7 +233,7 @@ def mh_grid_kernel(psi: DensitySpec | np.ndarray, proposal: FiniteKernel) -> Fin
     probability is beta(x, y) = min{1, psi(y) q(y,x) / (psi(x) q(x,y))};
     rejected mass is held.  The proposal must be reversible with respect to
     a known positive vector (its ``reversible_wrt`` witness, or its
-    stationary vector when the witness is omitted).
+    stationary law when the witness is omitted).
 
     Raises
     ------
@@ -233,11 +251,7 @@ def mh_grid_kernel(psi: DensitySpec | np.ndarray, proposal: FiniteKernel) -> Fin
     if np.any(target <= 0.0):
         raise DensityNonpositive("target must be positive on the grid")
 
-    nu = proposal.reversible_wrt
-    if nu is None:
-        from .chain_analysis import stationary_distribution
-
-        nu = stationary_distribution(proposal)
+    nu = proposal.reversible_wrt if proposal.reversible_wrt is not None else proposal.stationary
     if np.any(nu <= 0.0):
         raise ProposalNotReversible("proposal witness vector must be positive")
     _check_detailed_balance(proposal.p, nu)
@@ -355,7 +369,6 @@ def restrict(
     subset,
     variant: str,
     pi_table=None,
-    base_stationary=None,
 ) -> DominatedKernel:
     """Restrict a kernel to a state subset by one of three dominated variants.
 
@@ -369,13 +382,12 @@ def restrict(
         mh-restriction keeps within-S transitions and turns escaping mass
         into holding mass; gibbs-restriction builds the Gibbs kernel of the
         conditional table restricted to S (``pi_table`` required); trace
-        censors time spent outside S.
-    base_stationary : ndarray, optional
-        Stationary law of the base; computed when omitted and needed.
+        censors time spent outside S.  pi(. | S) comes from ``k.stationary``.
 
     Raises
     ------
     EmptySubset, SingularCensoring, DominationViolation
+    Reducible, ResidualTooLarge
     ValueError
         For an unknown variant, or a subset value that is not a state of k.
     """
@@ -396,17 +408,7 @@ def restrict(
 
     sub_states = k.states[S] if k.states is not None else None
 
-    if base_stationary is None:
-        if variant == "gibbs-restriction":
-            t = np.array(pi_table, dtype=float)
-            base_stationary = (t / t.sum()).ravel()
-        elif k.reversible_wrt is not None:
-            base_stationary = np.asarray(k.reversible_wrt, dtype=float)
-        else:
-            from .chain_analysis import stationary_distribution
-
-            base_stationary = stationary_distribution(k)
-    pi_s = base_stationary[S]
+    pi_s = k.stationary[S]
     total = pi_s.sum()
     if total <= 0.0:
         raise EmptySubset("subset carries no stationary mass")
@@ -517,8 +519,15 @@ def kernel_to_csv(k: FiniteKernel, path):
 def kernel_from_csv(path) -> FiniteKernel:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
-        rows = [[float(v) for v in ln.split(",")] for ln in fh if ln.strip()]
-    if not rows:
+        lines = [ln for ln in fh if ln.strip()]
+    if not lines:
         raise DimensionMismatch("kernel csv needs a header and at least one row")
-    states = [float(v) for v in header.split(",")] if header else None
+    try:
+        rows = [[float(v) for v in ln.split(",")] for ln in lines]
+        states = [float(v) for v in header.split(",")] if header else None
+    except ValueError as exc:
+        raise DimensionMismatch(f"kernel csv has a cell that is not a number: {exc}") from None
     return build_finite_kernel(rows, states=states)
+
+
+from . import chain_analysis  # noqa: E402  (last: chain_analysis imports this module)

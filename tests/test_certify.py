@@ -64,6 +64,17 @@ def test_fit_iid_kernel_gives_mean_at_lambda_zero():
     assert b == pytest.approx(float(pi @ v), abs=1e-12)
 
 
+@pytest.mark.parametrize("v, lam_grid", [
+    (np.ones(3), []),  # no lambda to choose from
+    (np.ones(3), [[0.5]]),
+    (np.ones(2), None),  # one value short
+])
+def test_fit_refuses_an_empty_grid_and_a_v_of_the_wrong_length(v, lam_grid):
+    k = m.build_finite_kernel(np.full((3, 3), 1.0 / 3.0))
+    with pytest.raises(errors.InvalidParameters):
+        m.fit_drift(k, v, lam_grid)
+
+
 @given(st.integers(2, 5), st.integers(0, 10_000))
 @settings(max_examples=30, deadline=None)
 def test_fit_round_trips_through_verify(n, seed):

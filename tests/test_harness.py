@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import mcergo as m
-from mcergo import certify, chain_analysis, errors, harness
+from mcergo import chain_analysis, errors, harness
 from mcergo.cli import main as cli_main
 from mcergo.harness import (
     chain_from_config,
@@ -218,7 +218,18 @@ def test_run_certify_structured_failure(tmp_path):
     assert rep["error"]["type"] == "IncompatibleCertificate"
 
 
-def test_run_certify_solves_the_base_chain_once(tmp_path, monkeypatch):
+SOLVE_ONCE_CONFIGS = {
+    "scaling": {"experiment": "scaling", "density": UNIFORM_CFG, "c_list": [0.25, 0.125],
+                "replicas": 16},
+    # the restriction is another kernel object; mixing_time solves its own law
+    "certify": {"experiment": "certify", "chain": {"kind": "corpus", "name": "bd-expdrift"}},
+    # t_m, t_L and t_H share the one law: (P + I)/2 has the law of P
+    "hitmix": {"experiment": "hitmix", "chain": {"kind": "lazy-srw", "c": 0.125}},
+}
+
+
+@pytest.mark.parametrize("experiment, solves", [("scaling", 4), ("certify", 2), ("hitmix", 1)])
+def test_each_kernel_object_is_solved_at_most_once(tmp_path, monkeypatch, experiment, solves):
     solved = []
     solve = chain_analysis.stationary_distribution
 
@@ -226,17 +237,12 @@ def test_run_certify_solves_the_base_chain_once(tmp_path, monkeypatch):
         solved.append(k)
         return solve(k)
 
-    for module in (chain_analysis, certify, harness):
-        monkeypatch.setattr(module, "stationary_distribution", counted)
-    cfg = parse_config({
-        "experiment": "certify",
-        "chain": {"kind": "corpus", "name": "bd-expdrift"},
-        "alpha": 1.0 / 3.0,
-    })
-    rep = run_certify(cfg, out_dir=tmp_path / "run")
-    assert rep["dominance_verdict"] == "PASS"
-    # the restriction is another kernel object; mixing_time solves its own law
-    assert sum(k is solved[0] for k in solved) == 1
+    monkeypatch.setattr(chain_analysis, "stationary_distribution", counted)
+    cfg = parse_config(SOLVE_ONCE_CONFIGS[experiment])
+    rep = harness.RUNNERS[experiment](cfg, out_dir=tmp_path / "run")
+    assert rep.get("ok", True)
+    assert len(solved) == solves  # one solve per kernel object: no object is solved twice
+    assert len({id(k) for k in solved}) == solves
 
 
 # --- hitmix ----------------------------------------------------------------------
@@ -288,26 +294,6 @@ def test_run_hitmix_reducible_chain_row(tmp_path):
     assert row == "0.4,,,,,,,,,tm:NotMixedByHorizon;tL:NotMixedByHorizon;tH:Reducible"
 
 
-def test_run_hitmix_solves_stationary_once(tmp_path, monkeypatch):
-    calls = []
-    solve = chain_analysis.stationary_distribution
-
-    def counted(k):
-        calls.append(k.n)
-        return solve(k)
-
-    monkeypatch.setattr(chain_analysis, "stationary_distribution", counted)
-    monkeypatch.setattr(harness, "stationary_distribution", counted)
-    cfg = parse_config({
-        "experiment": "hitmix",
-        "chain": {"kind": "lazy-srw", "c": 0.125},
-        "alpha": 1.0 / 3.0,
-    })
-    rep = run_hitmix(cfg, out_dir=tmp_path / "run")
-    assert rep["ok"]
-    assert calls == [8]
-
-
 def test_run_hitmix_bound_holds(tmp_path):
     cfg = parse_config({
         "experiment": "hitmix",
@@ -342,6 +328,18 @@ def test_run_couple_corpus(tmp_path):
                           "escape_bound,0.07928268050967438,,,,3"]
     assert lines[3] == f"decoupling_exact,{rep['exact']!r},,,,3"
     assert len(lines) == 4
+
+
+def test_run_couple_refuses_a_certificate_v_shorter_than_the_chain(tmp_path):
+    # with lambda and b given no fit reads V; a short V would leave states 2, 3 out of C
+    cfg = parse_config({
+        "experiment": "couple",
+        "chain": {"kind": "lazy-srw", "c": 0.25},
+        "certificate": {"v": [0.0, 1.0], "lambda": 0.5, "b": 1.0},
+        "replicas": 10,
+    })
+    with pytest.raises(errors.InvalidParameters):
+        run_couple(cfg, out_dir=tmp_path / "run")
 
 
 def test_run_couple_verdict_is_exact_against_the_bound(tmp_path, monkeypatch):
@@ -460,6 +458,75 @@ def test_cli_analysis_failure_exit_one(tmp_path):
     })
     assert cli_main(["hitmix", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--quiet"]) == 1
+
+
+BD_CHAIN = {"kind": "birth-death", "density": {"kind": "exponential-tilt", "tilt": -1.0},
+            "c": 0.125}
+EXP_V = {"kind": "exp-of-coordinate", "kappa": 0.5}
+
+
+def _scaling_payload(**overrides):
+    return {"experiment": "scaling", "density": UNIFORM_CFG, "c_list": [0.25],
+            "replicas": 16, "seed": 2, **overrides}
+
+
+def _certify_payload(**certificate):
+    return {"experiment": "certify", "chain": BD_CHAIN,
+            "certificate": {"v": EXP_V, **certificate}}
+
+
+def _hitmix_payload(chain):
+    return {"experiment": "hitmix", "chain": chain, "alpha": 0.4, "strategy": "brute"}
+
+
+def _write_text(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+# case -> (exit code, payload built in a scratch directory)
+MALFORMED_INPUTS = {
+    "c_list-zero": (2, lambda d: _scaling_payload(c_list=[0])),
+    "c_list-not-a-list": (2, lambda d: _scaling_payload(c_list=0.25)),
+    "replicas-fractional": (2, lambda d: _scaling_payload(replicas=2.5)),
+    "seed-fractional": (2, lambda d: _scaling_payload(seed=1.5)),
+    "seed-boolean": (2, lambda d: _scaling_payload(seed=True)),
+    "horizon-negative": (2, lambda d: _scaling_payload(horizon=-5)),
+    "horizon-zero": (2, lambda d: _scaling_payload(horizon=0)),
+    "svg-not-boolean": (2, lambda d: _scaling_payload(svg="no")),
+    "output_path-not-a-path": (2, lambda d: _scaling_payload(output_path=5)),
+    "dtable_path-not-a-path": (2, lambda d: dict(_certify_payload(), dtable_path=0)),
+    "c-not-a-number": (2, lambda d: _hitmix_payload({"kind": "lazy-srw", "c": "an eighth"})),
+    "tilt-not-a-number": (2, lambda d: _scaling_payload(
+        density={"kind": "exponential-tilt", "tilt": "steep"})),
+    "kappa-not-a-number": (2, lambda d: _certify_payload(
+        v={"kind": "exp-of-coordinate", "kappa": "half"})),
+    "lambda-not-a-number": (2, lambda d: _certify_payload(**{"lambda": "x", "b": 0.1})),
+    "lambda-grid-empty": (1, lambda d: _certify_payload(fit_lambda_grid=[])),
+    "v-wrong-length": (1, lambda d: _certify_payload(v=[1.0, 2.0])),
+    "v-wrong-length-lambda-and-b-given": (1, lambda d: _certify_payload(
+        v=[1.0, 2.0], **{"lambda": 0.5, "b": 1.0})),
+    "rows-ragged": (1, lambda d: _hitmix_payload(
+        {"kind": "matrix", "rows": [[0.5, 0.5], [1.0]]})),
+    "rows-not-numbers": (1, lambda d: _hitmix_payload(
+        {"kind": "matrix", "rows": [["a", "b"], ["c", "d"]]})),
+    "kernel-csv-cell-not-a-number": (1, lambda d: _hitmix_payload(
+        {"kind": "kernel-csv", "path": _write_text(d / "k.csv", "\n0.5,0.5\n0.5,half\n")})),
+    "dtable-not-json": (1, lambda d: dict(
+        _certify_payload(), dtable_path=_write_text(d / "d.json", "alpha = 1/3\n"))),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
+def test_cli_malformed_input_is_a_structured_error(tmp_path, capsys, case):
+    code, build = MALFORMED_INPUTS[case]
+    payload = build(tmp_path)
+    cfg = _write_cfg(tmp_path, payload)
+    assert cli_main([payload["experiment"], "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--quiet"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error:" if code == 2 else "analysis failure:")
+    assert "Traceback" not in err
 
 
 def test_cli_hitmix_broken_stationary_solve_exit_one(tmp_path, monkeypatch, capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mcergo as m
-from mcergo import errors
+from mcergo import chain_analysis, errors
 from mcergo.corpus import (
     random_dense_chain,
     random_positive_table,
@@ -93,6 +93,45 @@ def test_state_set_is_the_sorted_distinct_states():
     assert empty.size == 0 and empty.dtype.kind == "i"
     with pytest.raises(ValueError, match="start 4 is not a state of this 4-state chain"):
         k.state_set([0, 4], "start")
+
+
+# --- the stationary law -------------------------------------------------------
+
+def _counting_solves(monkeypatch):
+    solved = []
+    solve = chain_analysis.stationary_distribution
+
+    def counted(k):
+        solved.append(k)
+        return solve(k)
+
+    monkeypatch.setattr(chain_analysis, "stationary_distribution", counted)
+    return solved
+
+
+def test_stationary_is_the_read_only_solve_kept_on_the_kernel(monkeypatch):
+    solved = _counting_solves(monkeypatch)
+    k = random_dense_chain(np.random.default_rng(4), 7)
+    pi = k.stationary
+    assert np.array_equal(pi, m.stationary_distribution(k))  # bit for bit
+    assert not pi.flags.writeable
+    with pytest.raises(ValueError):
+        pi[0] = 1.0
+    assert k.stationary is pi
+    assert solved == [k]  # m.stationary_distribution is the unpatched function
+    # an equal kernel is another object, with its own solve
+    again = m.build_finite_kernel(k.p)
+    assert again == k and np.array_equal(again.stationary, pi)
+    assert len(solved) == 2
+
+
+def test_stationary_of_a_reducible_kernel_raises_on_every_read(monkeypatch):
+    solved = _counting_solves(monkeypatch)
+    k = m.build_finite_kernel(np.eye(2))
+    for reads in (1, 2):
+        with pytest.raises(errors.Reducible):
+            k.stationary
+        assert len(solved) == reads
 
 
 # --- lazy transform -----------------------------------------------------------
@@ -358,7 +397,7 @@ def test_restrict_errors():
         m.restrict(k, [], "mh-restriction")
     absorbing = m.build_finite_kernel([[0.5, 0.5, 0.0], [0.25, 0.25, 0.5], [0.0, 0.0, 1.0]])
     with pytest.raises(errors.SingularCensoring):
-        m.restrict(absorbing, [0, 1], "trace", base_stationary=np.array([0.0, 0.0, 1.0]))
+        m.restrict(absorbing, [0, 1], "trace")
 
 
 @given(st.integers(3, 7), st.integers(0, 10_000))

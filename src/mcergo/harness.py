@@ -48,7 +48,7 @@ from .kernels import (
     lazy_srw,
     restrict,
 )
-from .montecarlo import estimate_hitting_batch, coupled_escape_estimate
+from .montecarlo import _hitting_estimates, coupled_escape_estimate
 from .svg import emit_svg
 
 EXPERIMENTS = ("scaling", "certify", "hitmix", "couple")
@@ -297,12 +297,16 @@ def _load_dtable(cfg: ExperimentConfig) -> DTable:
 def run_scaling(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
     """The hitting-time scaling study over a grid of step sizes.
 
-    Per c: exact maximum hitting times of the birth-death discretization
-    and the lazy random walk (by the configured strategy), a Monte Carlo
-    maximum hitting estimate for the ball walk over a 33-point start grid
-    and the two extreme quantile intervals, and the exact mixing time of
-    the birth-death chain.  Emits the fixed-column CSV, a least-squares
-    log-log slope file, and optionally an SVG chart.
+    First, for every c: the exact maximum hitting times of the birth-death
+    discretization and the lazy random walk (by the configured strategy),
+    the exact mixing time of the birth-death chain, and the Monte Carlo
+    horizon (``horizon``, or 50 ceil(tH(bd))).  Then the Monte Carlo
+    maximum hitting estimates of the ball walk over a 33-point start grid
+    and the two extreme quantile intervals, for every c in one walker
+    population (``_ballwalk_max_hitting``).  Rows, printed lines and an
+    ``AllCensored`` refusal still come per c, in ``c_list`` order.  Emits
+    the fixed-column CSV, a least-squares log-log slope file, and
+    optionally an SVG chart.
     """
     if cfg.experiment != "scaling":
         raise ConfigError(f"config is for {cfg.experiment!r}, not scaling")
@@ -318,20 +322,21 @@ def run_scaling(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
 
     alpha = cfg.alpha
     alpha_prime = alpha / 4.0
-    rows = []
-    t_h_values = []
-    series_th = []
-    series_tm = []
+    exact = []  # (c, tH(bd), tH(srw), tm(bd)) per c
+    runs = []  # (c, horizon, c index) of the Monte Carlo per c
     for ci, c in enumerate(cfg.c_list):
         h_c = birth_death_chain(density, c)
         w_c = lazy_srw(c)
         th_bd = max_hitting_time(h_c, alpha, strategy=cfg.strategy).t_h
         th_srw = max_hitting_time(w_c, alpha, strategy=cfg.strategy).t_h
-        tm_bd = mixing_time(h_c)
-        horizon = cfg.horizon or 50 * max(1, math.ceil(th_bd))
-        mc_mean, mc_stderr, censored = _ballwalk_max_hitting(
-            density, c, alpha_prime, cfg.replicas, horizon, cfg.seed, ci
-        )
+        exact.append((c, th_bd, th_srw, mixing_time(h_c)))
+        runs.append((c, cfg.horizon or 50 * max(1, math.ceil(th_bd)), ci))
+    mc = _ballwalk_max_hitting(density, runs, alpha_prime, cfg.replicas, cfg.seed)
+    rows = []
+    t_h_values = []
+    series_th = []
+    series_tm = []
+    for (c, th_bd, th_srw, tm_bd), (mc_mean, mc_stderr, censored) in zip(exact, mc):
         t_h_values.append(th_bd)
         rows.append([
             repr(float(c)),
@@ -371,30 +376,36 @@ def run_scaling(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
     return {"out_dir": out_dir, "slope": slope, "slope_stderr": slope_stderr, "tH": t_h_values}
 
 
-def _ballwalk_max_hitting(density, c, alpha_prime, replicas, horizon, seed, c_index):
-    """Worst Monte Carlo hitting estimate over starts and the two extreme
-    quantile intervals, grid-rounded; censored fraction is the worst seen.
-    Every (start, target) estimate runs in one walker population."""
-    sampler = ball_walk_sampler(density, c)
-    lo = max(c * math.floor(density.quantile(alpha_prime) / c), c)
-    hi = min(c * math.ceil(density.quantile(1.0 - alpha_prime) / c), 1.0 - c)
-    targets = [
-        ("low", lambda xs: np.asarray(xs) <= lo),
-        ("high", lambda xs: np.asarray(xs) >= hi),
-    ]
-    starts = np.linspace(0.0, 1.0, START_GRID_POINTS)
-    jobs = [
-        (float(x0), pred, _derived_seed(seed, c_index, si, ti))
-        for si, x0 in enumerate(starts)
-        for ti, (_, pred) in enumerate(targets)
-    ]
-    best = (0.0, 0.0)
-    worst_censored = 0.0
-    for est in estimate_hitting_batch(sampler, jobs, replicas, horizon):
-        worst_censored = max(worst_censored, est.censored_fraction)
-        if est.mean > best[0]:
-            best = (est.mean, est.stderr)
-    return best[0], best[1], worst_censored
+def _ballwalk_max_hitting(density, runs, alpha_prime, replicas, seed):
+    """Worst Monte Carlo hitting estimate of the ball walk for each run (c, horizon, c_index).
+
+    Per run: the worst estimate over starts and the two extreme quantile
+    intervals, grid-rounded, as (mean, stderr, worst censored fraction).
+    The (start, target) estimates of every run go through one walker
+    population, each with its run's step c and horizon.
+    """
+    jobs = []
+    for c, horizon, c_index in runs:
+        sampler = ball_walk_sampler(density, c)
+        lo = max(c * math.floor(density.quantile(alpha_prime) / c), c)
+        hi = min(c * math.ceil(density.quantile(1.0 - alpha_prime) / c), 1.0 - c)
+        targets = [
+            lambda xs, lo=lo: np.asarray(xs) <= lo,
+            lambda xs, hi=hi: np.asarray(xs) >= hi,
+        ]
+        jobs += [
+            (sampler, float(x0), pred, _derived_seed(seed, c_index, si, ti), horizon)
+            for si, x0 in enumerate(np.linspace(0.0, 1.0, START_GRID_POINTS))
+            for ti, pred in enumerate(targets)
+        ]
+    estimates = _hitting_estimates(jobs, replicas)
+    per_run = 2 * START_GRID_POINTS
+    results = []
+    for i in range(0, len(estimates), per_run):
+        run = estimates[i:i + per_run]
+        worst = max(run, key=lambda est: est.mean)  # the first of the largest means
+        results.append((worst.mean, worst.stderr, max(est.censored_fraction for est in run)))
+    return results
 
 
 def _loglog_slope(cs, values):

@@ -317,7 +317,9 @@ class ContinuousSampler1D:
     probability min{1, psi(y)/psi(x)} (the uniform proposal density ratio
     is 1).  A step consumes exactly two uniform draws and is a
     deterministic function of (x, draw1, draw2); ``batch_step`` steps an
-    array of walkers, one element each of ``xs``, ``u1`` and ``u2``.
+    array of walkers, one element each of ``xs``, ``u1`` and ``u2``.  c
+    enters the step elementwise, so a sampler whose c is an array, one
+    half-width per walker, steps each walker as its own ball walk would.
     """
 
     target: DensitySpec

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -159,8 +160,79 @@ def test_run_scaling_byte_identical_rerun(tmp_path):
 ])
 def test_ballwalk_max_hitting_pinned_bits(c, horizon, c_index, seed, expected):
     exp_tilt = m.DensitySpec(kind="exponential-tilt", params={"tilt": -1.0}, unimodal_ratio=1.5)
-    got = harness._ballwalk_max_hitting(exp_tilt, c, 1.0 / 12.0, 256, horizon, seed, c_index)
+    [got] = harness._ballwalk_max_hitting(exp_tilt, [(c, horizon, c_index)], 1.0 / 12.0, 256, seed)
     assert got == expected
+
+
+def test_one_population_of_two_c_gives_the_pinned_bits():
+    exp_tilt = m.DensitySpec(kind="exponential-tilt", params={"tilt": -1.0}, unimodal_ratio=1.5)
+    # c = 1/8 has the larger horizon and is admitted first; results keep the run order
+    got = harness._ballwalk_max_hitting(
+        exp_tilt, [(1.0 / 6.0, 900, 0), (1.0 / 8.0, 1750, 1)], 1.0 / 12.0, 256, 0)
+    assert got == [(133.33203125, 7.158539028704555, 0.0),
+                   (254.8828125, 13.31635052270289, 0.0)]
+
+
+# the bench-sized `scaling` run, recorded when each c ran its own population
+BENCH_SCALING_CSV = {
+    0: (
+        'c,tH_bd_exact,tH_srw_exact,tH_ballwalk_mc,tH_ballwalk_stderr,tm_bd_exact,censored_fraction\n'
+        '0.16666666666666666,17.158076911064107,40.0,133.33203125,7.158539028704555,9,0.0\n'
+        '0.125,34.67575645905154,60.0,254.8828125,13.31635052270289,16,0.0\n'
+    ),
+    3: (
+        'c,tH_bd_exact,tH_srw_exact,tH_ballwalk_mc,tH_ballwalk_stderr,tm_bd_exact,censored_fraction\n'
+        '0.16666666666666666,17.158076911064107,40.0,130.6875,7.426326258061685,9,0.0\n'
+        '0.125,34.67575645905154,60.0,252.9453125,15.041940566854194,16,0.00390625\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BENCH_SCALING_CSV))
+def test_run_scaling_bench_size_bytes_are_pinned(tmp_path, seed):
+    cfg = parse_config({
+        "experiment": "scaling",
+        "density": {"kind": "exponential-tilt", "tilt": -1.0,
+                    "unimodal_alpha": 1.0 / 3.0, "unimodal_ratio": 1.5},
+        "c_list": [1.0 / 6.0, 1.0 / 8.0],
+        "alpha": 1.0 / 3.0,
+        "replicas": 256,
+        "seed": seed,
+    })
+    run_scaling(cfg, out_dir=tmp_path / "run")
+    got = (tmp_path / "run" / "scaling.csv").read_bytes()
+    assert got == BENCH_SCALING_CSV[seed].encode()
+
+
+# both c values have a job none of whose walkers arrives; the message, the
+# one each c's own population raised, names the first c of the run order
+# (by its derived seed) although the other c, with the larger horizon, is
+# admitted first
+def test_all_censored_names_the_first_c_in_run_order():
+    exp_tilt = m.DensitySpec(kind="exponential-tilt", params={"tilt": -1.0}, unimodal_ratio=1.5)
+    first = "no path from 0.0 hit the target within 5 steps (seed 15298820501058499976)"
+    with pytest.raises(errors.AllCensored, match=re.escape(first) + "$"):
+        harness._ballwalk_max_hitting(
+            exp_tilt, [(1.0 / 6.0, 5, 0), (1.0 / 8.0, 7, 1)], 1.0 / 12.0, 16, 0)
+    second = "no path from 0.0 hit the target within 7 steps (seed 15948318263327672451)"
+    with pytest.raises(errors.AllCensored, match=re.escape(second) + "$"):
+        harness._ballwalk_max_hitting(exp_tilt, [(1.0 / 8.0, 7, 1)], 1.0 / 12.0, 16, 0)
+
+
+def test_run_scaling_all_censored_message(tmp_path):
+    cfg = _scaling_cfg(replicas=16, seed=0, horizon=2)
+    message = "no path from 0.0 hit the target within 2 steps (seed 15298820501058499976)"
+    with pytest.raises(errors.AllCensored, match=re.escape(message) + "$"):
+        run_scaling(cfg, out_dir=tmp_path / "run")
+
+
+def test_run_scaling_prints_one_line_per_c_in_c_list_order(tmp_path, capsys):
+    # c = 0.125 runs the longer horizon and is admitted first
+    run_scaling(_scaling_cfg(), out_dir=tmp_path / "run", quiet=False)
+    assert capsys.readouterr().out.splitlines() == [
+        "c=0.25: tH(bd)=6.00 tH(srw)=12.00 tm=2",
+        "c=0.125: tH(bd)=30.00 tH(srw)=60.00 tm=12",
+    ]
 
 
 def test_run_scaling_rejects_violated_unimodality(tmp_path):

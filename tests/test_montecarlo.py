@@ -286,9 +286,9 @@ def test_refilled_population_matches_walkers_stepped_alone(monkeypatch):
     monkeypatch.setattr(montecarlo._ReplicaStreams, "block", recording_block)
     members = [np.isin(np.arange(3), list(target)) for _, target, _ in jobs]
     times, censored = montecarlo._first_hits(
-        [x0 for x0, _, _ in jobs], [seed for *_, seed in jobs], [0, 1, 2],
+        [x0 for x0, _, _ in jobs], [seed for *_, seed in jobs], [horizon] * 3, [0, 1, 2],
         [member.__getitem__ for member in members], montecarlo._finite_advance(k),
-        1, replicas, horizon, montecarlo._population(1))
+        1, replicas, montecarlo._population(1))
     alone = [_walk_alone(p, x0, target, seed, r, horizon)
              for x0, target, seed in jobs for r in range(replicas)]
     assert times.tolist() == [t for t, _ in alone]
@@ -303,17 +303,18 @@ def _ball_walk_first_hits(replicas, population):
     # (start, seed, target): every job starts outside its target
     jobs = [(0.5, 3, 0), (0.0, 4, 1), (0.9, 5, 0), (0.5, 6, 1)]
     return montecarlo._first_hits(
-        [x0 for x0, _, _ in jobs], [seed for _, seed, _ in jobs], [g for *_, g in jobs],
-        arrivals, lambda pos, u: sampler.batch_step(pos, u[:, 0], u[:, 1]),
-        sampler.draws_per_step, replicas, 300, population)  # past the 128-step row cap
+        [x0 for x0, _, _ in jobs], [seed for _, seed, _ in jobs],
+        [300] * len(jobs),  # past the 128-step row cap
+        [g for *_, g in jobs], arrivals, montecarlo._walker_rule(sampler).advance,
+        sampler.draws_per_step, replicas, population)
 
 
 def _finite_first_hits(replicas, population):
     p = np.array([[0.97, 0.03, 0.0], [0.2, 0.6, 0.2], [0.0, 0.0, 1.0]])
     members = [np.array([False, False, True]), np.array([False, True, False])]
     return montecarlo._first_hits(
-        [0, 1, 0], [5, 6, 7], [0, 0, 1], [member.__getitem__ for member in members],
-        montecarlo._finite_advance(m.build_finite_kernel(p)), 1, replicas, 250, population)
+        [0, 1, 0], [5, 6, 7], [250] * 3, [0, 0, 1], [member.__getitem__ for member in members],
+        montecarlo._finite_advance(m.build_finite_kernel(p)), 1, replicas, population)
 
 
 def _replica_prefix(result, replicas, jobs, keep):
@@ -340,6 +341,64 @@ def test_population_is_a_pure_performance_parameter(monkeypatch):
         _replica_prefix(wide, 700, 4, 6)
     assert _replica_prefix(_finite_first_hits(40, 16), 40, 3, 40) == \
         _replica_prefix(full, 3000, 3, 40)
+
+
+def test_per_job_horizons_match_runs_of_one_horizon(monkeypatch):
+    # jobs of horizons 7, 50 and 0 in one population give what the jobs of
+    # each horizon give alone: the horizon-7 walkers expire at step 7 of a
+    # 50-step block while the horizon-50 ones walk on, and a horizon-0 job
+    # takes no step
+    p = np.array([[0.97, 0.03, 0.0], [0.2, 0.6, 0.2], [0.0, 0.0, 1.0]])
+    advance = montecarlo._finite_advance(m.build_finite_kernel(p))
+    at_two = np.array([False, False, True]).__getitem__
+    jobs = [(1, 5, 7), (1, 6, 50), (0, 7, 0), (1, 8, 7)]  # (start, seed, horizon)
+    replicas = 200
+    blocks = []
+    block = montecarlo._ReplicaStreams.block
+
+    def recording_block(self, keys, offsets, out):
+        blocks.append((sorted(set(np.asarray(keys)[:, 0].tolist())), out.shape[1]))
+        return block(self, keys, offsets, out)
+
+    def run(some, population=montecarlo._population(1)):
+        times, censored = montecarlo._first_hits(
+            [x0 for x0, _, _ in some], [seed for _, seed, _ in some],
+            [horizon for *_, horizon in some], [0] * len(some), [at_two], advance, 1,
+            replicas, population)
+        return times.reshape(len(some), replicas), censored.reshape(len(some), replicas)
+
+    monkeypatch.setattr(montecarlo._ReplicaStreams, "block", recording_block)
+    times, censored = run(jobs)
+    assert blocks == [([5, 6, 8], 50)]  # one block; job 2 took no walkers
+    for horizon in (7, 50, 0):
+        mine = [j for j, job in enumerate(jobs) if job[2] == horizon]
+        alone_times, alone_censored = run([jobs[j] for j in mine])
+        assert times[mine].tolist() == alone_times.tolist()
+        assert censored[mine].tolist() == alone_censored.tolist()
+    assert times[2].tolist() == [0.0] * replicas and censored[2].all()
+    short = times[[0, 3]]
+    assert short.max() == 7.0 and 0.0 < censored[[0, 3]].mean() < 1.0
+    assert 0.0 < censored[1].mean() < censored[[0, 3]].mean()
+    # the horizon-50 job is admitted first, and the results do not change
+    blocks.clear()
+    small = run(jobs, population=100)
+    assert blocks[0][0] == [6]
+    assert small[0].tolist() == times.tolist() and small[1].tolist() == censored.tolist()
+
+
+def test_several_ball_walks_step_in_one_population():
+    # each walker steps with its own sampler's c, so every estimate is the
+    # one its sampler gives alone; other mixes of samplers are refused
+    wide, narrow = m.ball_walk_sampler(EXP, 1.0 / 6.0), m.ball_walk_sampler(EXP, 1.0 / 8.0)
+    low = lambda xs: xs <= 0.2  # noqa: E731
+    jobs = [(wide, 0.9, low, 1, 400), (narrow, 0.9, low, 2, 600), (wide, 0.1, low, 3, 400)]
+    together = montecarlo._hitting_estimates(jobs, 300)
+    alone = [m.estimate_hitting(s, x0, target, 300, horizon, seed)
+             for s, x0, target, seed, horizon in jobs]
+    assert together == alone
+    assert together[2].mean == 0.0  # starts in its target
+    with pytest.raises(ValueError, match="only ball walks of one target density"):
+        montecarlo._hitting_estimates([(wide, 0.9, low, 1, 10), (PATH3, 0, [2], 1, 10)], 5)
 
 
 @pytest.mark.parametrize("draws,population", [(1, 4096), (2, 2048)])
@@ -377,7 +436,7 @@ def test_fused_population_blocks_stay_within_budget(monkeypatch):
 
     monkeypatch.setattr(montecarlo._ReplicaStreams, "block", recording_block)
     monkeypatch.setattr(montecarlo, "_first_hits", counting_first_hits)
-    harness._ballwalk_max_hitting(EXP, 1.0 / 6.0, 1.0 / 12.0, 256, 900, 0, 0)
+    harness._ballwalk_max_hitting(EXP, [(1.0 / 6.0, 900, 0)], 1.0 / 12.0, 256, 0)
     # 33 starts x 2 targets in one population; 12 of the 66 jobs start in
     # their target and take no walkers
     assert len(runs) == 1
@@ -520,6 +579,27 @@ def test_step_calls_count_every_walker_step(monkeypatch):
     est = m.estimate_hitting(k, 0, [5], replicas=9000, horizon=10_000, seed=4)
     assert est.censored_fraction == 0.0
     assert sum(calls) == pytest.approx(est.mean * est.replicas, rel=1e-12, abs=0)
+    assert len(calls) > 1
+
+
+def test_ball_walk_step_calls_count_every_walker_step(monkeypatch):
+    # the traced benchmark counts ball-walk walker-steps as the summed len()
+    # of what ContinuousSampler1D.batch_step returns, looked up through the
+    # class attribute; here two step sizes c share one population
+    calls = []
+    step = m.ContinuousSampler1D.batch_step
+
+    def counting_step(self, xs, u1, u2):
+        nxt = step(self, xs, u1, u2)
+        calls.append(len(nxt))
+        return nxt
+
+    monkeypatch.setattr(m.ContinuousSampler1D, "batch_step", counting_step)
+    wide, narrow = m.ball_walk_sampler(EXP, 1.0 / 6.0), m.ball_walk_sampler(EXP, 1.0 / 8.0)
+    low = lambda xs: xs <= 0.2  # noqa: E731
+    jobs = [(wide, 0.9, low, 1, 400), (narrow, 0.9, low, 2, 600), (narrow, 0.5, low, 3, 600)]
+    ests = montecarlo._hitting_estimates(jobs, 1500)
+    assert sum(calls) == pytest.approx(sum(e.mean * e.replicas for e in ests), rel=1e-12, abs=0)
     assert len(calls) > 1
 
 

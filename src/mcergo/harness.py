@@ -384,11 +384,12 @@ def _ballwalk_max_hitting(density, runs, alpha_prime, replicas, seed):
     The (start, target) estimates of every run go through one walker
     population, each with its run's step c and horizon.
     """
+    low_q, high_q = density.quantile(alpha_prime), density.quantile(1.0 - alpha_prime)
     jobs = []
     for c, horizon, c_index in runs:
         sampler = ball_walk_sampler(density, c)
-        lo = max(c * math.floor(density.quantile(alpha_prime) / c), c)
-        hi = min(c * math.ceil(density.quantile(1.0 - alpha_prime) / c), 1.0 - c)
+        lo = max(c * math.floor(low_q / c), c)
+        hi = min(c * math.ceil(high_q / c), 1.0 - c)
         targets = [
             lambda xs, lo=lo: np.asarray(xs) <= lo,
             lambda xs, hi=hi: np.asarray(xs) >= hi,

@@ -328,12 +328,18 @@ class ContinuousSampler1D:
     draws_per_step = 2
 
     def batch_step(self, xs: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+        """One step of every walker: accept the proposal y when u2 <= psi(y)/psi(x).
+
+        Draws lie in [0, 1), so u2 <= psi(y)/psi(x) holds exactly when
+        u2 <= min{1, psi(y)/psi(x)}, and both refuse a NaN ratio.  psi is
+        read at y where y lies in [0, 1] and at x elsewhere, so it is never
+        evaluated outside the interval; a proposal outside is refused
+        whatever that ratio is.
+        """
         y = xs + self.c * (2.0 * u1 - 1.0)
         inside = (y >= 0.0) & (y <= 1.0)
-        ysafe = np.clip(y, 0.0, 1.0)
-        beta = np.minimum(1.0, self.target.pdf(ysafe) / self.target.pdf(xs))
-        accept = inside & (u2 <= beta)
-        return np.where(accept, y, xs)
+        ratio = self.target.pdf(np.where(inside, y, xs)) / self.target.pdf(xs)
+        return np.where(inside & (u2 <= ratio), y, xs)
 
 
 def ball_walk_sampler(psi: DensitySpec, c: float) -> ContinuousSampler1D:

@@ -26,7 +26,11 @@ draws depend only on its key and its step, so neither the population a
 walker runs in nor when it is admitted changes a result.  Each step reads
 the live walkers' draws out of the stream block as whole items, one
 ``8 * draws``-byte item per walker, which gathers about 4x faster than a
-2-D fancy index.
+2-D fancy index.  A step keeps its bookkeeping to what the next step reads:
+it compacts only the live walkers' positions, groups and block rows,
+records an arrival per block row and writes the results once at the end
+of the block, tests expiry only on the steps at which some horizon ends,
+and calls the arrival test of a one-group population directly.
 
 A finite-kernel step inverts the current state's row CDF at the walker's
 draw.  ``_finite_advance`` builds a guide table (Chen and Asau's index
@@ -301,7 +305,7 @@ def _finite_advance(k: FiniteKernel):
 
 def _arrival_spans(groups, arrivals):
     """(arrived, first, end) for each group present in the sorted ``groups``."""
-    edges = np.searchsorted(groups, np.arange(len(arrivals) + 1)).tolist()
+    edges = groups.searchsorted(np.arange(len(arrivals) + 1)).tolist()
     return [(arrived, a, b) for arrived, a, b in zip(arrivals, edges, edges[1:]) if a < b]
 
 
@@ -318,19 +322,29 @@ def _first_hits(starts, seeds, horizons, groups, arrivals, advance, draws, repli
     (then in job and replica order), so that shorter jobs fill the tail of
     longer ones.  A job with horizon 0 takes no walkers.  The population is
     ordered by group, so that each arrival test runs once per step, on one
-    slice.  One ``advance(pos, u, grp)`` call a step moves every live
-    walker, with u of shape (walkers, draws) and grp each walker's group:
-    the step and arrival functions see only live walkers.  Every walker
-    carries its own step count, and its block row starts at that step's
-    position of its own stream.  A block is 256/draws steps wide, narrowed
-    so that it holds at most ``_BLOCK_DRAWS`` doubles and reaches no
-    further than the horizon of the walker with most steps left.  Each
-    step gathers the live walkers' draws as whole items, one
-    ``8 * draws``-byte item per walker, rather than by a 2-D fancy index.
-    A walker retires when it arrives or when its own step count reaches
-    its horizon.  Returns (times, censored), ordered by job and then
-    replica: the first arrival time of each walker, its horizon for those
-    that never arrive, and which ones never did.
+    slice; a single group's test runs on the whole population, unsliced.
+    One ``advance(pos, u, grp)`` call a step moves every live walker, with
+    u of shape (walkers, draws) and grp each walker's group: the step and
+    arrival functions see only live walkers.  Every walker carries its own
+    step count, and its block row starts at that step's position of its
+    own stream.  A block is 256/draws steps wide, narrowed so that it holds
+    at most ``_BLOCK_DRAWS`` doubles and reaches no further than the
+    horizon of the walker with most steps left.  Each step gathers the live
+    walkers' draws as whole items, one ``8 * draws``-byte item per walker,
+    rather than by a 2-D fancy index.  A walker retires when it arrives or
+    when its own step count reaches its horizon.
+
+    Within a block a step compacts three arrays, the live walkers'
+    positions, groups and block rows; walker ids, step counts and steps
+    left stay block arrays indexed by row.  An arrival at block step b + 1
+    is recorded as hit[row] = b + 1, and times and censoring are written
+    once, at the end of the block.  Expiry is tested only at the block
+    steps k at which some walker's horizon ends (its steps left at block
+    start equal k), a set taken once per block.
+
+    Returns (times, censored), ordered by job and then replica: the first
+    arrival time of each walker, its horizon for those that never arrive,
+    and which ones never did.
 
     Raises ValueError, before any walker runs, unless 1 <= ``population``
     and a 4-step block of the whole population fits in ``_BLOCK_DRAWS``.
@@ -352,6 +366,7 @@ def _first_hits(starts, seeds, horizons, groups, arrivals, advance, draws, repli
     buf = np.empty(_BLOCK_DRAWS)
     item = np.dtype(f"V{8 * draws}")  # one walker's draws of one step
     cap = max(4, 256 // draws // 4 * 4)
+    one = arrivals[0] if len(arrivals) == 1 else None  # every walker's arrival test
     walker = np.empty(0, dtype=np.int64)  # the population, ordered by group
     pos, steps = starts[:0], np.empty(0, dtype=np.int64)
     admitted = 0
@@ -366,7 +381,6 @@ def _first_hits(starts, seeds, horizons, groups, arrivals, advance, draws, repli
             order = np.argsort(groups[walker // replicas], kind="stable")
             walker, pos, steps = walker[order], pos[order], steps[order]
             grp = groups[walker // replicas]
-            spans = _arrival_spans(grp, arrivals)
         n = walker.size
         left = horizons[walker // replicas] - steps  # steps each walker may still take
         fits = max(4, _BLOCK_DRAWS // (n * draws) // 4 * 4)  # steps the buffer holds
@@ -374,24 +388,32 @@ def _first_hits(starts, seeds, horizons, groups, arrivals, advance, draws, repli
         keys = np.column_stack((seeds[walker // replicas], (walker % replicas).astype(np.uint64)))
         u = streams.block(keys, steps * draws, buf[:n * width * draws].reshape(n, -1))
         u = u.view(item)  # (walkers, width): one item per walker and step
-        row = np.arange(n)
-        expiring = int(left.min()) <= width
+        ends = np.zeros(width + 1, dtype=bool)  # ends[k]: some horizon ends at block step k
+        ends[left[left <= width]] = True
+        ends = ends.tolist()
+        hit = np.zeros(n, dtype=np.int64)  # the block step at which each row arrived, or 0
+        row = np.arange(n)  # the live walkers' block rows
+        spans = _arrival_spans(grp, arrivals)
         for b in range(width):
             ub = u[:, b].take(row).view(np.float64).reshape(-1, draws)
             pos = advance(pos, ub, grp)
-            just = np.concatenate([arrived(pos[a:z]) for arrived, a, z in spans])
-            done = just | (left == b + 1) if expiring else just
+            if one is not None:
+                just = one(pos)
+            else:
+                just = np.concatenate([arrived(pos[a:z]) for arrived, a, z in spans])
+            done = just | (left.take(row) == b + 1) if ends[b + 1] else just
             if done.any():
-                idx = walker[just]
-                times[idx] = steps[just] + b + 1
-                censored[idx] = False
+                hit[row[just]] = b + 1
                 keep = ~done
-                walker, pos, grp, row = walker[keep], pos[keep], grp[keep], row[keep]
-                steps, left = steps[keep], left[keep]
-                if not walker.size:
+                pos, grp, row = pos[keep], grp[keep], row[keep]
+                if not row.size:
                     break
-                spans = _arrival_spans(grp, arrivals)
-        steps += width
+                if one is None:
+                    spans = _arrival_spans(grp, arrivals)
+        hit_rows = np.flatnonzero(hit)
+        times[walker[hit_rows]] = steps[hit_rows] + hit[hit_rows]
+        censored[walker[hit_rows]] = False
+        walker, steps = walker[row], steps[row] + width
     return times, censored
 
 
@@ -516,11 +538,19 @@ def estimate_hitting_batch(sampler, jobs, replicas: int, horizon: int) -> list[M
         For the first job, in job order, none of whose replicas hits
         within the horizon.
     ValueError
-        If a finite-kernel start or target value is not a state of the chain,
-        or a ball-walk start lies outside [0, 1] (NaN included); no walker runs.
+        If the horizon is negative, a finite-kernel start or target value is
+        not a state of the chain, or a ball-walk start lies outside [0, 1]
+        (NaN included); no walker runs.
+    TypeError
+        If the sampler is neither a FiniteKernel nor a ContinuousSampler1D,
+        also for an empty job list.
     """
-    return _hitting_estimates([(sampler, x0, target, seed, horizon) for x0, target, seed in jobs],
-                              replicas)
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+    jobs = [(sampler, x0, target, seed, horizon) for x0, target, seed in jobs]
+    if not jobs:
+        _walker_rule(sampler)  # TypeError for an unsupported sampler, as when jobs name it
+    return _hitting_estimates(jobs, replicas)
 
 
 def _hitting_estimates(jobs, replicas: int) -> list[McEstimate]:

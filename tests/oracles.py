@@ -58,6 +58,18 @@ def mixing_step_scan(p, pi, starts, eps, t_max):
     return None, profile
 
 
+def ball_walk_step_clipped(psi, c, xs, u1, u2):
+    """One ball-walk step, accepting with probability min{1, psi(y)/psi(x)}.
+
+    Proposals outside [0, 1] stay; psi is read at the proposal clipped into
+    [0, 1], so it is never evaluated outside the interval.
+    """
+    y = xs + c * (2.0 * u1 - 1.0)
+    inside = (y >= 0.0) & (y <= 1.0)
+    beta = np.minimum(1.0, psi.pdf(np.clip(y, 0.0, 1.0)) / psi.pdf(xs))
+    return np.where(inside & (u2 <= beta), y, xs)
+
+
 def brute_max_hitting(p, pi, alpha):
     """Exhaustive maximum over subsets with stationary mass >= alpha."""
     n = p.shape[0]

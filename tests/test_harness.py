@@ -173,6 +173,21 @@ def test_one_population_of_two_c_gives_the_pinned_bits():
                    (254.8828125, 13.31635052270289, 0.0)]
 
 
+def test_ballwalk_max_hitting_finds_each_quantile_level_once(monkeypatch):
+    exp_tilt = m.DensitySpec(kind="exponential-tilt", params={"tilt": -1.0}, unimodal_ratio=1.5)
+    levels = []
+    quantile = m.DensitySpec.quantile
+
+    def counting_quantile(self, q, *args, **kwargs):
+        levels.append(q)
+        return quantile(self, q, *args, **kwargs)
+
+    monkeypatch.setattr(m.DensitySpec, "quantile", counting_quantile)
+    runs = [(1.0 / 4.0, 400, 0), (1.0 / 6.0, 900, 1), (1.0 / 8.0, 1750, 2)]
+    harness._ballwalk_max_hitting(exp_tilt, runs, 1.0 / 12.0, 8, 0)
+    assert levels == [1.0 / 12.0, 1.0 - 1.0 / 12.0]
+
+
 # the bench-sized `scaling` run, recorded when each c ran its own population
 BENCH_SCALING_CSV = {
     0: (

@@ -12,7 +12,12 @@ from mcergo.corpus import (
     random_positive_table,
     random_reversible_chain,
 )
-from oracles import hitting_solve, stationary_power, trace_transition_frequency
+from oracles import (
+    ball_walk_step_clipped,
+    hitting_solve,
+    stationary_power,
+    trace_transition_frequency,
+)
 
 UNIFORM = m.DensitySpec(kind="uniform", unimodal_ratio=1.0)
 EXP = m.DensitySpec(kind="exponential-tilt", params={"tilt": -1.0}, unimodal_ratio=1.5)
@@ -326,6 +331,75 @@ def test_ball_walk_rejects_out_of_range():
     # proposals -c/2 < 0 and 1 + c/2 > 1 stay, even at an acceptance draw of 0
     y = s.batch_step(np.array([0.0, 1.0, 0.5]), np.array([0.25, 0.75, 0.25]), np.zeros(3))
     assert np.array_equal(y, [0.0, 1.0, 0.5 - s.c / 2.0])
+
+
+# flat on [0.3, 0.6], where the density ratio of two points is exactly 1
+PIECEWISE = m.DensitySpec(kind="piecewise-linear-table",
+                          params={"xs": (0.0, 0.3, 0.6, 1.0), "ys": (1.0, 2.5, 2.5, 0.5)})
+BELOW_ONE = np.nextafter(1.0, 0.0)  # the largest draw
+
+
+def _ball_walk_draws(per_walker_c):
+    """(xs, c, u1, u2): random steps, then the edge cases of the step at c = 1/2.
+
+    The edge proposals land exactly on 0 and 1, one ulp outside each, and
+    from 0.4 on 0.45, each with u2 = 0 and u2 just below 1.
+    """
+    rng = np.random.default_rng(5)
+    n = 3000
+    xs, u1, u2 = rng.random(n), rng.random(n), rng.random(n)
+    xs[:50], xs[50:100] = 0.0, 1.0
+    edges = [(0.5, 0.0), (0.75, 0.75), (0.0, 0.5 - 2.0**-54), (1.0, 0.5 + 2.0**-52), (0.4, 0.55)]
+    ex = np.repeat([x for x, _ in edges], 2)
+    eu1 = np.repeat([u for _, u in edges], 2)
+    eu2 = np.tile([0.0, BELOW_ONE], len(edges))
+    y = ex + 0.5 * (2.0 * eu1 - 1.0)
+    assert y[:8:2].tolist() == [0.0, 1.0, -2.0**-54, 1.0 + 2.0**-52]
+    assert 0.3 < y[-1] < 0.6
+    if per_walker_c:
+        c = np.concatenate((rng.choice([1.0 / 2.0, 1.0 / 6.0, 1.0 / 8.0, 1.0 / 64.0], n),
+                            np.full(ex.size, 0.5)))
+    else:
+        c = 0.5
+    return (np.concatenate((xs, ex)), c, np.concatenate((u1, eu1)),
+            np.concatenate((u2, eu2)))
+
+
+class _SpyDensity:
+    """A density that records every point its pdf is evaluated at."""
+
+    def __init__(self, density):
+        self.density, self.points = density, []
+
+    def pdf(self, x):
+        self.points.append(np.array(x, dtype=float))
+        return self.density.pdf(x)
+
+
+@pytest.mark.parametrize("per_walker_c", [False, True], ids=["scalar-c", "c-per-walker"])
+@pytest.mark.parametrize("psi", [EXP, UNIFORM, PIECEWISE],
+                         ids=["exp-tilt", "uniform", "piecewise"])
+def test_batch_step_is_the_clipped_min_one_step_bit_for_bit(psi, per_walker_c):
+    # u2 < 1, so u2 <= min{1, r} exactly when u2 <= r; a proposal outside
+    # [0, 1] is refused whatever density value it is paired with
+    xs, c, u1, u2 = _ball_walk_draws(per_walker_c)
+    spy = _SpyDensity(psi)
+    got = m.ContinuousSampler1D(spy, c).batch_step(xs, u1, u2)
+    want = ball_walk_step_clipped(psi, c, xs, u1, u2)
+    assert got.tobytes() == want.tobytes()
+    points = np.concatenate(spy.points)
+    assert points.size == 2 * xs.size
+    assert ((points >= 0.0) & (points <= 1.0)).all()  # never evaluated outside [0, 1]
+    assert 0 < (got != xs).sum() < xs.size
+    # proposals on 0 and 1 are accepted at u2 = 0; the ones an ulp outside never are
+    assert got[[-10, -8]].tolist() == [0.0, 1.0]
+    assert got[-6:-2].tolist() == [0.0, 0.0, 1.0, 1.0]
+    y = 0.4 + 0.5 * (2.0 * 0.55 - 1.0)
+    if psi is EXP:  # ratio below 1: accepted at u2 = 0, refused at the largest draw
+        assert got[-2:].tolist() == [y, 0.4]
+    else:  # ratio exactly 1: accepted even at the largest draw
+        assert psi.pdf(y) / psi.pdf(0.4) == 1.0
+        assert got[-2:].tolist() == [y, y]
 
 
 def test_ball_walk_paths_bit_identical():

@@ -212,6 +212,18 @@ def test_batch_equals_per_job_on_the_ball_walk():
     assert any(0.0 < est.censored_fraction < 1.0 for est in batch)
 
 
+def test_an_empty_batch_still_checks_its_horizon_and_sampler(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_ReplicaStreams", _no_walkers)
+    with pytest.raises(ValueError, match="horizon must be nonnegative"):
+        m.estimate_hitting_batch("x", [], 10, -5)
+    with pytest.raises(ValueError, match="horizon must be nonnegative"):
+        m.estimate_hitting_batch(PATH3, [], 10, -1)
+    with pytest.raises(TypeError, match="unsupported sampler type"):
+        m.estimate_hitting_batch("x", [], 10, 5)
+    assert m.estimate_hitting_batch(PATH3, [], 10, 0) == []
+    assert m.estimate_hitting_batch(m.ball_walk_sampler(EXP, 0.25), [], 10, 5) == []
+
+
 def test_batch_raises_for_the_first_all_censored_job():
     k = m.build_finite_kernel([[1.0, 0.0], [0.5, 0.5]])
     jobs = [(1, [0], 1), (0, [1], 7), (1, [0], 2), (0, [1], 8)]
@@ -384,6 +396,42 @@ def test_per_job_horizons_match_runs_of_one_horizon(monkeypatch):
     small = run(jobs, population=100)
     assert blocks[0][0] == [6]
     assert small[0].tolist() == times.tolist() and small[1].tolist() == censored.tolist()
+
+
+def test_horizons_ending_at_several_steps_of_one_block(monkeypatch):
+    # horizons 3, 5 and 9 end at three steps of one 50-step block, and at
+    # each of them walkers of the other jobs arrive while these expire;
+    # every job gives what it gives alone
+    p = np.array([[0.97, 0.03, 0.0], [0.2, 0.6, 0.2], [0.0, 0.0, 1.0]])
+    advance = montecarlo._finite_advance(m.build_finite_kernel(p))
+    at_two = np.array([False, False, True]).__getitem__
+    jobs = [(1, 5, 3), (1, 6, 9), (1, 7, 50), (1, 8, 5)]  # (start, seed, horizon)
+    replicas = 300
+    widths = []
+    block = montecarlo._ReplicaStreams.block
+
+    def recording_block(self, keys, offsets, out):
+        widths.append(out.shape[1])
+        return block(self, keys, offsets, out)
+
+    def run(some):
+        times, censored = montecarlo._first_hits(
+            [x0 for x0, _, _ in some], [seed for _, seed, _ in some],
+            [horizon for *_, horizon in some], [0] * len(some), [at_two], advance, 1,
+            replicas, montecarlo._population(1))
+        return times.reshape(len(some), replicas), censored.reshape(len(some), replicas)
+
+    monkeypatch.setattr(montecarlo._ReplicaStreams, "block", recording_block)
+    times, censored = run(jobs)
+    assert widths == [50]
+    for j, (_, _, horizon) in enumerate(jobs):
+        alone_times, alone_censored = run([jobs[j]])
+        assert times[j].tolist() == alone_times[0].tolist()
+        assert censored[j].tolist() == alone_censored[0].tolist()
+        if horizon < 50:
+            assert censored[j].any() and times[j].max() == horizon
+            others = np.arange(len(jobs)) != j
+            assert ((times[others] == horizon) & ~censored[others]).any()
 
 
 def test_several_ball_walks_step_in_one_population():

@@ -28,9 +28,8 @@ the live walkers' draws out of the stream block as whole items, one
 ``8 * draws``-byte item per walker, which gathers about 4x faster than a
 2-D fancy index.  A step keeps its bookkeeping to what the next step reads:
 it compacts only the live walkers' positions, groups and block rows,
-records an arrival per block row and writes the results once at the end
-of the block, tests expiry only on the steps at which some horizon ends,
-and calls the arrival test of a one-group population directly.
+and records an arrival per block row, writing the results once at the
+end of the block.
 
 A finite-kernel step inverts the current state's row CDF at the walker's
 draw.  ``_finite_advance`` builds a guide table (Chen and Asau's index
@@ -322,25 +321,24 @@ def _first_hits(starts, seeds, horizons, groups, arrivals, advance, draws, repli
     (then in job and replica order), so that shorter jobs fill the tail of
     longer ones.  A job with horizon 0 takes no walkers.  The population is
     ordered by group, so that each arrival test runs once per step, on one
-    slice; a single group's test runs on the whole population, unsliced.
-    One ``advance(pos, u, grp)`` call a step moves every live walker, with
-    u of shape (walkers, draws) and grp each walker's group: the step and
-    arrival functions see only live walkers.  Every walker carries its own
-    step count, and its block row starts at that step's position of its
-    own stream.  A block is 256/draws steps wide, narrowed so that it holds
-    at most ``_BLOCK_DRAWS`` doubles and reaches no further than the
-    horizon of the walker with most steps left.  Each step gathers the live
-    walkers' draws as whole items, one ``8 * draws``-byte item per walker,
-    rather than by a 2-D fancy index.  A walker retires when it arrives or
-    when its own step count reaches its horizon.
+    slice.  One ``advance(pos, u, grp)`` call a step moves every live
+    walker, with u of shape (walkers, draws) and grp each walker's group:
+    the step and arrival functions see only live walkers.  Every walker
+    carries its own step count, and its block row starts at that step's
+    position of its own stream.  A block is 256/draws steps wide, narrowed
+    so that it holds at most ``_BLOCK_DRAWS`` doubles and reaches no
+    further than the horizon of the walker with most steps left.  Each
+    step gathers the live walkers' draws as whole items, one
+    ``8 * draws``-byte item per walker, rather than by a 2-D fancy index.
+    A walker retires when it arrives or when its own step count reaches
+    its horizon.
 
     Within a block a step compacts three arrays, the live walkers'
     positions, groups and block rows; walker ids, step counts and steps
     left stay block arrays indexed by row.  An arrival at block step b + 1
     is recorded as hit[row] = b + 1, and times and censoring are written
-    once, at the end of the block.  Expiry is tested only at the block
-    steps k at which some walker's horizon ends (its steps left at block
-    start equal k), a set taken once per block.
+    once, at the end of the block.  Expiry is tested only in blocks in
+    which some walker's horizon ends.
 
     Returns (times, censored), ordered by job and then replica: the first
     arrival time of each walker, its horizon for those that never arrive,
@@ -366,7 +364,6 @@ def _first_hits(starts, seeds, horizons, groups, arrivals, advance, draws, repli
     buf = np.empty(_BLOCK_DRAWS)
     item = np.dtype(f"V{8 * draws}")  # one walker's draws of one step
     cap = max(4, 256 // draws // 4 * 4)
-    one = arrivals[0] if len(arrivals) == 1 else None  # every walker's arrival test
     walker = np.empty(0, dtype=np.int64)  # the population, ordered by group
     pos, steps = starts[:0], np.empty(0, dtype=np.int64)
     admitted = 0
@@ -381,6 +378,7 @@ def _first_hits(starts, seeds, horizons, groups, arrivals, advance, draws, repli
             order = np.argsort(groups[walker // replicas], kind="stable")
             walker, pos, steps = walker[order], pos[order], steps[order]
             grp = groups[walker // replicas]
+            spans = _arrival_spans(grp, arrivals)
         n = walker.size
         left = horizons[walker // replicas] - steps  # steps each walker may still take
         fits = max(4, _BLOCK_DRAWS // (n * draws) // 4 * 4)  # steps the buffer holds
@@ -388,28 +386,21 @@ def _first_hits(starts, seeds, horizons, groups, arrivals, advance, draws, repli
         keys = np.column_stack((seeds[walker // replicas], (walker % replicas).astype(np.uint64)))
         u = streams.block(keys, steps * draws, buf[:n * width * draws].reshape(n, -1))
         u = u.view(item)  # (walkers, width): one item per walker and step
-        ends = np.zeros(width + 1, dtype=bool)  # ends[k]: some horizon ends at block step k
-        ends[left[left <= width]] = True
-        ends = ends.tolist()
+        expiring = int(left.min()) <= width
         hit = np.zeros(n, dtype=np.int64)  # the block step at which each row arrived, or 0
         row = np.arange(n)  # the live walkers' block rows
-        spans = _arrival_spans(grp, arrivals)
         for b in range(width):
             ub = u[:, b].take(row).view(np.float64).reshape(-1, draws)
             pos = advance(pos, ub, grp)
-            if one is not None:
-                just = one(pos)
-            else:
-                just = np.concatenate([arrived(pos[a:z]) for arrived, a, z in spans])
-            done = just | (left.take(row) == b + 1) if ends[b + 1] else just
+            just = np.concatenate([arrived(pos[a:z]) for arrived, a, z in spans])
+            done = just | (left.take(row) == b + 1) if expiring else just
             if done.any():
                 hit[row[just]] = b + 1
                 keep = ~done
                 pos, grp, row = pos[keep], grp[keep], row[keep]
                 if not row.size:
                     break
-                if one is None:
-                    spans = _arrival_spans(grp, arrivals)
+                spans = _arrival_spans(grp, arrivals)
         hit_rows = np.flatnonzero(hit)
         times[walker[hit_rows]] = steps[hit_rows] + hit[hit_rows]
         censored[walker[hit_rows]] = False
@@ -545,11 +536,11 @@ def estimate_hitting_batch(sampler, jobs, replicas: int, horizon: int) -> list[M
         If the sampler is neither a FiniteKernel nor a ContinuousSampler1D,
         also for an empty job list.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
     jobs = [(sampler, x0, target, seed, horizon) for x0, target, seed in jobs]
-    if not jobs:
-        _walker_rule(sampler)  # TypeError for an unsupported sampler, as when jobs name it
+    if not jobs:  # no job to check them with: refuse what any job would be refused for
+        if horizon < 0:
+            raise ValueError("horizon must be nonnegative")
+        _walker_rule(sampler)
     return _hitting_estimates(jobs, replicas)
 
 

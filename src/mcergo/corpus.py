@@ -57,15 +57,11 @@ def bd_expdrift() -> CorpusChain:
 def _independence_mh(n: int, gamma: float) -> FiniteKernel:
     """Independence Metropolis chain on n states targeting exp(-gamma j).
 
-    The uniform proposal matrix is symmetric, hence reversible w.r.t. the
-    uniform law, and the Metropolis construction is reversible w.r.t. the
-    geometric target.
+    The uniform proposal matrix is symmetric, hence reversible w.r.t. its
+    uniform stationary law, and the Metropolis construction is reversible
+    w.r.t. the geometric target.
     """
-    proposal = build_finite_kernel(
-        np.full((n, n), 1.0 / n),
-        states=np.linspace(0.0, 1.0, n),
-        reversible_wrt=np.full(n, 1.0 / n),
-    )
+    proposal = build_finite_kernel(np.full((n, n), 1.0 / n), states=np.linspace(0.0, 1.0, n))
     target = np.exp(-gamma * np.arange(n))
     return mh_grid_kernel(target, proposal)
 
@@ -100,32 +96,30 @@ def _jump_home_chain(n_mid: int, delta: float, eta: float, v_top: float):
     row[-1] = delta
     p = np.tile(row, (n, 1))
     v = np.concatenate([[0.0], np.linspace(0.0, 1.0, n_mid), [v_top]])
-    k = build_finite_kernel(p, reversible_wrt=row)
+    k = build_finite_kernel(p)
     return k, v
 
 
-def tightest_certificate(k: FiniteKernel, v, lam_grid=None,
-                         r_prime_margin=1.10, r_margin=1.05) -> DriftCertificate:
+def tightest_certificate(k: FiniteKernel, v) -> DriftCertificate:
     """Certificate whose lambda minimizes the theorem2 radius threshold.
 
     ``fit_drift`` minimizes b, which on slowly-mixing chains drives lambda
     to the top of the grid and blows up 2b/(1 - lambda); here we scan the
     same grid for the lambda that makes the small set {V <= r} smallest.
+    The radii sit 10% (r') and 5% (r) above their thresholds.
     """
     v = np.asarray(v, dtype=float)
-    if lam_grid is None:
-        lam_grid = np.arange(0.0, 1.0, 0.05)
     pv = k.p @ v
     best = None
-    for lam in np.asarray(lam_grid, dtype=float):
+    for lam in np.arange(0.0, 1.0, 0.05):
         b = float(max(0.0, np.max(pv - lam * v)))
         thr1 = 2.0 * b / (1.0 - lam)
-        r_prime = r_prime_margin * thr1
+        r_prime = 1.10 * thr1
         thr2 = (2.0 * b + 24.0 * r_prime) / (1.0 - lam)
         if best is None or thr2 < best[0]:
             best = (thr2, float(lam), b, r_prime)
     thr2, lam, b, r_prime = best
-    return DriftCertificate(v=v, lam=lam, b=b, r=r_margin * thr2, r_prime=r_prime)
+    return DriftCertificate(v=v, lam=lam, b=b, r=1.05 * thr2, r_prime=r_prime)
 
 
 def escape_corpus() -> list[EscapeCase]:
@@ -197,9 +191,7 @@ def random_reversible_chain(rng: np.random.Generator, n: int) -> FiniteKernel:
     """Random walk on a random positive symmetric weight matrix."""
     w = rng.gamma(shape=1.0, scale=1.0, size=(n, n)) + 1e-3
     w = 0.5 * (w + w.T)
-    rows = w / w.sum(axis=1, keepdims=True)
-    pi = w.sum(axis=1) / w.sum()
-    return build_finite_kernel(rows, reversible_wrt=pi)
+    return build_finite_kernel(w / w.sum(axis=1, keepdims=True))
 
 
 def random_positive_table(rng: np.random.Generator, n1: int, n2: int) -> np.ndarray:

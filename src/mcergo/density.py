@@ -17,6 +17,7 @@ from .tolerances import QUAD_TOL
 DENSITY_KINDS = ("uniform", "exponential-tilt", "piecewise-linear-table")
 
 _POSITIVITY_GRID = 4097
+_CENTRAL_RATIO_GRID = 2048
 
 
 def adaptive_simpson(f, a, b, tol=QUAD_TOL, max_depth=48):
@@ -125,12 +126,12 @@ class DensitySpec:
             return 0.0
         return adaptive_simpson(lambda t: float(self.pdf(t)), a, b) / self.normalizer
 
-    def quantile(self, q: float, tol: float = QUAD_TOL) -> float:
+    def quantile(self, q: float) -> float:
         """The point m with mass([0, m]) = q, located by bisection."""
         if not (0.0 < q < 1.0):
             raise ConfigError("quantile level must lie in (0, 1)")
         lo, hi = 0.0, 1.0
-        while hi - lo > tol:
+        while hi - lo > QUAD_TOL:
             mid = 0.5 * (lo + hi)
             if self.mass(0.0, mid) < q:
                 lo = mid
@@ -145,11 +146,11 @@ class DensitySpec:
 
     # -- near-unimodality ---------------------------------------------------
 
-    def measured_central_ratio(self, alpha: float | None = None, n_grid: int = 2048) -> float:
+    def measured_central_ratio(self, alpha: float | None = None) -> float:
         """max/min of pdf over [m(alpha), m(1-alpha)], by dense sampling."""
         a = self.unimodal_alpha if alpha is None else alpha
         lo, hi = self.quantile(a), self.quantile(1.0 - a)
-        vals = self.pdf(np.linspace(lo, hi, n_grid))
+        vals = self.pdf(np.linspace(lo, hi, _CENTRAL_RATIO_GRID))
         return float(np.max(vals) / np.min(vals))
 
     def check_nearly_unimodal(self, alpha: float | None = None, ratio: float | None = None) -> bool:

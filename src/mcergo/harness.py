@@ -247,9 +247,11 @@ def certificate_from_config(spec: dict, k: FiniteKernel) -> DriftCertificate:
     if v_spec is None:
         raise ConfigError("certificate needs 'v'")
     if isinstance(v_spec, dict):
-        kind = v_spec.get("kind")
+        v_spec = dict(v_spec)
+        kind = v_spec.pop("kind", None)
         if kind == "exp-of-coordinate":
-            kappa = _config_float(v_spec.get("kappa", 1.0), "kappa")
+            kappa = _config_float(v_spec.pop("kappa", 1.0), "kappa")
+            _reject_unknown(v_spec, "certificate v")
             v = np.exp(kappa * k.coordinates())
         else:
             raise ConfigError(f"unknown v kind {kind!r}")

@@ -9,6 +9,7 @@ restrictions (Metropolis-Hastings rejection, restricted Gibbs, trace).
 
 Kernel values are immutable; the one value a FiniteKernel adds later is its
 stationary law ``FiniteKernel.stationary``, solved at most once per object.
+It is the only stationary law a kernel carries: no builder attaches one.
 """
 from __future__ import annotations
 
@@ -54,20 +55,15 @@ class FiniteKernel:
     states : ndarray or None
         Optional ascending coordinates of the states in [0, 1].  ``None``
         means abstract indices.
-    reversible_wrt : ndarray or None
-        Optional detailed-balance witness pi with pi_i P_ij = pi_j P_ji.
     """
 
     p: np.ndarray
     states: np.ndarray | None = None
-    reversible_wrt: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "p", _frozen_array(self.p))
         if self.states is not None:
             object.__setattr__(self, "states", _frozen_array(self.states))
-        if self.reversible_wrt is not None:
-            object.__setattr__(self, "reversible_wrt", _frozen_array(self.reversible_wrt))
 
     @property
     def n(self) -> int:
@@ -125,7 +121,7 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
     return out
 
 
-def build_finite_kernel(rows, states=None, reversible_wrt=None) -> FiniteKernel:
+def build_finite_kernel(rows, states=None) -> FiniteKernel:
     """Validate a transition matrix and wrap it as a FiniteKernel.
 
     Rows that sum to 1 within ``ROW_SUM_TOL`` are kept exactly as given, so
@@ -158,23 +154,20 @@ def build_finite_kernel(rows, states=None, reversible_wrt=None) -> FiniteKernel:
             raise DimensionMismatch("states length does not match matrix dimension")
         if np.any(np.diff(states) <= 0.0):
             raise StatesNotOrdered("state coordinates must be strictly increasing")
-    if reversible_wrt is not None:
-        reversible_wrt = np.asarray(reversible_wrt, dtype=float)
-        _check_detailed_balance(p, reversible_wrt)
-    return FiniteKernel(p=p, states=states, reversible_wrt=reversible_wrt)
+    return FiniteKernel(p=p, states=states)
 
 
-def _check_detailed_balance(p: np.ndarray, pi: np.ndarray, tol=DETAILED_BALANCE_TOL):
+def _check_detailed_balance(p: np.ndarray, pi: np.ndarray):
     flux = pi[:, None] * p
     gap = np.max(np.abs(flux - flux.T))
-    if gap > tol:
+    if gap > DETAILED_BALANCE_TOL:
         raise ProposalNotReversible(f"detailed balance violated by {gap:.3e}")
 
 
 def lazy_transform(k: FiniteKernel) -> FiniteKernel:
     """Half-lazy version (P + I) / 2; preserves stationarity and reversibility."""
     p = 0.5 * k.p + 0.5 * np.eye(k.n)
-    return FiniteKernel(p=p, states=k.states, reversible_wrt=k.reversible_wrt)
+    return FiniteKernel(p=p, states=k.states)
 
 
 def birth_death_chain(psi: DensitySpec, c: float) -> FiniteKernel:
@@ -183,8 +176,7 @@ def birth_death_chain(psi: DensitySpec, c: float) -> FiniteKernel:
     On the grid {0, c, ..., 1-c}: up moves x -> x+c carry probability
     (1/2) min{1, psi(x+c)/psi(x)} (x < 1-c), down moves the mirror image
     (x > 0), and the remainder is holding mass.  Detailed balance makes the
-    normalized grid values of psi stationary; they are attached as the
-    ``reversible_wrt`` witness.
+    normalized grid values of psi stationary.
     """
     n = _checked_inverse(c)
     if n < 2:
@@ -199,8 +191,7 @@ def birth_death_chain(psi: DensitySpec, c: float) -> FiniteKernel:
         if i > 0:
             p[i, i - 1] = 0.5 * min(1.0, vals[i - 1] / vals[i])
         p[i, i] = 1.0 - p[i].sum()
-    pi = vals / vals.sum()
-    return FiniteKernel(p=p, states=np.arange(n) * c, reversible_wrt=pi)
+    return FiniteKernel(p=p, states=np.arange(n) * c)
 
 
 def lazy_srw(c: float) -> FiniteKernel:
@@ -221,8 +212,7 @@ def lazy_srw(c: float) -> FiniteKernel:
                 p[i, j] = 0.25
             else:
                 p[i, i] += 0.25
-    pi = np.full(n, 1.0 / n)
-    return FiniteKernel(p=p, states=np.arange(n) * c, reversible_wrt=pi)
+    return FiniteKernel(p=p, states=np.arange(n) * c)
 
 
 def mh_grid_kernel(psi: DensitySpec | np.ndarray, proposal: FiniteKernel) -> FiniteKernel:
@@ -231,13 +221,15 @@ def mh_grid_kernel(psi: DensitySpec | np.ndarray, proposal: FiniteKernel) -> Fin
     ``psi`` may be a DensitySpec (evaluated on the proposal's coordinates)
     or an explicit positive table over the states.  The acceptance
     probability is beta(x, y) = min{1, psi(y) q(y,x) / (psi(x) q(x,y))};
-    rejected mass is held.  The proposal must be reversible with respect to
-    a known positive vector (its ``reversible_wrt`` witness, or its
-    stationary law when the witness is omitted).
+    rejected mass is held.  nu, the proposal's stationary law
+    ``proposal.stationary``, must be positive, and the proposal reversible
+    with respect to it.
 
     Raises
     ------
     ProposalNotReversible, GridMismatch
+    Reducible, ResidualTooLarge
+        From solving nu.
     """
     n = proposal.n
     if isinstance(psi, DensitySpec):
@@ -251,9 +243,9 @@ def mh_grid_kernel(psi: DensitySpec | np.ndarray, proposal: FiniteKernel) -> Fin
     if np.any(target <= 0.0):
         raise DensityNonpositive("target must be positive on the grid")
 
-    nu = proposal.reversible_wrt if proposal.reversible_wrt is not None else proposal.stationary
+    nu = proposal.stationary
     if np.any(nu <= 0.0):
-        raise ProposalNotReversible("proposal witness vector must be positive")
+        raise ProposalNotReversible("the proposal's stationary law must be positive")
     _check_detailed_balance(proposal.p, nu)
 
     q = proposal.p
@@ -263,8 +255,7 @@ def mh_grid_kernel(psi: DensitySpec | np.ndarray, proposal: FiniteKernel) -> Fin
     p = q * beta
     np.fill_diagonal(p, 0.0)
     np.fill_diagonal(p, 1.0 - p.sum(axis=1))
-    pi = target / target.sum()
-    return FiniteKernel(p=p, states=proposal.states, reversible_wrt=pi)
+    return FiniteKernel(p=p, states=proposal.states)
 
 
 def gibbs_grid_kernel(table) -> FiniteKernel:
@@ -290,11 +281,10 @@ def gibbs_grid_kernel(table) -> FiniteKernel:
     if np.any(t <= 0.0):
         raise ZeroProbabilityCell("all table cells must be positive")
     n1, n2 = t.shape
-    pi = (t / t.sum()).ravel()
     n = n1 * n2
     if n1 == 1 or n2 == 1:
-        p = np.tile(pi, (n, 1))
-        return FiniteKernel(p=p, reversible_wrt=pi)
+        pi = (t / t.sum()).ravel()
+        return FiniteKernel(p=np.tile(pi, (n, 1)))
     col_sums = t.sum(axis=0)
     row_sums = t.sum(axis=1)
     p = np.zeros((n, n))
@@ -305,7 +295,7 @@ def gibbs_grid_kernel(table) -> FiniteKernel:
             p[s, j::n2] += 0.5 * t[:, j] / col_sums[j]
             # resample coordinate 2 (move within row i)
             p[s, i * n2:(i + 1) * n2] += 0.5 * t[i, :] / row_sums[i]
-    return FiniteKernel(p=p, reversible_wrt=pi)
+    return FiniteKernel(p=p)
 
 
 @dataclass(frozen=True)
@@ -502,10 +492,10 @@ def _gibbs_restricted_matrix(table: np.ndarray, S: np.ndarray) -> np.ndarray:
     return q
 
 
-def _check_domination(p: np.ndarray, q: np.ndarray, S: np.ndarray, tol=ROW_SUM_TOL):
+def _check_domination(p: np.ndarray, q: np.ndarray, S: np.ndarray):
     base = p[np.ix_(S, S)]
     gap = float(np.min(q - base))
-    if gap < -tol:
+    if gap < -ROW_SUM_TOL:
         raise DominationViolation(f"S-domination violated by {gap:.3e}")
 
 

@@ -378,8 +378,7 @@ def test_certify_dtable_bound_is_uncertified():
 def test_certify_dtable_route_uses_brute_off_birth_death():
     # a dense independence sampler on 10 states: C is the whole space
     n = 10
-    proposal = m.build_finite_kernel(np.full((n, n), 1.0 / n), states=np.linspace(0.0, 1.0, n),
-                                     reversible_wrt=np.full(n, 1.0 / n))
+    proposal = m.build_finite_kernel(np.full((n, n), 1.0 / n), states=np.linspace(0.0, 1.0, n))
     k = m.mh_grid_kernel(np.exp(-0.3 * np.arange(n)), proposal)
     cert = tightest_certificate(k, np.arange(n, dtype=float))
     table = m.default_dtable()

@@ -119,6 +119,12 @@ def test_certificate_from_config_fit_and_radii():
     assert m.compatibility_check(cert, "theorem2").passed
 
 
+def test_certificate_v_refuses_an_unknown_key():
+    k = m.lazy_srw(0.25)
+    with pytest.raises(errors.ConfigError, match=r"unknown certificate v config keys: \['kapa'\]"):
+        certificate_from_config({"v": {"kind": "exp-of-coordinate", "kapa": 0.5}}, k)
+
+
 # --- scaling ------------------------------------------------------------------
 
 def test_run_scaling_outputs(tmp_path):
@@ -588,6 +594,8 @@ MALFORMED_INPUTS = {
         density={"kind": "exponential-tilt", "tilt": "steep"})),
     "kappa-not-a-number": (2, lambda d: _certify_payload(
         v={"kind": "exp-of-coordinate", "kappa": "half"})),
+    "v-unknown-key": (2, lambda d: _certify_payload(
+        v={"kind": "exp-of-coordinate", "kapa": 0.5})),
     "lambda-not-a-number": (2, lambda d: _certify_payload(**{"lambda": "x", "b": 0.1})),
     "lambda-grid-empty": (1, lambda d: _certify_payload(fit_lambda_grid=[])),
     "v-wrong-length": (1, lambda d: _certify_payload(v=[1.0, 2.0])),

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 import mcergo as m
 from mcergo import chain_analysis, errors
 from mcergo.corpus import (
+    escape_corpus,
     random_dense_chain,
     random_positive_table,
     random_reversible_chain,
 )
+from mcergo.kernels import _check_detailed_balance
 from oracles import (
     ball_walk_step_clipped,
     hitting_solve,
@@ -28,11 +30,6 @@ EXP = m.DensitySpec(kind="exponential-tilt", params={"tilt": -1.0}, unimodal_rat
 def test_build_single_state():
     k = m.build_finite_kernel([[1.0]])
     assert k.n == 1 and k.p[0, 0] == 1.0
-
-
-def test_build_symmetric_two_state_reversible():
-    k = m.build_finite_kernel([[0.5, 0.5], [0.5, 0.5]], reversible_wrt=[0.5, 0.5])
-    assert np.allclose(k.p, 0.5)
 
 
 def test_build_rejects_bad_row_sum():
@@ -195,7 +192,6 @@ def test_birth_death_stationary_is_normalized_density():
     grid_density = EXP.grid_values(c)
     grid_density /= grid_density.sum()
     assert np.allclose(telescoped, grid_density, atol=1e-12)
-    assert np.allclose(k.reversible_wrt, grid_density, atol=1e-12)
     assert np.allclose(m.stationary_distribution(k), grid_density, atol=1e-10)
 
 
@@ -239,8 +235,7 @@ def test_mh_uniform_target_returns_proposal():
 
 
 def test_mh_two_state_example():
-    prop = m.build_finite_kernel([[0.5, 0.5], [0.5, 0.5]],
-                                 states=[0.0, 1.0], reversible_wrt=[0.5, 0.5])
+    prop = m.build_finite_kernel([[0.5, 0.5], [0.5, 0.5]], states=[0.0, 1.0])
     k = m.mh_grid_kernel(np.array([1.0, 2.0]), prop)
     assert np.allclose(k.p, [[0.5, 0.5], [0.25, 0.75]], atol=1e-15)
 
@@ -254,11 +249,27 @@ def test_mh_rejects_unreversible_proposal():
 
 
 def test_mh_rejects_grid_mismatch():
-    prop = m.build_finite_kernel([[0.5, 0.5], [0.5, 0.5]], reversible_wrt=[0.5, 0.5])
+    prop = m.build_finite_kernel([[0.5, 0.5], [0.5, 0.5]])
     with pytest.raises(errors.GridMismatch):
         m.mh_grid_kernel(np.array([1.0, 2.0, 3.0]), prop)
     with pytest.raises(errors.GridMismatch):
         m.mh_grid_kernel(UNIFORM, prop)  # no coordinates on the proposal
+
+
+def test_mh_refuses_a_proposal_with_a_transient_state():
+    # state 0 is transient, so the proposal's stationary law gives it mass 0
+    prop = m.build_finite_kernel([[0.5, 0.5], [0.0, 1.0]])
+    with pytest.raises(errors.ProposalNotReversible,
+                       match="the proposal's stationary law must be positive"):
+        m.mh_grid_kernel(np.array([1.0, 2.0]), prop)
+
+
+def test_mh_refuses_a_reducible_proposal():
+    # two closed classes {0, 1} and {2, 3}: the proposal has no single stationary law
+    prop = m.build_finite_kernel([[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0],
+                                  [0.0, 0.0, 0.5, 0.5], [0.0, 0.0, 0.5, 0.5]])
+    with pytest.raises(errors.Reducible):
+        m.mh_grid_kernel(np.array([1.0, 2.0, 3.0, 4.0]), prop)
 
 
 def _symmetric_proposal(rng, n):
@@ -267,7 +278,7 @@ def _symmetric_proposal(rng, n):
     np.fill_diagonal(w, 0.0)
     q = w / (w.sum(axis=1).max() * 1.2)
     np.fill_diagonal(q, 1.0 - q.sum(axis=1))
-    return m.build_finite_kernel(q, reversible_wrt=np.full(n, 1.0 / n))
+    return m.build_finite_kernel(q)
 
 
 @given(st.integers(2, 7), st.integers(0, 10_000))
@@ -279,6 +290,31 @@ def test_mh_detailed_balance(n, seed):
     pi = weights / weights.sum()
     flux = pi[:, None] * k.p
     assert np.max(np.abs(flux - flux.T)) <= 1e-12
+
+
+# --- reversibility of every builder ------------------------------------------------
+
+REVERSIBLE_BUILDERS = {
+    "two-state-symmetric": lambda: m.build_finite_kernel([[0.5, 0.5], [0.5, 0.5]]),
+    "birth-death": lambda: m.birth_death_chain(EXP, 1.0 / 16.0),
+    "lazy-srw": lambda: m.lazy_srw(1.0 / 16.0),
+    "lazy-transform": lambda: m.lazy_transform(m.birth_death_chain(EXP, 1.0 / 16.0)),
+    "mh-grid": lambda: m.mh_grid_kernel(EXP, m.lazy_srw(1.0 / 16.0)),
+    "gibbs-one-row": lambda: m.gibbs_grid_kernel([[0.1, 0.4, 0.5]]),
+    "gibbs-2d": lambda: m.gibbs_grid_kernel(
+        random_positive_table(np.random.default_rng(5), 3, 4)),
+    "random-reversible": lambda: random_reversible_chain(np.random.default_rng(9), 6),
+    **{f"escape-{i}": (lambda i=i: escape_corpus()[i].kernel) for i in range(10)},
+}
+
+
+@pytest.mark.parametrize("name", list(REVERSIBLE_BUILDERS))
+def test_every_builder_is_reversible_for_its_stationary_law(name):
+    """Detailed balance pi_i P_ij = pi_j P_ji holds within 1e-12 for pi = k.stationary.
+
+    escape-0..7 are independence Metropolis chains, escape-8 and escape-9 jump-home chains."""
+    k = REVERSIBLE_BUILDERS[name]()
+    _check_detailed_balance(k.p, k.stationary)
 
 
 # --- Gibbs grid kernel ------------------------------------------------------------

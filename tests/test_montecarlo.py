@@ -727,7 +727,7 @@ def test_ball_walk_starts_at_the_interval_ends_are_accepted():
 @pytest.mark.parametrize("x0", [-1, 4])
 def test_coupled_escape_rejects_a_start_outside_the_chain(monkeypatch, x0):
     rows = np.tile([0.55, 0.25, 0.15, 0.05], (4, 1))
-    k = m.build_finite_kernel(rows, reversible_wrt=rows[0])
+    k = m.build_finite_kernel(rows)
     dom = m.restrict(k, [1, 2, 3], "mh-restriction")  # holds state n - 1 = 3
     monkeypatch.setattr(montecarlo, "_first_hits", _no_walkers)
     with pytest.raises(ValueError, match="is not a state of this 4-state chain"):
@@ -738,14 +738,14 @@ def test_coupled_escape_rejects_a_start_outside_the_chain(monkeypatch, x0):
 
 def _simple_dominated():
     rows = np.tile([0.55, 0.25, 0.15, 0.05], (4, 1))
-    k = m.build_finite_kernel(rows, reversible_wrt=rows[0])
+    k = m.build_finite_kernel(rows)
     dom = m.restrict(k, [0, 1, 2], "mh-restriction")
     return k, dom
 
 
 def test_coupled_escape_full_space_never_decouples():
     rows = np.tile([0.5, 0.3, 0.2], (3, 1))
-    k = m.build_finite_kernel(rows, reversible_wrt=rows[0])
+    k = m.build_finite_kernel(rows)
     dom = m.restrict(k, [0, 1, 2], "mh-restriction")
     est = m.coupled_escape_estimate(k, dom, 0, 50, replicas=2000, seed=2)
     assert est.mean == 0.0

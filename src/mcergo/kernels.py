@@ -27,6 +27,7 @@ from .errors import (
     GridMismatch,
     NegativeEntry,
     ProposalNotReversible,
+    Reducible,
     RowSumViolation,
     SingularCensoring,
     StatesNotOrdered,
@@ -160,8 +161,37 @@ def build_finite_kernel(rows, states=None) -> FiniteKernel:
 def _check_detailed_balance(p: np.ndarray, pi: np.ndarray):
     flux = pi[:, None] * p
     gap = np.max(np.abs(flux - flux.T))
-    if gap > DETAILED_BALANCE_TOL:
+    if not gap <= DETAILED_BALANCE_TOL:
         raise ProposalNotReversible(f"detailed balance violated by {gap:.3e}")
+
+
+def _check_reversible(q: np.ndarray):
+    """Refuse q unless it is irreducible and reversible w.r.t. a positive law.
+
+    nu_i q_ij = nu_j q_ji with nu > 0 needs a symmetric support and fixes
+    nu_j / nu_i = q_ij / q_ji, so the ratios along a spanning tree from
+    state 0 give the one candidate nu, then tested on every move: O(n^2),
+    where solving for q's stationary law (the same nu) is O(n^3).
+    """
+    support = q > 0.0
+    oneway = np.argwhere(support & ~support.T)
+    if oneway.size:
+        i, j = oneway[0]
+        raise ProposalNotReversible(f"detailed balance violated by the move {i} -> {j}, "
+                                    "which is never reversed")
+    nu = np.ones(len(q))
+    unseen = np.ones(len(q), dtype=bool)
+    unseen[0] = False
+    stack = [0]
+    while stack and unseen.any():
+        i = stack.pop()
+        new = np.flatnonzero(support[i] & unseen)
+        unseen[new] = False
+        nu[new] = nu[i] * q[i, new] / q[new, i]
+        stack += new.tolist()
+    if unseen.any():
+        raise Reducible("proposal has several closed classes")
+    _check_detailed_balance(q, nu / nu.sum())
 
 
 def lazy_transform(k: FiniteKernel) -> FiniteKernel:
@@ -221,15 +251,13 @@ def mh_grid_kernel(psi: DensitySpec | np.ndarray, proposal: FiniteKernel) -> Fin
     ``psi`` may be a DensitySpec (evaluated on the proposal's coordinates)
     or an explicit positive table over the states.  The acceptance
     probability is beta(x, y) = min{1, psi(y) q(y,x) / (psi(x) q(x,y))};
-    rejected mass is held.  nu, the proposal's stationary law
-    ``proposal.stationary``, must be positive, and the proposal reversible
-    with respect to it.
+    rejected mass is held.  The proposal must be irreducible and reversible
+    with respect to a positive law; ``_check_reversible`` tests that without
+    solving for the law.
 
     Raises
     ------
-    ProposalNotReversible, GridMismatch
-    Reducible, ResidualTooLarge
-        From solving nu.
+    ProposalNotReversible, GridMismatch, Reducible
     """
     n = proposal.n
     if isinstance(psi, DensitySpec):
@@ -243,12 +271,8 @@ def mh_grid_kernel(psi: DensitySpec | np.ndarray, proposal: FiniteKernel) -> Fin
     if np.any(target <= 0.0):
         raise DensityNonpositive("target must be positive on the grid")
 
-    nu = proposal.stationary
-    if np.any(nu <= 0.0):
-        raise ProposalNotReversible("the proposal's stationary law must be positive")
-    _check_detailed_balance(proposal.p, nu)
-
     q = proposal.p
+    _check_reversible(q)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = (target[None, :] * q.T) / (target[:, None] * q)
     beta = np.minimum(1.0, np.where(q > 0.0, ratio, 0.0))

@@ -256,12 +256,16 @@ def test_mh_rejects_grid_mismatch():
         m.mh_grid_kernel(UNIFORM, prop)  # no coordinates on the proposal
 
 
-def test_mh_refuses_a_proposal_with_a_transient_state():
-    # state 0 is transient, so the proposal's stationary law gives it mass 0
-    prop = m.build_finite_kernel([[0.5, 0.5], [0.0, 1.0]])
-    with pytest.raises(errors.ProposalNotReversible,
-                       match="the proposal's stationary law must be positive"):
-        m.mh_grid_kernel(np.array([1.0, 2.0]), prop)
+@pytest.mark.parametrize("rows, message", [
+    # state 0 is transient: the move 0 -> 1 is never reversed
+    ([[0.5, 0.5], [0.0, 1.0]], "violated by the move 0 -> 1, which is never reversed"),
+    # every move is reversible, but 0 -> 1 -> 2 -> 0 is likelier than its reverse
+    ([[0.2, 0.5, 0.3], [0.3, 0.2, 0.5], [0.5, 0.3, 0.2]], r"detailed balance violated by \d"),
+], ids=["transient-state", "cycle-with-a-drift"])
+def test_mh_refuses_a_proposal_that_no_positive_law_balances(rows, message):
+    prop = m.build_finite_kernel(rows)
+    with pytest.raises(errors.ProposalNotReversible, match=message):
+        m.mh_grid_kernel(np.arange(1.0, len(rows) + 1.0), prop)
 
 
 def test_mh_refuses_a_reducible_proposal():
@@ -300,6 +304,8 @@ REVERSIBLE_BUILDERS = {
     "lazy-srw": lambda: m.lazy_srw(1.0 / 16.0),
     "lazy-transform": lambda: m.lazy_transform(m.birth_death_chain(EXP, 1.0 / 16.0)),
     "mh-grid": lambda: m.mh_grid_kernel(EXP, m.lazy_srw(1.0 / 16.0)),
+    "mh-grid-nonuniform-proposal": lambda: m.mh_grid_kernel(
+        np.linspace(1.0, 2.0, 16), m.birth_death_chain(EXP, 1.0 / 16.0)),
     "gibbs-one-row": lambda: m.gibbs_grid_kernel([[0.1, 0.4, 0.5]]),
     "gibbs-2d": lambda: m.gibbs_grid_kernel(
         random_positive_table(np.random.default_rng(5), 3, 4)),

@@ -5,7 +5,7 @@ The runtime needs numpy alone; importing the package loads no scipy.
 
 __version__ = "0.1.0"
 
-from .density import DensitySpec, adaptive_simpson
+from .density import DensitySpec
 from .kernels import (
     ContinuousSampler1D,
     DominatedKernel,

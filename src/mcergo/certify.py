@@ -365,8 +365,8 @@ def solve_contraction(eps: float, lam: float, b: float, r: float) -> tuple[float
     """Solve (1 - eps)^p = A^(1-p) B^p for p, with A = (1 + 2b + lam r)/(1 + r)
     and B = 1 + 2(lam r + b); returns (p, rho = 1 - (1 - eps)^p).
 
-    The closed form is cross-validated against a bisection of the defining
-    equality to 1e-12 before returning; guarantees 0 < p < 1 and
+    The closed form is checked to lie within 1e-9 of the root of the
+    defining equality before returning; guarantees 0 < p < 1 and
     0 < rho < 1.
 
     Raises
@@ -385,23 +385,14 @@ def solve_contraction(eps: float, lam: float, b: float, r: float) -> tuple[float
     log_a = math.log(a)
     log_b = math.log(big_b)
     log_e = math.log1p(-eps)
-    p = log_a / (log_e + log_a - log_b)
-
-    # bisection cross-check of f(q) = q log(1-eps) - (1-q) log A - q log B
-    def f(q):
-        return q * log_e - (1.0 - q) * log_a - q * log_b
-
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    p_bis = 0.5 * (lo + hi)
-    if abs(p - p_bis) > 1e-9:
+    slope = log_e + log_a - log_b
+    p = log_a / slope
+    # f(q) = q log(1-eps) - (1-q) log A - q log B is linear in q, so
+    # |f(p)| <= 1e-9 |slope| holds exactly when p lies within 1e-9 of its root
+    f_p = p * log_e - (1.0 - p) * log_a - p * log_b
+    if abs(f_p) > 1e-9 * abs(slope):
         raise InvalidParameters(
-            f"closed-form p {p} disagrees with bisection {p_bis}"
+            f"closed-form p {p} leaves residual {f_p} in the defining equality"
         )
     rho = -math.expm1(p * log_e)
     if not (0.0 < p < 1.0 and 0.0 < rho < 1.0):

@@ -1,12 +1,17 @@
 """Positive densities on [0, 1]: evaluation, normalization, quantiles.
 
 Three density families are supported: the uniform density, exponential
-tilts exp(tilt * x), and positive piecewise-linear tables.  Quantiles and
-normalizers come from adaptive Simpson quadrature plus bisection, both to
-absolute tolerance ``tolerances.QUAD_TOL``.
+tilts exp(tilt * x), and positive piecewise-linear tables.  Each has a
+closed-form integral F(x) of psi over [0, x]: normalizers and masses are
+read from it exactly, and quantiles by bisection on it to absolute
+tolerance ``tolerances.QUAD_TOL``.  Each psi is monotone or linear between
+its knots, so its extremes over an interval lie at the interval ends or at
+knots inside it; the positivity and near-unimodality checks read only
+those points.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,52 +21,6 @@ from .tolerances import QUAD_TOL
 
 DENSITY_KINDS = ("uniform", "exponential-tilt", "piecewise-linear-table")
 
-_POSITIVITY_GRID = 4097
-_CENTRAL_RATIO_GRID = 2048
-
-
-def adaptive_simpson(f, a, b, tol=QUAD_TOL, max_depth=48):
-    """Integrate a scalar function on [a, b] by adaptive Simpson quadrature.
-
-    Parameters
-    ----------
-    f : callable
-        Scalar integrand.
-    a, b : float
-        Integration limits, a <= b.
-    tol : float
-        Absolute tolerance on the result.
-
-    Returns
-    -------
-    float
-    """
-    if b <= a:
-        return 0.0
-
-    def panel(lo, hi, flo, fhi):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        return mid, fmid, (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    fa, fb = f(a), f(b)
-    m, fm, whole = panel(a, b, fa, fb)
-    # stack entries: (lo, mid, hi, flo, fmid, fhi, estimate, tol, depth)
-    stack = [(a, m, b, fa, fm, fb, whole, tol, 0)]
-    total = 0.0
-    while stack:
-        lo, mid, hi, flo, fmid, fhi, est, etol, depth = stack.pop()
-        lm, flm, left = panel(lo, mid, flo, fmid)
-        rm, frm, right = panel(mid, hi, fmid, fhi)
-        err = left + right - est
-        if abs(err) <= 15.0 * etol or depth >= max_depth:
-            total += left + right + err / 15.0
-        else:
-            stack.append((lo, lm, mid, flo, flm, fmid, left, etol / 2.0, depth + 1))
-            stack.append((mid, rm, hi, fmid, frm, fhi, right, etol / 2.0, depth + 1))
-    return total
-
-
 @dataclass(frozen=True)
 class DensitySpec:
     """A positive density psi on [0, 1] with near-unimodality parameters.
@@ -69,7 +28,7 @@ class DensitySpec:
     ``unimodal_alpha`` and ``unimodal_ratio`` declare that psi stays within
     ratio ``unimodal_ratio`` of itself on the central inter-quantile
     interval [m(alpha), m(1 - alpha)]; ``check_nearly_unimodal`` verifies
-    the declaration by dense sampling.
+    the declaration from the exact extremes of psi on that interval.
     """
 
     kind: str
@@ -94,11 +53,12 @@ class DensitySpec:
                 raise ConfigError("piecewise table needs matching xs/ys with >= 2 knots")
             if xs[0] != 0.0 or xs[-1] != 1.0 or np.any(np.diff(xs) <= 0):
                 raise ConfigError("piecewise knots must increase from 0 to 1")
-            if np.any(ys <= 0.0):
-                raise DensityNonpositive("piecewise table has a nonpositive value")
-        # dense positivity check (discrete analogue of psi > 0 on [0,1])
-        grid = np.linspace(0.0, 1.0, _POSITIVITY_GRID)
-        if np.any(self.pdf(grid) <= 0.0):
+        # psi at 0, 1 and the knots bounds psi on [0, 1] from both sides
+        with np.errstate(all="ignore"):  # an overflow is refused just below
+            vals = self.pdf(self._knots())
+        if not np.all(np.isfinite(vals)):
+            raise ConfigError("density is not finite on [0, 1]")
+        if np.any(vals <= 0.0):
             raise DensityNonpositive("density is nonpositive somewhere on [0, 1]")
 
     # -- evaluation --------------------------------------------------------
@@ -114,17 +74,33 @@ class DensitySpec:
             out = np.interp(x, self.params["xs"], self.params["ys"])
         return out if out.ndim else float(out)
 
+    def _knots(self) -> np.ndarray:
+        """0, 1 and the table knots: psi is monotone between neighbours."""
+        return np.asarray(self.params.get("xs", (0.0, 1.0)), dtype=float)
+
+    def _integral(self, x: float) -> float:
+        """F(x), the integral of pdf over [0, x], in closed form."""
+        if self.kind == "uniform":
+            return x
+        if self.kind == "exponential-tilt":
+            t = self.params["tilt"]
+            return x if t * x == 0.0 else math.expm1(t * x) / t
+        xs, ys = self._knots(), np.asarray(self.params["ys"], dtype=float)
+        areas = np.concatenate([[0.0], np.cumsum(np.diff(xs) * (ys[:-1] + ys[1:]) / 2.0)])
+        i = min(int(np.searchsorted(xs, x, side="right")) - 1, xs.size - 2)
+        return float(areas[i] + (x - xs[i]) * (ys[i] + self.pdf(x)) / 2.0)
+
     @property
     def normalizer(self) -> float:
         """Z with integral of pdf/Z over [0,1] equal to 1."""
-        return _normalizer_cached(self)
+        return self._integral(1.0)
 
     def mass(self, a: float, b: float) -> float:
         """Probability assigned to [a, b]."""
         a, b = max(0.0, a), min(1.0, b)
         if b <= a:
             return 0.0
-        return adaptive_simpson(lambda t: float(self.pdf(t)), a, b) / self.normalizer
+        return (self._integral(b) - self._integral(a)) / self.normalizer
 
     def quantile(self, q: float) -> float:
         """The point m with mass([0, m]) = q, located by bisection."""
@@ -147,10 +123,11 @@ class DensitySpec:
     # -- near-unimodality ---------------------------------------------------
 
     def measured_central_ratio(self, alpha: float | None = None) -> float:
-        """max/min of pdf over [m(alpha), m(1-alpha)], by dense sampling."""
+        """max/min of pdf over [m(alpha), m(1-alpha)]: at its ends and the knots inside."""
         a = self.unimodal_alpha if alpha is None else alpha
         lo, hi = self.quantile(a), self.quantile(1.0 - a)
-        vals = self.pdf(np.linspace(lo, hi, _CENTRAL_RATIO_GRID))
+        knots = self._knots()
+        vals = self.pdf(np.concatenate([[lo, hi], knots[(knots > lo) & (knots < hi)]]))
         return float(np.max(vals) / np.min(vals))
 
     def check_nearly_unimodal(self, alpha: float | None = None, ratio: float | None = None) -> bool:
@@ -194,24 +171,6 @@ class DensitySpec:
         if cfg:
             raise ConfigError(f"unknown density config keys: {sorted(cfg)}")
         return cls(kind=kind, params=params, unimodal_alpha=alpha, unimodal_ratio=ratio)
-
-
-_NORMALIZER_CACHE: dict = {}
-
-
-def _normalizer_cached(spec: DensitySpec) -> float:
-    key = (spec.kind, tuple(sorted((k, _freeze(v)) for k, v in spec.params.items())))
-    z = _NORMALIZER_CACHE.get(key)
-    if z is None:
-        z = adaptive_simpson(lambda t: float(spec.pdf(t)), 0.0, 1.0)
-        if z <= 0.0:
-            raise DensityNonpositive("density integrates to a nonpositive value")
-        _NORMALIZER_CACHE[key] = z
-    return z
-
-
-def _freeze(v):
-    return tuple(v) if isinstance(v, (list, tuple, np.ndarray)) else v
 
 
 def _config_float(value, what: str) -> float:

@@ -69,6 +69,9 @@ START_GRID_POINTS = 33
 TV_PROFILE_HORIZON = 500
 TV_PROFILE_STATE_CAP = 512
 MAX_ACCEPTED_CENSORING = 0.01
+# Default radii r' and r exceed their compatibility thresholds,
+# 2b/(1 - lam) and (2b + 24 r')/(1 - lam), by this factor.
+RADIUS_MARGIN = 1.05
 
 
 @dataclass(frozen=True)
@@ -271,12 +274,11 @@ def certificate_from_config(spec: dict, k: FiniteKernel) -> DriftCertificate:
         if lam_grid is not None:
             lam_grid = _config_floats(lam_grid, "fit_lambda_grid")
         lam, b = fit_drift(k, v, lam_grid)
-    margin = _config_float(spec.pop("radius_margin", 1.05), "radius_margin")
     _reject_unknown(spec, "certificate")
     if r_prime is None:
-        r_prime = margin * 2.0 * b / (1.0 - lam)
+        r_prime = RADIUS_MARGIN * 2.0 * b / (1.0 - lam)
     if r is None:
-        r = margin * (2.0 * b + 24.0 * r_prime) / (1.0 - lam)
+        r = RADIUS_MARGIN * (2.0 * b + 24.0 * r_prime) / (1.0 - lam)
     return DriftCertificate(v=v, lam=lam, b=b, r=r, r_prime=r_prime)
 
 
@@ -432,17 +434,8 @@ def run_certify(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
     """Full certification audit for a configured chain and certificate."""
     if cfg.experiment != "certify":
         raise ConfigError(f"config is for {cfg.experiment!r}, not certify")
-    if cfg.chain is None:
-        raise ConfigError("certify needs a 'chain'")
+    k, cert, variant = _chain_certificate_variant(cfg)
     out_dir = _prepare_out(cfg, out_dir)
-    k, corpus_cert, corpus_variant = chain_from_config(cfg.chain)
-    if cfg.certificate is not None:
-        cert = certificate_from_config(cfg.certificate, k)
-    elif corpus_cert is not None:
-        cert = corpus_cert
-    else:
-        raise ConfigError("certify needs a 'certificate' (or a corpus chain)")
-    variant = corpus_variant or cfg.restriction
     dtable = _load_dtable(cfg)
 
     report: dict = {
@@ -583,15 +576,8 @@ def run_couple(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
     """
     if cfg.experiment != "couple":
         raise ConfigError(f"config is for {cfg.experiment!r}, not couple")
-    if cfg.chain is None:
-        raise ConfigError("couple needs a 'chain'")
+    k, cert, variant = _chain_certificate_variant(cfg)
     out_dir = _prepare_out(cfg, out_dir)
-    k, corpus_cert, corpus_variant = chain_from_config(cfg.chain)
-    cert = (certificate_from_config(cfg.certificate, k)
-            if cfg.certificate is not None else corpus_cert)
-    if cert is None:
-        raise ConfigError("couple needs a 'certificate' (or a corpus chain)")
-    variant = corpus_variant or cfg.restriction
     horizon = cfg.horizon or 50
     dom = restrict(k, cert.small_set, variant)
     x0 = int(cert.inner_set[0])
@@ -609,6 +595,22 @@ def run_couple(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
     if not quiet:
         print(f"couple: freq={est.mean} exact={exact} bound={bnd}")
     return {"ok": ok, "out_dir": out_dir, "estimate": est, "exact": exact, "bound": bnd}
+
+
+def _chain_certificate_variant(cfg: ExperimentConfig):
+    """The configured chain, its certificate and its restriction variant.
+
+    A configured certificate wins over the corpus chain's own; a corpus
+    chain's variant wins over ``cfg.restriction``.
+    """
+    if cfg.chain is None:
+        raise ConfigError(f"{cfg.experiment} needs a 'chain'")
+    k, corpus_cert, corpus_variant = chain_from_config(cfg.chain)
+    cert = (certificate_from_config(cfg.certificate, k)
+            if cfg.certificate is not None else corpus_cert)
+    if cert is None:
+        raise ConfigError(f"{cfg.experiment} needs a 'certificate' (or a corpus chain)")
+    return k, cert, corpus_variant or cfg.restriction
 
 
 def _prepare_out(cfg: ExperimentConfig, out_dir):

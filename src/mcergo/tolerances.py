@@ -30,5 +30,5 @@ LINEAR_RESIDUAL_TOL = 1e-12
 # so a returned vector keeps about eight significant digits.
 HITTING_CONDITION_TOL = 1e-8
 
-# Adaptive Simpson quadrature and quantile bisection.
+# Width at which DensitySpec.quantile stops its bisection on the closed-form CDF.
 QUAD_TOL = 1e-8

@@ -514,6 +514,19 @@ def test_cli_scaling_success(tmp_path):
     assert (tmp_path / "out" / "scaling.csv").exists()
 
 
+def test_cli_scaling_steep_tilt_finishes(tmp_path):
+    # psi integrates to about e^22 / 22: the quantiles come from the closed-form CDF
+    cfg = _write_cfg(tmp_path, {
+        "experiment": "scaling",
+        "density": {"kind": "exponential-tilt", "tilt": 22.0, "unimodal_ratio": 1e12},
+        "c_list": [0.125],
+        "replicas": 16,
+        "seed": 0,
+    })
+    assert cli_main(["scaling", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 0
+
+
 def test_cli_config_error_exit_two(tmp_path):
     cfg = _write_cfg(tmp_path, {"experiment": "scaling", "bogus": 1})
     assert cli_main(["scaling", "--config", cfg]) == 2
@@ -592,11 +605,17 @@ MALFORMED_INPUTS = {
     "c-not-a-number": (2, lambda d: _hitmix_payload({"kind": "lazy-srw", "c": "an eighth"})),
     "tilt-not-a-number": (2, lambda d: _scaling_payload(
         density={"kind": "exponential-tilt", "tilt": "steep"})),
+    "tilt-overflows": (2, lambda d: _scaling_payload(
+        density={"kind": "exponential-tilt", "tilt": 800.0})),
+    "density-narrow-peak": (2, lambda d: _scaling_payload(density={
+        "kind": "piecewise-linear-table", "xs": [0.0, 0.5, 0.50001, 0.50002, 1.0],
+        "ys": [1.0, 1.0, 10.0, 1.0, 1.0], "unimodal_ratio": 2.0})),
     "kappa-not-a-number": (2, lambda d: _certify_payload(
         v={"kind": "exp-of-coordinate", "kappa": "half"})),
     "v-unknown-key": (2, lambda d: _certify_payload(
         v={"kind": "exp-of-coordinate", "kapa": 0.5})),
     "lambda-not-a-number": (2, lambda d: _certify_payload(**{"lambda": "x", "b": 0.1})),
+    "radius_margin-not-a-key": (2, lambda d: _certify_payload(radius_margin=1.1)),
     "lambda-grid-empty": (1, lambda d: _certify_payload(fit_lambda_grid=[])),
     "v-wrong-length": (1, lambda d: _certify_payload(v=[1.0, 2.0])),
     "v-wrong-length-lambda-and-b-given": (1, lambda d: _certify_payload(

@@ -6,6 +6,12 @@ the interpolation exponent p and contraction rate rho, and assembles the
 bound M(x) (1 - rho)^t from either an exact pairwise overlap or the
 drift-and-hit route through a dominated restriction.
 
+Every certificate is made here, from one b(lambda) over the grid
+``LAMBDA_GRID`` (``fit_drift``, ``tightest_certificate``), one pair of
+radius thresholds 2b/(1 - lambda) and (2b + 24 r')/(1 - lambda)
+(``compatibility_check``), and default radii ``RADIUS_MARGIN`` times
+those thresholds (``DriftCertificate.with_radii``).
+
 Step-count convention: the pairwise overlap is established for the T-step
 kernel, whose drift parameters are (lambda^T, b (1 - lambda^T)/(1 -
 lambda)); the single-step bound uses floor(t / T) exponents.  Every
@@ -39,6 +45,10 @@ from .kernels import FiniteKernel, restrict
 from .tolerances import EQUALITY_TOL, ROW_SUM_TOL
 
 EXACT_OVERLAP_STATE_CAP = 512
+# The lambdas at which a certificate is fitted to V.
+LAMBDA_GRID = np.arange(0.0, 1.0, 0.05)
+# Default radii r' and r exceed their compatibility thresholds by this factor.
+RADIUS_MARGIN = 1.05
 
 
 # --- certificate and bound types ---------------------------------------------
@@ -61,6 +71,17 @@ class DriftCertificate:
         v = np.array(_check_drift(self.lam, self.b, self.v))
         v.setflags(write=False)
         object.__setattr__(self, "v", v)
+
+    @classmethod
+    def with_radii(cls, v, lam: float, b: float, r=None, r_prime=None) -> "DriftCertificate":
+        """The certificate (V, lambda, b) with each radius not given set to
+        ``RADIUS_MARGIN`` times its compatibility threshold, r' first."""
+        _check_drift(lam, b)
+        if r_prime is None:
+            r_prime = RADIUS_MARGIN * _radius_thresholds(lam, b, 0.0)[0]
+        if r is None:
+            r = RADIUS_MARGIN * _radius_thresholds(lam, b, r_prime)[1]
+        return cls(v=v, lam=float(lam), b=float(b), r=float(r), r_prime=float(r_prime))
 
     def sublevel(self, radius: float) -> np.ndarray:
         return np.flatnonzero(self.v <= radius)
@@ -268,7 +289,8 @@ def verify_drift(k: FiniteKernel, v, lam: float, b: float) -> DriftCheck:
 
 
 def fit_drift(k: FiniteKernel, v, lam_grid=None) -> tuple[float, float]:
-    """Smallest feasible b over a lambda grid; ties go to the smaller lambda.
+    """Smallest feasible b over a lambda grid (``LAMBDA_GRID`` by default);
+    ties go to the smaller lambda.
 
     For each lambda, b(lambda) = max(0, max_x((PV)(x) - lambda V(x))); the
     returned pair always satisfies ``verify_drift``.
@@ -276,18 +298,37 @@ def fit_drift(k: FiniteKernel, v, lam_grid=None) -> tuple[float, float]:
     v = np.asarray(v, dtype=float)
     if v.shape != (k.n,):
         raise InvalidParameters("V length does not match the kernel")
-    lam_grid = np.arange(0.0, 1.0, 0.05) if lam_grid is None else np.asarray(lam_grid, dtype=float)
+    lam_grid = LAMBDA_GRID if lam_grid is None else np.asarray(lam_grid, dtype=float)
     if lam_grid.ndim != 1 or lam_grid.size == 0:
         raise InvalidParameters("lambda grid must be a nonempty list of values")
+    if not np.all((lam_grid >= 0.0) & (lam_grid < 1.0)):
+        raise InvalidParameters("lambda grid must lie in [0, 1)")
+    b = _drift_b(k, v, lam_grid)
+    best = int(np.argmin(b))
+    return float(lam_grid[best]), float(b[best])
+
+
+def tightest_certificate(k: FiniteKernel, v) -> DriftCertificate:
+    """Certificate whose lambda minimizes the theorem2 radius threshold.
+
+    ``fit_drift`` minimizes b, which on slowly-mixing chains drives lambda
+    to the top of the grid and blows up 2b/(1 - lambda); this scans the
+    same grid, ``LAMBDA_GRID``, for the first lambda with the smallest
+    threshold (2b + 24 r')/(1 - lambda), which makes the small set
+    {V <= r} smallest.  r' sits 10% above its threshold 2b/(1 - lambda),
+    and r ``RADIUS_MARGIN`` above its own.
+    """
+    v = np.asarray(v, dtype=float)
+    b = _drift_b(k, v, LAMBDA_GRID)
+    r_prime = 1.10 * _radius_thresholds(LAMBDA_GRID, b, 0.0)[0]
+    best = int(np.argmin(_radius_thresholds(LAMBDA_GRID, b, r_prime)[1]))
+    return DriftCertificate.with_radii(v, LAMBDA_GRID[best], b[best], r_prime=r_prime[best])
+
+
+def _drift_b(k: FiniteKernel, v: np.ndarray, lam_grid: np.ndarray) -> np.ndarray:
+    """b(lambda) = max(0, max_x((PV)(x) - lambda V(x))) for every lambda of the grid."""
     pv = k.p @ v
-    best = None
-    for lam in lam_grid:
-        if not (0.0 <= lam < 1.0):
-            raise InvalidParameters("lambda grid must lie in [0, 1)")
-        b = float(max(0.0, np.max(pv - lam * v)))
-        if best is None or b < best[1]:
-            best = (float(lam), b)
-    return best
+    return np.maximum(0.0, np.max(pv - lam_grid[:, None] * v, axis=1))
 
 
 def lazy_drift_params(lam: float, b: float) -> tuple[float, float]:
@@ -323,19 +364,24 @@ def compatibility_check(cert: DriftCertificate, mode: str = "classic") -> Compat
     classic: r > 2b/(1 - lambda).  theorem2: additionally r' > 2b/(1 -
     lambda) and r > (2b + 24 r')/(1 - lambda).
     """
-    denom = 1.0 - cert.lam
-    classic_threshold = 2.0 * cert.b / denom
+    classic_threshold, t2 = _radius_thresholds(cert.lam, cert.b, cert.r_prime)
     margins = {"r_minus_classic_threshold": cert.r - classic_threshold}
     if mode == "classic":
         passed = cert.r > classic_threshold
     elif mode == "theorem2":
-        t2 = (2.0 * cert.b + 24.0 * cert.r_prime) / denom
         margins["r_prime_minus_classic_threshold"] = cert.r_prime - classic_threshold
         margins["r_minus_theorem2_threshold"] = cert.r - t2
         passed = cert.r_prime > classic_threshold and cert.r > t2
     else:
         raise ValueError(f"unknown compatibility mode {mode!r}")
     return CompatibilityReport(mode=mode, passed=bool(passed), margins=margins)
+
+
+def _radius_thresholds(lam, b, r_prime):
+    """The lower thresholds 2b/(1 - lambda) of r' (and of r, classic) and
+    (2b + 24 r')/(1 - lambda) of r (theorem2); elementwise on arrays."""
+    denom = 1.0 - lam
+    return 2.0 * b / denom, (2.0 * b + 24.0 * r_prime) / denom
 
 
 def drift_envelope(lam: float, b: float, v0: float, t: int) -> float:
@@ -484,9 +530,8 @@ def certify_drift_and_hit(
     elif t_route == "dtable":
         if dtable is None:
             raise IncompatibleCertificate("dtable route requires a DTable")
-        interval_ok = dom.kernel.states is not None and is_birth_death(dom.kernel)
         report = max_hitting_time(dom.kernel, alpha,
-                                  strategy="interval" if interval_ok else "brute")
+                                  strategy="interval" if is_birth_death(dom.kernel) else "brute")
         t_mix = int(math.ceil(hit_to_mix(report.t_h, alpha, dtable)[0]))
     else:
         raise ValueError(f"unknown t route {t_route!r}")

@@ -25,7 +25,6 @@ from .errors import (
     DegenerateOverlap,
     EmptySubset,
     LengthMismatch,
-    MissingCoordinates,
     NoFeasibleSet,
     NotBirthDeath,
     NotMixedByHorizon,
@@ -436,19 +435,20 @@ def max_hitting_time(
     first-step equations for each, and keeps the first maximum in bitmask
     order.  Strategy "interval" is the birth-death closed form (Levin,
     Peres and Wilmer, Markov Chains and Mixing Times, section 2.5); it
-    needs state coordinates and a tridiagonal P, raises NotBirthDeath on
-    any other P, and makes no linear solve.  Paths of a birth-death chain
-    cannot skip states, so the worst sets are contiguous windows [i..j],
-    the worst start is state 0 or n - 1, and E_0[tau_i] and E_{n-1}[tau_j]
-    are prefix sums of the per-edge times E_x[tau_{x+1}] and
-    E_x[tau_{x-1}], which first-step recursions over positive terms give.
+    reads only the off-diagonals of a tridiagonal P, so it needs no state
+    coordinates, raises NotBirthDeath on any other P, and makes no linear
+    solve.  Paths of a birth-death chain cannot skip states, so the worst
+    sets are contiguous windows [i..j], the worst start is state 0 or
+    n - 1, and E_0[tau_i] and E_{n-1}[tau_j] are prefix sums of the
+    per-edge times E_x[tau_{x+1}] and E_x[tau_{x-1}], which first-step
+    recursions over positive terms give.
     For each i only the smallest window of mass >= alpha can be worst, so
     the scan costs O(n w) for windows of w states.
     Ties break to the lexicographically smallest (set, start).
 
     Raises
     ------
-    TooManyStates, NoFeasibleSet, MissingCoordinates, NotBirthDeath,
+    TooManyStates, NoFeasibleSet, NotBirthDeath,
     Unreachable, Reducible, ResidualTooLarge
     """
     if alpha <= 0.0:
@@ -493,8 +493,6 @@ def _brute_max(k: FiniteKernel, pi: np.ndarray, alpha: float):
 
 
 def _birth_death_max(k: FiniteKernel, pi: np.ndarray, alpha: float):
-    if k.states is None:
-        raise MissingCoordinates("interval strategy requires state coordinates")
     if not is_birth_death(k):
         raise NotBirthDeath("interval strategy requires a tridiagonal (birth-death) kernel")
     n = k.n

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import DriftCertificate, fit_drift
+from .certify import DriftCertificate, fit_drift, tightest_certificate
 from .density import DensitySpec
 from .kernels import FiniteKernel, birth_death_chain, build_finite_kernel, mh_grid_kernel
 
@@ -31,20 +31,16 @@ def bd_expdrift() -> CorpusChain:
     """Birth-death discretization of exp(-x) at c = 1/32 with a passing
     exponential Lyapunov certificate.
 
-    The margins are set at 5% above the two compatibility thresholds; on
-    this compact chain both sublevel sets are the whole space, so the
-    restriction is degenerate and the pipeline reduces to the pure
-    pairwise-overlap route.
+    (lambda, b) is ``fit_drift``'s and the radii are
+    ``DriftCertificate.with_radii``'s, 5% above their compatibility
+    thresholds; on this compact chain both sublevel sets are the whole
+    space, so the restriction is degenerate and the pipeline reduces to the
+    pure pairwise-overlap route.
     """
     c = 1.0 / 32.0
     k = birth_death_chain(EXP_DENSITY, c)
     v = np.exp(0.5 * k.states)
-    lam, b = fit_drift(k, v)
-    thr1 = 2.0 * b / (1.0 - lam)
-    r_prime = 1.05 * thr1
-    thr2 = (2.0 * b + 24.0 * r_prime) / (1.0 - lam)
-    r = 1.05 * thr2
-    cert = DriftCertificate(v=v, lam=lam, b=b, r=r, r_prime=r_prime)
+    cert = DriftCertificate.with_radii(v, *fit_drift(k, v))
     return CorpusChain(
         name="bd-expdrift",
         kernel=k,
@@ -100,30 +96,9 @@ def _jump_home_chain(n_mid: int, delta: float, eta: float, v_top: float):
     return k, v
 
 
-def tightest_certificate(k: FiniteKernel, v) -> DriftCertificate:
-    """Certificate whose lambda minimizes the theorem2 radius threshold.
-
-    ``fit_drift`` minimizes b, which on slowly-mixing chains drives lambda
-    to the top of the grid and blows up 2b/(1 - lambda); here we scan the
-    same grid for the lambda that makes the small set {V <= r} smallest.
-    The radii sit 10% (r') and 5% (r) above their thresholds.
-    """
-    v = np.asarray(v, dtype=float)
-    pv = k.p @ v
-    best = None
-    for lam in np.arange(0.0, 1.0, 0.05):
-        b = float(max(0.0, np.max(pv - lam * v)))
-        thr1 = 2.0 * b / (1.0 - lam)
-        r_prime = 1.10 * thr1
-        thr2 = (2.0 * b + 24.0 * r_prime) / (1.0 - lam)
-        if best is None or thr2 < best[0]:
-            best = (thr2, float(lam), b, r_prime)
-    thr2, lam, b, r_prime = best
-    return DriftCertificate(v=v, lam=lam, b=b, r=1.05 * thr2, r_prime=r_prime)
-
-
 def escape_corpus() -> list[EscapeCase]:
-    """Ten coupling scenarios with theorem2-compatible certificates.
+    """Ten coupling scenarios with theorem2-compatible certificates, each
+    from ``tightest_certificate``.
 
     Six independence Metropolis samplers with geometric targets and
     exponential Lyapunov functions (proper small set, escapes essentially

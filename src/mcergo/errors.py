@@ -90,10 +90,6 @@ class NoFeasibleSet(McergoError):
     pass
 
 
-class MissingCoordinates(McergoError):
-    pass
-
-
 class NotBirthDeath(McergoError):
     """A birth-death-only computation got a kernel that is not tridiagonal."""
 

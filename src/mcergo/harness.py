@@ -69,9 +69,6 @@ START_GRID_POINTS = 33
 TV_PROFILE_HORIZON = 500
 TV_PROFILE_STATE_CAP = 512
 MAX_ACCEPTED_CENSORING = 0.01
-# Default radii r' and r exceed their compatibility thresholds,
-# 2b/(1 - lam) and (2b + 24 r')/(1 - lam), by this factor.
-RADIUS_MARGIN = 1.05
 
 
 @dataclass(frozen=True)
@@ -242,7 +239,12 @@ def _reject_unknown(leftover: dict, where: str):
 
 
 def certificate_from_config(spec: dict, k: FiniteKernel) -> DriftCertificate:
-    """Build a DriftCertificate; lambda/b fit and radii default when omitted."""
+    """Build a DriftCertificate from its config spec.
+
+    With neither ``lambda`` nor ``b``, (lambda, b) is ``fit_drift``'s; a
+    ``lambda`` alone gets the smallest b that holds at it; a ``b`` alone is
+    a ConfigError.  Omitted radii are ``DriftCertificate.with_radii``'s.
+    """
     if not isinstance(spec, dict):
         raise ConfigError("certificate config must be an object")
     spec = dict(spec)
@@ -269,17 +271,12 @@ def certificate_from_config(spec: dict, k: FiniteKernel) -> DriftCertificate:
         return None if value is None else _config_float(value, key)
 
     lam, b, r, r_prime = (number(key) for key in ("lambda", "b", "r", "r_prime"))
-    lam_grid = spec.pop("fit_lambda_grid", None)
-    if lam is None or b is None:
-        if lam_grid is not None:
-            lam_grid = _config_floats(lam_grid, "fit_lambda_grid")
-        lam, b = fit_drift(k, v, lam_grid)
     _reject_unknown(spec, "certificate")
-    if r_prime is None:
-        r_prime = RADIUS_MARGIN * 2.0 * b / (1.0 - lam)
-    if r is None:
-        r = RADIUS_MARGIN * (2.0 * b + 24.0 * r_prime) / (1.0 - lam)
-    return DriftCertificate(v=v, lam=lam, b=b, r=r, r_prime=r_prime)
+    if b is None:
+        lam, b = fit_drift(k, v, None if lam is None else [lam])
+    elif lam is None:
+        raise ConfigError("certificate 'b' needs a 'lambda'")
+    return DriftCertificate.with_radii(v, lam, b, r=r, r_prime=r_prime)
 
 
 def _config_floats(value, what: str) -> np.ndarray:

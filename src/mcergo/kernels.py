@@ -1,7 +1,6 @@
 """Finite Markov kernels and the constructions used throughout the toolkit.
 
-Builds row-stochastic matrices (with optional [0,1] state coordinates so
-interval set families stay well defined on discretizations), lazy
+Builds row-stochastic matrices (with optional [0,1] state coordinates), lazy
 transforms, Metropolized birth-death discretizations of a density, the
 half-lazy simple random walk, grid Metropolis-Hastings and random-scan
 Gibbs kernels, the continuous ball walk, and the three dominated
@@ -297,29 +296,7 @@ def gibbs_grid_kernel(table) -> FiniteKernel:
         If any cell is nonpositive (the discrete analogue of a continuous
         positive density).
     """
-    t = np.array(table, dtype=float)
-    if t.ndim == 1:
-        t = t[None, :]
-    if t.ndim != 2:
-        raise DimensionMismatch("probability table must be 1- or 2-dimensional")
-    if np.any(t <= 0.0):
-        raise ZeroProbabilityCell("all table cells must be positive")
-    n1, n2 = t.shape
-    n = n1 * n2
-    if n1 == 1 or n2 == 1:
-        pi = (t / t.sum()).ravel()
-        return FiniteKernel(p=np.tile(pi, (n, 1)))
-    col_sums = t.sum(axis=0)
-    row_sums = t.sum(axis=1)
-    p = np.zeros((n, n))
-    for i in range(n1):
-        for j in range(n2):
-            s = i * n2 + j
-            # resample coordinate 1 (move within column j)
-            p[s, j::n2] += 0.5 * t[:, j] / col_sums[j]
-            # resample coordinate 2 (move within row i)
-            p[s, i * n2:(i + 1) * n2] += 0.5 * t[i, :] / row_sums[i]
-    return FiniteKernel(p=p)
+    return FiniteKernel(p=_gibbs_matrix(table))
 
 
 @dataclass(frozen=True)
@@ -422,7 +399,7 @@ def restrict(
     if variant == "gibbs-restriction":
         if pi_table is None:
             raise ValueError("gibbs-restriction requires the probability table")
-        q = _gibbs_restricted_matrix(np.array(pi_table, dtype=float), S)
+        q = _gibbs_matrix(pi_table, S)
     elif variant == "trace":
         q = _trace_matrix(k.p, S)
     else:
@@ -488,31 +465,30 @@ def _trace_matrix(p: np.ndarray, S: np.ndarray) -> np.ndarray:
     return q / sums[:, None]
 
 
-def _gibbs_restricted_matrix(table: np.ndarray, S: np.ndarray) -> np.ndarray:
-    if table.ndim == 1:
-        table = table[None, :]
-    if np.any(table <= 0.0):
+def _gibbs_matrix(table, S=None) -> np.ndarray:
+    """The random-scan Gibbs kernel of a positive 1- or 2-d table, restricted to
+    the row-major cells S (every cell when None): from cell (i, j), resample
+    i within column j or j within row i, each with probability 1/2, in
+    proportion to the table over the cells of S.
+    """
+    t = np.array(table, dtype=float)
+    if t.ndim == 1:
+        t = t[None, :]
+    if t.ndim != 2:
+        raise DimensionMismatch("probability table must be 1- or 2-dimensional")
+    if np.any(t <= 0.0):
         raise ZeroProbabilityCell("all table cells must be positive")
-    n1, n2 = table.shape
-    m = S.size
-    pos = {int(s): a for a, s in enumerate(S)}
-    flat = table.ravel()
+    n1, n2 = t.shape
+    S = np.arange(t.size) if S is None else S
+    w = t.ravel()[S]
     if n1 == 1 or n2 == 1:
-        w = flat[S] / flat[S].sum()
-        return np.tile(w, (m, 1))
-    q = np.zeros((m, m))
-    in_s = np.zeros(n1 * n2, dtype=bool)
-    in_s[S] = True
-    for a, s in enumerate(S):
-        i, j = divmod(int(s), n2)
-        col = [i2 * n2 + j for i2 in range(n1) if in_s[i2 * n2 + j]]
-        col_mass = flat[col].sum()
-        for t in col:
-            q[a, pos[t]] += 0.5 * flat[t] / col_mass
-        row = [i * n2 + j2 for j2 in range(n2) if in_s[i * n2 + j2]]
-        row_mass = flat[row].sum()
-        for t in row:
-            q[a, pos[t]] += 0.5 * flat[t] / row_mass
+        return np.tile(w / w.sum(), (S.size, 1))
+    rows, cols = np.divmod(S, n2)
+    half = 0.5 * w
+    q = np.zeros((S.size, S.size))
+    for line in (cols, rows):
+        mass = np.bincount(line, weights=w)[line]
+        q += np.where(line[:, None] == line, half / mass[:, None], 0.0)
     return q
 
 

@@ -32,6 +32,24 @@ def stationary_power(p, iters=200000, tol=1e-14):
     return pi / pi.sum()
 
 
+def gibbs_restricted_loop(table, S):
+    """Random-scan Gibbs kernel of an n1 x n2 table (n1, n2 >= 2) restricted to
+    the row-major cells S, built cell by cell: half the mass resamples within
+    the cell's column, half within its row, over the cells of S only."""
+    n1, n2 = table.shape
+    flat = table.ravel()
+    pos = {int(s): a for a, s in enumerate(S)}
+    q = np.zeros((len(S), len(S)))
+    for a, s in enumerate(S):
+        i, j = divmod(int(s), n2)
+        for line in ([i2 * n2 + j for i2 in range(n1)], [i * n2 + j2 for j2 in range(n2)]):
+            members = [t for t in line if t in pos]
+            mass = sum(flat[t] for t in members)
+            for t in members:
+                q[a, pos[t]] += 0.5 * flat[t] / mass
+    return q
+
+
 def mixing_scan(p, pi, eps, t_max):
     """Exact mixing time by explicit matrix powers (worst start, all states)."""
     for t in range(t_max + 1):

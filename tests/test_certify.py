@@ -155,6 +155,48 @@ def test_compatibility_zero_b():
     assert m.compatibility_check(cert, "classic").passed
 
 
+def test_with_radii_sets_each_missing_radius_five_percent_above_its_threshold():
+    cert = m.DriftCertificate.with_radii(np.zeros(2), 0.5, 1.0)
+    assert cert.r_prime == 1.05 * 4.0
+    assert cert.r == 1.05 * ((2.0 + 24.0 * cert.r_prime) / 0.5)
+    assert m.compatibility_check(cert, "theorem2").passed
+    assert m.DriftCertificate.with_radii(np.zeros(2), 0.5, 1.0, r_prime=5.0).r == 1.05 * 244.0
+    given = m.DriftCertificate.with_radii(np.zeros(2), 0.5, 1.0, r=7.0, r_prime=5.0)
+    assert (given.r, given.r_prime) == (7.0, 5.0)
+    with pytest.raises(errors.InvalidParameters):
+        m.DriftCertificate.with_radii(np.zeros(2), 1.0, 1.0)
+
+
+# lambda, b, r, r', |C| and |C'| of every corpus certificate
+CORPUS_CERTIFICATES = {
+    "bd-expdrift": "0.9500000000000001 0.07970772503240142 1690.6008479372388 "
+                   "3.3477244513608646 32 32",
+    "escape-0": "0.9 0.9363507264697617 5210.791792804226 20.599715982334764 69 25",
+    "escape-1": "0.9 0.42431525162661643 2361.314375302122 9.334935535785565 75 22",
+    "escape-2": "0.9 0.4203889944003123 2339.4647538377394 9.248557876806874 63 18",
+    "escape-3": "0.9 0.4586286534523687 2552.2684564624333 10.089830375952115 88 26",
+    "escape-4": "0.9 0.3503829927915554 1949.8813548850067 7.708425841414221 73 20",
+    "escape-5": "0.9 0.39839085117888207 2217.0450868104795 8.764598725935407 93 27",
+    "escape-6": "0.0 11.500000000000002 661.71 25.300000000000004 24 24",
+    "escape-7": "0.0 15.5 891.8700000000001 34.1 32 32",
+    "escape-8": "0.0 0.35 20.139 0.77 31 24",
+    "escape-9": "0.0 0.925 53.224500000000006 2.035 21 21",
+}
+
+
+def test_corpus_certificates_are_pinned():
+    chains = [("bd-expdrift", bd_expdrift())] + [(case.name, case) for case in escape_corpus()]
+    got = {}
+    for name, chain in chains:
+        c = chain.cert
+        got[name] = " ".join([repr(float(c.lam)), repr(float(c.b)), repr(float(c.r)),
+                              repr(float(c.r_prime)), str(c.small_set.size),
+                              str(c.inner_set.size)])
+        # both fits read one b(lambda)
+        assert m.fit_drift(chain.kernel, c.v, [c.lam]) == (c.lam, c.b)
+    assert got == CORPUS_CERTIFICATES
+
+
 # --- drift envelope and escape bound --------------------------------------------------------
 
 def test_envelope_values():

@@ -435,9 +435,17 @@ def test_max_hitting_caps_and_feasibility():
         m.max_hitting_time(k2, 1.5, strategy="brute")
 
 
-def test_max_hitting_interval_needs_coordinates():
+def test_max_hitting_interval_reads_no_coordinates():
+    k = m.birth_death_chain(EXP, 1.0 / 16.0)
+    bare = m.build_finite_kernel(k.p)
+    assert bare.states is None
+    assert m.max_hitting_time(bare, 1.0 / 3.0, strategy="interval") == \
+        m.max_hitting_time(k, 1.0 / 3.0, strategy="interval")
+
+
+def test_max_hitting_interval_refuses_a_dense_chain():
     k = m.build_finite_kernel(np.full((3, 3), 1.0 / 3.0))
-    with pytest.raises(errors.MissingCoordinates):
+    with pytest.raises(errors.NotBirthDeath):
         m.max_hitting_time(k, 0.4, strategy="interval")
 
 

@@ -12,6 +12,7 @@ import pytest
 import mcergo as m
 from mcergo import chain_analysis, errors, harness
 from mcergo.cli import main as cli_main
+from mcergo.corpus import bd_expdrift
 from mcergo.harness import (
     chain_from_config,
     certificate_from_config,
@@ -117,6 +118,17 @@ def test_certificate_from_config_fit_and_radii():
     cert = certificate_from_config({"v": {"kind": "exp-of-coordinate", "kappa": 0.5}}, k)
     assert m.verify_drift(k, cert.v, cert.lam, cert.b).passed
     assert m.compatibility_check(cert, "theorem2").passed
+
+
+def test_certificate_from_config_keeps_a_configured_lambda():
+    k = bd_expdrift().kernel
+    v = {"kind": "exp-of-coordinate", "kappa": 0.5}
+    cert = certificate_from_config({"v": v, "lambda": 0.5}, k)
+    assert cert.lam == 0.5
+    assert cert.b == m.fit_drift(k, cert.v, [0.5])[1] == pytest.approx(0.799, abs=1e-3)
+    assert cert.r_prime == 1.05 * (2.0 * cert.b / 0.5)
+    with pytest.raises(errors.ConfigError, match="'b' needs a 'lambda'"):
+        certificate_from_config({"v": v, "b": 0.001}, k)
 
 
 def test_certificate_v_refuses_an_unknown_key():
@@ -468,6 +480,17 @@ def test_coupling_survey_csv_is_numeric(tmp_path, monkeypatch):
         assert float(row["decoupling_exact"]) <= float(row["escape_bound"]) < 1.0
 
 
+def test_certification_demo_passes(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "certify"
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_certification_demo.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--out", str(out)])
+    runpy.run_path(str(script), run_name="__main__")
+    printed = capsys.readouterr().out
+    assert json.loads(printed[printed.index("{"):])["verdict"] == "PASS"
+    # a header and one row for each t = 0..500
+    assert len((out / "tv_profile.csv").read_text().splitlines()) == 502
+
+
 # --- svg -------------------------------------------------------------------------------
 
 def test_emit_svg_deterministic(tmp_path):
@@ -616,8 +639,10 @@ MALFORMED_INPUTS = {
         v={"kind": "exp-of-coordinate", "kapa": 0.5})),
     "lambda-not-a-number": (2, lambda d: _certify_payload(**{"lambda": "x", "b": 0.1})),
     "radius_margin-not-a-key": (2, lambda d: _certify_payload(radius_margin=1.1)),
-    "lambda-grid-empty": (1, lambda d: _certify_payload(fit_lambda_grid=[])),
+    "lambda-grid-empty": (2, lambda d: _certify_payload(fit_lambda_grid=[])),
+    "b-without-lambda": (2, lambda d: _certify_payload(b=0.1)),
     "v-wrong-length": (1, lambda d: _certify_payload(v=[1.0, 2.0])),
+    "lambda-one-radii-defaulted": (1, lambda d: _certify_payload(**{"lambda": 1.0, "b": 0.1})),
     "v-wrong-length-lambda-and-b-given": (1, lambda d: _certify_payload(
         v=[1.0, 2.0], **{"lambda": 0.5, "b": 1.0})),
     "rows-ragged": (1, lambda d: _hitmix_payload(

@@ -13,9 +13,10 @@ from mcergo.corpus import (
     random_positive_table,
     random_reversible_chain,
 )
-from mcergo.kernels import _check_detailed_balance
+from mcergo.kernels import _check_detailed_balance, _gibbs_matrix
 from oracles import (
     ball_walk_step_clipped,
+    gibbs_restricted_loop,
     hitting_solve,
     stationary_power,
     trace_transition_frequency,
@@ -342,6 +343,21 @@ def test_gibbs_two_by_two_uniform():
         [0.0, 0.25, 0.25, 0.5],
     ])
     assert np.allclose(k.p, expected, atol=1e-15)
+
+
+@given(st.integers(2, 6), st.integers(2, 6), st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_gibbs_matrix_matches_the_cell_by_cell_loop(n1, n2, seed):
+    rng = np.random.default_rng(seed)
+    table = random_positive_table(rng, n1, n2)
+    S = np.sort(rng.choice(n1 * n2, int(rng.integers(1, n1 * n2 + 1)), replace=False))
+    # the masses are summed in another order: a few ulps apart at most
+    rtol = 16 * np.finfo(float).eps
+    np.testing.assert_allclose(_gibbs_matrix(table, S), gibbs_restricted_loop(table, S),
+                               rtol=rtol, atol=0.0)
+    np.testing.assert_allclose(m.gibbs_grid_kernel(table).p,
+                               gibbs_restricted_loop(table, np.arange(n1 * n2)),
+                               rtol=rtol, atol=0.0)
 
 
 def test_gibbs_rejects_zero_cell():

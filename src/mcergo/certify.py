@@ -97,9 +97,6 @@ class DriftCertificate:
     def m_offset(self) -> float:
         return 2.0 + self.b / (1.0 - self.lam)
 
-    def m_of(self, x: int) -> float:
-        return self.m_offset() + float(self.v[x])
-
 
 @dataclass(frozen=True)
 class GeometricBound:
@@ -153,22 +150,6 @@ class GeometricBound:
         if worst > tol:
             raise InvalidParameters(f"defining equalities violated by {worst:.3e}")
         return worst
-
-    def to_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "t": self.t,
-            "p": self.p,
-            "rho": self.rho,
-            "m_offset": self.m_offset,
-            "source": self.source,
-            "lam_eff": self.lam_eff,
-            "b_eff": self.b_eff,
-            "r_eff": self.r_eff,
-            "t_route": self.t_route,
-            "degenerate_restriction": self.degenerate_restriction,
-            "certified": self.certified,
-        }
 
 
 # --- the universal-constant table ----------------------------------------------

@@ -10,9 +10,10 @@ All functions are pure over immutable kernels, read every argument that
 names states through ``FiniteKernel.state_set`` (a ValueError for a value
 that is not a state) and the stationary law through
 ``FiniteKernel.stationary``; enumeration results carry a deterministic
-lexicographic tie-break on (set, start) encodings.  The module needs numpy
-alone: dense solves are ``np.linalg.solve``, and closed classes and
-reachability come from one depth-first search (``_reach``).
+lexicographic tie-break on (set, start) encodings.  A ``HitMixReport``
+holds only the worst time, set and start; ``harness`` writes it.  The
+module needs numpy alone: dense solves are ``np.linalg.solve``, and closed
+classes and reachability come from one depth-first search (``_reach``).
 """
 from __future__ import annotations
 
@@ -398,7 +399,7 @@ def expected_hitting(k: FiniteKernel, target) -> np.ndarray:
 
 # --- maximum hitting times -------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class HitMixReport:
     """Worst-case expected hitting time over a family of large sets."""
 
@@ -407,21 +408,6 @@ class HitMixReport:
     method: str  # "brute" | "interval"
     worst_set: tuple
     worst_start: int
-    t_m: int | None = None
-    t_l: int | None = None
-
-    def csv_row(self) -> list[str]:
-        return [
-            repr(float(self.alpha)),
-            repr(float(self.t_h)),
-            self.method,
-            ";".join(str(i) for i in self.worst_set),
-            str(self.worst_start),
-            "" if self.t_m is None else str(self.t_m),
-            "" if self.t_l is None else str(self.t_l),
-        ]
-
-    CSV_HEADER = ["alpha", "tH", "method", "worst_set", "worst_start", "tm", "tL"]
 
 
 def max_hitting_time(

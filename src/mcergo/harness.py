@@ -4,6 +4,12 @@ Configs are strict JSON (lower_snake_case keys, unknown keys are errors)
 and round-trip exactly through ``serialize_config``/``parse_config``.
 Every run writes a manifest (config hash, seed, toolkit version) next to
 its outputs; reruns with the same manifest produce byte-identical CSVs.
+
+This is the one module that knows the output formats: every CSV header
+(``SCALING_COLUMNS``, ``HITMIX_COLUMNS``, ``COUPLE_COLUMNS``), CSV row and
+report dict is built here from the analysis results, which hold only what
+they compute (``HitMixReport``, ``McEstimate``, ``GeometricBound``, whose
+fields ``certify_report.json`` carries as ``dataclasses.asdict``).
 """
 from __future__ import annotations
 
@@ -13,7 +19,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -29,7 +35,6 @@ from .certify import (
     verify_drift,
 )
 from .chain_analysis import (
-    HitMixReport,
     exit_probability,
     max_hitting_time,
     mix_to_hit_bound,
@@ -454,7 +459,7 @@ def run_certify(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
             "inner_set_size": int(cert.inner_set.size),
         }
         bound = certify_drift_and_hit(k, cert, variant=variant, alpha=cfg.alpha, dtable=dtable)
-        report["bound"] = bound.to_dict()
+        report["bound"] = asdict(bound)
         report["m_per_state"] = [bound.m_of(v) for v in cert.v]
         if bound.degenerate_restriction:
             report["note"] = "restriction is degenerate: C is the full space"
@@ -509,7 +514,8 @@ def _dominance_profile(k: FiniteKernel, cert: DriftCertificate, bound):
 
 # --- hit/mix survey ---------------------------------------------------------------
 
-HITMIX_COLUMNS = HitMixReport.CSV_HEADER + ["bound_12tm", "ratio_tL_tH", "error"]
+HITMIX_COLUMNS = ["alpha", "tH", "method", "worst_set", "worst_start", "tm", "tL",
+                  "bound_12tm", "ratio_tL_tH", "error"]
 
 
 def run_hitmix(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
@@ -538,20 +544,18 @@ def run_hitmix(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
     except McergoError as exc:
         errors.append(f"tH:{type(exc).__name__}")
 
-    if report is not None:
-        report.t_m = t_m
-        report.t_l = t_l
-        row = report.csv_row()
-    else:
-        row = [repr(float(cfg.alpha)), "", "", "", "",
-               "" if t_m is None else str(t_m),
-               "" if t_l is None else str(t_l)]
-    row.append("" if t_m is None else repr(mix_to_hit_bound(t_m)))
-    if report is not None and t_l is not None and report.t_h > 0.0:
-        row.append(repr(t_l / report.t_h))
-    else:
-        row.append("")
-    row.append(";".join(errors))
+    # a quantity that was not computed is an empty cell
+    hit = ["", "", "", ""] if report is None else [
+        repr(float(report.t_h)), report.method,
+        ";".join(str(i) for i in report.worst_set), str(report.worst_start)]
+    ratio = (repr(t_l / report.t_h)
+             if report is not None and t_l is not None and report.t_h > 0.0 else "")
+    row = [repr(float(cfg.alpha)), *hit,
+           "" if t_m is None else str(t_m),
+           "" if t_l is None else str(t_l),
+           "" if t_m is None else repr(mix_to_hit_bound(t_m)),
+           ratio,
+           ";".join(errors)]
 
     _write_csv(os.path.join(out_dir, "hitmix.csv"), HITMIX_COLUMNS, [row])
     write_manifest(cfg, out_dir)
@@ -563,6 +567,9 @@ def run_hitmix(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
 
 
 # --- coupling run (library-level; no CLI subcommand) --------------------------------
+
+COUPLE_COLUMNS = ["quantity", "mean", "stderr", "replicas", "censored_fraction", "seed"]
+
 
 def run_couple(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
     """Decoupling probability, exact and Monte Carlo, against the drift escape bound.
@@ -581,12 +588,11 @@ def run_couple(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
     est = coupled_escape_estimate(k, dom, x0, horizon, cfg.replicas, cfg.seed)
     exact = exit_probability(k, dom.support, x0, horizon)
     bnd = escape_bound(cert.lam, cert.b, cert.r, cert.r_prime)
-    rows = [est.csv_row("decoupling_frequency"),
-            [
-                "escape_bound", repr(float(bnd)), "", "", "", str(cfg.seed)
-            ],
+    rows = [["decoupling_frequency", repr(float(est.mean)), repr(float(est.stderr)),
+             str(est.replicas), repr(float(est.censored_fraction)), str(est.seed)],
+            ["escape_bound", repr(float(bnd)), "", "", "", str(cfg.seed)],
             ["decoupling_exact", repr(exact), "", "", "", str(cfg.seed)]]
-    _write_csv(os.path.join(out_dir, "couple.csv"), est.CSV_HEADER, rows)
+    _write_csv(os.path.join(out_dir, "couple.csv"), COUPLE_COLUMNS, rows)
     write_manifest(cfg, out_dir)
     ok = exact <= bnd
     if not quiet:

@@ -224,24 +224,14 @@ def birth_death_chain(psi: DensitySpec, c: float) -> FiniteKernel:
 
 
 def lazy_srw(c: float) -> FiniteKernel:
-    """Half-lazy simple random walk on the grid {0, c, ..., 1-c}.
+    """Half-lazy simple random walk on the grid {0, c, ..., 1-c}: the lazy
+    version of the uniform density's birth-death chain.
 
     Holding 1/2 plus +-c moves with probability 1/4 each; attempted moves
     off the grid are held, so boundary rows hold 3/4.  The stationary
     distribution is uniform.
     """
-    n = _checked_inverse(c)
-    if n < 2:
-        raise GridMismatch("lazy srw grid needs 1/c >= 2")
-    p = np.zeros((n, n))
-    for i in range(n):
-        p[i, i] = 0.5
-        for j in (i - 1, i + 1):
-            if 0 <= j < n:
-                p[i, j] = 0.25
-            else:
-                p[i, i] += 0.25
-    return FiniteKernel(p=p, states=np.arange(n) * c)
+    return lazy_transform(birth_death_chain(DensitySpec(kind="uniform"), c))
 
 
 def mh_grid_kernel(psi: DensitySpec | np.ndarray, proposal: FiniteKernel) -> FiniteKernel:
@@ -387,6 +377,8 @@ def restrict(
     ------
     EmptySubset, SingularCensoring, DominationViolation
     Reducible, ResidualTooLarge
+    DimensionMismatch
+        For a ``pi_table`` without one cell per state of k.
     ValueError
         For an unknown variant, or a subset value that is not a state of k.
     """
@@ -399,6 +391,9 @@ def restrict(
     if variant == "gibbs-restriction":
         if pi_table is None:
             raise ValueError("gibbs-restriction requires the probability table")
+        if np.size(pi_table) != k.n:
+            raise DimensionMismatch(
+                f"probability table has {np.size(pi_table)} cells for {k.n} states")
         q = _gibbs_matrix(pi_table, S)
     elif variant == "trace":
         q = _trace_matrix(k.p, S)

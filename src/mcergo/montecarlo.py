@@ -38,6 +38,10 @@ every walker's next state from its draw's bucket with a few vectorized
 gathers, instead of one masked search per occupied state.  The result is
 ``searchsorted(cdf[s], u, side="right")`` bit for bit; ``_step_states``
 gives the argument.
+
+The hitting and decoupling estimators return an ``McEstimate`` (mean,
+standard error, replicas, seed, horizon, censored fraction); ``harness``
+writes it.
 """
 from __future__ import annotations
 
@@ -83,18 +87,6 @@ class McEstimate:
     seed: int
     horizon: int
     censored_fraction: float = 0.0
-
-    def csv_row(self, quantity: str) -> list[str]:
-        return [
-            quantity,
-            repr(float(self.mean)),
-            repr(float(self.stderr)),
-            str(self.replicas),
-            repr(float(self.censored_fraction)),
-            str(self.seed),
-        ]
-
-    CSV_HEADER = ["quantity", "mean", "stderr", "replicas", "censored_fraction", "seed"]
 
 
 def replica_generator(seed: int, replica: int) -> np.random.Generator:

@@ -50,6 +50,21 @@ def gibbs_restricted_loop(table, S):
     return q
 
 
+def lazy_srw_loop(c):
+    """Half-lazy simple random walk on {0, c, ..., 1-c}, built row by row:
+    hold 1/2, move +-c with 1/4 each, and hold a move that leaves the grid."""
+    n = round(1.0 / c)
+    p = np.zeros((n, n))
+    for i in range(n):
+        p[i, i] = 0.5
+        for j in (i - 1, i + 1):
+            if 0 <= j < n:
+                p[i, j] = 0.25
+            else:
+                p[i, i] += 0.25
+    return p
+
+
 def mixing_scan(p, pi, eps, t_max):
     """Exact mixing time by explicit matrix powers (worst start, all states)."""
     for t in range(t_max + 1):

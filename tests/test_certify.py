@@ -411,7 +411,6 @@ def test_certify_dtable_bound_is_uncertified():
     )
     # T rests on the table's unverified upper constant d
     assert bound.certified is False
-    assert bound.to_dict()["certified"] is False
     exact = m.certify_drift_and_hit(corp.kernel, corp.cert, variant=corp.variant)
     assert exact.t_route == "exact-mixing"
     assert exact.certified is True

@@ -663,10 +663,3 @@ def test_hitting_bounded_by_twelve_mixing(n, seed):
     t_m = m.mixing_time(k, 0.25)
     rep = m.max_hitting_time(k, 1.0 / 3.0, strategy="brute")
     assert rep.t_h <= m.mix_to_hit_bound(t_m) + 1e-12
-
-
-def test_report_csv_row():
-    rep = m.HitMixReport(alpha=0.4, t_h=1.0, method="brute",
-                         worst_set=(0,), worst_start=1, t_m=3, t_l=5)
-    row = rep.csv_row()
-    assert row == ["0.4", "1.0", "brute", "0", "1", "3", "5"]

@@ -414,6 +414,25 @@ def test_run_hitmix_bound_holds(tmp_path):
     assert rep["report"].t_h <= 12.0 * rep["tm"]
 
 
+def test_run_hitmix_row_pinned_on_exp_tilt(tmp_path):
+    # every column but error is filled
+    cfg = parse_config({
+        "experiment": "hitmix",
+        "chain": {"kind": "birth-death",
+                  "density": {"kind": "exponential-tilt", "tilt": -1.0,
+                              "unimodal_ratio": 1.5},
+                  "c": 1.0 / 64.0},
+    })
+    rep = run_hitmix(cfg, out_dir=tmp_path / "run")
+    assert rep["ok"]
+    lines = (tmp_path / "run" / "hitmix.csv").read_text().splitlines()
+    assert lines == [
+        "alpha,tH,method,worst_set,worst_start,tm,tL,bound_12tm,ratio_tL_tH,error",
+        "0.3333333333333333,1869.8397373801834,interval,"
+        + ";".join(str(i) for i in range(16)) + ",63,952,1905,11424.0,1.0188038910056962,",
+    ]
+
+
 # --- couple (library-level runner) ---------------------------------------------------
 
 def test_run_couple_corpus(tmp_path):

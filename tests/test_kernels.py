@@ -18,6 +18,7 @@ from oracles import (
     ball_walk_step_clipped,
     gibbs_restricted_loop,
     hitting_solve,
+    lazy_srw_loop,
     stationary_power,
     trace_transition_frequency,
 )
@@ -225,6 +226,13 @@ def test_lazy_srw_is_lazified_uniform_birth_death():
     c = 1.0 / 8.0
     walk = m.birth_death_chain(UNIFORM, c)
     assert np.allclose(m.lazy_transform(walk).p, m.lazy_srw(c).p, atol=1e-15)
+
+
+@pytest.mark.parametrize("inverse", [2, 3, 6, 8, 16, 64, 128, 256])
+def test_lazy_srw_matches_the_row_by_row_loop(inverse):
+    k = m.lazy_srw(1.0 / inverse)
+    assert np.array_equal(k.p, lazy_srw_loop(1.0 / inverse))
+    assert np.array_equal(k.states, np.arange(inverse) * (1.0 / inverse))
 
 
 # --- Metropolis-Hastings grid kernel ------------------------------------------------
@@ -530,6 +538,15 @@ def test_restrict_errors():
     absorbing = m.build_finite_kernel([[0.5, 0.5, 0.0], [0.25, 0.25, 0.5], [0.0, 0.0, 1.0]])
     with pytest.raises(errors.SingularCensoring):
         m.restrict(absorbing, [0, 1], "trace")
+
+
+@pytest.mark.parametrize("subset", [[4, 5], [0, 1]])
+def test_gibbs_restriction_refuses_a_table_of_another_size(subset):
+    # a 2 x 2 table for the 6 states of a 2 x 3 grid: a bare IndexError for
+    # [4, 5], and a restriction of the wrong table for [0, 1]
+    k = m.gibbs_grid_kernel(np.ones((2, 3)))
+    with pytest.raises(errors.DimensionMismatch, match="4 cells for 6 states"):
+        m.restrict(k, subset, "gibbs-restriction", pi_table=np.ones((2, 2)))
 
 
 @given(st.integers(3, 7), st.integers(0, 10_000))

@@ -26,12 +26,7 @@ from importlib import resources
 
 import numpy as np
 
-from .chain_analysis import (
-    is_birth_death,
-    max_hitting_time,
-    mixing_time,
-    pseudo_minorization,
-)
+from .chain_analysis import max_hitting_time, mixing_time, pseudo_minorization
 from .errors import (
     DegenerateOverlap,
     DTableInvalid,
@@ -335,9 +330,6 @@ class CompatibilityReport:
     passed: bool
     margins: dict
 
-    def __bool__(self):
-        return self.passed
-
 
 def compatibility_check(cert: DriftCertificate, mode: str = "classic") -> CompatibilityReport:
     """Radius compatibility margins.
@@ -459,24 +451,25 @@ def certify_drift_and_hit(
     variant: str = "mh-restriction",
     alpha: float = 1.0 / 3.0,
     dtable: DTable | None = None,
-    t_route: str = "auto",
 ) -> GeometricBound:
     """Assemble the geometric bound from a drift certificate.
 
     Pipeline: (i) restrict k to C = {V <= r} by the requested variant;
     (ii) verify the restricted chain inherits the drift; (iii) obtain the
     overlap step count T as the exact mixing time of the restriction from
-    C' (route "exact-mixing"), or as ceil(d_alpha t_H^{(C)}(alpha)) from
-    the DTable (route "dtable", with t_H from the exact birth-death closed
-    form when the restriction is tridiagonal, else from brute enumeration,
-    never from a lower bound); (iv) take the pairwise overlap at T + 1
-    steps, exactly when the chain is small enough, else the 1/3 of the
+    C' when it has at most ``EXACT_OVERLAP_STATE_CAP`` states (route
+    "exact-mixing"), else as ceil(d_alpha t_H^{(C)}(alpha)) from the DTable
+    (route "dtable", with t_H from the exact birth-death closed form, never
+    from a lower bound); (iv) take the pairwise overlap at T + 1 steps,
+    exactly when the chain is small enough, else the 1/3 of the
     drift-and-hit theorem; (v) solve the contraction for the (T+1)-step
     drift parameters at radius r'.
 
     Raises
     ------
-    IncompatibleCertificate, plus propagated sub-operation errors.
+    IncompatibleCertificate, plus propagated sub-operation errors:
+    NotBirthDeath on the dtable route for a restriction that is not
+    tridiagonal.
     """
     if cert.v.shape != (k.n,):
         raise InvalidParameters("certificate V length does not match the kernel")
@@ -504,18 +497,15 @@ def certify_drift_and_hit(
 
     inner_pos = np.searchsorted(C, C_inner)
 
-    if t_route == "auto":
-        t_route = "exact-mixing" if dom.kernel.n <= EXACT_OVERLAP_STATE_CAP else "dtable"
-    if t_route == "exact-mixing":
+    if dom.kernel.n <= EXACT_OVERLAP_STATE_CAP:
+        t_route = "exact-mixing"
         t_mix = mixing_time(dom.kernel, subset=inner_pos)
-    elif t_route == "dtable":
+    else:
+        t_route = "dtable"
         if dtable is None:
             raise IncompatibleCertificate("dtable route requires a DTable")
-        report = max_hitting_time(dom.kernel, alpha,
-                                  strategy="interval" if is_birth_death(dom.kernel) else "brute")
-        t_mix = int(math.ceil(hit_to_mix(report.t_h, alpha, dtable)[0]))
-    else:
-        raise ValueError(f"unknown t route {t_route!r}")
+        t_h = max_hitting_time(dom.kernel, alpha, strategy="interval").t_h
+        t_mix = int(math.ceil(hit_to_mix(t_h, alpha, dtable)[0]))
 
     t_star = t_mix + 1
     eps = 1.0 / 3.0

@@ -53,7 +53,7 @@ from .kernels import (
     lazy_srw,
     restrict,
 )
-from .montecarlo import _hitting_estimates, coupled_escape_estimate
+from .montecarlo import coupled_escape_estimate, estimate_hitting_batch
 from .svg import emit_svg
 
 EXPERIMENTS = ("scaling", "certify", "hitmix", "couple")
@@ -405,7 +405,7 @@ def _ballwalk_max_hitting(density, runs, alpha_prime, replicas, seed):
             for si, x0 in enumerate(np.linspace(0.0, 1.0, START_GRID_POINTS))
             for ti, pred in enumerate(targets)
         ]
-    estimates = _hitting_estimates(jobs, replicas)
+    estimates = estimate_hitting_batch(jobs, replicas)
     per_run = 2 * START_GRID_POINTS
     results = []
     for i in range(0, len(estimates), per_run):

@@ -337,11 +337,10 @@ class DominatedKernel:
 
     Invariants (verified by ``restrict``, which builds it):
     the conditional stationary law pi(. | S) is stationary for ``kernel``
-    within 1e-10, and ``kernel`` dominates ``base`` entrywise on S.
+    within 1e-10, and ``kernel`` dominates the base kernel entrywise on S.
     """
 
     variant: str
-    base: FiniteKernel
     support: np.ndarray  # indices into the base state set, ascending
     kernel: FiniteKernel
     conditional_stationary: np.ndarray
@@ -378,7 +377,8 @@ def restrict(
     EmptySubset, SingularCensoring, DominationViolation
     Reducible, ResidualTooLarge
     DimensionMismatch
-        For a ``pi_table`` without one cell per state of k.
+        For a ``pi_table`` whose Gibbs kernel is not k within 1e-12: a table
+        without one cell per state of k, or with its cells in another shape.
     ValueError
         For an unknown variant, or a subset value that is not a state of k.
     """
@@ -391,9 +391,11 @@ def restrict(
     if variant == "gibbs-restriction":
         if pi_table is None:
             raise ValueError("gibbs-restriction requires the probability table")
-        if np.size(pi_table) != k.n:
+        full = _gibbs_matrix(pi_table)
+        if full.shape != k.p.shape or np.max(np.abs(full - k.p)) > ROW_SUM_TOL:
             raise DimensionMismatch(
-                f"probability table has {np.size(pi_table)} cells for {k.n} states")
+                f"probability table of shape {np.shape(pi_table)} ({np.size(pi_table)} "
+                f"cells for {k.n} states) does not give this kernel's Gibbs kernel")
         q = _gibbs_matrix(pi_table, S)
     elif variant == "trace":
         q = _trace_matrix(k.p, S)
@@ -419,7 +421,6 @@ def restrict(
     sub = FiniteKernel(p=q, states=sub_states)
     return DominatedKernel(
         variant=variant,
-        base=k,
         support=S,
         kernel=sub,
         conditional_stationary=pi_s,

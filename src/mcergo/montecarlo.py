@@ -11,25 +11,27 @@ out), which is stream-identical to constructing ``Philox(key=[seed, r])``
 per walker but far cheaper.
 
 One walker loop, ``_first_hits``, runs every walker: the hitting times of
-target sets (``estimate_hitting_batch`` runs many (start, target, seed)
-jobs as one walker population, ``estimate_hitting`` is its one-job case),
-the decoupling time of the identity coupling (``coupled_escape_estimate``),
-which is the g-chain's first exit from the coupling set, and the single
-walker of ``sample_path``.  Each sampler has one step rule, start check and
-arrival test, given by ``_walker_rule``.  The population refills as walkers
-retire, so walkers run at different steps side by side.  Every job has a
-horizon of its own, and the jobs with the largest horizon are admitted
-first, so shorter jobs fill the tail of longer ones: the scaling study runs
-the ball walks of all its step sizes c as one population
-(``_hitting_estimates``), each walker stepping with its own c.  A walker's
-draws depend only on its key and its step, so neither the population a
-walker runs in nor when it is admitted changes a result.  Each step reads
-the live walkers' draws out of the stream block as whole items, one
-``8 * draws``-byte item per walker, which gathers about 4x faster than a
-2-D fancy index.  A step keeps its bookkeeping to what the next step reads:
-it compacts only the live walkers' positions, groups and block rows,
-and records an arrival per block row, writing the results once at the
-end of the block.
+target sets (``estimate_hitting_batch`` runs many (sampler, start, target,
+seed, horizon) jobs as one walker population, ``estimate_hitting`` is its
+one-job case), the decoupling time of the identity coupling
+(``coupled_escape_estimate``), which is the g-chain's first exit from the
+coupling set, and the single walker of ``sample_path``.  Each sampler has
+one start check and arrival test, given by ``_walker_rule``, and every
+population one step, given by ``_population_advance``: the guide table of
+its one finite kernel, or one ``batch_step`` call for ball walks of one
+target, each walker stepping with its own c.  The population refills as
+walkers retire, so walkers run at different steps side by side.  Every job
+has a horizon of its own, and the jobs with the largest horizon are
+admitted first, so shorter jobs fill the tail of longer ones: the scaling
+study runs the ball walks of all its step sizes c as one population.  A
+walker's draws depend only on its key and its step, so neither the
+population a walker runs in nor when it is admitted changes a result.
+Each step reads the live walkers' draws out of the stream block as whole
+items, one ``8 * draws``-byte item per walker, which gathers about 4x
+faster than a 2-D fancy index.  A step keeps its bookkeeping to what the
+next step reads: it compacts only the live walkers' positions, groups and
+block rows, and records an arrival per block row, writing the results
+once at the end of the block.
 
 A finite-kernel step inverts the current state's row CDF at the walker's
 draw.  ``_finite_advance`` builds a guide table (Chen and Asau's index
@@ -403,16 +405,16 @@ def _first_hits(starts, seeds, horizons, groups, arrivals, advance, draws, repli
 # --- one step rule per sampler ----------------------------------------------------
 
 class _WalkerRule(NamedTuple):
-    """How ``_first_hits`` walks one sampler."""
+    """How ``_first_hits`` starts and stops the walkers of one sampler."""
 
     draws: int  # uniform draws a step takes
-    advance: Callable  # (positions, draws of shape (walkers, draws), groups) -> positions
     place: Callable  # start -> position; ValueError if it is not a state
     arrival: Callable  # target -> arrival test (positions -> bool array)
 
 
 def _walker_rule(sampler) -> _WalkerRule:
-    """The step, start check and arrival test of a FiniteKernel or ContinuousSampler1D.
+    """The draws per step, start check and arrival test of a FiniteKernel or
+    ContinuousSampler1D.
 
     A FiniteKernel's states are indices and its targets are sets of them; a
     ContinuousSampler1D's states are points of [0, 1] and its targets are
@@ -427,7 +429,7 @@ def _walker_rule(sampler) -> _WalkerRule:
             member[sampler.state_set(target, "target state")] = True
             return member.__getitem__
 
-        return _WalkerRule(1, _finite_advance(sampler), place, arrival)
+        return _WalkerRule(1, place, arrival)
     if isinstance(sampler, ContinuousSampler1D):
         def place(x0):
             x = float(x0)
@@ -435,14 +437,31 @@ def _walker_rule(sampler) -> _WalkerRule:
                 raise ValueError(f"start {x0!r} is not a point of the ball walk's [0, 1]")
             return x
 
-        def advance(pos, u, grp):
-            return sampler.batch_step(pos, u[:, 0], u[:, 1])
-
         def arrival(target):
             return lambda pos: np.asarray(target(pos), dtype=bool)
 
-        return _WalkerRule(sampler.draws_per_step, advance, place, arrival)
+        return _WalkerRule(sampler.draws_per_step, place, arrival)
     raise TypeError(f"unsupported sampler type {type(sampler)!r}")
+
+
+def _population_advance(samplers):
+    """``advance(pos, u, grp)`` stepping each walker with the sampler ``samplers[grp]``.
+
+    One finite kernel steps through its guide table (``_finite_advance``).
+    Ball walks of one target step through one ``batch_step`` call a step,
+    on a sampler whose c holds each walker's own half-width; c enters the
+    step elementwise, so every walker moves exactly as under its own
+    sampler.  ValueError for any other mix of samplers.
+    """
+    first = samplers[0]
+    if isinstance(first, FiniteKernel) and all(s is first for s in samplers):
+        return _finite_advance(first)
+    if not all(isinstance(s, ContinuousSampler1D) and s.target is first.target
+               for s in samplers):
+        raise ValueError("only ball walks of one target density share a walker population")
+    c = np.array([s.c for s in samplers])
+    return lambda pos, u, grp: ContinuousSampler1D(first.target, c[grp]).batch_step(
+        pos, u[:, 0], u[:, 1])
 
 
 def _population(draws: int) -> int:
@@ -468,9 +487,10 @@ def sample_path(sampler, x0, t: int, seed: int) -> np.ndarray:
         raise ValueError("path length must be nonnegative")
     rule = _walker_rule(sampler)
     path = [np.array([rule.place(x0)])]
+    step = _population_advance([sampler])
 
     def advance(pos, u, grp):
-        path.append(rule.advance(pos, u, grp))
+        path.append(step(pos, u, grp))
         return path[-1]
 
     never = np.zeros(1, dtype=bool)
@@ -493,58 +513,36 @@ def estimate_hitting(
     ``target`` is a set of state indices for finite kernels, or a
     vectorized predicate (array -> bool array) for continuous samplers.
     Censored paths contribute the horizon value and raise
-    ``censored_fraction``.  The one-job case of ``estimate_hitting_batch``.
-
-    Raises
-    ------
-    AllCensored
-        If no replica hits within the horizon.
-    ValueError
-        If a finite-kernel start or target value is not a state of the chain
-        (``FiniteKernel.state_set``), or a ball-walk start lies outside [0, 1].
+    ``censored_fraction``.  The one-job case of ``estimate_hitting_batch``,
+    which lists what it raises.
     """
-    return estimate_hitting_batch(sampler, [(x0, target, seed)], replicas, horizon)[0]
+    return estimate_hitting_batch([(sampler, x0, target, seed, horizon)], replicas)[0]
 
 
-def estimate_hitting_batch(sampler, jobs, replicas: int, horizon: int) -> list[McEstimate]:
-    """``estimate_hitting`` of every job (x0, target, seed), as one walker population.
+def estimate_hitting_batch(jobs, replicas: int) -> list[McEstimate]:
+    """``estimate_hitting`` of every job (sampler, x0, target, seed, horizon), as one population.
 
     Each walker's draws depend only on its key (seed, replica) and its
-    step, so every estimate equals the one ``estimate_hitting`` returns for
-    its job, bit for bit.  Jobs that pass the same target object share one
-    arrival test per step; a job whose start lies in its target takes no
-    walkers and reports zero.
+    step, so every estimate equals the one its job gives alone, bit for
+    bit.  The jobs with the largest horizon are admitted first.  Jobs share
+    one sampler, or they are ball walks of one target density with step
+    sizes of their own (``_population_advance``).  Jobs that pass the same
+    sampler and target object share one arrival test per step; a job whose
+    start lies in its target takes no walkers and reports zero.
 
     Raises
     ------
     AllCensored
         For the first job, in job order, none of whose replicas hits
-        within the horizon.
+        within its horizon.
     ValueError
-        If the horizon is negative, a finite-kernel start or target value is
-        not a state of the chain, or a ball-walk start lies outside [0, 1]
-        (NaN included); no walker runs.
+        If replicas < 1, a horizon is negative, a finite-kernel start or
+        target value is not a state of the chain
+        (``FiniteKernel.state_set``), a ball-walk start lies outside [0, 1]
+        (NaN included), or the samplers cannot share a population; no
+        walker runs.
     TypeError
-        If the sampler is neither a FiniteKernel nor a ContinuousSampler1D,
-        also for an empty job list.
-    """
-    jobs = [(sampler, x0, target, seed, horizon) for x0, target, seed in jobs]
-    if not jobs:  # no job to check them with: refuse what any job would be refused for
-        if horizon < 0:
-            raise ValueError("horizon must be nonnegative")
-        _walker_rule(sampler)
-    return _hitting_estimates(jobs, replicas)
-
-
-def _hitting_estimates(jobs, replicas: int) -> list[McEstimate]:
-    """``estimate_hitting`` of every job (sampler, x0, target, seed, horizon), as one population.
-
-    ``estimate_hitting_batch`` with a sampler and a horizon per job.  The
-    jobs with the largest horizon are admitted first.  Jobs share one
-    sampler, or they are ball walks of one target density with step sizes
-    of their own (``_ball_walks_advance``).  Raises as
-    ``estimate_hitting_batch`` does, and ValueError for a negative horizon
-    or samplers that cannot share a population.
+        If a sampler is neither a FiniteKernel nor a ContinuousSampler1D.
     """
     if replicas < 1:
         raise ValueError("need at least one replica")
@@ -566,11 +564,11 @@ def _hitting_estimates(jobs, replicas: int) -> list[McEstimate]:
         if not arrivals[g](np.array([start]))[0]:
             walking.append((j, start, seed, horizon, g))
     if walking:
-        rule = next(iter(rules.values()))
-        advance = rule.advance if len(rules) == 1 else _ball_walks_advance(samplers)
+        advance = _population_advance(samplers)
+        draws = rules[id(samplers[0])].draws
         _, starts, seeds, horizons, groups = zip(*walking)
         times, censored = _first_hits(starts, seeds, horizons, groups, arrivals, advance,
-                                      rule.draws, replicas, _population(rule.draws))
+                                      draws, replicas, _population(draws))
 
     rows = {j: slice(k * replicas, (k + 1) * replicas) for k, (j, *_) in enumerate(walking)}
     estimates = []
@@ -584,22 +582,6 @@ def _hitting_estimates(jobs, replicas: int) -> list[McEstimate]:
         else:
             estimates.append(_summarize(times[rows[j]], seed, horizon, censored[rows[j]]))
     return estimates
-
-
-def _ball_walks_advance(samplers):
-    """``advance(pos, u, grp)`` stepping each walker with the ball walk ``samplers[grp]``.
-
-    One ``batch_step`` call a step moves the whole population: it is called
-    on a sampler whose c holds each walker's own half-width, and c enters
-    the step elementwise, so every walker moves exactly as under its own
-    sampler.  ValueError unless the samplers are ball walks of one target.
-    """
-    target = samplers[0].target
-    if not all(isinstance(s, ContinuousSampler1D) and s.target is target for s in samplers):
-        raise ValueError("only ball walks of one target density share a walker population")
-    c = np.array([s.c for s in samplers])
-    return lambda pos, u, grp: ContinuousSampler1D(target, c[grp]).batch_step(
-        pos, u[:, 0], u[:, 1])
 
 
 # --- coupling with a dominated restriction ----------------------------------------
@@ -645,7 +627,7 @@ def coupled_escape_estimate(
         raise ValueError("start state must lie in the coupling set")
 
     _, coupled = _first_hits(
-        [x0], [seed], [t], [0], [outside], rule.advance, rule.draws, replicas,
+        [x0], [seed], [t], [0], [outside], _population_advance([g]), rule.draws, replicas,
         _population(rule.draws))
     values = (~coupled).astype(float)
     return _summarize(values, seed, t, censored=np.zeros(replicas, dtype=bool))

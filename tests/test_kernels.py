@@ -549,6 +549,20 @@ def test_gibbs_restriction_refuses_a_table_of_another_size(subset):
         m.restrict(k, subset, "gibbs-restriction", pi_table=np.ones((2, 2)))
 
 
+@pytest.mark.parametrize("subset", [[0, 4], [1, 3]])
+def test_gibbs_restriction_refuses_a_table_of_another_shape(subset):
+    # the six cells of a 2 x 3 table laid out 3 x 2 put the two cells of S
+    # in one line, so that restriction moves; in the 2 x 3 table they share
+    # no row or column, and the restriction is the identity
+    table = np.arange(1.0, 7.0).reshape(2, 3)
+    k = m.gibbs_grid_kernel(table)
+    with pytest.raises(errors.DimensionMismatch, match="does not give this kernel"):
+        m.restrict(k, subset, "gibbs-restriction", pi_table=table.reshape(3, 2))
+    for same in (table, 2.5 * table):
+        dom = m.restrict(k, subset, "gibbs-restriction", pi_table=same)
+        assert np.array_equal(dom.kernel.p, np.eye(2))
+
+
 @given(st.integers(3, 7), st.integers(0, 10_000))
 @settings(max_examples=30, deadline=None)
 def test_restrict_domination_and_stationarity_mh(n, seed):

@@ -188,13 +188,19 @@ def _per_job(sampler, jobs, replicas, horizon):
             for x0, target, seed in jobs]
 
 
+def _batch(sampler, jobs, replicas, horizon):
+    """``estimate_hitting_batch`` of the jobs (x0, target, seed) of one sampler and horizon."""
+    return m.estimate_hitting_batch(
+        [(sampler, x0, target, seed, horizon) for x0, target, seed in jobs], replicas)
+
+
 def test_batch_equals_per_job_on_a_finite_kernel():
     k = random_dense_chain(np.random.default_rng(7), 6)
     near, far = [5], [0, 1]
     jobs = [(0, near, 11), (5, near, 12), (2, far, 13), (3, near, 14), (4, [5], 15)]
     replicas, horizon = 1500, 4  # 7500 walkers: job 2 straddles the 4096 chunk edge
     assert 2 * replicas < montecarlo._population(1) < 3 * replicas
-    batch = m.estimate_hitting_batch(k, jobs, replicas, horizon)
+    batch = _batch(k, jobs, replicas, horizon)
     assert list(map(repr, batch)) == list(map(repr, _per_job(k, jobs, replicas, horizon)))
     assert batch[1].mean == 0.0 and batch[1].censored_fraction == 0.0  # starts in its target
     assert any(0.0 < est.censored_fraction < 1.0 for est in batch)
@@ -206,29 +212,17 @@ def test_batch_equals_per_job_on_the_ball_walk():
     low = lambda xs: np.asarray(xs) <= 0.2  # noqa: E731
     jobs = [(0.0, high, 3), (1.0, high, 4), (0.5, low, 5), (0.5, high, 6), (0.9, low, 7)]
     replicas, horizon = 1100, 60  # 4400 walkers: job 4 straddles the chunk edge
-    batch = m.estimate_hitting_batch(sampler, jobs, replicas, horizon)
+    batch = _batch(sampler, jobs, replicas, horizon)
     assert list(map(repr, batch)) == list(map(repr, _per_job(sampler, jobs, replicas, horizon)))
     assert batch[1].mean == 0.0  # starts in its target
     assert any(0.0 < est.censored_fraction < 1.0 for est in batch)
-
-
-def test_an_empty_batch_still_checks_its_horizon_and_sampler(monkeypatch):
-    monkeypatch.setattr(montecarlo, "_ReplicaStreams", _no_walkers)
-    with pytest.raises(ValueError, match="horizon must be nonnegative"):
-        m.estimate_hitting_batch("x", [], 10, -5)
-    with pytest.raises(ValueError, match="horizon must be nonnegative"):
-        m.estimate_hitting_batch(PATH3, [], 10, -1)
-    with pytest.raises(TypeError, match="unsupported sampler type"):
-        m.estimate_hitting_batch("x", [], 10, 5)
-    assert m.estimate_hitting_batch(PATH3, [], 10, 0) == []
-    assert m.estimate_hitting_batch(m.ball_walk_sampler(EXP, 0.25), [], 10, 5) == []
 
 
 def test_batch_raises_for_the_first_all_censored_job():
     k = m.build_finite_kernel([[1.0, 0.0], [0.5, 0.5]])
     jobs = [(1, [0], 1), (0, [1], 7), (1, [0], 2), (0, [1], 8)]
     with pytest.raises(errors.AllCensored) as batch:
-        m.estimate_hitting_batch(k, jobs, 50, 100)
+        _batch(k, jobs, 50, 100)
     with pytest.raises(errors.AllCensored) as per_job:
         _per_job(k, jobs, 50, 100)
     assert str(batch.value) == str(per_job.value)
@@ -317,7 +311,7 @@ def _ball_walk_first_hits(replicas, population):
     return montecarlo._first_hits(
         [x0 for x0, _, _ in jobs], [seed for _, seed, _ in jobs],
         [300] * len(jobs),  # past the 128-step row cap
-        [g for *_, g in jobs], arrivals, montecarlo._walker_rule(sampler).advance,
+        [g for *_, g in jobs], arrivals, montecarlo._population_advance([sampler] * 2),
         sampler.draws_per_step, replicas, population)
 
 
@@ -440,13 +434,13 @@ def test_several_ball_walks_step_in_one_population():
     wide, narrow = m.ball_walk_sampler(EXP, 1.0 / 6.0), m.ball_walk_sampler(EXP, 1.0 / 8.0)
     low = lambda xs: xs <= 0.2  # noqa: E731
     jobs = [(wide, 0.9, low, 1, 400), (narrow, 0.9, low, 2, 600), (wide, 0.1, low, 3, 400)]
-    together = montecarlo._hitting_estimates(jobs, 300)
+    together = m.estimate_hitting_batch(jobs, 300)
     alone = [m.estimate_hitting(s, x0, target, 300, horizon, seed)
              for s, x0, target, seed, horizon in jobs]
     assert together == alone
     assert together[2].mean == 0.0  # starts in its target
     with pytest.raises(ValueError, match="only ball walks of one target density"):
-        montecarlo._hitting_estimates([(wide, 0.9, low, 1, 10), (PATH3, 0, [2], 1, 10)], 5)
+        m.estimate_hitting_batch([(wide, 0.9, low, 1, 10), (PATH3, 0, [2], 1, 10)], 5)
 
 
 @pytest.mark.parametrize("draws,population", [(1, 4096), (2, 2048)])
@@ -646,7 +640,7 @@ def test_ball_walk_step_calls_count_every_walker_step(monkeypatch):
     wide, narrow = m.ball_walk_sampler(EXP, 1.0 / 6.0), m.ball_walk_sampler(EXP, 1.0 / 8.0)
     low = lambda xs: xs <= 0.2  # noqa: E731
     jobs = [(wide, 0.9, low, 1, 400), (narrow, 0.9, low, 2, 600), (narrow, 0.5, low, 3, 600)]
-    ests = montecarlo._hitting_estimates(jobs, 1500)
+    ests = m.estimate_hitting_batch(jobs, 1500)
     assert sum(calls) == pytest.approx(sum(e.mean * e.replicas for e in ests), rel=1e-12, abs=0)
     assert len(calls) > 1
 
@@ -660,7 +654,7 @@ def test_finite_states_outside_the_chain_are_rejected(monkeypatch, x0, target):
     with pytest.raises(ValueError, match="is not a state of this 4-state chain"):
         m.estimate_hitting(k, x0, target, replicas=10, horizon=10, seed=0)
     with pytest.raises(ValueError, match="is not a state of this 4-state chain"):
-        m.estimate_hitting_batch(k, [(0, [1], 0), (x0, target, 0)], replicas=10, horizon=10)
+        _batch(k, [(0, [1], 0), (x0, target, 0)], replicas=10, horizon=10)
 
 
 K6 = random_dense_chain(np.random.default_rng(0), 6)
@@ -689,7 +683,7 @@ STATE_TAKERS = {
         K6, _bad_state(bad), [5], replicas=10, horizon=10, seed=0),
     "estimate_hitting-target": lambda bad: m.estimate_hitting(
         K6, 0, _bad_set(bad), replicas=10, horizon=10, seed=0),
-    "estimate_hitting_batch": lambda bad: m.estimate_hitting_batch(
+    "estimate_hitting_batch": lambda bad: _batch(
         K6, [(0, [5], 0), (_bad_state(bad), [5], 1)], replicas=10, horizon=10),
     "coupled_escape_estimate": lambda bad: m.coupled_escape_estimate(
         K6, TRACE6, _bad_state(bad), 5, replicas=10, seed=0),
@@ -714,13 +708,13 @@ def test_ball_walk_starts_outside_the_unit_interval_are_rejected(monkeypatch, x0
     with pytest.raises(ValueError, match="is not a point of the ball walk's"):
         m.estimate_hitting(sampler, x0, low, replicas=10, horizon=10, seed=0)
     with pytest.raises(ValueError, match="is not a point of the ball walk's"):
-        m.estimate_hitting_batch(sampler, [(0.5, low, 0), (x0, low, 1)], replicas=10, horizon=10)
+        _batch(sampler, [(0.5, low, 0), (x0, low, 1)], replicas=10, horizon=10)
 
 
 def test_ball_walk_starts_at_the_interval_ends_are_accepted():
     sampler = m.ball_walk_sampler(EXP, 1.0 / 8.0)
-    ends = m.estimate_hitting_batch(sampler, [(0.0, lambda xs: xs <= 0.2, 0),
-                                              (1.0, lambda xs: xs >= 0.75, 1)], 10, 10)
+    ends = _batch(sampler, [(0.0, lambda xs: xs <= 0.2, 0),
+                            (1.0, lambda xs: xs >= 0.75, 1)], 10, 10)
     assert [est.mean for est in ends] == [0.0, 0.0]  # each starts in its target
 
 
@@ -770,7 +764,6 @@ def test_coupled_escape_rejects_non_dominating():
     k, dom = _simple_dominated()
     fake = m.DominatedKernel(
         variant=dom.variant,
-        base=dom.base,
         support=dom.support,
         kernel=m.build_finite_kernel(np.tile([0.2, 0.2, 0.6], (3, 1))),
         conditional_stationary=dom.conditional_stationary,
@@ -890,7 +883,7 @@ def test_state_path_when_the_layout_check_fails(monkeypatch, corpus_estimates):
     sampler = m.ball_walk_sampler(EXP, 1.0 / 8.0)
     high = lambda xs: np.asarray(xs) >= 0.75  # noqa: E731
     jobs = [(0.0, high, 3), (0.5, high, 6)]
-    fallback = m.estimate_hitting_batch(sampler, jobs, 700, 300)
+    fallback = _batch(sampler, jobs, 700, 300)
     monkeypatch.undo()
     assert montecarlo._ReplicaStreams().path == "direct"
-    assert fallback == m.estimate_hitting_batch(sampler, jobs, 700, 300)
+    assert fallback == _batch(sampler, jobs, 700, 300)

@@ -69,7 +69,9 @@ def stationary_distribution(k: FiniteKernel) -> np.ndarray:
     closed = _closed_classes(k.p)
     if len(closed) > 1:
         raise Reducible(f"kernel has {len(closed)} closed classes")
-    return _class_mixture(k.p, closed)
+    pi = np.zeros(k.n)
+    pi[closed[0]] = _class_stationary(k.p[np.ix_(closed[0], closed[0])])
+    return pi
 
 
 def _closed_classes(p: np.ndarray) -> list[np.ndarray]:
@@ -158,14 +160,6 @@ def _reach(graph, sources: list[int], blocked: bytearray) -> tuple[list[int], in
     return found, deepest
 
 
-def _class_mixture(p: np.ndarray, classes: list[np.ndarray]) -> np.ndarray:
-    """Equal-weight mixture of the stationary laws of the given closed classes."""
-    pi = np.zeros(p.shape[0])
-    for members in classes:
-        pi[members] += _class_stationary(p[np.ix_(members, members)]) / len(classes)
-    return pi
-
-
 def _class_stationary(q: np.ndarray) -> np.ndarray:
     """Checked dense solve of pi q = pi, sum(pi) = 1 on one closed class."""
     m = q.shape[0]
@@ -250,11 +244,11 @@ def mixing_time(
     product kept whenever its TV still exceeds eps: about 2 log2(t) dense
     products instead of t.
 
-    pi is ``k.stationary``.  The lazy flag replaces P with (P + I)/2
-    first, which has the same stationary law.  A reducible chain is
-    measured against the equal mixture of its closed classes' stationary
-    laws, which is stationary too, so a chain that cannot mix ends in
-    ``NotMixedByHorizon`` rather than a reducibility error.
+    pi is ``k.stationary``, read before any product is formed, so a chain
+    with several closed classes, which has no unique pi and no mixing time
+    (Levin, Peres and Wilmer define d(t) against the pi of an irreducible
+    chain), raises ``Reducible`` at once.  The lazy flag replaces P with
+    (P + I)/2 first, which has the same stationary law.
 
     Raises
     ------
@@ -266,6 +260,8 @@ def mixing_time(
         than ``MIXING_POWER_BYTES``; raised before any product is formed.
     EmptySubset
         If ``subset`` is empty.
+    Reducible, ResidualTooLarge
+        From ``k.stationary``.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
@@ -283,11 +279,8 @@ def mixing_time(
             f"mixing_time would store {squarings} powers of a {k.n}-state kernel "
             f"({stored / 2**20:.0f} MiB > {MIXING_POWER_BYTES / 2**20:.0f} MiB)"
         )
+    pi = k.stationary
     work = lazy_transform(k) if lazy else k
-    try:
-        pi = k.stationary
-    except Reducible:
-        pi = _class_mixture(k.p, _closed_classes(k.p))
     checked = {}  # t -> max over starts of TV(P^t(x,.), pi)
 
     def mixed(t, rows):

@@ -19,12 +19,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="geometric ergodicity certificates via drift and hitting times",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("scaling", "hitting-time scaling study over a grid of step sizes"),
-        ("certify", "drift-and-hit certification audit for one chain"),
-        ("hitmix", "mixing and maximum hitting survey of one finite chain"),
-    ):
-        p = sub.add_parser(name, help=help_text)
+    for name, runner in RUNNERS.items():
+        p = sub.add_parser(name, help=runner.__doc__.splitlines()[0])
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", default=None, help="output directory (default: config output_path)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")

@@ -149,6 +149,8 @@ class DensitySpec:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "DensitySpec":
+        if not isinstance(cfg, dict):
+            raise ConfigError("density config must be an object")
         cfg = dict(cfg)
         kind = cfg.pop("kind", None)
         if kind is None:
@@ -161,13 +163,13 @@ class DensitySpec:
                 raise ConfigError("exponential-tilt density needs 'tilt'")
             params["tilt"] = _config_float(cfg.pop("tilt"), "tilt")
         elif kind == "piecewise-linear-table":
-            try:
-                for key in ("xs", "ys"):
-                    params[key] = tuple(_config_float(v, key) for v in cfg.pop(key))
-            except KeyError as exc:
-                raise ConfigError(f"piecewise table config missing {exc}") from exc
-            except TypeError as exc:  # not a list
-                raise ConfigError(f"piecewise table 'xs' and 'ys' must be lists: {exc}") from exc
+            for key in ("xs", "ys"):
+                if key not in cfg:
+                    raise ConfigError(f"piecewise table config missing {key!r}")
+                values = cfg.pop(key)
+                if not isinstance(values, (list, tuple)):
+                    raise ConfigError(f"piecewise table {key!r} must be a list, got {values!r}")
+                params[key] = tuple(_config_float(v, key) for v in values)
         if cfg:
             raise ConfigError(f"unknown density config keys: {sorted(cfg)}")
         return cls(kind=kind, params=params, unimodal_alpha=alpha, unimodal_ratio=ratio)

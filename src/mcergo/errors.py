@@ -108,10 +108,6 @@ class AllCensored(McergoError):
     pass
 
 
-class NotDominating(McergoError):
-    pass
-
-
 # --- certification -------------------------------------------------------
 
 class InvalidParameters(McergoError):

@@ -43,7 +43,7 @@ from .chain_analysis import (
 )
 from .corpus import bd_expdrift
 from .density import DensitySpec, _config_float
-from .errors import ConfigError, InvalidParameters, McergoError, NotMixedByHorizon, TooManyStates
+from .errors import ConfigError, InvalidParameters, McergoError
 from .kernels import (
     FiniteKernel,
     birth_death_chain,
@@ -56,7 +56,6 @@ from .kernels import (
 from .montecarlo import coupled_escape_estimate, estimate_hitting_batch
 from .svg import emit_svg
 
-EXPERIMENTS = ("scaling", "certify", "hitmix", "couple")
 STRATEGIES = ("brute", "interval")
 RESTRICTIONS = ("mh-restriction", "trace")  # gibbs needs a probability table no config carries
 
@@ -94,7 +93,7 @@ class ExperimentConfig:
     svg: bool = False
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in RUNNERS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
@@ -527,22 +526,18 @@ def run_hitmix(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
     out_dir = _prepare_out(cfg, out_dir)
     k, _, _ = chain_from_config(cfg.chain)
 
-    errors = []
-    t_m = t_l = None
-    report = None
-    # all three calls read k.stationary: (P + I)/2 has the law of P
-    try:
-        t_m = mixing_time(k)
-    except (NotMixedByHorizon, TooManyStates) as exc:
-        errors.append(f"tm:{type(exc).__name__}")
-    try:
-        t_l = mixing_time(k, lazy=True)
-    except (NotMixedByHorizon, TooManyStates) as exc:
-        errors.append(f"tL:{type(exc).__name__}")
-    try:
-        report = max_hitting_time(k, cfg.alpha, strategy=cfg.strategy)
-    except McergoError as exc:
-        errors.append(f"tH:{type(exc).__name__}")
+    results, errors = {}, []
+    # all three read k.stationary: (P + I)/2 has the law of P
+    for name, compute in (
+        ("tm", lambda: mixing_time(k)),
+        ("tL", lambda: mixing_time(k, lazy=True)),
+        ("tH", lambda: max_hitting_time(k, cfg.alpha, strategy=cfg.strategy)),
+    ):
+        try:
+            results[name] = compute()
+        except McergoError as exc:
+            errors.append(f"{name}:{type(exc).__name__}")
+    t_m, t_l, report = (results.get(name) for name in ("tm", "tL", "tH"))
 
     # a quantity that was not computed is an empty cell
     hit = ["", "", "", ""] if report is None else [
@@ -566,7 +561,7 @@ def run_hitmix(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
             "errors": errors}
 
 
-# --- coupling run (library-level; no CLI subcommand) --------------------------------
+# --- coupling run ---------------------------------------------------------------------
 
 COUPLE_COLUMNS = ["quantity", "mean", "stderr", "replicas", "censored_fraction", "seed"]
 

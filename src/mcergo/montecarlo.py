@@ -53,9 +53,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import AllCensored, NotDominating
-from .kernels import ContinuousSampler1D, DominatedKernel, FiniteKernel
-from .tolerances import ROW_SUM_TOL
+from .errors import AllCensored
+from .kernels import ContinuousSampler1D, DominatedKernel, FiniteKernel, _check_domination
 
 # One stream block holds population x row steps x draws uniform doubles, and
 # the population of a sampler is what fills it: 4096 finite-kernel walkers
@@ -606,7 +605,7 @@ def coupled_escape_estimate(
 
     Raises
     ------
-    NotDominating
+    DominationViolation
         If the entrywise domination check fails on the support.
     ValueError
         If x0 is not a state of g or lies outside the support.
@@ -615,14 +614,10 @@ def coupled_escape_estimate(
         raise ValueError("step count must be nonnegative")
     if replicas < 1:
         raise ValueError("need at least one replica")
-    S = g_c.support
-    base = g.p[np.ix_(S, S)]
-    gap = float(np.min(g_c.kernel.p - base))
-    if gap < -ROW_SUM_TOL:
-        raise NotDominating(f"restriction does not dominate the base (gap {gap:.3e})")
+    _check_domination(g.p, g_c.kernel.p, g_c.support)
     rule = _walker_rule(g)
     x0 = rule.place(x0)
-    outside = rule.arrival(np.delete(np.arange(g.n), S))
+    outside = rule.arrival(np.delete(np.arange(g.n), g_c.support))
     if outside(x0):
         raise ValueError("start state must lie in the coupling set")
 

@@ -84,11 +84,6 @@ def test_stationary_broken_solve_raises(monkeypatch, broken):
     monkeypatch.setattr(chain_analysis.np.linalg, "solve", solve)
     with pytest.raises(errors.ResidualTooLarge):
         m.stationary_distribution(k)
-    # the closed-class mixture of a reducible chain uses the same checked solve
-    two_pairs = m.build_finite_kernel([[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0],
-                                       [0.0, 0.0, 0.5, 0.5], [0.0, 0.0, 0.3, 0.7]])
-    with pytest.raises(errors.ResidualTooLarge):
-        m.mixing_time(two_pairs)
 
 
 @st.composite
@@ -196,11 +191,25 @@ def test_mixing_time_one_step_chain():
 
 
 def test_mixing_identity_not_mixed():
-    k = m.build_finite_kernel(np.eye(2))
+    k = m.build_finite_kernel([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(errors.NotMixedByHorizon) as exc:
         m.mixing_time(k, 0.25)
     assert len(exc.value.profile) > 1
     assert exc.value.profile[0] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+@pytest.mark.parametrize("rows, eps", [
+    (np.eye(2), 0.6),
+    ([[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0],
+      [0.0, 0.0, 0.5, 0.5], [0.0, 0.0, 0.3, 0.7]], 0.5),
+])
+def test_mixing_refuses_a_chain_with_several_closed_classes(rows, eps, lazy):
+    # from a start in one of k closed classes, TV to any mixture of the
+    # class laws stays >= 1 - 1/k, so no eps < 1 has a mixing time
+    k = m.build_finite_kernel(rows)
+    with pytest.raises(errors.Reducible):
+        m.mixing_time(k, eps, lazy=lazy)
 
 
 def test_mixing_matches_matrix_power_oracle():
@@ -277,7 +286,7 @@ def test_mixing_power_cap_admits_512_states_at_the_default_horizon():
 
 
 def test_mixing_identity_exhausts_default_horizon_fast():
-    k = m.build_finite_kernel(np.eye(256))
+    k = m.build_finite_kernel(np.roll(np.eye(256), 1, axis=1))  # the 256-cycle
     t_max = chain_analysis.default_mix_horizon(256)
     assert t_max > 3_900_000
     start = time.perf_counter()
@@ -287,7 +296,7 @@ def test_mixing_identity_exhausts_default_horizon_fast():
     times = exc.value.times
     assert times[0] == 0 and times[-1] == t_max and np.all(np.diff(times) > 0)
     assert len(times) < 64
-    # every start stays put, TV(e_x, uniform mixture of the 256 classes)
+    # P^t(x, .) is a point mass for every t, at TV 1 - 1/256 from uniform
     assert np.allclose(exc.value.profile, 255.0 / 256.0)
 
 

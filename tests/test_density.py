@@ -78,6 +78,18 @@ def test_config_rejects_unknown_keys():
         m.DensitySpec.from_config({"kind": "uniform", "scale": 2.0})
 
 
+@pytest.mark.parametrize("cfg", [
+    [1],
+    "uniform",
+    None,
+    {"kind": "piecewise-linear-table", "xs": "01", "ys": [1.0, 1.0]},
+    {"kind": "piecewise-linear-table", "xs": [0.0, 1.0]},
+])
+def test_config_that_is_not_an_object_of_lists_is_refused(cfg):
+    with pytest.raises(errors.ConfigError):
+        m.DensitySpec.from_config(cfg)
+
+
 def test_bad_parameters_rejected():
     with pytest.raises(errors.ConfigError):
         m.DensitySpec(kind="uniform", unimodal_alpha=0.7)

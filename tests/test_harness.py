@@ -87,7 +87,7 @@ def test_config_validation():
         _scaling_cfg(alpha=0.7)
     with pytest.raises(errors.ConfigError):
         _scaling_cfg(replicas=0)
-    # 'couple' is part of the schema even though the CLI has no subcommand
+    # every runner's experiment is part of the schema, 'couple' too
     cfg = parse_config({"experiment": "couple",
                         "chain": {"kind": "corpus", "name": "bd-expdrift"}})
     assert cfg.experiment == "couple"
@@ -380,12 +380,12 @@ def test_run_hitmix_identity_chain_error_row(tmp_path):
     rep = run_hitmix(cfg, out_dir=tmp_path / "run")
     assert not rep["ok"]
     row = (tmp_path / "run" / "hitmix.csv").read_text().splitlines()[1]
-    assert "NotMixedByHorizon" in row
+    assert row.split(",")[-1] == "tm:Reducible;tL:Reducible;tH:Reducible"
 
 
 def test_run_hitmix_reducible_chain_row(tmp_path):
-    # two closed classes {0}, {1} and a transient state 2: mixing is measured
-    # against the classes' mixture and never mixes; tH refuses the chain
+    # two closed classes {0}, {1} and a transient state 2: no unique pi, so
+    # all three quantities refuse the chain
     cfg = parse_config({
         "experiment": "hitmix",
         "chain": {"kind": "matrix", "rows": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
@@ -394,9 +394,9 @@ def test_run_hitmix_reducible_chain_row(tmp_path):
         "strategy": "brute",
     })
     rep = run_hitmix(cfg, out_dir=tmp_path / "run")
-    assert rep["errors"] == ["tm:NotMixedByHorizon", "tL:NotMixedByHorizon", "tH:Reducible"]
+    assert rep["errors"] == ["tm:Reducible", "tL:Reducible", "tH:Reducible"]
     row = (tmp_path / "run" / "hitmix.csv").read_text().splitlines()[1]
-    assert row == "0.4,,,,,,,,,tm:NotMixedByHorizon;tL:NotMixedByHorizon;tH:Reducible"
+    assert row == "0.4,,,,,,,,,tm:Reducible;tL:Reducible;tH:Reducible"
 
 
 def test_run_hitmix_bound_holds(tmp_path):
@@ -433,7 +433,7 @@ def test_run_hitmix_row_pinned_on_exp_tilt(tmp_path):
     ]
 
 
-# --- couple (library-level runner) ---------------------------------------------------
+# --- couple -------------------------------------------------------------------------
 
 def test_run_couple_corpus(tmp_path):
     cfg = parse_config({
@@ -647,6 +647,12 @@ MALFORMED_INPUTS = {
     "c-not-a-number": (2, lambda d: _hitmix_payload({"kind": "lazy-srw", "c": "an eighth"})),
     "tilt-not-a-number": (2, lambda d: _scaling_payload(
         density={"kind": "exponential-tilt", "tilt": "steep"})),
+    "density-a-list": (2, lambda d: _hitmix_payload(
+        {"kind": "birth-death", "density": [1], "c": 0.5})),
+    "density-a-string": (2, lambda d: _hitmix_payload(
+        {"kind": "birth-death", "density": "uniform", "c": 0.5})),
+    "density-xs-a-string": (2, lambda d: _hitmix_payload({"kind": "birth-death", "density": {
+        "kind": "piecewise-linear-table", "xs": "01", "ys": [1.0, 1.0]}, "c": 0.5})),
     "tilt-overflows": (2, lambda d: _scaling_payload(
         density={"kind": "exponential-tilt", "tilt": 800.0})),
     "density-narrow-peak": (2, lambda d: _scaling_payload(density={
@@ -687,6 +693,21 @@ def test_cli_malformed_input_is_a_structured_error(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+def test_cli_couple_success(tmp_path):
+    cfg = _write_cfg(tmp_path, {
+        "experiment": "couple",
+        "chain": {"kind": "corpus", "name": "bd-expdrift"},
+        "replicas": 100,
+        "horizon": 20,
+        "seed": 3,
+    })
+    assert cli_main(["couple", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 0
+    lines = (tmp_path / "o" / "couple.csv").read_text().splitlines()
+    assert lines[0] == "quantity,mean,stderr,replicas,censored_fraction,seed"
+    assert len(lines) == 4
+
+
 def test_cli_hitmix_broken_stationary_solve_exit_one(tmp_path, monkeypatch, capsys):
     def singular(a, b):
         raise chain_analysis.np.linalg.LinAlgError("singular matrix")
@@ -700,7 +721,10 @@ def test_cli_hitmix_broken_stationary_solve_exit_one(tmp_path, monkeypatch, caps
     })
     assert cli_main(["hitmix", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--quiet"]) == 1
-    assert "analysis failure: ResidualTooLarge" in capsys.readouterr().err
+    # each quantity reads the uncached law and records the failed solve
+    row = (tmp_path / "o" / "hitmix.csv").read_text().splitlines()[1].split(",")
+    assert row[-1] == "tm:ResidualTooLarge;tL:ResidualTooLarge;tH:ResidualTooLarge"
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cli_hitmix_interval_refuses_dense_chain(tmp_path):

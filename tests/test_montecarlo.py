@@ -768,7 +768,7 @@ def test_coupled_escape_rejects_non_dominating():
         kernel=m.build_finite_kernel(np.tile([0.2, 0.2, 0.6], (3, 1))),
         conditional_stationary=dom.conditional_stationary,
     )
-    with pytest.raises(errors.NotDominating):
+    with pytest.raises(errors.DominationViolation):
         m.coupled_escape_estimate(k, fake, 0, 5, replicas=10, seed=0)
 
 

@@ -43,17 +43,11 @@ from .montecarlo import (
 )
 from .certify import (
     DriftCertificate,
-    DTable,
     GeometricBound,
-    bound_rhs,
     certify_drift_and_hit,
     compatibility_check,
-    default_dtable,
-    drift_envelope,
     escape_bound,
     fit_drift,
-    hit_to_mix,
-    lazy_drift_params,
     multistep_drift_params,
     solve_contraction,
     verify_drift,

@@ -1,8 +1,8 @@
 """Drift certificates and the explicit geometric convergence bound.
 
 Verifies drift inequalities, checks the two compatibility radii, maps
-drift parameters through laziness and multi-step composition, solves for
-the interpolation exponent p and contraction rate rho, and assembles the
+drift parameters through multi-step composition, solves for the
+interpolation exponent p and contraction rate rho, and assembles the
 bound M(x) (1 - rho)^t from either an exact pairwise overlap or the
 drift-and-hit route through a dominated restriction.
 
@@ -12,6 +12,12 @@ radius thresholds 2b/(1 - lambda) and (2b + 24 r')/(1 - lambda)
 (``compatibility_check``), and default radii ``RADIUS_MARGIN`` times
 those thresholds (``DriftCertificate.with_radii``).
 
+The overlap step count T comes from the restriction to C = {V <= r}
+alone: its exact mixing time from C' up to ``EXACT_OVERLAP_STATE_CAP``
+states, and above that an L2(pi) spectral bound on it
+(``_spectral_mixing_time``).  Both are verified, so every bound is
+certified.
+
 Step-count convention: the pairwise overlap is established for the T-step
 kernel, whose drift parameters are (lambda^T, b (1 - lambda^T)/(1 -
 lambda)); the single-step bound uses floor(t / T) exponents.  Every
@@ -19,25 +25,22 @@ GeometricBound records the convention.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
-from .chain_analysis import max_hitting_time, mixing_time, pseudo_minorization
+from .chain_analysis import mixing_time, pseudo_minorization
 from .errors import (
     DegenerateOverlap,
-    DTableInvalid,
     IncompatibleCertificate,
     IncompatibleRadius,
     InvalidParameters,
-    MissingAlpha,
     NonpositiveDenominator,
+    ResidualTooLarge,
 )
 from .kernels import FiniteKernel, restrict
-from .tolerances import EQUALITY_TOL, ROW_SUM_TOL
+from .tolerances import EQUALITY_TOL, ROW_SUM_TOL, SPECTRAL_RESIDUAL_TOL
 
 EXACT_OVERLAP_STATE_CAP = 512
 # The lambdas at which a certificate is fitted to V.
@@ -89,6 +92,13 @@ class DriftCertificate:
     def inner_set(self) -> np.ndarray:
         return self.sublevel(self.r_prime)
 
+    def sublevel_sets(self) -> tuple[np.ndarray, np.ndarray]:
+        """(C, C'); IncompatibleCertificate when either is empty."""
+        C, C_inner = self.small_set, self.inner_set
+        if C.size == 0 or C_inner.size == 0:
+            raise IncompatibleCertificate("sublevel sets are empty")
+        return C, C_inner
+
     def m_offset(self) -> float:
         return 2.0 + self.b / (1.0 - self.lam)
 
@@ -101,10 +111,11 @@ class GeometricBound:
     defining equalities for the T-step drift parameters (lam_eff, b_eff)
     and radius r_eff; M(x) = m_offset + V(x).  ``source`` records whether
     eps came from an exact pairwise computation ("pseudo-minorization") or
-    the 1/3 overlap of the drift-and-hit theorem ("drift-and-hit").
-    ``certified`` is true only when every input of the bound was verified;
-    T from the "dtable" route rests on the table's upper constant d, which
-    is data, so such a bound is labelled uncertified.
+    the 1/3 overlap of the drift-and-hit theorem ("drift-and-hit"), and
+    ``t_route`` whether T is the restriction's exact mixing time
+    ("exact-mixing") or its spectral bound ("spectral").  Both routes rest
+    on verified inequalities only, so ``certified`` is always true; it stays
+    a field so that every ``certify_report.json`` keeps its keys.
     """
 
     eps: float
@@ -118,7 +129,7 @@ class GeometricBound:
     r_eff: float
     t_route: str = "exact-mixing"
     degenerate_restriction: bool = False
-    certified: bool = False
+    certified: bool = True
 
     def m_of(self, v_x: float) -> float:
         return self.m_offset + float(v_x)
@@ -132,11 +143,6 @@ class GeometricBound:
         bounds = (self.m_offset + np.asarray(v_x, dtype=float)) * (1.0 - self.rho) ** k
         return float(bounds) if bounds.ndim == 0 else bounds
 
-    def lemma_rhs(self, v_x: float, t: int) -> float:
-        """The two-term right-hand side at floor(t / T) composite steps."""
-        k = t // self.t
-        return bound_rhs(self.eps, self.lam_eff, self.b_eff, self.r_eff, self.p, v_x, k)
-
     def check_equalities(self, tol=EQUALITY_TOL) -> float:
         a, bb = _contraction_terms(self.lam_eff, self.b_eff, self.r_eff)
         lhs = (1.0 - self.eps) ** self.p
@@ -145,83 +151,6 @@ class GeometricBound:
         if worst > tol:
             raise InvalidParameters(f"defining equalities violated by {worst:.3e}")
         return worst
-
-
-# --- the universal-constant table ----------------------------------------------
-
-@dataclass(frozen=True)
-class DTable:
-    """User-supplied constants alpha -> (d_alpha, d'_alpha).
-
-    d'_alpha t_H(alpha) <= t_L <= d_alpha t_H(alpha); the upper constants
-    are treated as data, not derived.  Validation: alpha keys in (0, 0.5),
-    d' <= d, and d non-increasing in alpha.
-    """
-
-    entries: tuple  # ((alpha, d, d_prime, note), ...) sorted by alpha
-
-    def __post_init__(self):
-        ordered = tuple(sorted(self.entries, key=lambda e: e[0]))
-        object.__setattr__(self, "entries", ordered)
-        prev_d = None
-        for alpha, d, d_prime, _note in ordered:
-            if not (0.0 < alpha < 0.5):
-                raise DTableInvalid(f"alpha {alpha} outside (0, 0.5)")
-            if d <= 0.0 or d_prime <= 0.0:
-                raise DTableInvalid("constants must be positive")
-            if d_prime > d:
-                raise DTableInvalid(f"d'={d_prime} exceeds d={d} at alpha={alpha}")
-            if prev_d is not None and d > prev_d + ROW_SUM_TOL:
-                raise DTableInvalid("d_alpha must be non-increasing in alpha")
-            prev_d = d
-
-    def lookup(self, alpha: float) -> tuple[float, float]:
-        for a, d, d_prime, _ in self.entries:
-            if abs(a - alpha) <= 1e-12:
-                return d, d_prime
-        raise MissingAlpha(f"no DTable entry for alpha={alpha}")
-
-    def to_dict(self) -> dict:
-        return {
-            "entries": [
-                {"alpha": a, "d": d, "d_prime": dp, "note": note}
-                for a, d, dp, note in self.entries
-            ]
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "DTable":
-        try:
-            entries = tuple(
-                (float(e["alpha"]), float(e["d"]), float(e["d_prime"]), str(e.get("note", "")))
-                for e in payload["entries"]
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DTableInvalid(f"malformed dtable payload: {exc}") from exc
-        return cls(entries=entries)
-
-    @classmethod
-    def load(cls, path) -> "DTable":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                payload = json.load(fh)
-            except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-                raise DTableInvalid(f"dtable {path} is not JSON: {exc}") from exc
-        return cls.from_dict(payload)
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
-
-
-def default_dtable() -> DTable:
-    """The shipped table: the certified lower entry at alpha = 1/3 plus a
-    placeholder upper constant marked unverified."""
-    payload = json.loads(
-        resources.files("mcergo").joinpath("data/dtable_default.json").read_text()
-    )
-    return DTable.from_dict(payload)
 
 
 # --- drift verification -----------------------------------------------------------
@@ -233,12 +162,12 @@ class DriftCheck:
     worst_state: int
 
 
-def _check_drift(lam: float, b: float, v=()) -> np.ndarray:
+def _check_drift(lam: float = 0.0, b: float = 0.0, v=()) -> np.ndarray:
     """``v`` as a float array; InvalidParameters unless 0 <= lambda < 1, b >= 0 and
-    V >= 0 (NaN fails).  The one check of drift parameters."""
+    V is finite and >= 0 (NaN fails).  The one check of drift parameters."""
     v = np.asarray(v, dtype=float)
-    if not np.all(v >= 0.0):
-        raise InvalidParameters("V must be nonnegative")
+    if not np.all(np.isfinite(v) & (v >= 0.0)):
+        raise InvalidParameters("V must be finite and nonnegative")
     if not (0.0 <= lam < 1.0):
         raise InvalidParameters("lambda must lie in [0, 1)")
     if not b >= 0.0:
@@ -271,7 +200,7 @@ def fit_drift(k: FiniteKernel, v, lam_grid=None) -> tuple[float, float]:
     For each lambda, b(lambda) = max(0, max_x((PV)(x) - lambda V(x))); the
     returned pair always satisfies ``verify_drift``.
     """
-    v = np.asarray(v, dtype=float)
+    v = _check_drift(v=v)
     if v.shape != (k.n,):
         raise InvalidParameters("V length does not match the kernel")
     lam_grid = LAMBDA_GRID if lam_grid is None else np.asarray(lam_grid, dtype=float)
@@ -294,7 +223,7 @@ def tightest_certificate(k: FiniteKernel, v) -> DriftCertificate:
     {V <= r} smallest.  r' sits 10% above its threshold 2b/(1 - lambda),
     and r ``RADIUS_MARGIN`` above its own.
     """
-    v = np.asarray(v, dtype=float)
+    v = _check_drift(v=v)
     b = _drift_b(k, v, LAMBDA_GRID)
     r_prime = 1.10 * _radius_thresholds(LAMBDA_GRID, b, 0.0)[0]
     best = int(np.argmin(_radius_thresholds(LAMBDA_GRID, b, r_prime)[1]))
@@ -305,12 +234,6 @@ def _drift_b(k: FiniteKernel, v: np.ndarray, lam_grid: np.ndarray) -> np.ndarray
     """b(lambda) = max(0, max_x((PV)(x) - lambda V(x))) for every lambda of the grid."""
     pv = k.p @ v
     return np.maximum(0.0, np.max(pv - lam_grid[:, None] * v, axis=1))
-
-
-def lazy_drift_params(lam: float, b: float) -> tuple[float, float]:
-    """Drift parameters of the half-lazy chain: ((1 + lam)/2, b/2)."""
-    _check_drift(lam, b)
-    return (1.0 + lam) / 2.0, b / 2.0
 
 
 def multistep_drift_params(lam: float, b: float, t: int) -> tuple[float, float]:
@@ -355,12 +278,6 @@ def _radius_thresholds(lam, b, r_prime):
     (2b + 24 r')/(1 - lambda) of r (theorem2); elementwise on arrays."""
     denom = 1.0 - lam
     return 2.0 * b / denom, (2.0 * b + 24.0 * r_prime) / denom
-
-
-def drift_envelope(lam: float, b: float, v0: float, t: int) -> float:
-    """Upper bound lam^t V(X_0) + b/(1 - lam) on E[V(X_t)]."""
-    _check_drift(lam, b, v0)
-    return lam ** t * v0 + b / (1.0 - lam)
 
 
 def escape_bound(lam: float, b: float, r: float, r_prime: float) -> float:
@@ -424,23 +341,75 @@ def _contraction_terms(lam: float, b: float, r: float) -> tuple[float, float]:
     return (1.0 + 2.0 * b + lam * r) / (1.0 + r), 1.0 + 2.0 * (lam * r + b)
 
 
-def bound_rhs(eps: float, lam: float, b: float, r: float, p: float, v_x: float, t: int) -> float:
-    """(1-eps)^(pt) + (1 + b/(1-lam) + V(x)) [A^(1-p) B^p]^t."""
-    if t < 0:
-        raise InvalidParameters("t must be a nonnegative integer")
-    _check_drift(lam, b, v_x)
-    a, big_b = _contraction_terms(lam, b, r)
-    first = (1.0 - eps) ** (p * t)
-    second = (1.0 + b / (1.0 - lam) + v_x) * (a ** (1.0 - p) * big_b ** p) ** t
-    return first + second
+# --- the spectral mixing bound ------------------------------------------------------------
 
+def _spectral_mixing_time(q: np.ndarray, pi: np.ndarray, starts) -> int:
+    """Smallest t at which an L2(pi) bound on TV(q^t(x, .), pi) is <= 1/4 for
+    every x in ``starts``: a bound on the mixing time of the chain q from
+    ``starts`` that needs no matrix power.
 
-def hit_to_mix(t_h: float, alpha: float, dtable: DTable) -> tuple[float, float]:
-    """Bounds (d_alpha t_H, d'_alpha t_H) on the lazy mixing time."""
-    if t_h < 0.0:
-        raise InvalidParameters("hitting time must be nonnegative")
-    d, d_prime = dtable.lookup(alpha)
-    return d * t_h, d_prime * t_h
+    pi is q's stationary law and pi_min its minimum over the starts.  With
+    D = diag(pi) and M = D^(1/2) (q - 1 pi) D^(-1/2), q^t - 1 pi = (q - 1 pi)^t
+    and (e_x - pi)(q - 1 pi)^t = q^t(x, .) - pi, so Cauchy-Schwarz in L2(pi)
+    gives TV(q^t(x, .), pi) <= 1/2 sqrt(1/pi(x) - 1) ||M||_2^t for every t
+    (Levin, Peres and Wilmer, Markov Chains and Mixing Times, ch. 12); q
+    need not be reversible.  For a reversible q, ||M||_2 is the largest
+    |lambda_j| with j >= 2.  The computed pi is stationary only up to its
+    residual e = pi q - pi, whose sum over the t steps adds
+    ||e D^(-1/2)||_2 / (1 - ||M||_2) to the L2(pi) distance.
+
+    sigma encloses ||M||_2 from above.  One ``eigh`` of the Gram matrix
+    G = M^T M gives G V = V diag(mu) + R with ||V^T V - I||_F = delta, so
+    ||G||_2 <= (sqrt(1 + delta) max|mu| + ||R||_F) / sqrt(1 - delta).
+    R, delta, G and M are each enlarged by a gamma_{n+5} allowance for the
+    rounding in forming them (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 3.5).
+
+    Raises
+    ------
+    IncompatibleCertificate
+        If pi has a zero entry, sigma >= 1, or the residual term alone
+        reaches 1/4.
+    ResidualTooLarge
+        If ||R||_F or delta exceeds ``SPECTRAL_RESIDUAL_TOL``.
+    """
+    if not np.all(pi > 0.0):
+        raise IncompatibleCertificate("the restriction's stationary law has a zero entry")
+    n = pi.size
+    root = np.sqrt(pi)
+    m = root[:, None] * q / root[None, :] - np.outer(root, root)
+    g = m.T @ m
+    mu, vecs = np.linalg.eigh(g)
+    resid = float(np.linalg.norm(g @ vecs - vecs * mu))
+    delta = float(np.linalg.norm(vecs.T @ vecs - np.eye(n)))
+    if not (resid <= SPECTRAL_RESIDUAL_TOL and delta <= SPECTRAL_RESIDUAL_TOL):
+        raise ResidualTooLarge(
+            f"eigendecomposition of the Gram matrix: residual {resid:.3e}, "
+            f"orthonormality loss {delta:.3e}")
+    u = np.finfo(float).eps / 2.0
+    gamma = (n + 5) * u / (1.0 - (n + 5) * u)
+    mu_max = float(np.max(np.abs(mu)))
+    v_fro = float(np.linalg.norm(vecs))
+    m_fro = float(np.linalg.norm(m))
+    resid += gamma * (float(np.linalg.norm(g)) + mu_max) * v_fro
+    delta += gamma * v_fro ** 2
+    g_norm = (math.sqrt(1.0 + delta) * mu_max + resid) / math.sqrt(1.0 - delta)
+    sigma = math.sqrt(g_norm + gamma * m_fro ** 2) + gamma * (m_fro + 2.0)
+    if sigma >= 1.0:
+        raise IncompatibleCertificate(
+            f"||M||_2 <= {sigma!r} does not contract: no spectral mixing bound")
+    # pi q = pi + e holds only to the residual e, which adds at most
+    # ||e D^(-1/2)||_2 / (1 - sigma) to the L2(pi) distance at every t
+    slack = 1.0 - 2.0 * float(np.linalg.norm((pi @ q - pi) / root)) / (1.0 - sigma)
+    if not slack > 0.0:
+        raise IncompatibleCertificate("the stationarity residual swamps the spectral bound")
+    # the bound is a sigma^t <= 1; the allowance keeps sigma > 0, so log(sigma)
+    # is finite even for a q of equal rows, whose M is 0
+    a = 2.0 * math.sqrt(1.0 / float(np.min(pi[starts])) - 1.0) / slack
+    if a <= 1.0:
+        return 0
+    t = math.ceil(math.log(a) / -math.log(sigma))
+    return t if a * sigma ** t <= 1.0 else t + 1
 
 
 # --- the drift-and-hit pipeline ------------------------------------------------------------
@@ -449,8 +418,6 @@ def certify_drift_and_hit(
     k: FiniteKernel,
     cert: DriftCertificate,
     variant: str = "mh-restriction",
-    alpha: float = 1.0 / 3.0,
-    dtable: DTable | None = None,
 ) -> GeometricBound:
     """Assemble the geometric bound from a drift certificate.
 
@@ -458,18 +425,18 @@ def certify_drift_and_hit(
     (ii) verify the restricted chain inherits the drift; (iii) obtain the
     overlap step count T as the exact mixing time of the restriction from
     C' when it has at most ``EXACT_OVERLAP_STATE_CAP`` states (route
-    "exact-mixing"), else as ceil(d_alpha t_H^{(C)}(alpha)) from the DTable
-    (route "dtable", with t_H from the exact birth-death closed form, never
-    from a lower bound); (iv) take the pairwise overlap at T + 1 steps,
-    exactly when the chain is small enough, else the 1/3 of the
-    drift-and-hit theorem; (v) solve the contraction for the (T+1)-step
-    drift parameters at radius r'.
+    "exact-mixing"), else as the L2(pi) spectral bound on that mixing time
+    (route "spectral", ``_spectral_mixing_time``); (iv) take the pairwise
+    overlap at T + 1 steps, exactly when the chain is small enough, else
+    the 1/3 of the drift-and-hit theorem; (v) solve the contraction for the
+    (T+1)-step drift parameters at radius r'.
 
     Raises
     ------
-    IncompatibleCertificate, plus propagated sub-operation errors:
-    NotBirthDeath on the dtable route for a restriction that is not
-    tridiagonal.
+    IncompatibleCertificate, plus propagated sub-operation errors: on the
+    spectral route, IncompatibleCertificate for a restriction that does
+    not contract in L2(pi) and ResidualTooLarge for an eigendecomposition
+    that misses its residual check.
     """
     if cert.v.shape != (k.n,):
         raise InvalidParameters("certificate V length does not match the kernel")
@@ -482,10 +449,7 @@ def certify_drift_and_hit(
             f"drift fails on the base chain (slack {base_check.worst_slack:.3e})"
         )
 
-    C = cert.small_set
-    C_inner = cert.inner_set
-    if C.size == 0 or C_inner.size == 0:
-        raise IncompatibleCertificate("sublevel sets are empty")
+    C, C_inner = cert.sublevel_sets()
     degenerate = C.size == k.n
 
     dom = restrict(k, C, variant)
@@ -501,11 +465,8 @@ def certify_drift_and_hit(
         t_route = "exact-mixing"
         t_mix = mixing_time(dom.kernel, subset=inner_pos)
     else:
-        t_route = "dtable"
-        if dtable is None:
-            raise IncompatibleCertificate("dtable route requires a DTable")
-        t_h = max_hitting_time(dom.kernel, alpha, strategy="interval").t_h
-        t_mix = int(math.ceil(hit_to_mix(t_h, alpha, dtable)[0]))
+        t_route = "spectral"
+        t_mix = _spectral_mixing_time(dom.kernel.p, dom.conditional_stationary, inner_pos)
 
     t_star = t_mix + 1
     eps = 1.0 / 3.0
@@ -533,7 +494,6 @@ def certify_drift_and_hit(
         r_eff=cert.r_prime,
         t_route=t_route,
         degenerate_restriction=degenerate,
-        certified=t_route != "dtable",
     )
     bound.check_equalities()
     return bound

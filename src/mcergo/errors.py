@@ -122,15 +122,7 @@ class IncompatibleRadius(McergoError):
     pass
 
 
-class MissingAlpha(McergoError):
-    pass
-
-
 class IncompatibleCertificate(McergoError):
-    pass
-
-
-class DTableInvalid(McergoError):
     pass
 
 

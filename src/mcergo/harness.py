@@ -26,10 +26,8 @@ import numpy as np
 from . import __version__
 from .certify import (
     DriftCertificate,
-    DTable,
     certify_drift_and_hit,
     compatibility_check,
-    default_dtable,
     escape_bound,
     fit_drift,
     verify_drift,
@@ -109,9 +107,12 @@ class ExperimentConfig:
             raise ConfigError(f"horizon must be null or an integer >= 1, got {self.horizon!r}")
         if not isinstance(self.svg, bool):
             raise ConfigError(f"svg must be true or false, got {self.svg!r}")
-        if not (isinstance(self.output_path, str)
-                and (self.dtable_path is None or isinstance(self.dtable_path, str))):
-            raise ConfigError("output_path must be a path, and dtable_path null or a path")
+        if not isinstance(self.output_path, str):
+            raise ConfigError("output_path must be a path")
+        if self.dtable_path is not None:
+            # kept as a key so that the hash of every config without it stays the same
+            raise ConfigError("dtable_path must be null: the dtable route is removed, and T "
+                              "above 512 restriction states comes from a spectral bound")
         for c in self.c_list:
             if not (isinstance(c, numbers.Real) and not isinstance(c, bool) and c > 0.0):
                 raise ConfigError(f"c_list entries must be positive numbers, got {c!r}")
@@ -261,7 +262,8 @@ def certificate_from_config(spec: dict, k: FiniteKernel) -> DriftCertificate:
         if kind == "exp-of-coordinate":
             kappa = _config_float(v_spec.pop("kappa", 1.0), "kappa")
             _reject_unknown(v_spec, "certificate v")
-            v = np.exp(kappa * k.coordinates())
+            with np.errstate(over="ignore"):  # the drift check refuses an infinite V
+                v = np.exp(kappa * k.coordinates())
         else:
             raise ConfigError(f"unknown v kind {kind!r}")
     else:
@@ -289,12 +291,6 @@ def _config_floats(value, what: str) -> np.ndarray:
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ConfigError(f"{what} must be a list of numbers, got {value!r}") from None
-
-
-def _load_dtable(cfg: ExperimentConfig) -> DTable:
-    if cfg.dtable_path:
-        return DTable.load(cfg.dtable_path)
-    return default_dtable()
 
 
 # --- scaling study -------------------------------------------------------------
@@ -437,7 +433,6 @@ def run_certify(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
         raise ConfigError(f"config is for {cfg.experiment!r}, not certify")
     k, cert, variant = _chain_certificate_variant(cfg)
     out_dir = _prepare_out(cfg, out_dir)
-    dtable = _load_dtable(cfg)
 
     report: dict = {
         "chain": cfg.chain,
@@ -457,7 +452,7 @@ def run_certify(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
             "small_set_size": int(cert.small_set.size),
             "inner_set_size": int(cert.inner_set.size),
         }
-        bound = certify_drift_and_hit(k, cert, variant=variant, alpha=cfg.alpha, dtable=dtable)
+        bound = certify_drift_and_hit(k, cert, variant=variant)
         report["bound"] = asdict(bound)
         report["m_per_state"] = [bound.m_of(v) for v in cert.v]
         if bound.degenerate_restriction:
@@ -578,8 +573,9 @@ def run_couple(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
     k, cert, variant = _chain_certificate_variant(cfg)
     out_dir = _prepare_out(cfg, out_dir)
     horizon = cfg.horizon or 50
-    dom = restrict(k, cert.small_set, variant)
-    x0 = int(cert.inner_set[0])
+    small_set, inner_set = cert.sublevel_sets()
+    dom = restrict(k, small_set, variant)
+    x0 = int(inner_set[0])
     est = coupled_escape_estimate(k, dom, x0, horizon, cfg.replicas, cfg.seed)
     exact = exit_probability(k, dom.support, x0, horizon)
     bnd = escape_bound(cert.lam, cert.b, cert.r, cert.r_prime)

@@ -32,3 +32,8 @@ HITTING_CONDITION_TOL = 1e-8
 
 # Width at which DensitySpec.quantile stops its bisection on the closed-form CDF.
 QUAD_TOL = 1e-8
+
+# Spectral mixing bound: the Frobenius residual ||G V - V diag(mu)|| and the
+# orthonormality loss ||V^T V - I|| of the Gram matrix's eigendecomposition
+# may be at most this.
+SPECTRAL_RESIDUAL_TOL = 1e-9

@@ -6,6 +6,8 @@ library code they verify.
 import numpy as np
 import scipy.sparse.csgraph as csgraph
 
+from mcergo.certify import _check_drift
+
 
 def hitting_solve(p, target):
     """Plain dense solve of the first-step equations h = 1 + Q h."""
@@ -153,6 +155,34 @@ def contraction_bisection(eps, lam, b, r, iters=200):
             hi = mid
     p_star = 0.5 * (lo + hi)
     return p_star, 1.0 - (1.0 - eps) ** p_star
+
+
+def lazy_drift_params(lam, b):
+    """Drift parameters of the half-lazy chain: ((1 + lam)/2, b/2)."""
+    _check_drift(lam, b)
+    return (1.0 + lam) / 2.0, b / 2.0
+
+
+def drift_envelope(lam, b, v0, t):
+    """Upper bound lam^t V(X_0) + b/(1 - lam) on E[V(X_t)]."""
+    _check_drift(lam, b, v0)
+    return lam ** t * v0 + b / (1.0 - lam)
+
+
+def bound_rhs(eps, lam, b, r, p, v_x, t):
+    """The two-term bound (1-eps)^(pt) + (1 + b/(1-lam) + V(x)) [A^(1-p) B^p]^t,
+    A = (1 + 2b + lam r)/(1 + r) and B = 1 + 2(lam r + b)."""
+    _check_drift(lam, b, v_x)
+    a = (1.0 + 2.0 * b + lam * r) / (1.0 + r)
+    big_b = 1.0 + 2.0 * (lam * r + b)
+    second = (1.0 + b / (1.0 - lam) + v_x) * (a ** (1.0 - p) * big_b ** p) ** t
+    return (1.0 - eps) ** (p * t) + second
+
+
+def lemma_rhs(bound, v_x, t):
+    """``bound_rhs`` of a GeometricBound at floor(t / T) composite steps."""
+    return bound_rhs(bound.eps, bound.lam_eff, bound.b_eff, bound.r_eff, bound.p, v_x,
+                     t // bound.t)
 
 
 def telescoped_birth_death_stationary(up, down):

@@ -1,4 +1,5 @@
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -7,15 +8,16 @@ from hypothesis import strategies as st
 
 import mcergo as m
 from mcergo import errors
-from mcergo.certify import EXACT_OVERLAP_STATE_CAP, multistep_drift_params
+from mcergo.certify import EXACT_OVERLAP_STATE_CAP, _spectral_mixing_time, multistep_drift_params
 from mcergo.corpus import (
     _independence_mh,
     bd_expdrift,
     escape_corpus,
     random_dense_chain,
+    random_reversible_chain,
     tightest_certificate,
 )
-from oracles import contraction_bisection
+from oracles import bound_rhs, contraction_bisection, drift_envelope, lazy_drift_params, lemma_rhs
 
 EXP = m.DensitySpec(kind="exponential-tilt", params={"tilt": -1.0}, unimodal_ratio=1.5)
 
@@ -96,8 +98,8 @@ def test_fit_round_trips_through_verify(n, seed):
 # --- parameter transforms ---------------------------------------------------------------
 
 def test_lazy_drift_params_values():
-    assert m.lazy_drift_params(0.6, 2.0) == (0.8, 1.0)
-    assert m.lazy_drift_params(0.0, 0.0) == (0.5, 0.0)
+    assert lazy_drift_params(0.6, 2.0) == (0.8, 1.0)
+    assert lazy_drift_params(0.0, 0.0) == (0.5, 0.0)
 
 
 @given(st.integers(2, 6), st.integers(0, 10_000))
@@ -107,7 +109,7 @@ def test_lazy_drift_propagates(n, seed):
     k = random_dense_chain(rng, n)
     v = rng.uniform(0.0, 5.0, n)
     lam, b = m.fit_drift(k, v)
-    lam1, b1 = m.lazy_drift_params(lam, b)
+    lam1, b1 = lazy_drift_params(lam, b)
     assert m.verify_drift(m.lazy_transform(k), v, lam1, b1).passed
 
 
@@ -124,11 +126,11 @@ DRIFT_TAKERS = {
                                                           r_prime=1.0),
     "verify_drift": lambda lam, b: m.verify_drift(m.build_finite_kernel(np.eye(2)),
                                                   [0.0, 1.0], lam, b),
-    "lazy_drift_params": lambda lam, b: m.lazy_drift_params(lam, b),
+    "lazy_drift_params": lambda lam, b: lazy_drift_params(lam, b),
     "multistep_drift_params": lambda lam, b: multistep_drift_params(lam, b, 3),
-    "drift_envelope": lambda lam, b: m.drift_envelope(lam, b, 1.0, 2),
+    "drift_envelope": lambda lam, b: drift_envelope(lam, b, 1.0, 2),
     "solve_contraction": lambda lam, b: m.solve_contraction(0.5, lam, b, 5.0),
-    "bound_rhs": lambda lam, b: m.bound_rhs(0.5, lam, b, 5.0, 0.1, 1.0, 1),
+    "bound_rhs": lambda lam, b: bound_rhs(0.5, lam, b, 5.0, 0.1, 1.0, 1),
 }
 
 
@@ -208,8 +210,8 @@ def test_corpus_certificates_are_pinned():
 # --- drift envelope and escape bound --------------------------------------------------------
 
 def test_envelope_values():
-    assert m.drift_envelope(0.5, 1.0, 5.0, 0) == pytest.approx(7.0)
-    assert m.drift_envelope(0.5, 1.0, 5.0, 3) == pytest.approx(2.625)
+    assert drift_envelope(0.5, 1.0, 5.0, 0) == pytest.approx(7.0)
+    assert drift_envelope(0.5, 1.0, 5.0, 3) == pytest.approx(2.625)
 
 
 def test_envelope_dominates_exact_expectation():
@@ -218,7 +220,7 @@ def test_envelope_dominates_exact_expectation():
     rows = np.eye(k.n)
     for t in range(101):
         exact = rows @ cert.v
-        env = np.array([m.drift_envelope(cert.lam, cert.b, v0, t) for v0 in cert.v])
+        env = np.array([drift_envelope(cert.lam, cert.b, v0, t) for v0 in cert.v])
         assert np.all(exact <= env + 1e-9)
         rows = rows @ k.p
 
@@ -289,64 +291,15 @@ def test_contraction_defining_equalities(eps, lam, b, r_factor):
 
 def test_bound_rhs_at_zero_is_m_of_x():
     for lam, b, vx in [(0.5, 1.0, 3.0), (0.2, 0.5, 0.0)]:
-        rhs = m.bound_rhs(1.0 / 3.0, lam, b, 10.0 * (1 + b), 0.1, vx, 0)
+        rhs = bound_rhs(1.0 / 3.0, lam, b, 10.0 * (1 + b), 0.1, vx, 0)
         assert rhs == pytest.approx(2.0 + b / (1.0 - lam) + vx)
 
 
 def test_bound_rhs_strictly_decreasing():
     eps, lam, b, r = 1.0 / 3.0, 0.5, 1.0, 5.0
     p, _ = m.solve_contraction(eps, lam, b, r)
-    vals = [m.bound_rhs(eps, lam, b, r, p, 2.0, t) for t in range(30)]
+    vals = [bound_rhs(eps, lam, b, r, p, 2.0, t) for t in range(30)]
     assert all(a > bb for a, bb in zip(vals, vals[1:]))
-
-
-# --- DTable and hit_to_mix ------------------------------------------------------------------------
-
-def test_default_dtable_loads():
-    table = m.default_dtable()
-    d, d_prime = table.lookup(1.0 / 3.0)
-    assert d_prime == pytest.approx(1.0 / 12.0)
-    assert d_prime <= d
-
-
-def test_dtable_validation():
-    with pytest.raises(errors.DTableInvalid):
-        m.DTable(entries=((0.6, 2.0, 1.0, ""),))
-    with pytest.raises(errors.DTableInvalid):
-        m.DTable(entries=((0.3, 1.0, 2.0, ""),))
-    with pytest.raises(errors.DTableInvalid):
-        m.DTable(entries=((0.2, 1.0, 0.5, ""), (0.3, 2.0, 0.5, "")))  # d increasing
-    table = m.DTable(entries=((0.2, 3.0, 0.5, ""), (0.3, 2.0, 0.5, "")))
-    with pytest.raises(errors.MissingAlpha):
-        table.lookup(0.25)
-
-
-def test_dtable_round_trip(tmp_path):
-    table = m.DTable(entries=((0.25, 4.0, 0.25, "note"),))
-    path = tmp_path / "dtable.json"
-    table.save(path)
-    assert m.DTable.load(path) == table
-
-
-def test_hit_to_mix_bounds():
-    table = m.DTable(entries=((1.0 / 3.0, 20.0, 1.0 / 12.0, ""),))
-    upper, lower = m.hit_to_mix(50.0, 1.0 / 3.0, table)
-    assert upper == pytest.approx(1000.0)
-    assert lower == pytest.approx(50.0 / 12.0)
-    assert m.hit_to_mix(0.0, 1.0 / 3.0, table) == (0.0, 0.0)
-
-
-def test_dtable_sandwich_consistent_on_corpus():
-    # d' t_H <= t_L <= d t_H checked against exact values; a failure here
-    # indicts the shipped table entries (data), not the solvers
-    table = m.default_dtable()
-    d, d_prime = table.lookup(1.0 / 3.0)
-    for c in (0.25, 0.125):
-        k = m.birth_death_chain(EXP, c)
-        t_l = m.mixing_time(k, lazy=True)
-        t_h = m.max_hitting_time(k, 1.0 / 3.0, strategy="interval").t_h
-        assert d_prime * t_h <= t_l + 1e-9
-        assert t_l <= d * t_h + 1e-9
 
 
 # --- certification pipeline -----------------------------------------------------------------------
@@ -388,7 +341,7 @@ def test_certify_bound_equals_lemma_rhs_repackaging():
     bound = m.certify_drift_and_hit(corp.kernel, corp.cert, variant=corp.variant)
     for vx in (0.0, 1.0, 2.5):
         for t in (0, bound.t, 3 * bound.t + 1):
-            lemma = bound.lemma_rhs(vx, t)
+            lemma = lemma_rhs(bound, vx, t)
             packaged = (1.0 + bound.m_of(vx) - 1.0) * (1.0 - bound.rho) ** (t // bound.t)
             assert lemma == pytest.approx(packaged, rel=1e-9)
 
@@ -402,39 +355,110 @@ def test_certify_rejects_incompatible_certificate():
 
 
 @functools.cache
-def _dtable_bound():
+def _spectral_bound():
     # 1024 states: the restriction C = {V <= r} passes the exact-mixing cap
     k = m.birth_death_chain(EXP, 1.0 / 1024.0)
     v = np.exp(k.states / 2.0)
     cert = m.DriftCertificate.with_radii(v, *m.fit_drift(k, v))
     assert cert.small_set.size > EXACT_OVERLAP_STATE_CAP
-    return m.certify_drift_and_hit(k, cert, dtable=m.default_dtable())
+    return m.certify_drift_and_hit(k, cert)
 
 
-def test_certify_dtable_route():
-    bound = _dtable_bound()
-    assert bound.t_route == "dtable"
+def test_certify_spectral_route():
+    bound = _spectral_bound()
+    assert bound.t_route == "spectral"
     assert bound.check_equalities() <= 1e-10
 
 
-def test_certify_dtable_bound_is_uncertified():
-    # T rests on the table's unverified upper constant d
-    assert _dtable_bound().certified is False
+def test_certify_spectral_bound_is_certified():
+    # the removed dtable route gave T = 24 062 246 here, on an unverified constant
+    bound = _spectral_bound()
+    assert bound.certified is True
+    assert bound.t <= 1_000_000
     corp = bd_expdrift()
     exact = m.certify_drift_and_hit(corp.kernel, corp.cert, variant=corp.variant)
     assert exact.t_route == "exact-mixing"
     assert exact.certified is True
 
 
-def test_certify_dtable_route_refuses_a_chain_off_birth_death():
-    # the interval closed form is the only t_H of the dtable route; a window
-    # scan off birth-death would be a lower bound
+def test_certify_spectral_route_certifies_a_chain_off_birth_death():
     n = 600
     k = _independence_mh(n, 0.01)
     cert = tightest_certificate(k, np.arange(n, dtype=float))
     assert cert.small_set.size > EXACT_OVERLAP_STATE_CAP
-    with pytest.raises(errors.NotBirthDeath):
-        m.certify_drift_and_hit(k, cert, dtable=m.default_dtable())
+    bound = m.certify_drift_and_hit(k, cert)
+    assert (bound.t_route, bound.certified) == ("spectral", True)
+    assert bound.check_equalities() <= 1e-10
+
+
+def _check_spectral_time(k, pi, starts):
+    """The spectral T is at least the exact mixing time from the starts, and
+    the exact TV from them at T is at most 1/4."""
+    t = _spectral_mixing_time(k.p, pi, starts)
+    assert t >= m.mixing_time(k, subset=starts)
+    rows = np.linalg.matrix_power(k.p, t)[starts]
+    assert 0.5 * np.max(np.abs(rows - pi).sum(axis=1)) <= 0.25
+
+
+@given(st.integers(2, 40), st.integers(0, 10_000), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_spectral_time_bounds_the_mixing_time(n, seed, reversible):
+    rng = np.random.default_rng(seed)
+    k = (random_reversible_chain if reversible else random_dense_chain)(rng, n)
+    starts = np.flatnonzero(rng.random(n) < rng.uniform(0.1, 1.0))
+    if starts.size == 0:
+        starts = np.array([int(rng.integers(n))])
+    _check_spectral_time(k, k.stationary, starts)
+
+
+def test_spectral_time_bounds_the_mixing_time_of_every_corpus_restriction():
+    chains = [bd_expdrift()] + escape_corpus()
+    for chain in chains:
+        C, C_inner = chain.cert.sublevel_sets()
+        dom = m.restrict(chain.kernel, C, chain.variant)
+        assert dom.kernel.n <= EXACT_OVERLAP_STATE_CAP
+        _check_spectral_time(dom.kernel, dom.conditional_stationary,
+                             np.searchsorted(C, C_inner))
+
+
+def test_spectral_time_refuses_a_chain_that_does_not_contract():
+    # a permutation cycle never mixes: ||M||_2 = 1
+    q = np.roll(np.eye(600), 1, axis=1)
+    with pytest.raises(errors.IncompatibleCertificate, match="does not contract"):
+        _spectral_mixing_time(q, np.full(600, 1.0 / 600.0), [0])
+
+
+@pytest.mark.parametrize("q, pi, message", [
+    ([[0.0, 1.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]], [0.0, 0.5, 0.5], "zero entry"),
+    ([[0.5, 0.5], [1.0, 0.0]], [0.5, 0.5], "stationarity residual"),  # pi q = (3/4, 1/4)
+])
+def test_spectral_time_refuses_a_law_it_cannot_use(q, pi, message):
+    with pytest.raises(errors.IncompatibleCertificate, match=message):
+        _spectral_mixing_time(np.array(q), np.array(pi), [1])
+
+
+def test_spectral_time_checks_the_eigendecomposition(monkeypatch):
+    eigh = np.linalg.eigh
+
+    def skewed(g):
+        mu, vecs = eigh(g)
+        return mu, vecs * 1.001
+
+    k = random_reversible_chain(np.random.default_rng(3), 30)
+    _spectral_mixing_time(k.p, k.stationary, [0])
+    monkeypatch.setattr(np.linalg, "eigh", skewed)
+    with pytest.raises(errors.ResidualTooLarge):
+        _spectral_mixing_time(k.p, k.stationary, [0])
+
+
+@pytest.mark.parametrize("fit", [m.fit_drift, tightest_certificate])
+def test_fits_refuse_a_v_that_is_not_finite(fit):
+    k = m.birth_death_chain(EXP, 0.125)
+    v = np.concatenate([np.ones(k.n - 1), [np.inf]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any arithmetic on V
+        with pytest.raises(errors.InvalidParameters, match="V must be finite and nonnegative"):
+            fit(k, v)
 
 
 def test_drift_propagates_to_every_restriction_variant():

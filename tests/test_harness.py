@@ -5,6 +5,7 @@ import re
 import runpy
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -58,8 +59,8 @@ PINNED_CONFIG_HASHES = [
       "chain": {"kind": "birth-death", "density": {"kind": "uniform"}, "c": 0.125}},
      "49f09680242097a3563c39514256be017fe98f29afab924577af7f2bd09f4b3e"),
     ({"experiment": "certify", "chain": {"kind": "corpus", "name": "bd-expdrift"},
-      "alpha": 0.25, "dtable_path": "d.json"},
-     "a60d2743f914da67f8d6711160ffc94b5a4f496feb50d7a929a89170afdf0741"),
+      "alpha": 0.25},
+     "072f312ec51514211687edabbf8ffc3a183adb4cb50cd48bddb7a6f6076a17c3"),
     ({"experiment": "couple", "chain": {"kind": "corpus", "name": "bd-expdrift"},
       "horizon": 40, "restriction": "trace",
       "certificate": {"v": {"kind": "exp-of-coordinate", "kappa": 0.5}}},
@@ -71,6 +72,13 @@ PINNED_CONFIG_HASHES = [
                          ids=[p["experiment"] for p, _ in PINNED_CONFIG_HASHES])
 def test_config_hash_pinned(payload, digest):
     assert config_hash(parse_config(payload)) == digest
+
+
+def test_config_with_a_dtable_path_is_refused():
+    # the certify payload pinned before the dtable route was removed
+    with pytest.raises(errors.ConfigError, match="dtable route is removed"):
+        parse_config({"experiment": "certify", "alpha": 0.25, "dtable_path": "d.json",
+                      "chain": {"kind": "corpus", "name": "bd-expdrift"}})
 
 
 def test_config_unknown_key_rejected():
@@ -118,6 +126,14 @@ def test_certificate_from_config_fit_and_radii():
     cert = certificate_from_config({"v": {"kind": "exp-of-coordinate", "kappa": 0.5}}, k)
     assert m.verify_drift(k, cert.v, cert.lam, cert.b).passed
     assert m.compatibility_check(cert, "theorem2").passed
+
+
+def test_certificate_from_config_refuses_a_v_that_overflows():
+    k = bd_expdrift().kernel
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or NaN warning on the way
+        with pytest.raises(errors.InvalidParameters, match="V must be finite and nonnegative"):
+            certificate_from_config({"v": {"kind": "exp-of-coordinate", "kappa": 1000}}, k)
 
 
 def test_certificate_from_config_keeps_a_configured_lambda():
@@ -676,8 +692,11 @@ MALFORMED_INPUTS = {
         {"kind": "matrix", "rows": [["a", "b"], ["c", "d"]]})),
     "kernel-csv-cell-not-a-number": (1, lambda d: _hitmix_payload(
         {"kind": "kernel-csv", "path": _write_text(d / "k.csv", "\n0.5,0.5\n0.5,half\n")})),
-    "dtable-not-json": (1, lambda d: dict(
+    "dtable-not-json": (2, lambda d: dict(
         _certify_payload(), dtable_path=_write_text(d / "d.json", "alpha = 1/3\n"))),
+    "couple-inner-set-empty": (1, lambda d: {  # V >= 1 > r'
+        "experiment": "couple", "chain": {"kind": "corpus", "name": "bd-expdrift"},
+        "certificate": {"v": EXP_V, "r_prime": 0.5}}),
 }
 
 

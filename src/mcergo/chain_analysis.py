@@ -406,15 +406,17 @@ class HitMixReport:
 def max_hitting_time(
     k: FiniteKernel,
     alpha: float,
-    strategy: str = "brute",
+    strategy: str | None = None,
 ) -> HitMixReport:
     """Maximum expected hitting time of sets with stationary mass >= alpha.
 
-    strategy "brute" enumerates every subset (n <= 14), solves the
+    The chain's structure picks the routine, "interval" for a tridiagonal
+    P and "brute" for any other; ``strategy`` names one of the two
+    instead.  "brute" enumerates every subset (n <= 14), solves the
     first-step equations for each, and keeps the first maximum in bitmask
-    order.  Strategy "interval" is the birth-death closed form (Levin,
-    Peres and Wilmer, Markov Chains and Mixing Times, section 2.5); it
-    reads only the off-diagonals of a tridiagonal P, so it needs no state
+    order.  "interval" is the birth-death closed form (Levin, Peres and
+    Wilmer, Markov Chains and Mixing Times, section 2.5); it reads only
+    the off-diagonals of a tridiagonal P, so it needs no state
     coordinates, raises NotBirthDeath on any other P, and makes no linear
     solve.  Paths of a birth-death chain cannot skip states, so the worst
     sets are contiguous windows [i..j], the worst start is state 0 or
@@ -433,9 +435,14 @@ def max_hitting_time(
     if alpha <= 0.0:
         raise NoFeasibleSet("alpha must be positive")
     pi = k.stationary
+    birth_death = is_birth_death(k)
+    if strategy is None:
+        strategy = "interval" if birth_death else "brute"
     if strategy == "brute":
         best = _brute_max(k, pi, alpha)
     elif strategy == "interval":
+        if not birth_death:
+            raise NotBirthDeath("interval strategy requires a tridiagonal (birth-death) kernel")
         best = _birth_death_max(k, pi, alpha)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -472,8 +479,6 @@ def _brute_max(k: FiniteKernel, pi: np.ndarray, alpha: float):
 
 
 def _birth_death_max(k: FiniteKernel, pi: np.ndarray, alpha: float):
-    if not is_birth_death(k):
-        raise NotBirthDeath("interval strategy requires a tridiagonal (birth-death) kernel")
     n = k.n
     right = np.append(np.diagonal(k.p, 1), 0.0).tolist()  # P(x, x+1)
     left = np.insert(np.diagonal(k.p, -1), 0, 0.0).tolist()  # P(x, x-1)

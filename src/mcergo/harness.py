@@ -54,7 +54,6 @@ from .kernels import (
 from .montecarlo import coupled_escape_estimate, estimate_hitting_batch
 from .svg import emit_svg
 
-STRATEGIES = ("brute", "interval")
 RESTRICTIONS = ("mh-restriction", "trace")  # gibbs needs a probability table no config carries
 
 SCALING_COLUMNS = [
@@ -82,8 +81,6 @@ class ExperimentConfig:
     replicas: int = 256
     seed: int = 0
     horizon: int | None = None
-    strategy: str = "interval"
-    dtable_path: str | None = None
     output_path: str = "out"
     chain: dict | None = None
     certificate: dict | None = None
@@ -93,26 +90,21 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in RUNNERS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.restriction not in RESTRICTIONS:
             raise ConfigError(f"unknown restriction {self.restriction!r}; use {RESTRICTIONS}")
         if not (0.0 < self.alpha < 0.5):
             raise ConfigError("alpha must lie in (0, 0.5)")
         if not (_is_int(self.replicas) and self.replicas >= 1):
             raise ConfigError(f"replicas must be an integer >= 1, got {self.replicas!r}")
-        if not (_is_int(self.seed) and self.seed >= 0):
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        # the Monte Carlo streams take the seed as one uint64 word of a Philox key
+        if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
+            raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if not (self.horizon is None or _is_int(self.horizon) and self.horizon >= 1):
             raise ConfigError(f"horizon must be null or an integer >= 1, got {self.horizon!r}")
         if not isinstance(self.svg, bool):
             raise ConfigError(f"svg must be true or false, got {self.svg!r}")
         if not isinstance(self.output_path, str):
             raise ConfigError("output_path must be a path")
-        if self.dtable_path is not None:
-            # kept as a key so that the hash of every config without it stays the same
-            raise ConfigError("dtable_path must be null: the dtable route is removed, and T "
-                              "above 512 restriction states comes from a spectral bound")
         for c in self.c_list:
             if not (isinstance(c, numbers.Real) and not isinstance(c, bool) and c > 0.0):
                 raise ConfigError(f"c_list entries must be positive numbers, got {c!r}")
@@ -196,8 +188,8 @@ def _derived_seed(seed: int, *key) -> int:
 
 # --- chain / certificate loading from config ---------------------------------
 
-def chain_from_config(spec: dict) -> tuple[FiniteKernel, DriftCertificate | None, str | None]:
-    """Build (kernel, optional corpus certificate, optional corpus variant)."""
+def chain_from_config(spec: dict) -> tuple[FiniteKernel, DriftCertificate | None]:
+    """Build (kernel, optional corpus certificate)."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("chain config needs a 'kind'")
     spec = dict(spec)
@@ -208,32 +200,32 @@ def chain_from_config(spec: dict) -> tuple[FiniteKernel, DriftCertificate | None
         if rows is None:
             raise ConfigError("matrix chain needs 'rows'")
         _reject_unknown(spec, "chain")
-        return build_finite_kernel(rows, states=states), None, None
+        return build_finite_kernel(rows, states=states), None
     if kind == "birth-death":
         density = spec.pop("density", None)
         c = spec.pop("c", None)
         if density is None or c is None:
             raise ConfigError("birth-death chain needs 'density' and 'c'")
         _reject_unknown(spec, "chain")
-        return birth_death_chain(DensitySpec.from_config(density), _config_float(c, "c")), None, None
+        return birth_death_chain(DensitySpec.from_config(density), _config_float(c, "c")), None
     if kind == "lazy-srw":
         c = spec.pop("c", None)
         if c is None:
             raise ConfigError("lazy-srw chain needs 'c'")
         _reject_unknown(spec, "chain")
-        return lazy_srw(_config_float(c, "c")), None, None
+        return lazy_srw(_config_float(c, "c")), None
     if kind == "kernel-csv":
         path = spec.pop("path", None)
         if path is None:
             raise ConfigError("kernel-csv chain needs 'path'")
         _reject_unknown(spec, "chain")
-        return kernel_from_csv(path), None, None
+        return kernel_from_csv(path), None
     if kind == "corpus":
         name = spec.pop("name", None)
         _reject_unknown(spec, "chain")
         if name == "bd-expdrift":
             corp = bd_expdrift()
-            return corp.kernel, corp.cert, corp.variant
+            return corp.kernel, corp.cert
         raise ConfigError(f"unknown corpus chain {name!r}")
     raise ConfigError(f"unknown chain kind {kind!r}")
 
@@ -299,7 +291,7 @@ def run_scaling(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
     """The hitting-time scaling study over a grid of step sizes.
 
     First, for every c: the exact maximum hitting times of the birth-death
-    discretization and the lazy random walk (by the configured strategy),
+    discretization and the lazy random walk (by the birth-death closed form),
     the exact mixing time of the birth-death chain, and the Monte Carlo
     horizon (``horizon``, or 50 ceil(tH(bd))).  Then the Monte Carlo
     maximum hitting estimates of the ball walk over a 33-point start grid
@@ -328,8 +320,8 @@ def run_scaling(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
     for ci, c in enumerate(cfg.c_list):
         h_c = birth_death_chain(density, c)
         w_c = lazy_srw(c)
-        th_bd = max_hitting_time(h_c, alpha, strategy=cfg.strategy).t_h
-        th_srw = max_hitting_time(w_c, alpha, strategy=cfg.strategy).t_h
+        th_bd = max_hitting_time(h_c, alpha).t_h
+        th_srw = max_hitting_time(w_c, alpha).t_h
         exact.append((c, th_bd, th_srw, mixing_time(h_c)))
         runs.append((c, cfg.horizon or 50 * max(1, math.ceil(th_bd)), ci))
     mc = _ballwalk_max_hitting(density, runs, alpha_prime, cfg.replicas, cfg.seed)
@@ -431,13 +423,12 @@ def run_certify(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
     """Full certification audit for a configured chain and certificate."""
     if cfg.experiment != "certify":
         raise ConfigError(f"config is for {cfg.experiment!r}, not certify")
-    k, cert, variant = _chain_certificate_variant(cfg)
+    k, cert = _chain_and_certificate(cfg)
     out_dir = _prepare_out(cfg, out_dir)
 
     report: dict = {
         "chain": cfg.chain,
-        "variant": variant,
-        "alpha": cfg.alpha,
+        "variant": cfg.restriction,
         "n_states": k.n,
     }
     try:
@@ -452,7 +443,7 @@ def run_certify(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
             "small_set_size": int(cert.small_set.size),
             "inner_set_size": int(cert.inner_set.size),
         }
-        bound = certify_drift_and_hit(k, cert, variant=variant)
+        bound = certify_drift_and_hit(k, cert, variant=cfg.restriction)
         report["bound"] = asdict(bound)
         report["m_per_state"] = [bound.m_of(v) for v in cert.v]
         if bound.degenerate_restriction:
@@ -519,14 +510,14 @@ def run_hitmix(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
     if cfg.chain is None:
         raise ConfigError("hitmix needs a 'chain'")
     out_dir = _prepare_out(cfg, out_dir)
-    k, _, _ = chain_from_config(cfg.chain)
+    k, _ = chain_from_config(cfg.chain)
 
     results, errors = {}, []
     # all three read k.stationary: (P + I)/2 has the law of P
     for name, compute in (
         ("tm", lambda: mixing_time(k)),
         ("tL", lambda: mixing_time(k, lazy=True)),
-        ("tH", lambda: max_hitting_time(k, cfg.alpha, strategy=cfg.strategy)),
+        ("tH", lambda: max_hitting_time(k, cfg.alpha)),
     ):
         try:
             results[name] = compute()
@@ -570,11 +561,11 @@ def run_couple(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
     """
     if cfg.experiment != "couple":
         raise ConfigError(f"config is for {cfg.experiment!r}, not couple")
-    k, cert, variant = _chain_certificate_variant(cfg)
+    k, cert = _chain_and_certificate(cfg)
     out_dir = _prepare_out(cfg, out_dir)
     horizon = cfg.horizon or 50
     small_set, inner_set = cert.sublevel_sets()
-    dom = restrict(k, small_set, variant)
+    dom = restrict(k, small_set, cfg.restriction)
     x0 = int(inner_set[0])
     est = coupled_escape_estimate(k, dom, x0, horizon, cfg.replicas, cfg.seed)
     exact = exit_probability(k, dom.support, x0, horizon)
@@ -591,20 +582,19 @@ def run_couple(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
     return {"ok": ok, "out_dir": out_dir, "estimate": est, "exact": exact, "bound": bnd}
 
 
-def _chain_certificate_variant(cfg: ExperimentConfig):
-    """The configured chain, its certificate and its restriction variant.
+def _chain_and_certificate(cfg: ExperimentConfig):
+    """The configured chain and its certificate.
 
-    A configured certificate wins over the corpus chain's own; a corpus
-    chain's variant wins over ``cfg.restriction``.
+    A configured certificate wins over the corpus chain's own.
     """
     if cfg.chain is None:
         raise ConfigError(f"{cfg.experiment} needs a 'chain'")
-    k, corpus_cert, corpus_variant = chain_from_config(cfg.chain)
+    k, corpus_cert = chain_from_config(cfg.chain)
     cert = (certificate_from_config(cfg.certificate, k)
             if cfg.certificate is not None else corpus_cert)
     if cert is None:
         raise ConfigError(f"{cfg.experiment} needs a 'certificate' (or a corpus chain)")
-    return k, cert, corpus_variant or cfg.restriction
+    return k, cert
 
 
 def _prepare_out(cfg: ExperimentConfig, out_dir):

@@ -7,8 +7,9 @@ Gibbs kernels, the continuous ball walk, and the three dominated
 restrictions (Metropolis-Hastings rejection, restricted Gibbs, trace).
 
 Kernel values are immutable; the one value a FiniteKernel adds later is its
-stationary law ``FiniteKernel.stationary``, solved at most once per object.
-It is the only stationary law a kernel carries: no builder attaches one.
+stationary law ``FiniteKernel.stationary``, solved at most once per object,
+or the error that solve raised.  It is the only stationary law a kernel
+carries: no builder attaches one.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ from .errors import (
     NegativeEntry,
     ProposalNotReversible,
     Reducible,
+    ResidualTooLarge,
     RowSumViolation,
     SingularCensoring,
     StatesNotOrdered,
@@ -69,12 +71,23 @@ class FiniteKernel:
     def n(self) -> int:
         return self.p.shape[0]
 
-    @cached_property
+    @property
     def stationary(self) -> np.ndarray:
         """The read-only stationary law pi of P, solved on first read: the one source of pi.
 
-        ``Reducible`` and ``ResidualTooLarge`` propagate uncached, so each read raises."""
-        pi = chain_analysis.stationary_distribution(self)
+        A refusal (``Reducible`` or ``ResidualTooLarge``) is kept as well, so every
+        later read raises the same error without solving again."""
+        law = self._stationary
+        if isinstance(law, Exception):
+            raise law.with_traceback(None)
+        return law
+
+    @cached_property
+    def _stationary(self) -> np.ndarray | Exception:
+        try:
+            pi = chain_analysis.stationary_distribution(self)
+        except (Reducible, ResidualTooLarge) as exc:
+            return exc
         pi.setflags(write=False)
         return pi
 

@@ -439,6 +439,8 @@ def test_max_hitting_caps_and_feasibility():
     k = m.build_finite_kernel(np.full((15, 15), 1.0 / 15.0))
     with pytest.raises(errors.TooManyStates):
         m.max_hitting_time(k, 0.5, strategy="brute")
+    with pytest.raises(errors.TooManyStates):  # the routine a dense chain gets
+        m.max_hitting_time(k, 0.5)
     k2 = m.build_finite_kernel(np.full((2, 2), 0.5))
     with pytest.raises(errors.NoFeasibleSet):
         m.max_hitting_time(k2, 1.5, strategy="brute")
@@ -456,6 +458,25 @@ def test_max_hitting_interval_refuses_a_dense_chain():
     k = m.build_finite_kernel(np.full((3, 3), 1.0 / 3.0))
     with pytest.raises(errors.NotBirthDeath):
         m.max_hitting_time(k, 0.4, strategy="interval")
+
+
+# chain -> the routine its structure picks
+BY_STRUCTURE = {
+    "birth-death": (lambda: m.birth_death_chain(EXP, 1.0 / 32.0), "interval"),
+    "lazy-srw": (lambda: m.lazy_srw(1.0 / 16.0), "interval"),
+    "two-state": (lambda: m.build_finite_kernel([[0.5, 0.5], [0.25, 0.75]]), "interval"),
+    "dense-3": (lambda: m.build_finite_kernel([[0.5, 0.25, 0.25]] * 3), "brute"),
+    "dense-14": (lambda: random_dense_chain(np.random.default_rng(5), 14), "brute"),
+}
+
+
+@pytest.mark.parametrize("chain", list(BY_STRUCTURE))
+def test_max_hitting_time_picks_its_routine_by_structure(chain):
+    build, method = BY_STRUCTURE[chain]
+    k = build()
+    rep = m.max_hitting_time(k, 1.0 / 3.0)
+    assert rep.method == method
+    assert rep == m.max_hitting_time(k, 1.0 / 3.0, strategy=method)
 
 
 def test_max_hitting_report_reproduces_value():

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import os
 import re
@@ -6,6 +7,7 @@ import runpy
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -50,21 +52,22 @@ def test_config_round_trip():
     assert parse_config(serialize_config(cfg)) == cfg
 
 
-# recorded when serialize_config listed every field by hand
+# each digest is the sha256 of the payload's 12 fields, defaults filled in, written out
+# by hand as sorted JSON with an indent of 2 and a final newline
 PINNED_CONFIG_HASHES = [
     ({"experiment": "scaling", "density": {"kind": "exponential-tilt", "tilt": -1.0},
       "c_list": [1 / 8, 1 / 16], "replicas": 64, "seed": 3, "svg": True},
-     "806d06912268e3fd2fe41a481eda0a2705219b627f538b4c754220ebd53b16c1"),
-    ({"experiment": "hitmix", "strategy": "brute",
+     "724cb26134841c7fb6c07b6cc4092192f9ead2313bcd4d728b98b93e606533dc"),
+    ({"experiment": "hitmix",
       "chain": {"kind": "birth-death", "density": {"kind": "uniform"}, "c": 0.125}},
-     "49f09680242097a3563c39514256be017fe98f29afab924577af7f2bd09f4b3e"),
+     "87fcdc7605cf00d240fce83ac2ef8ebac97bff15bf7dc81ca25c978dc080b44d"),
     ({"experiment": "certify", "chain": {"kind": "corpus", "name": "bd-expdrift"},
       "alpha": 0.25},
-     "072f312ec51514211687edabbf8ffc3a183adb4cb50cd48bddb7a6f6076a17c3"),
+     "588164c4bf6a63146ce07d83dab8a34744c3f7ef4c7bfcd729cfc5bf42a03a45"),
     ({"experiment": "couple", "chain": {"kind": "corpus", "name": "bd-expdrift"},
       "horizon": 40, "restriction": "trace",
       "certificate": {"v": {"kind": "exp-of-coordinate", "kappa": 0.5}}},
-     "2cbdb9feaf9c61b2cfe31b0c8d94abb4dbebde7ef384262337420a1dc6844aa8"),
+     "ce369c4d7ead7623f4afb0cfe9c5d619190775f2b0e8e2c22b913c8312f036df"),
 ]
 
 
@@ -75,15 +78,26 @@ def test_config_hash_pinned(payload, digest):
 
 
 def test_config_with_a_dtable_path_is_refused():
-    # the certify payload pinned before the dtable route was removed
-    with pytest.raises(errors.ConfigError, match="dtable route is removed"):
-        parse_config({"experiment": "certify", "alpha": 0.25, "dtable_path": "d.json",
-                      "chain": {"kind": "corpus", "name": "bd-expdrift"}})
+    # no route reads a table: the key is unknown, whatever its value
+    for value in (None, "d.json"):
+        with pytest.raises(errors.ConfigError, match=r"unknown config keys: \['dtable_path'\]"):
+            parse_config({"experiment": "certify", "alpha": 0.25, "dtable_path": value,
+                          "chain": {"kind": "corpus", "name": "bd-expdrift"}})
 
 
 def test_config_unknown_key_rejected():
     with pytest.raises(errors.ConfigError):
         parse_config({"experiment": "scaling", "denssity": {}})
+
+
+def test_readme_config_table_is_the_config_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = readme.split("### Config schema", 1)[1].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+    table = list(itertools.takewhile(lambda line: line.startswith("|"), lines[start:]))
+    assert table[0].startswith("| key ")
+    keys = [re.match(r"\| `(\w+)` +\|", row).group(1) for row in table[2:]]
+    assert keys == [f.name for f in fields(harness.ExperimentConfig)]
 
 
 def test_config_validation():
@@ -102,18 +116,20 @@ def test_config_validation():
 
 
 def test_config_rejects_monte_carlo_strategy():
-    with pytest.raises(errors.ConfigError):
-        parse_config({"experiment": "hitmix", "strategy": "monte-carlo",
-                      "chain": {"kind": "lazy-srw", "c": 0.25}})
+    # the chain picks its hitting-time routine: the key is unknown, whatever its value
+    for value in ("monte-carlo", "brute"):
+        with pytest.raises(errors.ConfigError, match=r"unknown config keys: \['strategy'\]"):
+            parse_config({"experiment": "hitmix", "strategy": value,
+                          "chain": {"kind": "lazy-srw", "c": 0.25}})
 
 
 def test_chain_from_config_variants():
-    k, cert, variant = chain_from_config({"kind": "matrix", "rows": [[0.5, 0.5], [0.5, 0.5]]})
-    assert k.n == 2 and cert is None and variant is None
-    k2, _, _ = chain_from_config({"kind": "lazy-srw", "c": 0.25})
+    k, cert = chain_from_config({"kind": "matrix", "rows": [[0.5, 0.5], [0.5, 0.5]]})
+    assert k.n == 2 and cert is None
+    k2, _ = chain_from_config({"kind": "lazy-srw", "c": 0.25})
     assert k2.n == 4
-    k3, cert3, variant3 = chain_from_config({"kind": "corpus", "name": "bd-expdrift"})
-    assert k3.n == 32 and cert3 is not None and variant3 == "mh-restriction"
+    k3, cert3 = chain_from_config({"kind": "corpus", "name": "bd-expdrift"})
+    assert k3.n == 32 and cert3 is not None
     with pytest.raises(errors.ConfigError):
         chain_from_config({"kind": "corpus", "name": "unknown"})
     with pytest.raises(errors.ConfigError):
@@ -121,7 +137,7 @@ def test_chain_from_config_variants():
 
 
 def test_certificate_from_config_fit_and_radii():
-    k, _, _ = chain_from_config({"kind": "birth-death", "density": {
+    k, _ = chain_from_config({"kind": "birth-death", "density": {
         "kind": "exponential-tilt", "tilt": -1.0, "unimodal_ratio": 1.5}, "c": 0.125})
     cert = certificate_from_config({"v": {"kind": "exp-of-coordinate", "kappa": 0.5}}, k)
     assert m.verify_drift(k, cert.v, cert.lam, cert.b).passed
@@ -373,7 +389,6 @@ def test_run_hitmix_flip_chain(tmp_path):
         "experiment": "hitmix",
         "chain": {"kind": "matrix", "rows": [[0.0, 1.0], [1.0, 0.0]]},
         "alpha": 0.4,
-        "strategy": "brute",
     })
     rep = run_hitmix(cfg, out_dir=tmp_path / "run")
     lines = (tmp_path / "run" / "hitmix.csv").read_text().splitlines()
@@ -391,7 +406,6 @@ def test_run_hitmix_identity_chain_error_row(tmp_path):
         "experiment": "hitmix",
         "chain": {"kind": "matrix", "rows": [[1.0, 0.0], [0.0, 1.0]]},
         "alpha": 0.4,
-        "strategy": "brute",
     })
     rep = run_hitmix(cfg, out_dir=tmp_path / "run")
     assert not rep["ok"]
@@ -407,7 +421,6 @@ def test_run_hitmix_reducible_chain_row(tmp_path):
         "chain": {"kind": "matrix", "rows": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                                              [0.5, 0.0, 0.5]]},
         "alpha": 0.4,
-        "strategy": "brute",
     })
     rep = run_hitmix(cfg, out_dir=tmp_path / "run")
     assert rep["errors"] == ["tm:Reducible", "tL:Reducible", "tH:Reducible"]
@@ -423,7 +436,6 @@ def test_run_hitmix_bound_holds(tmp_path):
                               "unimodal_ratio": 1.5},
                   "c": 0.125},
         "alpha": 1.0 / 3.0,
-        "strategy": "interval",
     })
     rep = run_hitmix(cfg, out_dir=tmp_path / "run")
     assert rep["ok"]
@@ -468,6 +480,22 @@ def test_run_couple_corpus(tmp_path):
                           "escape_bound,0.07928268050967438,,,,3"]
     assert lines[3] == f"decoupling_exact,{rep['exact']!r},,,,3"
     assert len(lines) == 4
+
+
+def test_run_couple_restricts_by_the_configured_variant(tmp_path, monkeypatch):
+    variants, restrict = [], harness.restrict
+
+    def spy(k, subset, variant):
+        variants.append(variant)
+        return restrict(k, subset, variant)
+
+    monkeypatch.setattr(harness, "restrict", spy)
+    couple = dict(PINNED_CONFIG_HASHES[-1][0], replicas=16)
+    assert couple["restriction"] == "trace"
+    run_couple(parse_config(couple), out_dir=tmp_path / "trace")
+    del couple["restriction"]
+    run_couple(parse_config(couple), out_dir=tmp_path / "default")
+    assert variants == ["trace", "mh-restriction"]
 
 
 def test_run_couple_refuses_a_certificate_v_shorter_than_the_chain(tmp_path):
@@ -618,7 +646,6 @@ def test_cli_analysis_failure_exit_one(tmp_path):
         "experiment": "hitmix",
         "chain": {"kind": "matrix", "rows": [[1.0, 0.0], [0.0, 1.0]]},
         "alpha": 0.4,
-        "strategy": "brute",
     })
     assert cli_main(["hitmix", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--quiet"]) == 1
@@ -640,7 +667,7 @@ def _certify_payload(**certificate):
 
 
 def _hitmix_payload(chain):
-    return {"experiment": "hitmix", "chain": chain, "alpha": 0.4, "strategy": "brute"}
+    return {"experiment": "hitmix", "chain": chain, "alpha": 0.4}
 
 
 def _write_text(path, text):
@@ -655,6 +682,9 @@ MALFORMED_INPUTS = {
     "replicas-fractional": (2, lambda d: _scaling_payload(replicas=2.5)),
     "seed-fractional": (2, lambda d: _scaling_payload(seed=1.5)),
     "seed-boolean": (2, lambda d: _scaling_payload(seed=True)),
+    "seed-too-large": (2, lambda d: {  # the Monte Carlo streams key on one uint64
+        "experiment": "couple", "chain": {"kind": "corpus", "name": "bd-expdrift"},
+        "replicas": 4, "horizon": 5, "seed": 2**64}),
     "horizon-negative": (2, lambda d: _scaling_payload(horizon=-5)),
     "horizon-zero": (2, lambda d: _scaling_payload(horizon=0)),
     "svg-not-boolean": (2, lambda d: _scaling_payload(svg="no")),
@@ -728,7 +758,10 @@ def test_cli_couple_success(tmp_path):
 
 
 def test_cli_hitmix_broken_stationary_solve_exit_one(tmp_path, monkeypatch, capsys):
+    solves = []
+
     def singular(a, b):
+        solves.append(a)
         raise chain_analysis.np.linalg.LinAlgError("singular matrix")
 
     monkeypatch.setattr(chain_analysis.np.linalg, "solve", singular)
@@ -736,29 +769,28 @@ def test_cli_hitmix_broken_stationary_solve_exit_one(tmp_path, monkeypatch, caps
         "experiment": "hitmix",
         "chain": {"kind": "matrix", "rows": [[0.5, 0.5], [0.25, 0.75]]},
         "alpha": 0.4,
-        "strategy": "brute",
     })
     assert cli_main(["hitmix", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--quiet"]) == 1
-    # each quantity reads the uncached law and records the failed solve
+    # each quantity reads the law and records the failed solve, which the kernel keeps
     row = (tmp_path / "o" / "hitmix.csv").read_text().splitlines()[1].split(",")
     assert row[-1] == "tm:ResidualTooLarge;tL:ResidualTooLarge;tH:ResidualTooLarge"
+    assert len(solves) == 1
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_cli_hitmix_interval_refuses_dense_chain(tmp_path):
+def test_cli_hitmix_dense_chain_gets_brute_t_h(tmp_path):
+    # not tridiagonal, so the window scan would only be a lower bound: every set is tried
     cfg = _write_cfg(tmp_path, {
         "experiment": "hitmix",
         "chain": {"kind": "matrix", "rows": [[0.5, 0.25, 0.25]] * 3,
                   "states": [0.0, 0.5, 1.0]},
         "alpha": 0.4,
-        "strategy": "interval",
     })
     assert cli_main(["hitmix", "--config", cfg, "--out", str(tmp_path / "o"),
-                     "--quiet"]) == 1
-    row = (tmp_path / "o" / "hitmix.csv").read_text().splitlines()[1].split(",")
-    assert row[1] == ""  # no tH: the window scan would only be a lower bound
-    assert row[-1] == "tH:NotBirthDeath"
+                     "--quiet"]) == 0
+    row = (tmp_path / "o" / "hitmix.csv").read_text().splitlines()[1]
+    assert row == "0.4,2.0,brute,0,1,1,2,12.0,1.0,"
 
 
 def test_cli_hitmix_reports_the_mixing_memory_cap(tmp_path):
@@ -774,21 +806,7 @@ def test_cli_hitmix_reports_the_mixing_memory_cap(tmp_path):
     assert row[-1] == "tm:TooManyStates;tL:TooManyStates"
 
 
-def test_cli_scaling_honours_brute_strategy(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path, {
-        "experiment": "scaling",
-        "density": UNIFORM_CFG,
-        "c_list": [1.0 / 16.0],
-        "alpha": 1.0 / 3.0,
-        "replicas": 16,
-        "strategy": "brute",
-    })
-    assert cli_main(["scaling", "--config", cfg, "--out", str(tmp_path / "out"),
-                     "--quiet"]) == 1
-    assert "TooManyStates" in capsys.readouterr().err
-
-
-def test_cli_seed_override_changes_manifest(tmp_path):
+def test_cli_seed_override_changes_manifest(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, {
         "experiment": "scaling", "density": UNIFORM_CFG,
         "c_list": [0.25], "alpha": 1.0 / 3.0, "replicas": 16, "seed": 2,
@@ -797,6 +815,10 @@ def test_cli_seed_override_changes_manifest(tmp_path):
                      "--seed", "9", "--quiet"]) == 0
     manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
     assert manifest["seed"] == 9
+    # the override is checked like a config seed: the Monte Carlo streams key on one uint64
+    assert cli_main(["scaling", "--config", cfg, "--out", str(tmp_path / "b"),
+                     "--seed", str(2**64), "--quiet"]) == 2
+    assert "seed must be an integer in [0, 2**64)" in capsys.readouterr().err
 
 
 def test_import_loads_no_scipy():

@@ -132,10 +132,10 @@ def test_stationary_is_the_read_only_solve_kept_on_the_kernel(monkeypatch):
 def test_stationary_of_a_reducible_kernel_raises_on_every_read(monkeypatch):
     solved = _counting_solves(monkeypatch)
     k = m.build_finite_kernel(np.eye(2))
-    for reads in (1, 2):
-        with pytest.raises(errors.Reducible):
+    for _ in range(2):
+        with pytest.raises(errors.Reducible, match="^kernel has 2 closed classes$"):
             k.stationary
-        assert len(solved) == reads
+    assert solved == [k]  # the refusal is kept, not solved again
 
 
 # --- lazy transform -----------------------------------------------------------

@@ -458,8 +458,13 @@ def max_hitting_time(
 
 
 def is_birth_death(k: FiniteKernel) -> bool:
-    """True when P moves only between neighbouring indices (tridiagonal)."""
-    return not (np.any(np.triu(k.p, 2)) or np.any(np.tril(k.p, -2)))
+    """True when P moves only between neighbouring indices (tridiagonal).
+
+    Counts the nonzeros of P and of its three central diagonals, which are
+    views, so no n x n copy is made."""
+    p = k.p
+    central = sum(np.count_nonzero(np.diagonal(p, d)) for d in (-1, 0, 1))
+    return np.count_nonzero(p) == central
 
 
 def _brute_max(k: FiniteKernel, pi: np.ndarray, alpha: float):

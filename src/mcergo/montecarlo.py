@@ -41,6 +41,15 @@ gathers, instead of one masked search per occupied state.  The result is
 ``searchsorted(cdf[s], u, side="right")`` bit for bit; ``_step_states``
 gives the argument.
 
+Jobs become walkers in one place, ``_walk_jobs``, and two kinds of job
+take none, since their results are known before any draw: one whose
+start lies in its target (every replica arrives at time 0), and a
+finite-kernel job whose target holds no state (every replica is censored
+at the horizon, as ``_first_hits`` would find).  So ``estimate_hitting``
+refuses an empty target with ``AllCensored`` before any walker runs, and
+``coupled_escape_estimate`` returns 0 without walking when the coupling
+set is the whole space.
+
 The hitting and decoupling estimators return an ``McEstimate`` (mean,
 standard error, replicas, seed, horizon, censored fraction); ``harness``
 writes it.
@@ -526,8 +535,11 @@ def estimate_hitting_batch(jobs, replicas: int) -> list[McEstimate]:
     bit.  The jobs with the largest horizon are admitted first.  Jobs share
     one sampler, or they are ball walks of one target density with step
     sizes of their own (``_population_advance``).  Jobs that pass the same
-    sampler and target object share one arrival test per step; a job whose
-    start lies in its target takes no walkers and reports zero.
+    sampler and target object share one arrival test per step.  Two kinds
+    of job take no walkers (``_walk_jobs``): one whose start lies in its
+    target reports zero, and a finite-kernel job whose target holds no
+    state is censored at its horizon, so it raises AllCensored below
+    without a walker having run.
 
     Raises
     ------
@@ -546,9 +558,36 @@ def estimate_hitting_batch(jobs, replicas: int) -> list[McEstimate]:
     if replicas < 1:
         raise ValueError("need at least one replica")
     jobs = list(jobs)
+    estimates = []
+    for (_, x0, _, seed, horizon), (times, censored) in zip(jobs, _walk_jobs(jobs, replicas)):
+        if censored.all():
+            raise AllCensored(
+                f"no path from {x0} hit the target within {horizon} steps (seed {seed})")
+        estimates.append(_summarize(times, seed, horizon, censored))
+    return estimates
+
+
+def _walk_jobs(jobs: list, replicas: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(times, censored) of ``replicas`` walkers for each job (sampler, x0, target, seed, horizon).
+
+    The one place where jobs become walkers.  Each job's pair holds its
+    replicas in order, as ``_first_hits`` returns them.  Two kinds of job
+    take no walkers, because their results are known before any draw:
+    - a job whose start lies in its target: each replica arrives at time 0;
+    - a finite-kernel job whose target holds no state: each replica is
+      censored at the horizon, which is what ``_first_hits`` would return.
+    A walker's draws depend only on its key and its step, so leaving these
+    jobs out changes no other job's result.  The rest run as one
+    population.
+
+    Raises the ValueError and TypeError of ``estimate_hitting_batch``
+    before any walker runs.
+    """
     rules, arrivals, group_of = {}, [], {}
     samplers = []  # the sampler of each group
-    walking = []  # (job index, start, seed, horizon, group) of jobs not started in their target
+    empty = set()  # the groups of a finite kernel whose target holds no state
+    results = []
+    walking = []  # (job index, start, seed, horizon, group) of the jobs that take walkers
     for j, (sampler, x0, target, seed, horizon) in enumerate(jobs):
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
@@ -559,28 +598,26 @@ def estimate_hitting_batch(jobs, replicas: int) -> list[McEstimate]:
             group_of[id(sampler), id(target)] = len(arrivals)
             arrivals.append(rule.arrival(target))
             samplers.append(sampler)
+            if isinstance(sampler, FiniteKernel) and not arrivals[-1](np.arange(sampler.n)).any():
+                empty.add(len(arrivals) - 1)
         g, start = group_of[id(sampler), id(target)], rule.place(x0)
-        if not arrivals[g](np.array([start]))[0]:
+        if arrivals[g](np.array([start]))[0]:
+            results.append((np.zeros(replicas), np.zeros(replicas, dtype=bool)))
+        elif g in empty:
+            results.append((np.full(replicas, float(horizon)), np.ones(replicas, dtype=bool)))
+        else:
+            results.append(None)  # filled in by the walk
             walking.append((j, start, seed, horizon, g))
     if walking:
-        advance = _population_advance(samplers)
         draws = rules[id(samplers[0])].draws
-        _, starts, seeds, horizons, groups = zip(*walking)
-        times, censored = _first_hits(starts, seeds, horizons, groups, arrivals, advance,
-                                      draws, replicas, _population(draws))
-
-    rows = {j: slice(k * replicas, (k + 1) * replicas) for k, (j, *_) in enumerate(walking)}
-    estimates = []
-    for j, (_, x0, _, seed, horizon) in enumerate(jobs):
-        if j not in rows:
-            zero = np.zeros(replicas)
-            estimates.append(_summarize(zero, seed, horizon, zero.astype(bool)))
-        elif censored[rows[j]].all():
-            raise AllCensored(
-                f"no path from {x0} hit the target within {horizon} steps (seed {seed})")
-        else:
-            estimates.append(_summarize(times[rows[j]], seed, horizon, censored[rows[j]]))
-    return estimates
+        index, starts, seeds, horizons, groups = zip(*walking)
+        times, censored = _first_hits(starts, seeds, horizons, groups, arrivals,
+                                      _population_advance(samplers), draws, replicas,
+                                      _population(draws))
+        for k, j in enumerate(index):
+            rows = slice(k * replicas, (k + 1) * replicas)
+            results[j] = times[rows], censored[rows]
+    return results
 
 
 # --- coupling with a dominated restriction ----------------------------------------
@@ -601,7 +638,9 @@ def coupled_escape_estimate(
     time is distributed as the first exit of the g-chain from the support.
     Returns the fraction of replicas that decouple within t steps: one
     minus the censored fraction of the g-chain's hitting time of the
-    complement of the support with horizon t.
+    complement of the support with horizon t, run by ``_walk_jobs``.  When
+    the support is the whole space, no walker runs and the estimate is 0
+    exactly, with standard error 0.
 
     Raises
     ------
@@ -615,15 +654,11 @@ def coupled_escape_estimate(
     if replicas < 1:
         raise ValueError("need at least one replica")
     _check_domination(g.p, g_c.kernel.p, g_c.support)
-    rule = _walker_rule(g)
-    x0 = rule.place(x0)
-    outside = rule.arrival(np.delete(np.arange(g.n), g_c.support))
-    if outside(x0):
+    x0 = _walker_rule(g).place(x0)
+    if x0 not in g_c.support:
         raise ValueError("start state must lie in the coupling set")
 
-    _, coupled = _first_hits(
-        [x0], [seed], [t], [0], [outside], _population_advance([g]), rule.draws, replicas,
-        _population(rule.draws))
+    outside = np.delete(np.arange(g.n), g_c.support)
+    [(_, coupled)] = _walk_jobs([(g, x0, outside, seed, t)], replicas)
     values = (~coupled).astype(float)
     return _summarize(values, seed, t, censored=np.zeros(replicas, dtype=bool))
-

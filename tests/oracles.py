@@ -247,3 +247,10 @@ def closed_classes_scc(p):
         if not np.any(adj[np.ix_(inside, ~inside)]):
             closed.append(tuple(np.flatnonzero(inside).tolist()))
     return sorted(closed)
+
+
+def is_tridiagonal_triu(p):
+    """P moves only between neighbouring indices: nothing above the first
+    superdiagonal or below the first subdiagonal, by two triangular copies."""
+    p = np.asarray(p)
+    return not (np.any(np.triu(p, 2)) or np.any(np.tril(p, -2)))

@@ -15,6 +15,7 @@ from oracles import (
     decoupling_exact,
     hitting_solve,
     interval_scan,
+    is_tridiagonal_triu,
     mixing_scan,
     mixing_step_scan,
     stationary_power,
@@ -458,6 +459,34 @@ def test_max_hitting_interval_refuses_a_dense_chain():
     k = m.build_finite_kernel(np.full((3, 3), 1.0 / 3.0))
     with pytest.raises(errors.NotBirthDeath):
         m.max_hitting_time(k, 0.4, strategy="interval")
+
+
+def _far_tiny_entry():
+    p = np.full((5, 5), 0.0)
+    p[np.arange(5), np.arange(5)] = 1.0
+    p[1, 1], p[1, 3] = 1.0 - 1e-300, 1e-300  # 1.0 - 1e-300 == 1.0
+    return m.build_finite_kernel(p)
+
+
+# chain -> whether P is tridiagonal
+TRIDIAGONAL = {
+    "birth-death": (lambda: m.birth_death_chain(EXP, 1.0 / 32.0), True),
+    "lazy-srw": (lambda: m.lazy_srw(1.0 / 16.0), True),
+    "dense": (lambda: random_dense_chain(np.random.default_rng(5), 9), False),
+    "n=1": (lambda: m.build_finite_kernel([[1.0]]), True),
+    "n=2": (lambda: m.build_finite_kernel([[0.0, 1.0], [0.25, 0.75]]), True),
+    "1e-300 two off the diagonal": (_far_tiny_entry, False),
+    "lower corner": (lambda: m.build_finite_kernel(
+        [[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5]]), False),
+}
+
+
+@pytest.mark.parametrize("chain", list(TRIDIAGONAL))
+def test_is_birth_death_equals_the_triangular_copies(chain):
+    build, tridiagonal = TRIDIAGONAL[chain]
+    k = build()
+    assert is_tridiagonal_triu(k.p) == tridiagonal
+    assert chain_analysis.is_birth_death(k) == tridiagonal
 
 
 # chain -> the routine its structure picks

@@ -106,6 +106,56 @@ def test_estimate_all_censored():
         m.estimate_hitting(k, 0, [1], replicas=50, horizon=100, seed=1)
 
 
+PATH3 = m.build_finite_kernel([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]])
+
+
+def test_estimate_of_an_empty_target_runs_no_walkers(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_first_hits", _no_walkers)
+    with pytest.raises(errors.AllCensored, match="no path from 0 hit the target within 100"):
+        m.estimate_hitting(PATH3, 0, [], replicas=50, horizon=100, seed=1)
+
+
+def test_empty_target_jobs_leave_the_other_jobs_bit_identical(monkeypatch):
+    k = PATH3
+    reachable = [(k, 0, [2], 1, 50), (k, 1, [0], 4, 30)]  # (sampler, x0, target, seed, horizon)
+    empty = (k, 0, [], 2, 50)
+    walked = []
+    first_hits = montecarlo._first_hits
+
+    def recording_first_hits(starts, seeds, *args):
+        walked.append(list(seeds))
+        return first_hits(starts, seeds, *args)
+
+    monkeypatch.setattr(montecarlo, "_first_hits", recording_first_hits)
+    replicas = 300
+    results = montecarlo._walk_jobs([reachable[0], empty, reachable[1]], replicas)
+    assert walked == [[1, 4]]  # the empty-target job took no walkers
+    times, censored = results[1]
+    assert times.tolist() == [50.0] * replicas and censored.all()
+    for (times, censored), (sampler, x0, target, seed, horizon) in zip(results[::2], reachable):
+        alone = m.estimate_hitting(sampler, x0, target, replicas, horizon, seed)
+        assert montecarlo._summarize(times, seed, horizon, censored) == alone
+        assert 0.0 <= alone.censored_fraction < 1.0
+    # AllCensored names the first all-censored job in job order, walked or not
+    never = (k, 0, [2], 3, 1)  # reaching 2 from 0 takes two steps
+    with pytest.raises(errors.AllCensored, match=r"within 1 steps \(seed 3\)"):
+        m.estimate_hitting_batch([reachable[0], never, empty], replicas)
+    with pytest.raises(errors.AllCensored, match=r"within 50 steps \(seed 2\)"):
+        m.estimate_hitting_batch([reachable[0], empty, never], replicas)
+
+
+def test_a_drawable_state_of_probability_zero_is_walked_to(monkeypatch):
+    # the rows sum to 1 - 2^-53 and the last CDF entry is set to 1.0, so the
+    # step returns state 10 at the largest draw though p[s, 10] is 0: the
+    # walkers of a job aimed at it must run
+    k = m.build_finite_kernel([[0.1] * 10 + [0.0]] * 11)
+    table = montecarlo._guide_table(k.p)
+    assert montecarlo._step_states(table, np.array([0]), np.array([BELOW_ONE])).tolist() == [10]
+    monkeypatch.setattr(montecarlo, "_first_hits", _no_walkers)
+    with pytest.raises(AssertionError, match="the walker loop ran"):
+        m.estimate_hitting(k, 0, [10], replicas=10, horizon=5, seed=0)
+
+
 def test_estimate_censoring_reported_not_dropped():
     # reaching state 2 from 0 takes at least 2 steps; horizon 1 censors all,
     # horizon large censors none; a middling horizon censors some
@@ -737,12 +787,29 @@ def _simple_dominated():
     return k, dom
 
 
-def test_coupled_escape_full_space_never_decouples():
+def test_coupled_escape_full_space_never_decouples(monkeypatch):
+    # no state lies outside the whole space, so the estimate is 0 before any draw
     rows = np.tile([0.5, 0.3, 0.2], (3, 1))
     k = m.build_finite_kernel(rows)
     dom = m.restrict(k, [0, 1, 2], "mh-restriction")
+    monkeypatch.setattr(montecarlo, "_first_hits", _no_walkers)
     est = m.coupled_escape_estimate(k, dom, 0, 50, replicas=2000, seed=2)
-    assert est.mean == 0.0
+    assert est.mean == 0.0 and est.stderr == 0.0 and est.censored_fraction == 0.0
+
+
+def test_coupled_escape_without_an_exit_is_pinned_and_runs_no_walkers(monkeypatch):
+    # escape-6 restricts to the whole space; recorded when its 25 000
+    # walkers each ran the full 30 steps
+    case = escape_corpus()[6]
+    dom = m.restrict(case.kernel, case.cert.small_set, case.variant)
+    assert dom.support.size == case.kernel.n
+    monkeypatch.setattr(montecarlo, "_first_hits", _no_walkers)
+    est = m.coupled_escape_estimate(case.kernel, dom, case.x0, case.horizon,
+                                    replicas=25_000, seed=0)
+    assert repr(est) == (
+        "McEstimate(mean=0.0, stderr=0.0, replicas=25000, seed=0, horizon=30, "
+        "censored_fraction=0.0)"
+    )
 
 
 def test_coupled_escape_zero_steps():

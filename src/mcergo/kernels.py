@@ -57,15 +57,42 @@ class FiniteKernel:
     states : ndarray or None
         Optional ascending coordinates of the states in [0, 1].  ``None``
         means abstract indices.
+
+    Raises
+    ------
+    DimensionMismatch
+        If p is not a square array of finite numbers, or states does not
+        have one value per row.
+    NegativeEntry, RowSumViolation, StatesNotOrdered
     """
 
     p: np.ndarray
     states: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _frozen_array(self.p))
+        p = _float_array(self.p, "transition matrix")
+        if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] < 1:
+            raise DimensionMismatch(f"transition matrix must be square, got shape {p.shape}")
+        if not np.all(np.isfinite(p)):
+            raise DimensionMismatch("transition matrix has non-finite entries")
+        if np.any(p < 0.0):
+            i, j = np.argwhere(p < 0.0)[0]
+            raise NegativeEntry(f"negative transition probability at ({i}, {j})")
+        sums = p.sum(axis=1)
+        dev = np.abs(sums - 1.0)
+        if np.any(dev > ROW_SUM_TOL):
+            i = int(np.argmax(dev))
+            raise RowSumViolation(f"row {i} sums to {sums[i]!r}")
+        p.setflags(write=False)
+        object.__setattr__(self, "p", p)
         if self.states is not None:
-            object.__setattr__(self, "states", _frozen_array(self.states))
+            states = _float_array(self.states, "states")
+            if states.shape != (p.shape[0],):
+                raise DimensionMismatch("states length does not match matrix dimension")
+            if np.any(np.diff(states) <= 0.0):
+                raise StatesNotOrdered("state coordinates must be strictly increasing")
+            states.setflags(write=False)
+            object.__setattr__(self, "states", states)
 
     @property
     def n(self) -> int:
@@ -135,38 +162,23 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
 
 
 def build_finite_kernel(rows, states=None) -> FiniteKernel:
-    """Validate a transition matrix and wrap it as a FiniteKernel.
+    """Wrap a transition matrix as a FiniteKernel, renormalizing near-stochastic rows.
 
     Rows that sum to 1 within ``ROW_SUM_TOL`` are kept exactly as given, so
     wrapping a kernel's ``p`` again gives the same kernel; rows off by more,
-    up to ``ROW_RENORM_TOL``, are divided by their sums, and larger
-    deviations raise ``RowSumViolation``.
+    up to ``ROW_RENORM_TOL``, are divided by their sums.  ``FiniteKernel``
+    checks the result and refuses larger deviations.
 
     Raises
     ------
     NegativeEntry, RowSumViolation, DimensionMismatch, StatesNotOrdered
     """
     p = _float_array(rows, "transition matrix")
-    if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] < 1:
-        raise DimensionMismatch(f"transition matrix must be square, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise DimensionMismatch("transition matrix has non-finite entries")
-    if np.any(p < 0.0):
-        i, j = np.argwhere(p < 0.0)[0]
-        raise NegativeEntry(f"negative transition probability at ({i}, {j})")
-    sums = p.sum(axis=1)
-    dev = np.abs(sums - 1.0)
-    if np.any(dev > ROW_RENORM_TOL):
-        i = int(np.argmax(dev))
-        raise RowSumViolation(f"row {i} sums to {sums[i]!r}")
-    off = dev > ROW_SUM_TOL
-    p[off] /= sums[off, None]
-    if states is not None:
-        states = _float_array(states, "states")
-        if states.shape != (p.shape[0],):
-            raise DimensionMismatch("states length does not match matrix dimension")
-        if np.any(np.diff(states) <= 0.0):
-            raise StatesNotOrdered("state coordinates must be strictly increasing")
+    if p.ndim == 2 and np.all(np.isfinite(p)):  # FiniteKernel refuses any other p
+        sums = p.sum(axis=1)
+        dev = np.abs(sums - 1.0)
+        off = (dev > ROW_SUM_TOL) & (dev <= ROW_RENORM_TOL)
+        p[off] /= sums[off, None]
     return FiniteKernel(p=p, states=states)
 
 

@@ -539,7 +539,7 @@ def estimate_hitting_batch(jobs, replicas: int) -> list[McEstimate]:
     of job take no walkers (``_walk_jobs``): one whose start lies in its
     target reports zero, and a finite-kernel job whose target holds no
     state is censored at its horizon, so it raises AllCensored below
-    without a walker having run.
+    without a walker having run; the jobs after it do not walk either.
 
     Raises
     ------
@@ -576,6 +576,8 @@ def _walk_jobs(jobs: list, replicas: int) -> list[tuple[np.ndarray, np.ndarray]]
     - a job whose start lies in its target: each replica arrives at time 0;
     - a finite-kernel job whose target holds no state: each replica is
       censored at the horizon, which is what ``_first_hits`` would return.
+      Every replica is censored, so the pairs stop at the first such job,
+      and no job after it walks.
     A walker's draws depend only on its key and its step, so leaving these
     jobs out changes no other job's result.  The rest run as one
     population.
@@ -588,6 +590,7 @@ def _walk_jobs(jobs: list, replicas: int) -> list[tuple[np.ndarray, np.ndarray]]
     empty = set()  # the groups of a finite kernel whose target holds no state
     results = []
     walking = []  # (job index, start, seed, horizon, group) of the jobs that take walkers
+    stop = len(jobs)  # one past the first job censored for want of a target
     for j, (sampler, x0, target, seed, horizon) in enumerate(jobs):
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
@@ -605,9 +608,11 @@ def _walk_jobs(jobs: list, replicas: int) -> list[tuple[np.ndarray, np.ndarray]]
             results.append((np.zeros(replicas), np.zeros(replicas, dtype=bool)))
         elif g in empty:
             results.append((np.full(replicas, float(horizon)), np.ones(replicas, dtype=bool)))
+            stop = min(stop, j + 1)
         else:
             results.append(None)  # filled in by the walk
             walking.append((j, start, seed, horizon, g))
+    walking = [job for job in walking if job[0] < stop]
     if walking:
         draws = rules[id(samplers[0])].draws
         index, starts, seeds, horizons, groups = zip(*walking)
@@ -617,7 +622,7 @@ def _walk_jobs(jobs: list, replicas: int) -> list[tuple[np.ndarray, np.ndarray]]
         for k, j in enumerate(index):
             rows = slice(k * replicas, (k + 1) * replicas)
             results[j] = times[rows], censored[rows]
-    return results
+    return results[:stop]
 
 
 # --- coupling with a dominated restriction ----------------------------------------

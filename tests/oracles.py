@@ -254,3 +254,16 @@ def is_tridiagonal_triu(p):
     superdiagonal or below the first subdiagonal, by two triangular copies."""
     p = np.asarray(p)
     return not (np.any(np.triu(p, 2)) or np.any(np.tril(p, -2)))
+
+
+def tv_trajectory_dense(k, t_max, starts=None):
+    """TV(P^t(x, .), pi) over the starts for t = 0..t_max, one full rows @ P
+    product per step: the loop ``chain_analysis.tv_trajectory`` ran before it
+    multiplied only the band of P."""
+    starts = np.arange(k.n) if starts is None else k.state_set(starts, "start")
+    rows = np.eye(k.n)[starts]
+    pi = k.stationary
+    for t in range(t_max + 1):
+        yield 0.5 * np.abs(rows - pi).sum(axis=1)
+        if t < t_max:
+            rows = rows @ k.p

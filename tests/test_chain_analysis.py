@@ -19,6 +19,7 @@ from oracles import (
     mixing_scan,
     mixing_step_scan,
     stationary_power,
+    tv_trajectory_dense,
 )
 
 EXP = m.DensitySpec(kind="exponential-tilt", params={"tilt": -1.0}, unimodal_ratio=1.5)
@@ -309,6 +310,91 @@ def test_tv_profile_monotone(n, seed):
     assert np.all(np.diff(prof) <= 1e-12)
 
 
+def _transient_head_chain():
+    """128 states; 0..31 step to 32..63 and are never entered, so columns 0..31
+    of P are all zero; 32..127 are an exp-tilt birth-death chain."""
+    p = np.zeros((128, 128))
+    p[32:, 32:] = m.birth_death_chain(EXP, 1.0 / 96.0).p
+    p[np.arange(32), np.arange(32) + 32] = 1.0
+    return m.FiniteKernel(p)
+
+
+def _lazy_cycle(n):
+    """The lazy walk on a cycle: the corner entries make the first and last
+    column blocks of P reach every row."""
+    i = np.arange(n)
+    p = np.zeros((n, n))
+    p[i, i] = 0.5
+    p[i, (i + 1) % n] += 0.25
+    p[i, (i - 1) % n] += 0.25
+    return m.FiniteKernel(p)
+
+
+def _banded_tv_cases():
+    bd128 = m.birth_death_chain(EXP, 1.0 / 128.0)
+    rng = np.random.default_rng(7)
+    # (name, kernel, starts, takes column blocks)
+    cases = [
+        ("exp-tilt 1/64", m.birth_death_chain(EXP, 1.0 / 64.0), None, False),  # no halving
+        ("exp-tilt 1/128", bd128, None, True),
+        ("exp-tilt 1/256", m.birth_death_chain(EXP, 1.0 / 256.0), None, True),
+        ("lazy srw 1/160", m.lazy_srw(1.0 / 160.0), None, True),
+        ("pentadiagonal", m.FiniteKernel(bd128.p @ bd128.p), None, True),
+        ("transient head", _transient_head_chain(), None, True),
+        ("lazy cycle", _lazy_cycle(256), None, True),
+        ("dense 5", random_dense_chain(rng, 5), None, False),
+        ("dense 64", random_dense_chain(rng, 64), None, False),
+        ("starts subset", bd128, [0, 5, 64, 127], True),
+        ("one start", bd128, [3], False),  # a vector-matrix product stays one product
+        ("n = 1", m.build_finite_kernel([[1.0]]), None, False),
+        ("n = 2", m.build_finite_kernel([[0.5, 0.5], [0.2, 0.8]]), None, False),
+    ]
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("name, k, starts, blocked", _banded_tv_cases())
+def test_tv_trajectory_is_the_full_product_bit_for_bit(name, k, starts, blocked, monkeypatch):
+    calls = []
+    column_blocks = chain_analysis._column_blocks
+
+    def recording_blocks(p):
+        calls.append(column_blocks(p))
+        return calls[-1]
+
+    monkeypatch.setattr(chain_analysis, "_column_blocks", recording_blocks)
+    got = list(chain_analysis.tv_trajectory(k, 120, starts))
+    assert any(b is not None for b in calls) == blocked
+    want = list(tv_trajectory_dense(k, 120, starts))
+    assert len(got) == len(want) == 121
+    for t, (a, b) in enumerate(zip(got, want)):
+        assert np.array_equal(a, b), (name, t)
+
+
+def test_column_blocks_cover_every_nonzero_of_their_columns():
+    n = 256
+    blocks = chain_analysis._column_blocks(_lazy_cycle(n).p)
+    assert blocks[0] == (0, 32, 0, n) and blocks[-1] == (224, 256, 0, n)
+    assert blocks[1] == (32, 64, 31, 65)
+    head = chain_analysis._column_blocks(_transient_head_chain().p)
+    assert head[0][2] == head[0][3]  # an all-zero block multiplies nothing
+    assert chain_analysis._column_blocks(random_dense_chain(np.random.default_rng(1), 40).p) is None
+    for k in (m.lazy_srw(1.0 / 100.0), _transient_head_chain()):
+        p = k.p
+        for j0, j1, a, b in chain_analysis._column_blocks(p):
+            assert not p[:a, j0:j1].any() and not p[b:, j0:j1].any()
+            assert j1 - j0 == min(chain_analysis.TV_BLOCK_COLUMNS, k.n - j0)
+
+
+@pytest.mark.parametrize("k", [m.lazy_srw(1.0 / 100.0), m.birth_death_chain(EXP, 1.0 / 400.0)],
+                         ids=["lazy srw 1/100", "exp-tilt 1/400"])
+def test_tv_trajectory_where_blas_splits_a_sum_agrees_to_rounding(k):
+    # OpenBLAS sums the last n mod 8 columns of a full product in two halves, and
+    # splits each sum at n > 384, so here the band's in-order sums may differ in
+    # the last bits (at most 8.5e-16 relative measured with OpenBLAS 0.3.31)
+    for a, b in zip(chain_analysis.tv_trajectory(k, 60), tv_trajectory_dense(k, 60)):
+        assert np.allclose(a, b, rtol=64 * np.finfo(float).eps, atol=0.0)
+
+
 # --- expected hitting times -----------------------------------------------------------
 
 def test_hitting_zero_inside_target():
@@ -445,6 +531,19 @@ def test_max_hitting_caps_and_feasibility():
     k2 = m.build_finite_kernel(np.full((2, 2), 0.5))
     with pytest.raises(errors.NoFeasibleSet):
         m.max_hitting_time(k2, 1.5, strategy="brute")
+
+
+def test_max_hitting_refuses_by_the_cap_before_any_solve(monkeypatch):
+    solves = []
+    monkeypatch.setattr(chain_analysis, "stationary_distribution", solves.append)
+    k = random_dense_chain(np.random.default_rng(2), 1000)
+    with pytest.raises(errors.TooManyStates):
+        m.max_hitting_time(k, 0.5)
+    # two closed classes of 8 states each: the cap, not the solve, refuses the chain
+    reducible = np.kron(np.eye(2), np.full((8, 8), 1.0 / 8.0))
+    with pytest.raises(errors.TooManyStates):
+        m.max_hitting_time(m.build_finite_kernel(reducible), 0.5)
+    assert solves == []
 
 
 def test_max_hitting_interval_reads_no_coordinates():

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import itertools
 import json
 import os
@@ -340,6 +341,37 @@ def test_run_certify_corpus_chain(tmp_path):
     profile = (tmp_path / "run" / "tv_profile.csv").read_text().splitlines()
     assert profile[0] == "t,max_tv,min_bound,dominated"
     assert len(profile) == 502
+
+
+EXP_TILT_CFG = {"kind": "exponential-tilt", "tilt": -1.0, "unimodal_alpha": 1.0 / 3.0,
+                "unimodal_ratio": 1.5}
+
+
+@pytest.mark.parametrize("raw, digest", [
+    # the certify config of the benchmark's exact workload
+    ({"experiment": "certify",
+      "chain": {"kind": "birth-death", "density": EXP_TILT_CFG, "c": 1.0 / 128.0},
+      "certificate": {"v": {"kind": "exp-of-coordinate", "kappa": 0.5}}},
+     "9ecb0f20a1b4f2961119b151126e380b06391d7d160ad81573c8ae51892da9a2"),
+    # scripts/run_certification_demo.py
+    ({"experiment": "certify", "chain": {"kind": "corpus", "name": "bd-expdrift"},
+      "alpha": 1.0 / 3.0},
+     "a03d066914f1cf788d759950d8150eb1b828e4c282734359050f3c9978bd50a4"),
+], ids=["bench-exact", "demo"])
+def test_tv_profile_bytes_pinned(tmp_path, raw, digest):
+    # recorded before the TV step multiplied only the band of P, with BLAS at one
+    # thread as the benchmark runs it: a threaded product may round differently
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    src = Path(m.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    code = "import sys; from mcergo.cli import main; sys.exit(main(sys.argv[1:]))"
+    subprocess.run([sys.executable, "-c", code, "certify", "--config", str(cfg),
+                    "--out", str(tmp_path / "run"), "--quiet"],
+                   env=env, timeout=120, check=True)
+    profile = (tmp_path / "run" / "tv_profile.csv").read_bytes()
+    assert hashlib.sha256(profile).hexdigest() == digest
 
 
 def test_run_certify_structured_failure(tmp_path):

@@ -49,6 +49,26 @@ def test_build_rejects_non_square():
         m.build_finite_kernel([[0.5, 0.5]])
 
 
+@pytest.mark.parametrize("p, error, message", [
+    ([[2.0, -1.0], [0.5, 0.5]], errors.NegativeEntry, r"at \(0, 1\)"),
+    ([[0.5, 0.5]], errors.DimensionMismatch, "must be square"),
+    (np.ones((0, 0)), errors.DimensionMismatch, "must be square"),
+    ([[0.5, np.nan], [0.5, 0.5]], errors.DimensionMismatch, "non-finite"),
+    ([[0.5, 0.5], [0.5, 0.5 + 1e-11]], errors.RowSumViolation, "row 1 sums to"),
+    ([[1.0], [0.5, 0.5]], errors.DimensionMismatch, "not a rectangular array"),
+])
+def test_kernel_refuses_a_matrix_that_is_not_stochastic(p, error, message):
+    with pytest.raises(error, match=message):
+        m.FiniteKernel(p)
+
+
+def test_kernel_refuses_states_that_do_not_fit():
+    with pytest.raises(errors.DimensionMismatch, match="states length"):
+        m.FiniteKernel(np.eye(2), states=[0.0, 0.5, 1.0])
+    with pytest.raises(errors.StatesNotOrdered):
+        m.FiniteKernel(np.eye(2), states=[0.5, 0.5])
+
+
 def test_build_renormalizes_tiny_deviation_only():
     p = np.array([[0.5, 0.5 + 2e-10], [0.25, 0.75]])
     k = m.build_finite_kernel(p)

@@ -128,11 +128,11 @@ def test_empty_target_jobs_leave_the_other_jobs_bit_identical(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_first_hits", recording_first_hits)
     replicas = 300
-    results = montecarlo._walk_jobs([reachable[0], empty, reachable[1]], replicas)
+    results = montecarlo._walk_jobs([*reachable, empty], replicas)
     assert walked == [[1, 4]]  # the empty-target job took no walkers
-    times, censored = results[1]
+    times, censored = results[2]
     assert times.tolist() == [50.0] * replicas and censored.all()
-    for (times, censored), (sampler, x0, target, seed, horizon) in zip(results[::2], reachable):
+    for (times, censored), (sampler, x0, target, seed, horizon) in zip(results, reachable):
         alone = m.estimate_hitting(sampler, x0, target, replicas, horizon, seed)
         assert montecarlo._summarize(times, seed, horizon, censored) == alone
         assert 0.0 <= alone.censored_fraction < 1.0
@@ -142,6 +142,26 @@ def test_empty_target_jobs_leave_the_other_jobs_bit_identical(monkeypatch):
         m.estimate_hitting_batch([reachable[0], never, empty], replicas)
     with pytest.raises(errors.AllCensored, match=r"within 50 steps \(seed 2\)"):
         m.estimate_hitting_batch([reachable[0], empty, never], replicas)
+
+
+def test_no_job_after_an_empty_target_walks(monkeypatch):
+    # the batch fails at the empty-target job whatever the later jobs give, so
+    # only the jobs before it, which could fail first, take walkers
+    k = PATH3
+    reachable, empty, never = (k, 0, [2], 1, 50), (k, 0, [], 2, 50), (k, 0, [2], 3, 1)
+    walked = []
+    first_hits = montecarlo._first_hits
+
+    def recording_first_hits(starts, seeds, *args):
+        walked.append(list(seeds))
+        return first_hits(starts, seeds, *args)
+
+    monkeypatch.setattr(montecarlo, "_first_hits", recording_first_hits)
+    with pytest.raises(errors.AllCensored, match=r"within 50 steps \(seed 2\)"):
+        m.estimate_hitting_batch([reachable, empty, never], 300)
+    assert walked == [[1]]
+    assert len(montecarlo._walk_jobs([empty, reachable], 300)) == 1
+    assert walked == [[1]]  # nothing walked for a batch that fails at its first job
 
 
 def test_a_drawable_state_of_probability_zero_is_walked_to(monkeypatch):

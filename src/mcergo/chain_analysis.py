@@ -253,9 +253,18 @@ def _column_blocks(p: np.ndarray) -> list[tuple[int, int, int, int]] | None:
     return list(zip(j0.tolist(), j1.tolist(), a.tolist(), b.tolist()))
 
 
+def tv_table(k: FiniteKernel, t_max: int, starts=None) -> np.ndarray:
+    """The vectors of ``tv_trajectory`` as the rows of one (t_max + 1) x starts array."""
+    size = k.n if starts is None else k.state_set(starts, "start").size
+    table = np.empty((max(t_max + 1, 0), size))
+    for t, tv in enumerate(tv_trajectory(k, t_max, starts)):
+        table[t] = tv
+    return table
+
+
 def tv_profile(k: FiniteKernel, t_max: int, starts=None) -> np.ndarray:
     """max over starts of TV(P^t(x, .), pi) for t = 0..t_max."""
-    return np.array([float(np.max(tv)) for tv in tv_trajectory(k, t_max, starts)])
+    return tv_table(k, t_max, starts).max(axis=1)
 
 
 # --- mixing times -------------------------------------------------------------
@@ -322,9 +331,11 @@ def mixing_time(
     pi = k.stationary
     work = lazy_transform(k) if lazy else k
     checked = {}  # t -> max over starts of TV(P^t(x,.), pi)
+    diff = np.empty((starts.size, k.n))
 
     def mixed(t, rows):
-        checked[t] = 0.5 * float(np.max(np.abs(rows - pi).sum(axis=1)))
+        np.abs(np.subtract(rows, pi, out=diff), out=diff)
+        checked[t] = 0.5 * float(np.max(diff.sum(axis=1)))
         return checked[t] <= eps
 
     # invariant: d(lo) > eps, and every t >= hi mixes or lies past t_max
@@ -335,7 +346,7 @@ def mixing_time(
     powers = []  # powers[j] = P^(2^j)
     while 1 << len(powers) < hi:
         powers.append(work.p if not powers else powers[-1] @ powers[-1])
-        t, step = 1 << (len(powers) - 1), powers[-1][starts]
+        t, step = 1 << (len(powers) - 1), powers[-1] if subset is None else powers[-1][starts]
         if mixed(t, step):
             hi = t
         else:
@@ -643,6 +654,15 @@ def pseudo_minorization(k: FiniteKernel, subset, t: int) -> MinorizationReport:
     positive-difference support C_xy and both entrywise inequalities are
     verified before returning.
 
+    The pairs are compared only from starts that can own a maximal pair.
+    With q the mean row over S and e(x) = TV(P^t(x,.), q), the triangle
+    inequality gives TV(x, y) <= e(x) + e(y).  v0, the largest TV from the
+    start of largest e, is the value of a real pair, so a start a with
+    e(a) + max_{b > a} e(b) < v0 - 1e-9 owns no maximal pair and is skipped;
+    the margin covers the rounding of sums of at most 1, and a larger one
+    would only prune less.  The kept starts run the full scan in order, so
+    the worst pair is the first maximal one, as without the pruning.
+
     Raises
     ------
     DegenerateOverlap
@@ -655,8 +675,11 @@ def pseudo_minorization(k: FiniteKernel, subset, t: int) -> MinorizationReport:
         raise ValueError("step count must be >= 1")
     rows = np.linalg.matrix_power(k.p, t)
     sub = rows[S]
+    e = 0.5 * np.abs(sub - sub.mean(axis=0)).sum(axis=1)
+    v0 = 0.5 * float(np.abs(sub[np.argmax(e)] - sub).sum(axis=1).max())
+    after = np.append(np.maximum.accumulate(e[:0:-1])[::-1], -np.inf)  # max_{b > a} e(b)
     worst = (0.0, (int(S[0]), int(S[0])))
-    for a in range(S.size):
+    for a in np.flatnonzero(e + after >= v0 - 1e-9).tolist():
         diffs = 0.5 * np.abs(sub[a][None, :] - sub[a + 1:]).sum(axis=1)
         if diffs.size:
             b = int(np.argmax(diffs))

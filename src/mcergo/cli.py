@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 analysis failure (structured, expected),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from .errors import ConfigError, McergoError
 from .harness import RUNNERS, load_config
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mcergo",

@@ -3,10 +3,14 @@
 Deliberately simple textbook implementations, kept separate from the
 library code they verify.
 """
+import math
+
 import numpy as np
 import scipy.sparse.csgraph as csgraph
 
 from mcergo.certify import _check_drift
+from mcergo.chain_analysis import tv_trajectory
+from mcergo.harness import TV_PROFILE_HORIZON
 
 
 def hitting_solve(p, target):
@@ -267,3 +271,51 @@ def tv_trajectory_dense(k, t_max, starts=None):
         yield 0.5 * np.abs(rows - pi).sum(axis=1)
         if t < t_max:
             rows = rows @ k.p
+
+
+def dominance_profile_loop(k, cert, bound):
+    """(verdict, max violation, CSV rows) of the dominance audit, one bound
+    evaluation, three reductions and two reprs per t: the loop
+    ``harness._dominance_profile`` ran before it read one table."""
+    profile_rows = []
+    ok = True
+    max_violation = -math.inf
+    for t, tv in enumerate(tv_trajectory(k, TV_PROFILE_HORIZON)):
+        bounds = bound.evaluate(cert.v, t)
+        violation = float(np.max(tv - bounds))
+        max_violation = max(max_violation, violation)
+        dominated = violation <= 1e-9
+        ok = ok and dominated
+        profile_rows.append([
+            str(t),
+            repr(float(np.max(tv))),
+            repr(float(np.min(bounds))),
+            "1" if dominated else "0",
+        ])
+    return ok, max_violation, profile_rows
+
+
+def pairwise_overlap_scan(k, subset, t):
+    """(eps, worst pair, mu, support) from every pair of starts of the subset,
+    with no pruning: the scan ``chain_analysis.pseudo_minorization`` ran before
+    it skipped starts that cannot own a maximal pair."""
+    S = k.state_set(subset, "subset state")
+    rows = np.linalg.matrix_power(k.p, t)
+    sub = rows[S]
+    worst = (0.0, (int(S[0]), int(S[0])))
+    for a in range(S.size):
+        diffs = 0.5 * np.abs(sub[a][None, :] - sub[a + 1:]).sum(axis=1)
+        if diffs.size:
+            b = int(np.argmax(diffs))
+            val = float(diffs[b])
+            if val > worst[0]:
+                worst = (val, (int(S[a]), int(S[a + b + 1])))
+    eps = 1.0 - worst[0]
+    x, y = worst[1]
+    if eps <= 1e-12:  # the overlap is degenerate: there is no mu
+        return eps, (x, y), None, None
+    rx, ry = rows[x], rows[y]
+    support = rx > ry
+    num = np.where(support, ry, rx)
+    mu = num / float(num.sum())
+    return eps, (x, y), mu, tuple(int(i) for i in np.flatnonzero(support))

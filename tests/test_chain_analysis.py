@@ -18,6 +18,7 @@ from oracles import (
     is_tridiagonal_triu,
     mixing_scan,
     mixing_step_scan,
+    pairwise_overlap_scan,
     stationary_power,
     tv_trajectory_dense,
 )
@@ -729,6 +730,50 @@ def test_minorization_two_state_example():
     assert np.allclose(rep.mu, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
     # entrywise-minimum oracle: eps * mu equals min(row_x, row_y)
     assert np.allclose(rep.eps * rep.mu, np.minimum(k.p[0], k.p[1]), atol=1e-12)
+
+
+def _overlap_chain(kind, n, rng):
+    """Dense or sparse random rows, rows copied from at most three prototypes
+    (tied pairs), or a circulant, whose pairs at one distance tie in exact
+    arithmetic."""
+    if kind == "tied":
+        return rng.random((min(3, n), n))[rng.integers(0, min(3, n), n)]
+    if kind == "cyclic":
+        step = rng.random(n) * (rng.random(n) < 0.5)
+        step[0] += 0.5
+        return np.array([np.roll(step, i) for i in range(n)])
+    p = rng.random((n, n))
+    if kind == "sparse":
+        p *= rng.random((n, n)) < 3.0 / n
+    return p + np.eye(n) * rng.random()
+
+
+@given(st.sampled_from(["dense", "sparse", "tied", "cyclic"]), st.integers(1, 40),
+       st.sampled_from([1, 2, None]), st.integers(1, 30), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_pruned_overlap_equals_the_full_scan_bit_for_bit(kind, n, size, t, seed):
+    rng = np.random.default_rng(seed)
+    p = _overlap_chain(kind, n, rng)
+    k = m.build_finite_kernel(p / p.sum(axis=1, keepdims=True))
+    size = min(size, n) if size else int(rng.integers(min(3, n), n + 1))
+    S = rng.choice(n, size, replace=False)
+    eps, pair, mu, support = pairwise_overlap_scan(k, S, t)
+    if eps <= 1e-12:
+        with pytest.raises(errors.DegenerateOverlap):
+            m.pseudo_minorization(k, S, t)
+        return
+    rep = m.pseudo_minorization(k, S, t)
+    assert rep.eps.hex() == eps.hex()
+    assert rep.worst_pair == pair
+    assert rep.mu.tobytes() == mu.tobytes()
+    assert rep.support == support
+
+
+def test_pruned_overlap_keeps_the_first_of_tied_pairs():
+    a, b = [0.5, 0.25, 0.25, 0.0, 0.0], [0.0, 0.25, 0.25, 0.5, 0.0]
+    k = m.build_finite_kernel([b, a, b, a, a])
+    rep = m.pseudo_minorization(k, range(5), 1)
+    assert (rep.eps, rep.worst_pair) == (0.5, (0, 1))
 
 
 @given(st.integers(2, 7), st.integers(0, 10_000), st.integers(1, 4))

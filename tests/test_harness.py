@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -15,7 +16,7 @@ import pytest
 
 import mcergo as m
 from mcergo import chain_analysis, errors, harness
-from mcergo.cli import main as cli_main
+from mcergo.cli import build_parser, main as cli_main
 from mcergo.corpus import bd_expdrift
 from mcergo.harness import (
     chain_from_config,
@@ -29,6 +30,7 @@ from mcergo.harness import (
     serialize_config,
 )
 from mcergo.svg import emit_svg
+from oracles import dominance_profile_loop
 
 UNIFORM_CFG = {"kind": "uniform", "unimodal_alpha": 1.0 / 3.0, "unimodal_ratio": 1.0}
 
@@ -374,6 +376,48 @@ def test_tv_profile_bytes_pinned(tmp_path, raw, digest):
     assert hashlib.sha256(profile).hexdigest() == digest
 
 
+def _certify_inputs(raw):
+    cfg = parse_config(raw)
+    k, cert = harness._chain_and_certificate(cfg)
+    return k, cert, m.certify_drift_and_hit(k, cert, variant=cfg.restriction)
+
+
+def _exp_tilt_certify(c):
+    return {"experiment": "certify",
+            "chain": {"kind": "birth-death", "density": EXP_TILT_CFG, "c": c},
+            "certificate": {"v": {"kind": "exp-of-coordinate", "kappa": 0.5}}}
+
+
+@pytest.mark.parametrize("raw, t_star", [
+    (_exp_tilt_certify(1.0 / 128.0), 3796),  # the benchmark's exact workload: one window
+    (_exp_tilt_certify(1.0 / 32.0), 241),    # three windows: 0..240, 241..481, 482..500
+    ({"experiment": "certify", "chain": {"kind": "corpus", "name": "bd-expdrift"},
+      "alpha": 1.0 / 3.0}, None),
+], ids=["bench-exact", "c1/32", "bd-expdrift"])
+def test_dominance_profile_equals_the_per_t_loop_bit_for_bit(raw, t_star):
+    k, cert, bound = _certify_inputs(raw)
+    assert t_star is None or bound.t == t_star
+    ok, worst, rows = harness._dominance_profile(k, cert, bound)
+    want_ok, want_worst, want_rows = dominance_profile_loop(k, cert, bound)
+    assert ok is want_ok is True
+    assert worst.hex() == want_worst.hex()
+    assert rows == want_rows
+
+
+def test_dominance_profile_reports_a_wrong_bound_as_the_loop_does():
+    k, cert, bound = _certify_inputs(_exp_tilt_certify(1.0 / 128.0))
+    # T = 3796 leaves the bound one window long within t <= 500; with T = 100 and
+    # rho = 0.999 it falls a thousandfold every 100 steps, far faster than the chain mixes
+    assert bound.t > harness.TV_PROFILE_HORIZON
+    wrong = dataclasses.replace(bound, t=100, rho=0.999)
+    ok, worst, rows = harness._dominance_profile(k, cert, wrong)
+    want_ok, want_worst, want_rows = dominance_profile_loop(k, cert, wrong)
+    assert ok is want_ok is False
+    assert worst > 1e-9 and worst.hex() == want_worst.hex()
+    assert rows == want_rows
+    assert {row[3] for row in rows} == {"0", "1"}
+
+
 def test_run_certify_structured_failure(tmp_path):
     cfg = parse_config({
         "experiment": "certify",
@@ -643,6 +687,19 @@ def test_cli_scaling_steep_tilt_finishes(tmp_path):
     })
     assert cli_main(["scaling", "--config", cfg, "--out", str(tmp_path / "out"),
                      "--quiet"]) == 0
+
+
+def test_cli_parser_is_built_once_and_keeps_no_parse_state(tmp_path):
+    assert build_parser() is build_parser()
+    cfg = _write_cfg(tmp_path, {
+        "experiment": "hitmix",
+        "chain": {"kind": "matrix", "rows": [[0.5, 0.5], [0.25, 0.75]]},
+        "seed": 11,
+    })
+    for argv, seed in ((["--seed", "3"], 3), ([], 11)):
+        out = tmp_path / f"out{seed}"
+        assert cli_main(["hitmix", "--config", cfg, "--out", str(out), "--quiet", *argv]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == seed
 
 
 def test_cli_config_error_exit_two(tmp_path):

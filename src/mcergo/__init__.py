@@ -31,8 +31,6 @@ from .chain_analysis import (
     mixing_time,
     pseudo_minorization,
     stationary_distribution,
-    tv_distance,
-    tv_profile,
 )
 from .montecarlo import (
     McEstimate,

@@ -42,6 +42,7 @@ from .errors import (
 from .kernels import FiniteKernel, restrict
 from .tolerances import EQUALITY_TOL, ROW_SUM_TOL, SPECTRAL_RESIDUAL_TOL
 
+# The exact routes' size cap: T by mixing_time, and the certify run's TV audit.
 EXACT_OVERLAP_STATE_CAP = 512
 # The lambdas at which a certificate is fitted to V.
 LAMBDA_GRID = np.arange(0.0, 1.0, 0.05)

@@ -1,10 +1,10 @@
 """Exact finite-chain computations.
 
-Stationary distributions by dense linear algebra, total variation
-distances, mixing and lazy mixing times by literal matrix powers, expected
-hitting times by linear solves, maximum hitting times over set families,
-the probability of leaving a set within t steps, and pairwise
-pseudo-minorization constants.
+Stationary distributions by dense linear algebra, the total variation from
+every start at every t up to a horizon (``tv_table``), mixing and lazy mixing
+times by literal matrix powers, expected hitting times by linear solves,
+maximum hitting times over set families, the probability of leaving a set
+within t steps, and pairwise pseudo-minorization constants.
 
 All functions are pure over immutable kernels, read every argument that
 names states through ``FiniteKernel.state_set`` (a ValueError for a value
@@ -25,7 +25,6 @@ import numpy as np
 from .errors import (
     DegenerateOverlap,
     EmptySubset,
-    LengthMismatch,
     NoFeasibleSet,
     NotBirthDeath,
     NotMixedByHorizon,
@@ -38,7 +37,6 @@ from .kernels import FiniteKernel, lazy_transform
 from .tolerances import (
     HITTING_CONDITION_TOL,
     LINEAR_RESIDUAL_TOL,
-    PROB_NORM_TOL,
     ROW_SUM_TOL,
     STATIONARY_TOL,
 )
@@ -47,7 +45,7 @@ BRUTE_STATE_CAP = 14
 REFINEMENT_ROUNDS = 3
 DEFAULT_MIX_EPS = 0.25
 MIXING_POWER_BYTES = 64 << 20  # the stored powers of mixing_time; n = 512 needs 50 MiB
-TV_BLOCK_COLUMNS = 32  # column block of the tv_trajectory step; 16-48 time alike, 8 and 64 slower
+TV_BLOCK_COLUMNS = 32  # column block of the tv_table step; 16-48 time alike, 8 and 64 slower
 
 
 # --- stationary distribution ------------------------------------------------
@@ -186,45 +184,28 @@ def _class_stationary(q: np.ndarray) -> np.ndarray:
 
 # --- total variation ---------------------------------------------------------
 
-def tv_distance(p, q) -> float:
-    """Half the L1 distance between two probability vectors."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise LengthMismatch(f"length mismatch: {p.shape} vs {q.shape}")
-    for v in (p, q):
-        if abs(v.sum() - 1.0) > PROB_NORM_TOL:
-            raise LengthMismatch("input is not normalized within 1e-9")
-    return 0.5 * float(np.abs(p - q).sum())
+def tv_table(k: FiniteKernel, t_max: int) -> np.ndarray:
+    """The (t_max + 1) x n array of TV(P^t(x, .), pi), row t, column x.
 
-
-def tv_trajectory(k: FiniteKernel, t_max: int, starts=None):
-    """Yield the vector of TV(P^t(x, .), pi) over the starts x for t = 0..t_max.
-
-    The one every-t loop: the (starts x n) rows of P^t, starts ascending, times
-    P per step.  For a banded P the step multiplies only the band: columns
-    j0..j1 of the next rows are rows[:, a:b] @ P[a:b, j0:j1], where a..b are the
-    rows of P that hold every nonzero of those columns (``_column_blocks``).
-    The terms left out are exact zeros, so where BLAS sums each entry of the
-    full product in k order with FMA, every vector keeps its bits.  OpenBLAS
-    0.3.31 (AVX-512 kernels, one thread) does so for n a multiple of 8 up to
-    384 with at least two starts; at other n its edge kernels split a sum in
-    two and its k blocking splits it at n > 384, and the vectors then differ
-    from the full product's by at most 8.5e-16 relative (measured up to
-    n = 512).  The rows live in two buffers, swapped each step.  pi is
-    ``k.stationary``, read when iteration begins."""
-    starts = np.arange(k.n) if starts is None else k.state_set(starts, "start")
-    if not starts.size:
-        raise EmptySubset("start set is empty")
+    The one every-t loop: the n x n rows of P^t, times P per step.  For a
+    banded P the step multiplies only the band: columns j0..j1 of the next
+    rows are rows[:, a:b] @ P[a:b, j0:j1], where a..b are the rows of P that
+    hold every nonzero of those columns (``_column_blocks``).  The terms left
+    out are exact zeros, so where BLAS sums each entry of the full product in
+    k order with FMA, every row keeps its bits.  OpenBLAS 0.3.31 (AVX-512
+    kernels, one thread) does so for n a multiple of 8 up to 384; at other n
+    its edge kernels split a sum in two and its k blocking splits it at
+    n > 384, and the rows then differ from the full product's by at most
+    8.5e-16 relative (measured up to n = 512).  The rows of P^t live in two
+    buffers, swapped each step.  pi is ``k.stationary``."""
     p, pi = k.p, k.stationary
-    rows = np.eye(k.n)[starts]
+    table = np.empty((t_max + 1, k.n))  # allocated after the rows, n = 128 ran ~9% slower
+    rows = np.eye(k.n)
     nxt, diff = np.empty_like(rows), np.empty_like(rows)
-    # a single start is a vector-matrix product, which BLAS sums in lanes over k,
-    # so its bits would depend on where a row range starts: it takes one product
-    blocks = _column_blocks(p) if starts.size > 1 else None
+    blocks = _column_blocks(p)
     for t in range(t_max + 1):
         np.abs(np.subtract(rows, pi, out=diff), out=diff)
-        yield 0.5 * diff.sum(axis=1)
+        table[t] = 0.5 * diff.sum(axis=1)
         if t < t_max:
             if blocks is None:
                 np.matmul(rows, p, out=nxt)
@@ -232,6 +213,7 @@ def tv_trajectory(k: FiniteKernel, t_max: int, starts=None):
                 for j0, j1, a, b in blocks:
                     np.matmul(rows[:, a:b], p[a:b, j0:j1], out=nxt[:, j0:j1])
             rows, nxt = nxt, rows
+    return table
 
 
 def _column_blocks(p: np.ndarray) -> list[tuple[int, int, int, int]] | None:
@@ -253,20 +235,6 @@ def _column_blocks(p: np.ndarray) -> list[tuple[int, int, int, int]] | None:
     return list(zip(j0.tolist(), j1.tolist(), a.tolist(), b.tolist()))
 
 
-def tv_table(k: FiniteKernel, t_max: int, starts=None) -> np.ndarray:
-    """The vectors of ``tv_trajectory`` as the rows of one (t_max + 1) x starts array."""
-    size = k.n if starts is None else k.state_set(starts, "start").size
-    table = np.empty((max(t_max + 1, 0), size))
-    for t, tv in enumerate(tv_trajectory(k, t_max, starts)):
-        table[t] = tv
-    return table
-
-
-def tv_profile(k: FiniteKernel, t_max: int, starts=None) -> np.ndarray:
-    """max over starts of TV(P^t(x, .), pi) for t = 0..t_max."""
-    return tv_table(k, t_max, starts).max(axis=1)
-
-
 # --- mixing times -------------------------------------------------------------
 
 def default_mix_horizon(n: int) -> int:
@@ -278,7 +246,6 @@ def mixing_time(
     eps: float = DEFAULT_MIX_EPS,
     subset=None,
     lazy: bool = False,
-    t_max: int | None = None,
 ) -> int:
     """Smallest t with max over starts in the subset of TV(P^t(x,.), pi) <= eps.
 
@@ -288,7 +255,8 @@ def mixing_time(
     because pi P = pi and P contracts total variation (Levin, Peres and
     Wilmer, Markov Chains and Mixing Times, Ex. 4.2), so the maximum over
     any set of starts is non-increasing in t.  P is therefore squared until
-    a power 2^i mixes or passes t_max, and the stored powers P^(2^j) then
+    a power 2^i mixes or passes the horizon t_max = ``default_mix_horizon(n)``
+    = 10 n^2 ceil(ln n) steps (at least 1), and the stored powers P^(2^j) then
     extend the start rows from the last unmixed time downwards in j, a
     product kept whenever its TV still exceeds eps: about 2 log2(t) dense
     products instead of t.
@@ -302,8 +270,8 @@ def mixing_time(
     Raises
     ------
     NotMixedByHorizon
-        If the threshold is not reached by ``t_max``; the exception carries
-        the TV at every time checked, in ascending order from t = 0.
+        If the threshold is not reached by t_max; the exception carries
+        the TV at every time checked, ascending from t = 0 to t_max.
     TooManyStates
         If the ceil(log2(t_max + 1)) stored n x n powers would take more
         than ``MIXING_POWER_BYTES``; raised before any product is formed.
@@ -314,14 +282,11 @@ def mixing_time(
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
-    if t_max is None:
-        t_max = default_mix_horizon(k.n)
-    if t_max < 0:
-        raise ValueError("t_max must be nonnegative")
+    t_max = default_mix_horizon(k.n)
     starts = np.arange(k.n) if subset is None else k.state_set(subset, "start")
     if not starts.size:
         raise EmptySubset("start set is empty")
-    squarings = int(t_max).bit_length()  # = ceil(log2(t_max + 1)) stored powers
+    squarings = t_max.bit_length()  # = ceil(log2(t_max + 1)) stored powers
     stored = squarings * k.n * k.n * np.dtype(float).itemsize
     if stored > MIXING_POWER_BYTES:
         raise TooManyStates(

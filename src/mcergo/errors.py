@@ -61,15 +61,11 @@ class Reducible(McergoError):
     pass
 
 
-class LengthMismatch(McergoError):
-    pass
-
-
 class NotMixedByHorizon(McergoError):
-    """Mixing horizon exhausted; carries the TV profile for diagnosis.
+    """Not mixed by the horizon ``default_mix_horizon(n)``; carries the TV profile.
 
     ``profile[i]`` is the worst-start TV at step count ``times[i]``: the
-    times the search checked, ascending from 0, not every t.
+    times the search checked, ascending from 0 to the horizon, not every t.
     """
 
     def __init__(self, message, profile, times):

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .certify import (
+    EXACT_OVERLAP_STATE_CAP,
     DriftCertificate,
     certify_drift_and_hit,
     compatibility_check,
@@ -68,7 +69,6 @@ SCALING_COLUMNS = [
 
 START_GRID_POINTS = 33
 TV_PROFILE_HORIZON = 500
-TV_PROFILE_STATE_CAP = 512
 MAX_ACCEPTED_CENSORING = 0.01
 
 
@@ -449,7 +449,7 @@ def run_certify(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
         if bound.degenerate_restriction:
             report["note"] = "restriction is degenerate: C is the full space"
 
-        if k.n <= TV_PROFILE_STATE_CAP:
+        if k.n <= EXACT_OVERLAP_STATE_CAP:
             verdict, max_violation, profile_rows = _dominance_profile(k, cert, bound)
             report["dominance_verdict"] = "PASS" if verdict else "FAIL"
             report["max_dominance_violation"] = max_violation
@@ -460,7 +460,7 @@ def run_certify(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
             )
         else:
             report["dominance_verdict"] = "SKIPPED"
-            report["note_profile"] = f"exact TV profile limited to {TV_PROFILE_STATE_CAP} states"
+            report["note_profile"] = f"exact TV profile limited to {EXACT_OVERLAP_STATE_CAP} states"
         ok = report.get("dominance_verdict") != "FAIL"
     except McergoError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}

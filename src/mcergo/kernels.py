@@ -32,6 +32,7 @@ from .errors import (
     RowSumViolation,
     SingularCensoring,
     StatesNotOrdered,
+    TooManyStates,
     ZeroProbabilityCell,
 )
 from .tolerances import (
@@ -401,6 +402,9 @@ def restrict(
     ------
     EmptySubset, SingularCensoring, DominationViolation
     Reducible, ResidualTooLarge
+    TooManyStates
+        For the trace variant of a kernel above ``TRACE_STATE_CAP`` states,
+        before any solve.
     DimensionMismatch
         For a ``pi_table`` whose Gibbs kernel is not k within 1e-12: a table
         without one cell per state of k, or with its cells in another shape.
@@ -462,7 +466,7 @@ def _mh_restricted_matrix(p: np.ndarray, S: np.ndarray) -> np.ndarray:
 def _trace_matrix(p: np.ndarray, S: np.ndarray) -> np.ndarray:
     n = p.shape[0]
     if n > TRACE_STATE_CAP:
-        raise DimensionMismatch(f"trace restriction capped at {TRACE_STATE_CAP} states")
+        raise TooManyStates(f"trace restriction capped at {TRACE_STATE_CAP} states")
     comp = np.delete(np.arange(n), S)
     if comp.size == 0:
         return p.copy()

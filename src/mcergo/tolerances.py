@@ -13,9 +13,6 @@ DETAILED_BALANCE_TOL = 1e-12
 # deviations as data errors.
 ROW_RENORM_TOL = 1e-9
 
-# Probability vectors handed to tv_distance must be normalized this well.
-PROB_NORM_TOL = 1e-9
-
 # Stationarity of restricted kernels, conditional distributions.
 STATIONARY_TOL = 1e-10
 

@@ -9,7 +9,7 @@ import numpy as np
 import scipy.sparse.csgraph as csgraph
 
 from mcergo.certify import _check_drift
-from mcergo.chain_analysis import tv_trajectory
+from mcergo.chain_analysis import tv_table
 from mcergo.harness import TV_PROFILE_HORIZON
 
 
@@ -260,12 +260,11 @@ def is_tridiagonal_triu(p):
     return not (np.any(np.triu(p, 2)) or np.any(np.tril(p, -2)))
 
 
-def tv_trajectory_dense(k, t_max, starts=None):
-    """TV(P^t(x, .), pi) over the starts for t = 0..t_max, one full rows @ P
-    product per step: the loop ``chain_analysis.tv_trajectory`` ran before it
+def tv_trajectory_dense(k, t_max):
+    """TV(P^t(x, .), pi) from every start for t = 0..t_max, one full rows @ P
+    product per step: the loop ``chain_analysis.tv_table`` ran before it
     multiplied only the band of P."""
-    starts = np.arange(k.n) if starts is None else k.state_set(starts, "start")
-    rows = np.eye(k.n)[starts]
+    rows = np.eye(k.n)
     pi = k.stationary
     for t in range(t_max + 1):
         yield 0.5 * np.abs(rows - pi).sum(axis=1)
@@ -280,7 +279,7 @@ def dominance_profile_loop(k, cert, bound):
     profile_rows = []
     ok = True
     max_violation = -math.inf
-    for t, tv in enumerate(tv_trajectory(k, TV_PROFILE_HORIZON)):
+    for t, tv in enumerate(tv_table(k, TV_PROFILE_HORIZON)):
         bounds = bound.evaluate(cert.v, t)
         violation = float(np.max(tv - bounds))
         max_violation = max(max_violation, violation)

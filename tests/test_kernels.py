@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mcergo as m
-from mcergo import chain_analysis, errors
+from mcergo import chain_analysis, errors, kernels
 from mcergo.corpus import (
     escape_corpus,
     random_dense_chain,
@@ -535,6 +535,14 @@ def test_restrict_trace_matches_censored_simulation():
     dom = m.restrict(k, [0, 2], "trace")
     freq = trace_transition_frequency(k.p, [0, 2], steps=200_000, seed=5)
     assert np.max(np.abs(freq - dom.kernel.p)) < 0.02
+
+
+def test_restrict_trace_refuses_a_chain_above_its_cap(monkeypatch):
+    # a size cap, like BRUTE_STATE_CAP and MIXING_POWER_BYTES, not a malformed matrix
+    monkeypatch.setattr(kernels, "TRACE_STATE_CAP", 4)
+    k = random_dense_chain(np.random.default_rng(2), 6)
+    with pytest.raises(errors.TooManyStates, match="capped at 4 states"):
+        m.restrict(k, [0, 1, 2], "trace")
 
 
 def test_restrict_full_subset_is_identity():

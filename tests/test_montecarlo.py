@@ -743,7 +743,6 @@ def _bad_state(bad):
 # every function that takes states of a finite chain, fed one value that is not a state
 STATE_TAKERS = {
     "mixing_time": lambda bad: m.mixing_time(K6, subset=_bad_set(bad)),
-    "tv_profile": lambda bad: m.tv_profile(K6, 3, starts=_bad_set(bad)),
     "pseudo_minorization": lambda bad: m.pseudo_minorization(K6, _bad_set(bad), 2),
     "expected_hitting": lambda bad: m.expected_hitting(K6, _bad_set(bad)),
     "exit_probability-subset": lambda bad: m.exit_probability(K6, _bad_set(bad), 0, 3),

@@ -160,7 +160,6 @@ class GeometricBound:
 class DriftCheck:
     passed: bool
     worst_slack: float
-    worst_state: int
 
 
 def _check_drift(lam: float = 0.0, b: float = 0.0, v=()) -> np.ndarray:
@@ -185,13 +184,8 @@ def verify_drift(k: FiniteKernel, v, lam: float, b: float) -> DriftCheck:
     v = _check_drift(lam, b, v)
     if v.shape != (k.n,):
         raise InvalidParameters("V length does not match the kernel")
-    slack = lam * v + b - k.p @ v
-    worst = int(np.argmin(slack))
-    return DriftCheck(
-        passed=bool(slack[worst] >= -ROW_SUM_TOL),
-        worst_slack=float(slack[worst]),
-        worst_state=worst,
-    )
+    worst = float(np.min(lam * v + b - k.p @ v))
+    return DriftCheck(passed=worst >= -ROW_SUM_TOL, worst_slack=worst)
 
 
 def fit_drift(k: FiniteKernel, v, lam_grid=None) -> tuple[float, float]:
@@ -250,7 +244,6 @@ def multistep_drift_params(lam: float, b: float, t: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class CompatibilityReport:
-    mode: str
     passed: bool
     margins: dict
 
@@ -271,7 +264,7 @@ def compatibility_check(cert: DriftCertificate, mode: str = "classic") -> Compat
         passed = cert.r_prime > classic_threshold and cert.r > t2
     else:
         raise ValueError(f"unknown compatibility mode {mode!r}")
-    return CompatibilityReport(mode=mode, passed=bool(passed), margins=margins)
+    return CompatibilityReport(passed=bool(passed), margins=margins)
 
 
 def _radius_thresholds(lam, b, r_prime):
@@ -428,8 +421,9 @@ def certify_drift_and_hit(
     C' when it has at most ``EXACT_OVERLAP_STATE_CAP`` states (route
     "exact-mixing"), else as the L2(pi) spectral bound on that mixing time
     (route "spectral", ``_spectral_mixing_time``); (iv) take the pairwise
-    overlap at T + 1 steps, exactly when the chain is small enough, else
-    the 1/3 of the drift-and-hit theorem; (v) solve the contraction for the
+    overlap at T + 1 steps, exactly when the chain is small enough (an
+    overlap of 1 enters as the largest double below 1), else the 1/3 of
+    the drift-and-hit theorem; (v) solve the contraction for the
     (T+1)-step drift parameters at radius r'.
 
     Raises
@@ -478,7 +472,9 @@ def certify_drift_and_hit(
             overlap = pseudo_minorization(k, C_inner, t_star)
         except DegenerateOverlap as exc:
             raise IncompatibleCertificate(f"no overlap at T+1={t_star}: {exc}") from exc
-        eps = overlap.eps
+        # an overlap eps is also a minorization with any eps' <= eps, and the
+        # contraction needs eps < 1: a perfect overlap enters as the double below 1
+        eps = min(overlap.eps, math.nextafter(1.0, 0.0))
         source = "pseudo-minorization"
 
     lam_eff, b_eff = multistep_drift_params(cert.lam, cert.b, t_star)

@@ -412,7 +412,6 @@ def expected_hitting(k: FiniteKernel, target) -> np.ndarray:
 class HitMixReport:
     """Worst-case expected hitting time over a family of large sets."""
 
-    alpha: float
     t_h: float
     method: str  # "brute" | "interval"
     worst_set: tuple
@@ -467,7 +466,6 @@ def max_hitting_time(
     if best is None:
         raise NoFeasibleSet(f"no set has stationary mass >= {alpha}")
     return HitMixReport(
-        alpha=alpha,
         t_h=best[0],
         method=strategy,
         worst_set=best[1],
@@ -597,8 +595,6 @@ class MinorizationReport:
     P^T(x, .) >= eps * mu and P^T(y, .) >= eps * mu entrywise.
     """
 
-    subset: tuple
-    t: int
     eps: float
     worst_pair: tuple
     mu: np.ndarray = field(repr=False)
@@ -661,8 +657,6 @@ def pseudo_minorization(k: FiniteKernel, subset, t: int) -> MinorizationReport:
     denom = float(num.sum())  # equals 1 - TV(rx, ry) = eps for the worst pair
     mu = num / denom
     report = MinorizationReport(
-        subset=tuple(int(i) for i in S),
-        t=t,
         eps=eps,
         worst_pair=(x, y),
         mu=mu,

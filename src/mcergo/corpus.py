@@ -24,7 +24,6 @@ class CorpusChain:
     kernel: FiniteKernel
     cert: DriftCertificate
     variant: str
-    description: str = ""
 
 
 def bd_expdrift() -> CorpusChain:
@@ -46,7 +45,6 @@ def bd_expdrift() -> CorpusChain:
         kernel=k,
         cert=cert,
         variant="mh-restriction",
-        description="birth-death chain for psi ~ exp(-x), c = 1/32, V = exp(x/2)",
     )
 
 

@@ -136,17 +136,6 @@ class DensitySpec:
 
     # -- config schema -------------------------------------------------------
 
-    def to_config(self) -> dict:
-        cfg = {"kind": self.kind,
-               "unimodal_alpha": self.unimodal_alpha,
-               "unimodal_ratio": self.unimodal_ratio}
-        if self.kind == "exponential-tilt":
-            cfg["tilt"] = self.params["tilt"]
-        elif self.kind == "piecewise-linear-table":
-            cfg["xs"] = list(self.params["xs"])
-            cfg["ys"] = list(self.params["ys"])
-        return cfg
-
     @classmethod
     def from_config(cls, cfg: dict) -> "DensitySpec":
         if not isinstance(cfg, dict):

@@ -397,6 +397,7 @@ def restrict(
         into holding mass; gibbs-restriction builds the Gibbs kernel of the
         conditional table restricted to S (``pi_table`` required); trace
         censors time spent outside S.  pi(. | S) comes from ``k.stationary``.
+        When S holds every state, the restriction's kernel is k itself.
 
     Raises
     ------
@@ -425,20 +426,24 @@ def restrict(
             raise DimensionMismatch(
                 f"probability table of shape {np.shape(pi_table)} ({np.size(pi_table)} "
                 f"cells for {k.n} states) does not give this kernel's Gibbs kernel")
+    elif variant == "trace" and k.n > TRACE_STATE_CAP:
+        raise TooManyStates(f"trace restriction capped at {TRACE_STATE_CAP} states")
+
+    if S.size == k.n:
+        # Restricted to every state, each variant's matrix is P up to rounding
+        # (the Gibbs table is P within ROW_SUM_TOL, checked above), so the chain
+        # is its own restriction; the residual check of k.stationary is the
+        # stationarity check, and domination holds with equality.
+        return DominatedKernel(variant=variant, support=S, kernel=k,
+                               conditional_stationary=_conditional_law(k, S))
+    if variant == "gibbs-restriction":
         q = _gibbs_matrix(pi_table, S)
     elif variant == "trace":
         q = _trace_matrix(k.p, S)
     else:
         q = _mh_restricted_matrix(k.p, S)
 
-    sub_states = k.states[S] if k.states is not None else None
-
-    pi_s = k.stationary[S]
-    total = pi_s.sum()
-    if total <= 0.0:
-        raise EmptySubset("subset carries no stationary mass")
-    pi_s = pi_s / total
-
+    pi_s = _conditional_law(k, S)
     _check_domination(k.p, q, S)
     drift = float(np.max(np.abs(pi_s @ q - pi_s)))
     if drift > STATIONARY_TOL:
@@ -447,13 +452,22 @@ def restrict(
             f"({variant} of a kernel that is not reversible on S?)"
         )
 
-    sub = FiniteKernel(p=q, states=sub_states)
+    sub = FiniteKernel(p=q, states=k.states[S] if k.states is not None else None)
     return DominatedKernel(
         variant=variant,
         support=S,
         kernel=sub,
         conditional_stationary=pi_s,
     )
+
+
+def _conditional_law(k: FiniteKernel, S: np.ndarray) -> np.ndarray:
+    """pi(. | S) from ``k.stationary``; EmptySubset when S carries no mass."""
+    pi_s = k.stationary[S]
+    total = pi_s.sum()
+    if total <= 0.0:
+        raise EmptySubset("subset carries no stationary mass")
+    return pi_s / total
 
 
 def _mh_restricted_matrix(p: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -464,12 +478,7 @@ def _mh_restricted_matrix(p: np.ndarray, S: np.ndarray) -> np.ndarray:
 
 
 def _trace_matrix(p: np.ndarray, S: np.ndarray) -> np.ndarray:
-    n = p.shape[0]
-    if n > TRACE_STATE_CAP:
-        raise TooManyStates(f"trace restriction capped at {TRACE_STATE_CAP} states")
-    comp = np.delete(np.arange(n), S)
-    if comp.size == 0:
-        return p.copy()
+    comp = np.delete(np.arange(p.shape[0]), S)
     a = p[np.ix_(S, S)]
     b = p[np.ix_(S, comp)]
     c = p[np.ix_(comp, S)]

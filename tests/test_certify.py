@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 import mcergo as m
 from mcergo import errors
-from mcergo.certify import EXACT_OVERLAP_STATE_CAP, _spectral_mixing_time, multistep_drift_params
+from mcergo.certify import (
+    EXACT_OVERLAP_STATE_CAP,
+    _contraction_terms,
+    _spectral_mixing_time,
+    multistep_drift_params,
+)
 from mcergo.corpus import (
     _independence_mh,
     bd_expdrift,
@@ -325,6 +330,18 @@ def test_certify_proper_small_set_dominates_tv():
         limits = np.array([bound.evaluate(v, t) for v in case.cert.v])
         assert np.max(tv - limits) <= 1e-9
         rows = rows @ case.kernel.p
+
+
+@pytest.mark.parametrize("index", [8, 9])
+def test_certify_a_perfect_overlap(index):
+    # the jump-home chains' rows agree after T + 1 steps, so the exact overlap is 1;
+    # as eps -> 1 the per-T contraction 1 - rho tends to A from above
+    case = escape_corpus()[index]
+    bound = m.certify_drift_and_hit(case.kernel, case.cert, variant=case.variant)
+    a, _ = _contraction_terms(bound.lam_eff, bound.b_eff, bound.r_eff)
+    assert bound.source == "pseudo-minorization" and bound.eps < 1.0
+    assert 0.0 < bound.rho < 1.0 - a
+    assert bound.check_equalities() <= 1e-10
 
 
 def test_bound_evaluate_on_arrays_matches_scalar_calls():

@@ -62,15 +62,18 @@ def test_grid_values():
     assert np.allclose(vals, np.exp(-np.arange(4) * 0.25), atol=1e-15)
 
 
-def test_config_round_trip():
-    for d in (
-        m.DensitySpec(kind="uniform", unimodal_ratio=1.0),
-        EXP,
-        m.DensitySpec(kind="piecewise-linear-table",
-                      params={"xs": (0.0, 0.5, 1.0), "ys": (1.0, 2.0, 1.0)},
-                      unimodal_alpha=0.25, unimodal_ratio=2.5),
+def test_from_config_reads_each_kind():
+    for cfg, d in (
+        ({"kind": "uniform", "unimodal_ratio": 1.0},
+         m.DensitySpec(kind="uniform", unimodal_ratio=1.0)),
+        ({"kind": "exponential-tilt", "tilt": -1.0, "unimodal_ratio": 1.5}, EXP),
+        ({"kind": "piecewise-linear-table", "xs": [0.0, 0.5, 1.0], "ys": [1.0, 2.0, 1.0],
+          "unimodal_alpha": 0.25, "unimodal_ratio": 2.5},
+         m.DensitySpec(kind="piecewise-linear-table",
+                       params={"xs": (0.0, 0.5, 1.0), "ys": (1.0, 2.0, 1.0)},
+                       unimodal_alpha=0.25, unimodal_ratio=2.5)),
     ):
-        assert m.DensitySpec.from_config(d.to_config()) == d
+        assert m.DensitySpec.from_config(cfg) == d
 
 
 def test_config_rejects_unknown_keys():

@@ -541,8 +541,9 @@ def test_restrict_trace_refuses_a_chain_above_its_cap(monkeypatch):
     # a size cap, like BRUTE_STATE_CAP and MIXING_POWER_BYTES, not a malformed matrix
     monkeypatch.setattr(kernels, "TRACE_STATE_CAP", 4)
     k = random_dense_chain(np.random.default_rng(2), 6)
-    with pytest.raises(errors.TooManyStates, match="capped at 4 states"):
-        m.restrict(k, [0, 1, 2], "trace")
+    for subset in ([0, 1, 2], range(6)):  # the chain's own restriction is capped too
+        with pytest.raises(errors.TooManyStates, match="capped at 4 states"):
+            m.restrict(k, subset, "trace")
 
 
 def test_restrict_full_subset_is_identity():
@@ -556,7 +557,10 @@ def test_restrict_full_subset_is_identity():
         ("gibbs-restriction", gk, {"pi_table": table}),
     ]:
         dom = m.restrict(kernel, range(kernel.n), variant, **kwargs)
-        assert np.allclose(dom.kernel.p, kernel.p, atol=1e-12)
+        assert dom.kernel is kernel
+        assert np.array_equal(dom.support, np.arange(kernel.n))
+        assert dom.conditional_stationary.tobytes() == \
+            (kernel.stationary / kernel.stationary.sum()).tobytes()
 
 
 def test_restrict_errors():
@@ -566,6 +570,17 @@ def test_restrict_errors():
     absorbing = m.build_finite_kernel([[0.5, 0.5, 0.0], [0.25, 0.25, 0.5], [0.0, 0.0, 1.0]])
     with pytest.raises(errors.SingularCensoring):
         m.restrict(absorbing, [0, 1], "trace")
+    # every state: the chain's own refusals, in the order a proper subset meets them
+    for variant in ("mh-restriction", "trace"):
+        with pytest.raises(errors.Reducible):
+            m.restrict(m.build_finite_kernel(np.eye(2)), [0, 1], variant)
+    gk = m.gibbs_grid_kernel(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="requires the probability table"):
+        m.restrict(gk, range(6), "gibbs-restriction")
+    with pytest.raises(errors.DimensionMismatch):
+        m.restrict(gk, range(6), "gibbs-restriction", pi_table=np.ones((2, 2)))
+    with pytest.raises(ValueError, match="unknown restriction variant"):
+        m.restrict(k, range(3), "censored")
 
 
 @pytest.mark.parametrize("subset", [[4, 5], [0, 1]])

@@ -5,10 +5,13 @@ Randomness is counter-based: replica r draws from the Philox stream keyed
 index, step) and results are independent of scheduling and worker count.
 ``sample_path`` uses the replica-0 stream.  Batch estimators reposition a
 single Philox generator per walker and block by writing its key, counter
-and buffer position straight into numpy's state struct (``_ReplicaStreams``;
-it falls back to assigning ``Philox.state`` if the struct does not check
-out), which is stream-identical to constructing ``Philox(key=[seed, r])``
-per walker but far cheaper.
+and buffer position straight into numpy's state struct, and fill each row
+with one ctypes call to numpy's C ``random_standard_uniform_fill``, the
+routine under ``Generator.random`` (``_ReplicaStreams``).  That is
+stream-identical to constructing ``Philox(key=[seed, r])`` per walker but
+far cheaper.  If the struct does not check out or the routine cannot be
+bound, ``_ReplicaStreams`` assigns ``Philox.state`` and calls
+``Generator.random`` instead, which gives the same bits more slowly.
 
 One walker loop, ``_first_hits``, runs every walker: the hitting times of
 target sets (``estimate_hitting_batch`` runs many (sampler, start, target,
@@ -57,6 +60,7 @@ writes it.
 from __future__ import annotations
 
 import ctypes
+import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -111,18 +115,30 @@ class _ReplicaStreams:
     ``block(keys, offsets, out)`` fills row i of ``out`` with draw positions
     [offsets[i], offsets[i] + out.shape[1]) of the stream keyed ``keys[i]``
     = (seed, replica) and returns ``out``; ``offsets`` is one offset per row
-    or one for all, and each must be a multiple of 4 so the 256-bit Philox
-    output buffer never straddles two requests.  One generator is
-    repositioned per row: on the ``"direct"`` path by writing key, counter
-    word 0 and ``buffer_pos`` straight into numpy's ``philox_state`` struct
-    (through ``Philox.ctypes.state_address``: counter pointer at byte 0,
-    key pointer at byte 8, int ``buffer_pos`` at byte 16), on the
-    ``"state"`` path by assigning ``Philox.state``, which validates and
-    copies a dict per row.  Both give the bits of ``replica_generator``.
-    Construction takes the direct path only when the struct reads back as
-    expected and a few directly written draws match ``replica_generator``;
-    ``path`` names the path taken.  Key word 0 is set only when it
-    changes, so keys grouped by seed cost one assignment per group.
+    or one for all, and each must be a nonnegative multiple of 4 so the
+    256-bit Philox output buffer never straddles two requests.  ``out`` must
+    be a writable, aligned, C-contiguous 2-D float64 array with one row per
+    key; anything else is refused before any row is written (ValueError,
+    or TypeError for another dtype, as ``Generator.random`` raises).
+
+    One generator is repositioned per row.  On the ``"direct"`` path,
+    ``block`` writes key, counter word 0 and ``buffer_pos`` straight into
+    numpy's ``philox_state`` struct (through ``Philox.ctypes.state_address``:
+    counter pointer at byte 0, key pointer at byte 8, int ``buffer_pos`` at
+    byte 16) and fills the row with one ctypes call to numpy's C routine
+    ``random_standard_uniform_fill(bitgen_t *, npy_intp, double *)``, the
+    routine ``Generator.random`` itself calls, without its Python wrapper.
+    The routine is bound through ``ctypes.PyDLL``, so a call keeps the GIL:
+    the generator is this object's alone, so ``Generator.random``'s lock
+    would guard nothing.  On the ``"state"`` path, ``block`` assigns
+    ``Philox.state``, which validates and copies a dict per row, and calls
+    ``Generator.random``.  Both give the bits of ``replica_generator``.
+    Construction takes the direct path only when the routine binds
+    (``_c_uniform_fill``, at the first construction, so that importing this
+    module loads no ``numpy.random``), the struct reads back as expected
+    and a few directly written draws match ``replica_generator``; ``path``
+    names the path taken.  Key word 0 is set only when it changes, so keys
+    grouped by seed cost one assignment per group.
     """
 
     def __init__(self):
@@ -132,27 +148,46 @@ class _ReplicaStreams:
         self._template["state"]["counter"][:] = 0
         self._template["buffer_pos"] = _PHILOX_WORDS
         self.path = "direct" if self._layout_ok() else "state"
-        self._fill = self._fill_direct if self.path == "direct" else self._fill_state
 
     def block(self, keys, offsets, out: np.ndarray) -> np.ndarray:
+        if not isinstance(out, np.ndarray) or out.dtype != np.float64:
+            raise TypeError("stream blocks are written to a float64 array")
+        if out.ndim != 2 or not (out.flags.c_contiguous and out.flags.writeable
+                                 and out.flags.aligned):
+            raise ValueError("stream blocks are written to a writable, aligned, "
+                             "C-contiguous 2-D array")
         seeds, replicas = np.asarray(keys, dtype=np.uint64).T.copy()
+        if seeds.size != out.shape[0]:
+            raise ValueError(f"{seeds.size} stream keys for {out.shape[0]} rows")
         offsets = np.broadcast_to(np.asarray(offsets, dtype=np.int64), seeds.shape)
-        if np.any(offsets % _PHILOX_WORDS):
-            raise ValueError("stream offsets must be multiples of 4")
-        # memoryviews hand out one Python int at a time, not a list of them all
-        self._fill(memoryview(seeds), memoryview(replicas),
-                   memoryview(offsets // _PHILOX_WORDS), out)
+        if np.any(offsets % _PHILOX_WORDS) or np.any(offsets < 0):
+            raise ValueError("stream offsets must be nonnegative multiples of 4")
+        if out.size:
+            # chosen per call: a bound method kept on self would be a reference
+            # cycle, holding the generator until the cyclic collector runs
+            fill = self._fill_direct if self.path == "direct" else self._fill_state
+            # memoryviews hand out one Python int at a time, not a list of them all
+            fill(memoryview(seeds), memoryview(replicas),
+                 memoryview(offsets // _PHILOX_WORDS), out)
         return out
 
     def _fill_direct(self, seeds, replicas, counters, out):
-        key, ctr, buffer_pos, random = self._key, self._ctr, self._buffer_pos, self._gen.random
+        key, ctr, buffer_pos = self._key, self._ctr, self._buffer_pos
+        fill, bitgen, width = self._uniform_fill, self._bitgen, out.shape[1]
+        start, stride = out.ctypes.data, out.strides[0]
+        # a row of a multiple of 4 draws uses up its last counter's buffer, as
+        # a fresh stream starts, so buffer_pos needs setting once per block
+        partial = width % _PHILOX_WORDS
+        buffer_pos.value = _PHILOX_WORDS
         seed = None
-        for row, s, r, c in zip(out, seeds, replicas, counters):
+        for at, s, r, c in zip(range(start, start + stride * len(seeds), stride),
+                               seeds, replicas, counters):
             if s != seed:
                 key[0] = seed = s
             key[1], ctr[0] = r, c
-            buffer_pos.value = _PHILOX_WORDS
-            random(out=row)
+            fill(bitgen, width, at)
+            if partial:
+                buffer_pos.value = _PHILOX_WORDS
 
     def _fill_state(self, seeds, replicas, counters, out):
         st = self._template
@@ -166,11 +201,14 @@ class _ReplicaStreams:
             self._gen.random(out=row)
 
     def _layout_ok(self) -> bool:
-        """Bind the ``philox_state`` fields and check direct writes against fresh streams."""
+        """Bind the ``philox_state`` fields and the C fill, and check direct
+        writes against fresh streams."""
         try:
             addr = self._bg.ctypes.state_address
             ctr_at, key_at = (ctypes.c_void_p * 2).from_address(addr)
-        except (AttributeError, TypeError, ValueError):
+            self._bitgen = self._bg.ctypes.bit_generator
+            self._uniform_fill = _c_uniform_fill()
+        except (AttributeError, OSError, TypeError, ValueError):
             return False
         # the counter and key live inside the generator object; refuse any
         # pointer that does not, rather than read through it
@@ -192,6 +230,22 @@ class _ReplicaStreams:
             if not np.array_equal(out[0], replica_generator(s, r).random(offset + width)[offset:]):
                 return False
         return True
+
+
+@functools.cache
+def _c_uniform_fill():
+    """numpy's C ``random_standard_uniform_fill(bitgen_t *, npy_intp cnt, double *out)``.
+
+    Part of numpy's random C API (``numpy/random/c_distributions.pxd``),
+    exported by the extension that holds ``Generator``.  Bound through
+    ``ctypes.PyDLL``, so a call holds the GIL, once per process: each
+    library handle makes classes of its own, which only the cyclic garbage
+    collector frees.  AttributeError or OSError if it cannot be bound.
+    """
+    fill = ctypes.PyDLL(np.random._generator.__file__).random_standard_uniform_fill
+    fill.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p)
+    fill.restype = None
+    return fill
 
 
 def _summarize(values: np.ndarray, seed: int, horizon: int, censored: np.ndarray) -> McEstimate:

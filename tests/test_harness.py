@@ -916,8 +916,10 @@ def test_cli_seed_override_changes_manifest(tmp_path, capsys):
 
 
 def test_import_loads_no_scipy():
+    # nor numpy.random: the Monte Carlo streams bind numpy's C fill when first built
     code = ("import sys, mcergo, mcergo.cli; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+            "print(sorted(m for m in sys.modules if m in ('scipy', 'numpy.random') "
+            "or m.startswith('scipy.')))")
     src = Path(m.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=60, check=True)

@@ -1,4 +1,5 @@
 import bisect
+import ctypes
 import math
 
 import numpy as np
@@ -322,12 +323,74 @@ def test_replica_streams_block_takes_one_offset_per_walker():
     assert np.array_equal(montecarlo._ReplicaStreams().block(keys, offsets, out), expected)
     with pytest.raises(ValueError):
         montecarlo._ReplicaStreams().block(keys, [0, 4, 8, 10, 0], out)
+    # counter -1 would wrap to 2**64 - 1 and read another part of the stream
+    with pytest.raises(ValueError):
+        montecarlo._ReplicaStreams().block(keys, [0, 4, 8, -4, 0], out)
 
 
 def test_replica_streams_write_philox_state_directly():
     # a failure here means numpy's philox_state layout no longer matches and
     # every block goes through the slower Philox.state assignment
     assert montecarlo._ReplicaStreams().path == "direct"
+
+
+@pytest.fixture(scope="module")
+def streams_on_both_paths():
+    """A ``_ReplicaStreams`` on the direct path and one on the state path."""
+    direct = montecarlo._ReplicaStreams()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo._ReplicaStreams, "_layout_ok", lambda self: False)
+        state = montecarlo._ReplicaStreams()
+    assert (direct.path, state.path) == ("direct", "state")
+    return direct, state
+
+
+@st.composite
+def _stream_blocks(draw):
+    """(keys, offsets, width): rows of a few seeds, offsets multiples of 4 up to 1000."""
+    seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3))
+    keys = draw(st.lists(st.tuples(st.sampled_from(seeds), st.integers(0, 2**64 - 1)),
+                         min_size=1, max_size=8))
+    offsets = draw(st.lists(st.integers(0, 250).map(lambda k: 4 * k),
+                            min_size=len(keys), max_size=len(keys)))
+    return keys, offsets, draw(st.integers(0, 100))
+
+
+@given(_stream_blocks())
+@settings(max_examples=150, deadline=None)
+def test_block_rows_are_replica_generator_draws_on_both_paths(streams_on_both_paths, block):
+    keys, offsets, width = block
+    expected = np.array([montecarlo.replica_generator(s, r).random(o + width)[o:]
+                         for (s, r), o in zip(keys, offsets)])
+    for streams in streams_on_both_paths:
+        out = np.full((len(keys), width), -1.0)
+        assert np.array_equal(streams.block(keys, offsets, out), expected), streams.path
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("make_out, offset, error", [
+    pytest.param(lambda: np.full(12, -1.0), 0, ValueError, id="1-D"),
+    pytest.param(lambda: np.full((2, 2, 4), -1.0), 0, ValueError, id="3-D"),
+    pytest.param(lambda: np.full((2, 8), -1.0)[:, ::2], 0, ValueError, id="strided"),
+    pytest.param(lambda: np.full((2, 4), -1.0, order="F"), 0, ValueError, id="fortran"),
+    pytest.param(lambda: _read_only(np.full((2, 4), -1.0)), 0, ValueError, id="read-only"),
+    pytest.param(lambda: np.full((2, 4), -1.0, dtype=np.float32), 0, TypeError, id="float32"),
+    pytest.param(lambda: np.full((2, 4), -1.0, dtype=">f8"), 0, TypeError, id="big-endian"),
+    pytest.param(lambda: np.full((3, 4), -1.0), 0, ValueError, id="rows-not-keys"),
+    pytest.param(lambda: np.full((2, 4), -1.0), -4, ValueError, id="negative-offset"),
+    pytest.param(lambda: np.full((2, 4), -1.0), 2, ValueError, id="offset-not-4k"),
+])
+def test_block_refuses_an_unfit_out_before_writing(streams_on_both_paths, make_out, offset,
+                                                   error):
+    for streams in streams_on_both_paths:
+        out = make_out()
+        with pytest.raises(error):
+            streams.block([(5, 0), (5, 1)], offset, out)
+        assert np.all((out.base if out.base is not None else out) == -1.0), streams.path
 
 
 def _walk_alone(p, x0, target, seed, replica, horizon):
@@ -962,14 +1025,33 @@ def test_coupled_escape_agrees_with_the_exact_decoupling_probability(corpus_esti
         assert abs(est.mean - exact) <= 4.0 * sd, (i, seed, est.mean, exact)
 
 
+class _NoSymbols:
+    """A loaded library that exports nothing."""
+
+    def __init__(self, name):
+        pass
+
+    def __getattr__(self, name):
+        raise AttributeError(name)
+
+
+def _unloadable(name):
+    raise OSError(f"cannot load {name}")
+
+
 def test_state_path_when_the_layout_check_fails(monkeypatch, corpus_estimates):
-    monkeypatch.setattr(montecarlo._ReplicaStreams, "_layout_ok", lambda self: False)
-    assert montecarlo._ReplicaStreams().path == "state"
-    assert _corpus_estimates() == corpus_estimates
     sampler = m.ball_walk_sampler(EXP, 1.0 / 8.0)
     high = lambda xs: np.asarray(xs) >= 0.75  # noqa: E731
     jobs = [(0.0, high, 3), (0.5, high, 6)]
-    fallback = _batch(sampler, jobs, 700, 300)
-    monkeypatch.undo()
     assert montecarlo._ReplicaStreams().path == "direct"
-    assert fallback == _batch(sampler, jobs, 700, 300)
+    direct = _batch(sampler, jobs, 700, 300)
+    # the struct does not check out; the C fill does not bind; its library does not load
+    for owner, name, failing in [(montecarlo._ReplicaStreams, "_layout_ok", lambda self: False),
+                                 (ctypes, "PyDLL", _NoSymbols),
+                                 (ctypes, "PyDLL", _unloadable)]:
+        montecarlo._c_uniform_fill.cache_clear()  # bound once per process
+        monkeypatch.setattr(owner, name, failing)
+        assert montecarlo._ReplicaStreams().path == "state"
+        assert _corpus_estimates() == corpus_estimates
+        assert _batch(sampler, jobs, 700, 300) == direct
+        monkeypatch.undo()

@@ -7,6 +7,7 @@ steps) against the drift escape bound 2r' / (r(1 - lambda) - b).
 """
 import argparse
 import csv
+from pathlib import Path
 
 from mcergo import coupled_escape_estimate, escape_bound, exit_probability, restrict
 from mcergo.corpus import escape_corpus
@@ -18,6 +19,8 @@ def main():
     ap.add_argument("--replicas", type=int, default=100_000)
     ap.add_argument("--seed", type=int, default=17)
     args = ap.parse_args()
+    # made before the survey runs, so that a missing directory costs no run
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
 
     rows = []
     for case in escape_corpus():

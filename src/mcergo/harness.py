@@ -52,7 +52,7 @@ from .kernels import (
     lazy_srw,
     restrict,
 )
-from .montecarlo import coupled_escape_estimate, estimate_hitting_batch
+from .montecarlo import _is_int, coupled_escape_estimate, estimate_hitting_batch
 from .svg import emit_svg
 
 RESTRICTIONS = ("mh-restriction", "trace")  # gibbs needs a probability table no config carries
@@ -112,10 +112,6 @@ class ExperimentConfig:
             if n < 2 or abs(n * c - 1.0) > 1e-9:
                 raise ConfigError(f"c = {c} does not have an integer reciprocal >= 2")
         object.__setattr__(self, "c_list", tuple(float(c) for c in self.c_list))
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def parse_config(payload) -> ExperimentConfig:

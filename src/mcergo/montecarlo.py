@@ -7,10 +7,12 @@ index, step) and results are independent of scheduling and worker count.
 single Philox generator per walker and block by writing its key, counter
 and buffer position straight into numpy's state struct, and fill each row
 with one ctypes call to numpy's C ``random_standard_uniform_fill``, the
-routine under ``Generator.random`` (``_ReplicaStreams``).  That is
-stream-identical to constructing ``Philox(key=[seed, r])`` per walker but
-far cheaper.  If the struct does not check out or the routine cannot be
-bound, ``_ReplicaStreams`` assigns ``Philox.state`` and calls
+routine under ``Generator.random`` (``_ReplicaStreams``).  The call's
+arguments are ctypes objects built once per block; a row sets only the
+address its destination holds.  That is stream-identical to
+constructing ``Philox(key=[seed, r])`` per walker but far cheaper.  If the
+struct does not check out or the routine cannot be bound,
+``_ReplicaStreams`` assigns ``Philox.state`` and calls
 ``Generator.random`` instead, which gives the same bits more slowly.
 
 One walker loop, ``_first_hits``, runs every walker: the hitting times of
@@ -61,6 +63,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -128,12 +131,16 @@ class _ReplicaStreams:
     byte 16) and fills the row with one ctypes call to numpy's C routine
     ``random_standard_uniform_fill(bitgen_t *, npy_intp, double *)``, the
     routine ``Generator.random`` itself calls, without its Python wrapper.
-    The routine is bound through ``ctypes.PyDLL``, so a call keeps the GIL:
-    the generator is this object's alone, so ``Generator.random``'s lock
-    would guard nothing.  On the ``"state"`` path, ``block`` assigns
-    ``Philox.state``, which validates and copies a dict per row, and calls
-    ``Generator.random``.  Both give the bits of ``replica_generator``.
-    Construction takes the direct path only when the routine binds
+    Its arguments are built once per block: the ``bitgen_t`` pointer is
+    the ``c_void_p`` numpy hands out, the width one ``c_ssize_t`` and the
+    destination one ``c_void_p`` whose value is set to each row's address;
+    ctypes passes these as they are, where it would convert an int on every
+    call.  The routine is bound through ``ctypes.PyDLL``, so a call keeps
+    the GIL: the generator is this object's alone, so
+    ``Generator.random``'s lock would guard nothing.  On the ``"state"``
+    path, ``block`` assigns ``Philox.state``, which validates and copies a
+    dict per row, and calls ``Generator.random``.  Both give the bits of
+    ``replica_generator``.  Construction takes the direct path only when the routine binds
     (``_c_uniform_fill``, at the first construction, so that importing this
     module loads no ``numpy.random``), the struct reads back as expected
     and a few directly written draws match ``replica_generator``; ``path``
@@ -173,11 +180,17 @@ class _ReplicaStreams:
 
     def _fill_direct(self, seeds, replicas, counters, out):
         key, ctr, buffer_pos = self._key, self._ctr, self._buffer_pos
-        fill, bitgen, width = self._uniform_fill, self._bitgen, out.shape[1]
+        # the arguments are built once a block: ctypes passes an instance of
+        # an argtype as it is, but converts an int on every call (about 110 ns
+        # for the width).  Passing each row's address as an int instead of
+        # through dest saved a further 50 ns a row, but the `couple`
+        # benchmark's peak RSS rose by 0.5-0.7 MiB over 25 s runs.
+        fill, bitgen = self._uniform_fill, self._bitgen
+        width, dest = ctypes.c_ssize_t(out.shape[1]), ctypes.c_void_p()
         start, stride = out.ctypes.data, out.strides[0]
         # a row of a multiple of 4 draws uses up its last counter's buffer, as
         # a fresh stream starts, so buffer_pos needs setting once per block
-        partial = width % _PHILOX_WORDS
+        partial = out.shape[1] % _PHILOX_WORDS
         buffer_pos.value = _PHILOX_WORDS
         seed = None
         for at, s, r, c in zip(range(start, start + stride * len(seeds), stride),
@@ -185,7 +198,8 @@ class _ReplicaStreams:
             if s != seed:
                 key[0] = seed = s
             key[1], ctr[0] = r, c
-            fill(bitgen, width, at)
+            dest.value = at
+            fill(bitgen, width, dest)
             if partial:
                 buffer_pos.value = _PHILOX_WORDS
 
@@ -246,6 +260,20 @@ def _c_uniform_fill():
     fill.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p)
     fill.restype = None
     return fill
+
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_walk(seed, steps, what: str) -> None:
+    """ValueError unless ``steps`` is a nonnegative integer and ``seed`` an
+    integer in [0, 2**64), the one uint64 word of a Philox key it becomes."""
+    if not (_is_int(steps) and steps >= 0):
+        raise ValueError(f"{what} must be a nonnegative integer, got {steps!r}")
+    if not (_is_int(seed) and 0 <= int(seed) < 2**64):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 def _summarize(values: np.ndarray, seed: int, horizon: int, censored: np.ndarray) -> McEstimate:
@@ -358,10 +386,17 @@ def _finite_advance(k: FiniteKernel):
     return lambda pos, u, grp: _step_states(table, pos, u[:, 0])
 
 
-def _arrival_spans(groups, arrivals):
-    """(arrived, first, end) for each group present in the sorted ``groups``."""
+def _arrival_test(groups, arrivals):
+    """The arrival test of positions ordered by the sorted ``groups``.
+
+    Each group present tests its own slice, and the results are joined; a
+    population of one group is tested by its group's test alone.
+    """
     edges = groups.searchsorted(np.arange(len(arrivals) + 1)).tolist()
-    return [(arrived, a, b) for arrived, a, b in zip(arrivals, edges, edges[1:]) if a < b]
+    spans = [(arrived, a, b) for arrived, a, b in zip(arrivals, edges, edges[1:]) if a < b]
+    if len(spans) == 1:
+        return spans[0][0]
+    return lambda pos: np.concatenate([arrived(pos[a:b]) for arrived, a, b in spans])
 
 
 def _first_hits(starts, seeds, horizons, groups, arrivals, advance, draws, replicas,
@@ -391,10 +426,14 @@ def _first_hits(starts, seeds, horizons, groups, arrivals, advance, draws, repli
 
     Within a block a step compacts three arrays, the live walkers'
     positions, groups and block rows; walker ids, step counts and steps
-    left stay block arrays indexed by row.  An arrival at block step b + 1
-    is recorded as hit[row] = b + 1, and times and censoring are written
-    once, at the end of the block.  Expiry is tested only in blocks in
-    which some walker's horizon ends.
+    left stay block arrays indexed by row.  An arrival at block step b,
+    counted from 1, is recorded as hit[row] = b, and times and censoring
+    are written once, at the end of the block.  Expiry is tested only at
+    the block steps at which some walker's horizon ends, read off the
+    steps left at the block's start: a block as wide as the one horizon
+    of its walkers, as in the coupling survey, tests it at its last step
+    alone.  A population of one group calls its arrival test directly
+    (``_arrival_test``).
 
     Returns (times, censored), ordered by job and then replica: the first
     arrival time of each walker, its horizon for those that never arrive,
@@ -434,7 +473,7 @@ def _first_hits(starts, seeds, horizons, groups, arrivals, advance, draws, repli
             order = np.argsort(groups[walker // replicas], kind="stable")
             walker, pos, steps = walker[order], pos[order], steps[order]
             grp = groups[walker // replicas]
-            spans = _arrival_spans(grp, arrivals)
+            arrived = _arrival_test(grp, arrivals)
         n = walker.size
         left = horizons[walker // replicas] - steps  # steps each walker may still take
         fits = max(4, _BLOCK_DRAWS // (n * draws) // 4 * 4)  # steps the buffer holds
@@ -442,21 +481,21 @@ def _first_hits(starts, seeds, horizons, groups, arrivals, advance, draws, repli
         keys = np.column_stack((seeds[walker // replicas], (walker % replicas).astype(np.uint64)))
         u = streams.block(keys, steps * draws, buf[:n * width * draws].reshape(n, -1))
         u = u.view(item)  # (walkers, width): one item per walker and step
-        expiring = int(left.min()) <= width
+        ends = set(left[left <= width].tolist())  # the block steps at which a horizon ends
         hit = np.zeros(n, dtype=np.int64)  # the block step at which each row arrived, or 0
         row = np.arange(n)  # the live walkers' block rows
-        for b in range(width):
-            ub = u[:, b].take(row).view(np.float64).reshape(-1, draws)
+        for b in range(1, width + 1):
+            ub = u[:, b - 1].take(row).view(np.float64).reshape(-1, draws)
             pos = advance(pos, ub, grp)
-            just = np.concatenate([arrived(pos[a:z]) for arrived, a, z in spans])
-            done = just | (left.take(row) == b + 1) if expiring else just
+            just = arrived(pos)
+            done = just | (left.take(row) == b) if b in ends else just
             if done.any():
-                hit[row[just]] = b + 1
+                hit[row[just]] = b
                 keep = ~done
                 pos, grp, row = pos[keep], grp[keep], row[keep]
                 if not row.size:
                     break
-                spans = _arrival_spans(grp, arrivals)
+                arrived = _arrival_test(grp, arrivals)
         hit_rows = np.flatnonzero(hit)
         times[walker[hit_rows]] = steps[hit_rows] + hit[hit_rows]
         censored[walker[hit_rows]] = False
@@ -543,10 +582,11 @@ def sample_path(sampler, x0, t: int, seed: int) -> np.ndarray:
     Raises
     ------
     ValueError
-        If t < 0, or x0 is not a state of the sampler.
+        If t is not a nonnegative integer, seed is not an integer in
+        [0, 2**64) (a bool is neither), or x0 is not a state of the
+        sampler; no step is taken.
     """
-    if t < 0:
-        raise ValueError("path length must be nonnegative")
+    _check_walk(seed, t, "path length")
     rule = _walker_rule(sampler)
     path = [np.array([rule.place(x0)])]
     step = _population_advance([sampler])
@@ -601,8 +641,9 @@ def estimate_hitting_batch(jobs, replicas: int) -> list[McEstimate]:
         For the first job, in job order, none of whose replicas hits
         within its horizon.
     ValueError
-        If replicas < 1, a horizon is negative, a finite-kernel start or
-        target value is not a state of the chain
+        If replicas < 1, a horizon is not a nonnegative integer, a seed is
+        not an integer in [0, 2**64) (a bool is neither), a finite-kernel
+        start or target value is not a state of the chain
         (``FiniteKernel.state_set``), a ball-walk start lies outside [0, 1]
         (NaN included), or the samplers cannot share a population; no
         walker runs.
@@ -646,8 +687,7 @@ def _walk_jobs(jobs: list, replicas: int) -> list[tuple[np.ndarray, np.ndarray]]
     walking = []  # (job index, start, seed, horizon, group) of the jobs that take walkers
     stop = len(jobs)  # one past the first job censored for want of a target
     for j, (sampler, x0, target, seed, horizon) in enumerate(jobs):
-        if horizon < 0:
-            raise ValueError("horizon must be nonnegative")
+        _check_walk(seed, horizon, "horizon")
         if id(sampler) not in rules:
             rules[id(sampler)] = _walker_rule(sampler)
         rule = rules[id(sampler)]
@@ -706,10 +746,11 @@ def coupled_escape_estimate(
     DominationViolation
         If the entrywise domination check fails on the support.
     ValueError
-        If x0 is not a state of g or lies outside the support.
+        If t is not a nonnegative integer, seed is not an integer in
+        [0, 2**64) (a bool is neither), or x0 is not a state of g or lies
+        outside the support.
     """
-    if t < 0:
-        raise ValueError("step count must be nonnegative")
+    _check_walk(seed, t, "step count")
     if replicas < 1:
         raise ValueError("need at least one replica")
     _check_domination(g.p, g_c.kernel.p, g_c.support)

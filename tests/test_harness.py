@@ -624,6 +624,18 @@ def test_coupling_survey_csv_is_numeric(tmp_path, monkeypatch):
         assert float(row["decoupling_exact"]) <= float(row["escape_bound"]) < 1.0
 
 
+def test_coupling_survey_makes_its_output_directory(tmp_path):
+    # the default --out lies in results/, which a fresh checkout lacks
+    out = tmp_path / "a" / "b" / "coupling.csv"
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_coupling_survey.py"
+    src = Path(m.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, str(script), "--replicas", "50", "--out", str(out)],
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert len(out.read_text().splitlines()) == 11  # a header and one row per scenario
+
+
 def test_certification_demo_passes(tmp_path, monkeypatch, capsys):
     out = tmp_path / "certify"
     script = Path(__file__).resolve().parents[1] / "scripts" / "run_certification_demo.py"

@@ -393,6 +393,21 @@ def test_block_refuses_an_unfit_out_before_writing(streams_on_both_paths, make_o
         assert np.all((out.base if out.base is not None else out) == -1.0), streams.path
 
 
+def test_consecutive_blocks_fill_their_own_buffers_on_both_paths(streams_on_both_paths):
+    # the direct path builds its ctypes width and destination once a block and
+    # points the destination at each row; a second block, of another width,
+    # buffer and seed, fills only its own buffer, at its own width
+    blocks = [([(5, 0), (5, 3), (5, 1)], [0, 8, 4], 3), ([(9, 1), (2**64 - 1, 0)], [4, 0], 8)]
+    for streams in streams_on_both_paths:
+        outs = [np.full((len(keys), width), -1.0) for keys, _, width in blocks]
+        for (keys, offsets, _), out in zip(blocks, outs):
+            streams.block(keys, offsets, out)
+        for (keys, offsets, width), out in zip(blocks, outs):
+            expected = [montecarlo.replica_generator(s, r).random(o + width)[o:]
+                        for (s, r), o in zip(keys, offsets)]
+            assert np.array_equal(out, expected), streams.path
+
+
 def _walk_alone(p, x0, target, seed, replica, horizon):
     """Oracle: one walker stepped by itself from its own fresh stream."""
     cdf = np.cumsum(p, axis=1)
@@ -559,6 +574,72 @@ def test_horizons_ending_at_several_steps_of_one_block(monkeypatch):
             assert censored[j].any() and times[j].max() == horizon
             others = np.arange(len(jobs)) != j
             assert ((times[others] == horizon) & ~censored[others]).any()
+
+
+def _counted(run, owner, name):
+    """(outcome, walker-steps) of ``run()``: the reprs of its estimates, or
+    the message of the AllCensored it raises, and the summed len() of what
+    the step ``owner.name`` returned, as the traced benchmark counts it."""
+    calls = []
+    step = getattr(owner, name)
+
+    def counting_step(*args):
+        nxt = step(*args)
+        calls.append(len(nxt))
+        return nxt
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(owner, name, counting_step)
+        try:
+            outcome = list(map(repr, run()))
+        except errors.AllCensored as censored:
+            outcome = str(censored)
+    return outcome, sum(calls)
+
+
+def _batch_against_alone(jobs, replicas, owner, name):
+    """The batch of ``jobs`` equals each job run alone, and takes as many walker-steps."""
+    together, steps = _counted(lambda: m.estimate_hitting_batch(jobs, replicas), owner, name)
+    alone = [_counted(lambda job=job: m.estimate_hitting_batch([job], replicas), owner, name)
+             for job in jobs]
+    first_censored = [outcome for outcome, _ in alone if isinstance(outcome, str)]
+    assert together == (first_censored[0] if first_censored
+                        else [outcome[0] for outcome, _ in alone])
+    assert steps == sum(n for _, n in alone)
+
+
+K6_TARGETS = ([5], [2, 3], [0, 4])  # three target objects, so three arrival groups
+
+
+@st.composite
+def _finite_batches(draw):
+    """(start, seed, horizon, target index) of 1-6 jobs, horizons 1-100, and a population."""
+    jobs = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2**64 - 1),
+                                   st.integers(1, 100), st.integers(0, 2)),
+                         min_size=1, max_size=6))
+    return jobs, draw(st.sampled_from([montecarlo._population(1), 24]))
+
+
+@given(_finite_batches())
+@settings(max_examples=40, deadline=None)
+def test_batches_of_any_horizons_equal_their_jobs_alone(batch):
+    # horizons end at many steps of one block, most of them not multiples of
+    # 4; one target object gives one arrival group, several give several
+    jobs, population = batch
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_population", lambda draws: population)
+        for targets in ([K6_TARGETS[0]] * 3, K6_TARGETS):
+            _batch_against_alone([(K6, x0, targets[t], seed, horizon)
+                                  for x0, seed, horizon, t in jobs],
+                                 25, montecarlo, "_step_states")
+
+
+def test_a_ball_walk_batch_of_two_targets_equals_its_jobs_alone():
+    sampler = m.ball_walk_sampler(EXP, 1.0 / 8.0)
+    low, high = (lambda xs: xs <= 0.2), (lambda xs: xs >= 0.75)
+    jobs = [(sampler, 0.5, low, 3, 9), (sampler, 0.3, high, 4, 50), (sampler, 0.25, low, 5, 3),
+            (sampler, 0.6, high, 6, 17), (sampler, 0.5, low, 7, 50)]
+    _batch_against_alone(jobs, 200, m.ContinuousSampler1D, "batch_step")
 
 
 def test_several_ball_walks_step_in_one_population():
@@ -830,6 +911,45 @@ def test_values_that_are_not_states_are_rejected(monkeypatch, taker, bad):
     monkeypatch.setattr(montecarlo, "_first_hits", _no_walkers)
     with pytest.raises(ValueError, match="is not a state of this 6-state chain"):
         STATE_TAKERS[taker](bad)
+
+
+# every function that walks, fed a seed and a step count
+WALKERS = {
+    "estimate_hitting": lambda seed, steps: m.estimate_hitting(
+        K6, 0, [5], replicas=10, horizon=steps, seed=seed),
+    "estimate_hitting_batch": lambda seed, steps: m.estimate_hitting_batch(
+        [(K6, 0, [5], 0, 10), (K6, 0, [5], seed, steps)], 10),
+    "coupled_escape_estimate": lambda seed, steps: m.coupled_escape_estimate(
+        K6, TRACE6, 0, steps, replicas=10, seed=seed),
+    "sample_path": lambda seed, steps: m.sample_path(K6, 0, steps, seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [1.5, True, np.int64(-3), -1, 2**64, np.float64(2.0), "3"],
+                         ids=["1.5", "True", "int64(-3)", "-1", "2**64", "float64", "str"])
+@pytest.mark.parametrize("walker", list(WALKERS))
+def test_seeds_that_are_not_a_philox_key_word_are_rejected(monkeypatch, walker, seed):
+    # a float or bool used to run the streams of its int, a negative numpy
+    # int those of its uint64 wrap, and -1 or 2**64 failed inside the loop
+    monkeypatch.setattr(montecarlo, "_first_hits", _no_walkers)
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+        WALKERS[walker](seed, 10)
+
+
+@pytest.mark.parametrize("steps", [2.5, True, np.float64(10.0), -1, np.int64(-1)],
+                         ids=["2.5", "True", "float64", "-1", "int64(-1)"])
+@pytest.mark.parametrize("walker", list(WALKERS))
+def test_step_counts_that_are_not_nonnegative_integers_are_rejected(monkeypatch, walker,
+                                                                    steps):
+    monkeypatch.setattr(montecarlo, "_first_hits", _no_walkers)
+    with pytest.raises(ValueError, match="must be a nonnegative integer"):
+        WALKERS[walker](0, steps)
+
+
+@pytest.mark.parametrize("walker", list(WALKERS))
+def test_numpy_integer_seeds_and_step_counts_walk_as_ints(walker):
+    np.testing.assert_equal(WALKERS[walker](np.uint64(2**64 - 1), np.int64(12)),
+                            WALKERS[walker](2**64 - 1, 12))
 
 
 @pytest.mark.parametrize("x0", [1.5, -0.05, float("nan"), float("inf")])

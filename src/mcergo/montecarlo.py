@@ -64,6 +64,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import numbers
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -85,7 +86,8 @@ from .kernels import ContinuousSampler1D, DominatedKernel, FiniteKernel, _check_
 _ROW_STEPS = 48
 _BLOCK_DRAWS = 3 << 16  # 1.5 MiB of doubles
 _GUIDE_BYTES = 1 << 21  # most bytes of one finite kernel's guide table
-_SCAN_STEPS = 8  # forward steps of a finite step before its binary search
+_SCAN_STEPS = 8  # most vectorized forward steps of a finite step's scan
+_FINISH_ONE_BY_ONE = 16  # a finite step finishes this few walkers one at a time
 _PHILOX_WORDS = 4  # uniform doubles per Philox counter increment
 
 
@@ -140,12 +142,13 @@ class _ReplicaStreams:
     ``Generator.random``'s lock would guard nothing.  On the ``"state"``
     path, ``block`` assigns ``Philox.state``, which validates and copies a
     dict per row, and calls ``Generator.random``.  Both give the bits of
-    ``replica_generator``.  Construction takes the direct path only when the routine binds
-    (``_c_uniform_fill``, at the first construction, so that importing this
-    module loads no ``numpy.random``), the struct reads back as expected
-    and a few directly written draws match ``replica_generator``; ``path``
-    names the path taken.  Key word 0 is set only when it changes, so keys
-    grouped by seed cost one assignment per group.
+    ``replica_generator``.  Construction takes the direct path only when
+    the routine binds (``_c_uniform_fill``, at the first construction, so
+    that importing this module loads no ``numpy.random``), the struct reads
+    back as expected and a few directly written draws match
+    ``replica_generator`` (checked once per process); ``path`` names the
+    path taken.  Key word 0 is set only when it changes, so keys grouped by
+    seed cost one assignment per group.
     """
 
     def __init__(self):
@@ -214,9 +217,12 @@ class _ReplicaStreams:
             self._bg.state = st
             self._gen.random(out=row)
 
+    _probed_fill = None  # the bound C fill whose probe fills matched
+
     def _layout_ok(self) -> bool:
-        """Bind the ``philox_state`` fields and the C fill, and check direct
-        writes against fresh streams."""
+        """Bind the ``philox_state`` fields and the C fill, read the fields
+        back, and check direct writes against fresh streams; the layout is
+        numpy's, so that check runs once per binding of the C fill."""
         try:
             addr = self._bg.ctypes.state_address
             ctr_at, key_at = (ctypes.c_void_p * 2).from_address(addr)
@@ -238,11 +244,14 @@ class _ReplicaStreams:
         self._buffer_pos = ctypes.c_int.from_address(addr + 16)
         if (list(self._key), list(self._ctr), self._buffer_pos.value) != ([3, 5], [7, 0, 0, 0], 2):
             return False
+        if self._uniform_fill is _ReplicaStreams._probed_fill:
+            return True
         for s, r, offset, width in [(2**64 - 1, 7, 12, 9), (5, 0, 0, 3), (5, 3, 300, 8)]:
             out = np.empty((1, width))
             self._fill_direct([s], [r], [offset // _PHILOX_WORDS], out)
             if not np.array_equal(out[0], replica_generator(s, r).random(offset + width)[offset:]):
                 return False
+        _ReplicaStreams._probed_fill = self._uniform_fill
         return True
 
 
@@ -329,10 +338,13 @@ def _guide_table(p: np.ndarray) -> _GuideTable:
     while buckets > 1 and 4 * n * (buckets + 1) > _GUIDE_BYTES:
         buckets //= 2
     width = buckets + 2  # columns 0..buckets, and one for ceilings past buckets
-    col = np.minimum(np.ceil(cdf * buckets), buckets + 1).astype(np.intp)
-    col += width * np.arange(n)[:, None]
-    counts = np.bincount(col.ravel(), minlength=n * width).reshape(n, width)
-    guide = np.cumsum(counts[:, :-1], axis=1, dtype=np.int32)
+    guide = np.empty((n, buckets + 1), dtype=np.int32)
+    rows = max(1, (1 << 15) // width)  # 256 KiB of histogram at a time, not n x width
+    for a in range(0, n, rows):
+        col = np.minimum(np.ceil(cdf[a:a + rows] * buckets), buckets + 1).astype(np.intp)
+        col += width * np.arange(len(col))[:, None]
+        counts = np.bincount(col.ravel(), minlength=len(col) * width).reshape(-1, width)
+        np.cumsum(counts[:, :-1], axis=1, dtype=np.int32, out=guide[a:a + rows])
     guide[:, -1] = n - 1
     return _GuideTable(cdf.ravel(), guide.ravel(), n, buckets)
 
@@ -344,10 +356,13 @@ def _step_states(table: _GuideTable, cur: np.ndarray, u: np.ndarray) -> np.ndarr
     Both u * buckets and k / buckets are exact, so k / buckets <= u and the
     guide entry never passes the answer; the answer is also at most
     guide[cur[i], k + 1], because u < (k + 1) / buckets.  The walkers whose
-    CDF entry is still <= u move forward one entry at a time, at most
-    ``_SCAN_STEPS`` times, and any left then finish with a binary search
-    over the rest of their bucket, one round per bit of its width, so a
-    step costs O(_SCAN_STEPS + log n) vectorized rounds whatever the row.
+    CDF entry is still <= u move forward one entry at a time while more
+    than ``_FINISH_ONE_BY_ONE`` are left, at most ``_SCAN_STEPS`` times.
+    Those few then finish alone, each by ``bisect_right`` over the rest of
+    its bucket (mostly draws in a top bucket holding a geometric tail's many
+    tiny entries); more, as where ``_GUIDE_BYTES`` coarsens the guide,
+    finish with one vectorized binary search, one round per bit of the
+    widest bucket.  So a step costs at most _SCAN_STEPS + log2(n) rounds.
     The entries <= u of a row are always a prefix, even where the cumulative
     sum passes 1.0 before the last entry is set to 1.0: every entry past the
     first one above u is a cumulative sum no smaller than it, or that last
@@ -359,11 +374,11 @@ def _step_states(table: _GuideTable, cur: np.ndarray, u: np.ndarray) -> np.ndarr
     pos = base + guide[k]  # flat index into cdf
     i = np.flatnonzero(cdf[pos] <= u)  # walkers whose answer lies further on
     for _ in range(_SCAN_STEPS):
-        if not i.size:
+        if i.size <= _FINISH_ONE_BY_ONE:
             break
         pos[i] += 1
         i = i[cdf[pos[i]] <= u[i]]
-    if i.size:
+    if i.size > _FINISH_ONE_BY_ONE:
         lo, hi, ui = pos[i] + 1, base[i] + guide[k[i] + 1], u[i]
         for _ in range(int((hi - lo).max()).bit_length()):
             mid = (lo + hi) >> 1
@@ -371,6 +386,9 @@ def _step_states(table: _GuideTable, cur: np.ndarray, u: np.ndarray) -> np.ndarr
             lo = np.where(right, mid + 1, lo)
             hi = np.where(right, hi, mid)
         pos[i] = lo
+    else:
+        for w in i.tolist():
+            pos[w] = bisect_right(cdf, u[w], pos[w] + 1, base[w] + guide[k[w] + 1])
     return pos - base
 
 

@@ -735,24 +735,37 @@ def _searchsorted_guide(p, buckets):
     return guide
 
 
-def _assert_step_is_searchsorted(p, rng, rows=None):
+# (_SCAN_STEPS, _FINISH_ONE_BY_ONE): the defaults, forward scans of 1 and 0
+# steps, then no walker finishing alone (every one left after the scan
+# binary-searches as one vector, without and with the scan) and every walker
+# finishing alone (the scan stops at once)
+_STEP_SETTINGS = [(montecarlo._SCAN_STEPS, montecarlo._FINISH_ONE_BY_ONE),
+                  (1, montecarlo._FINISH_ONE_BY_ONE), (0, montecarlo._FINISH_ONE_BY_ONE),
+                  (montecarlo._SCAN_STEPS, 0), (0, 0), (montecarlo._SCAN_STEPS, 1 << 30)]
+
+
+def _assert_step_is_searchsorted(p, rng, rows=None, more=()):
     """The guide table against ``_searchsorted_guide``, then ``_step_states`` on
-    the edge draws of ``rows`` (default all) and random draws from every row,
-    with forward scans of 8, 1 and 0 steps."""
+    the edge draws of ``rows`` (default all), random draws from every row and
+    the draws of each (state, draws) pair in ``more``, under every setting of
+    ``_STEP_SETTINGS``."""
     p = np.asarray(p, dtype=float)
     table = montecarlo._guide_table(p)
     assert np.array_equal(table.guide.reshape(table.n, -1),
                           _searchsorted_guide(p, table.buckets))
     rows = range(table.n) if rows is None else rows
-    u = [_edge_draws(table, s, rng) for s in rows] + [rng.random(table.n)]
-    cur = np.concatenate([np.full(x.size, s) for s, x in zip(rows, u)] + [np.arange(table.n)])
+    starts = [*rows, *range(table.n), *(s for s, _ in more)]
+    u = ([_edge_draws(table, s, rng) for s in rows] + list(rng.random((table.n, 1)))
+         + [np.asarray(x, dtype=float) for _, x in more])
+    cur = np.concatenate([np.full(x.size, s) for s, x in zip(starts, u)])
     u = np.concatenate(u)
     want = _searchsorted_steps(p, cur, u)
-    for scan in (montecarlo._SCAN_STEPS, 1, 0):  # 0: every straggler binary-searches
+    for scan, few in _STEP_SETTINGS:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(montecarlo, "_SCAN_STEPS", scan)
+            mp.setattr(montecarlo, "_FINISH_ONE_BY_ONE", few)
             got = montecarlo._step_states(table, cur, u)
-        assert np.array_equal(got, want), scan
+        assert np.array_equal(got, want), (scan, few)
     return table
 
 
@@ -791,9 +804,31 @@ def test_step_states_in_a_bucket_of_many_tiny_entries():
     p[0, 0] = 0.5
     p[0, 1:251] = 1e-9  # 250 entries inside the one bucket above 0.5
     p[0, 251:] = (0.5 - 250e-9) / (n - 251)
-    table = _assert_step_is_searchsorted(p, np.random.default_rng(4), rows=[0, 1])
+    rng = np.random.default_rng(4)
+    # more walkers than finish one at a time, each drawing among the 250
+    u = 0.5 + rng.uniform(0.0, 250e-9, size=4 * montecarlo._FINISH_ONE_BY_ONE)
+    table = _assert_step_is_searchsorted(p, rng, rows=[0, 1], more=[(0, u)])
     row = table.guide[:table.buckets + 1]
     assert np.diff(row).max() > 200 > montecarlo._SCAN_STEPS
+    # with the default settings they are still more after the scan, so the
+    # vectorized binary search finishes them
+    ahead = np.searchsorted(table.cdf[:n], u, side="right") - row[(u * table.buckets).astype(int)]
+    assert (ahead > montecarlo._SCAN_STEPS).sum() > montecarlo._FINISH_ONE_BY_ONE
+
+
+def test_step_states_in_the_top_bucket_of_the_corpus():
+    # draws in [1 - 1/buckets, 1), where a geometric tail puts many tiny
+    # entries into one bucket, from every state of every corpus chain and
+    # of the restriction its coupling walks
+    rng = np.random.default_rng(8)
+    for case in escape_corpus():
+        for p in (case.kernel.p, m.restrict(case.kernel, case.cert.small_set, case.variant).kernel.p):
+            buckets = montecarlo._guide_table(p).buckets
+            edge = 1.0 - 1.0 / buckets
+            u = np.clip(edge + rng.random((len(p), 8)) / buckets, edge, BELOW_ONE)
+            u[:, :3] = edge, np.nextafter(edge, 2.0), BELOW_ONE
+            assert np.all(u >= edge) and np.all(u < 1.0)
+            _assert_step_is_searchsorted(p, rng, rows=[], more=list(enumerate(u)))
 
 
 def test_guide_table_equals_searchsorted_on_the_corpus():
@@ -1175,3 +1210,32 @@ def test_state_path_when_the_layout_check_fails(monkeypatch, corpus_estimates):
         assert _corpus_estimates() == corpus_estimates
         assert _batch(sampler, jobs, 700, 300) == direct
         monkeypatch.undo()
+
+
+def test_layout_probe_fills_run_once_per_binding(monkeypatch):
+    fills = []
+    fill_direct = montecarlo._ReplicaStreams._fill_direct
+
+    def counting_fill(self, *args):
+        fills.append(args[-1].shape)
+        return fill_direct(self, *args)
+
+    montecarlo._c_uniform_fill.cache_clear()  # a fresh binding probes again
+    monkeypatch.setattr(montecarlo._ReplicaStreams, "_fill_direct", counting_fill)
+    assert montecarlo._ReplicaStreams().path == "direct"
+    assert fills == [(1, 9), (1, 3), (1, 8)]
+    assert [montecarlo._ReplicaStreams().path for _ in range(3)] == ["direct"] * 3
+    assert len(fills) == 3
+    # a probe that fails is not remembered: the next construction probes again
+    montecarlo._c_uniform_fill.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "replica_generator", lambda seed, replica: np.random.default_rng(1))
+        assert montecarlo._ReplicaStreams().path == "state"
+    assert len(fills) == 4
+    assert montecarlo._ReplicaStreams().path == "direct"
+    assert montecarlo._ReplicaStreams().path == "direct"
+    assert len(fills) == 7
+    # each instance still reads its own struct back
+    monkeypatch.setattr(ctypes.c_int, "from_address", lambda address: ctypes.c_int(3))
+    assert montecarlo._ReplicaStreams().path == "state"
+    assert len(fills) == 7

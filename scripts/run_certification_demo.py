@@ -17,7 +17,6 @@ def main():
     cfg = parse_config({
         "experiment": "certify",
         "chain": {"kind": "corpus", "name": "bd-expdrift"},
-        "alpha": 1.0 / 3.0,
     })
     rep = run_certify(cfg, out_dir=args.out, quiet=False)
     bound = rep["bound"]

@@ -12,6 +12,7 @@ those points.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,7 +117,7 @@ class DensitySpec:
         return 0.5 * (lo + hi)
 
     def grid_values(self, c: float) -> np.ndarray:
-        """pdf sampled on the grid {0, c, ..., 1-c}; 1/c must be an integer."""
+        """pdf sampled on the grid {0, c, ..., 1-c}, for a c that ``_checked_inverse`` takes."""
         n = _checked_inverse(c)
         return np.asarray(self.pdf(np.arange(n) * c), dtype=float)
 
@@ -130,9 +131,8 @@ class DensitySpec:
         vals = self.pdf(np.concatenate([[lo, hi], knots[(knots > lo) & (knots < hi)]]))
         return float(np.max(vals) / np.min(vals))
 
-    def check_nearly_unimodal(self, alpha: float | None = None, ratio: float | None = None) -> bool:
-        r = self.unimodal_ratio if ratio is None else ratio
-        return self.measured_central_ratio(alpha) <= r * (1.0 + 1e-12)
+    def check_nearly_unimodal(self) -> bool:
+        return self.measured_central_ratio() <= self.unimodal_ratio * (1.0 + 1e-12)
 
     # -- config schema -------------------------------------------------------
 
@@ -172,8 +172,19 @@ def _config_float(value, what: str) -> float:
         raise ConfigError(f"{what} must be a number, got {value!r}") from None
 
 
-def _checked_inverse(c: float) -> int:
-    n = round(1.0 / c)
-    if n < 1 or abs(n * c - 1.0) > 1e-9:
-        raise ConfigError(f"grid step {c} must have an integer reciprocal")
+def _checked_inverse(c) -> int:
+    """n = round(1/c), the grid size at step c: the one rule for a step size.
+
+    ConfigError unless c is a real number (a bool is not one), finite and
+    > 0, with n >= 2 and |n c - 1| <= 1e-9.
+    """
+    n = 0
+    if isinstance(c, numbers.Real) and not isinstance(c, bool) and 0.0 < c < math.inf:
+        try:
+            n = round(1.0 / c)
+        except OverflowError:  # 1/c is too large for a float
+            pass
+    if n < 2 or abs(n * c - 1.0) > 1e-9:
+        raise ConfigError(f"step size c must be a finite number > 0 with an integer "
+                          f"reciprocal >= 2, got {c!r}")
     return n

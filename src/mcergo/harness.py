@@ -17,7 +17,6 @@ import csv
 import hashlib
 import json
 import math
-import numbers
 import os
 from dataclasses import asdict, dataclass, fields
 
@@ -41,8 +40,8 @@ from .chain_analysis import (
     tv_table,
 )
 from .corpus import bd_expdrift
-from .density import DensitySpec, _config_float
-from .errors import ConfigError, InvalidParameters, McergoError
+from .density import DensitySpec, _checked_inverse, _config_float
+from .errors import ConfigError, IncompatibleCertificate, InvalidParameters, McergoError
 from .kernels import (
     FiniteKernel,
     birth_death_chain,
@@ -106,11 +105,7 @@ class ExperimentConfig:
         if not isinstance(self.output_path, str):
             raise ConfigError("output_path must be a path")
         for c in self.c_list:
-            if not (isinstance(c, numbers.Real) and not isinstance(c, bool) and c > 0.0):
-                raise ConfigError(f"c_list entries must be positive numbers, got {c!r}")
-            n = round(1.0 / c)
-            if n < 2 or abs(n * c - 1.0) > 1e-9:
-                raise ConfigError(f"c = {c} does not have an integer reciprocal >= 2")
+            _checked_inverse(c)
         object.__setattr__(self, "c_list", tuple(float(c) for c in self.c_list))
 
 
@@ -551,7 +546,9 @@ def run_couple(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
 
     ``couple.csv`` holds the Monte Carlo ``decoupling_frequency``, the
     ``escape_bound`` and the exact ``decoupling_exact``; ``ok`` is exact <=
-    bound.
+    bound.  The chains start at the first state of C' = {V <= r'};
+    IncompatibleCertificate, before any walker runs, when that state lies
+    outside C = {V <= r}.
     """
     if cfg.experiment != "couple":
         raise ConfigError(f"config is for {cfg.experiment!r}, not couple")
@@ -559,8 +556,11 @@ def run_couple(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
     out_dir = _prepare_out(cfg, out_dir)
     horizon = cfg.horizon or 50
     small_set, inner_set = cert.sublevel_sets()
-    dom = restrict(k, small_set, cfg.restriction)
     x0 = int(inner_set[0])
+    if x0 not in small_set:  # r' > r can put C' outside C
+        raise IncompatibleCertificate(
+            f"start state {x0}, the first of C' = {{V <= r'}}, lies outside C = {{V <= r}}")
+    dom = restrict(k, small_set, cfg.restriction)
     est = coupled_escape_estimate(k, dom, x0, horizon, cfg.replicas, cfg.seed)
     exact = exit_probability(k, dom.support, x0, horizon)
     bnd = escape_bound(cert.lam, cert.b, cert.r, cert.r_prime)

@@ -231,11 +231,10 @@ def birth_death_chain(psi: DensitySpec, c: float) -> FiniteKernel:
     On the grid {0, c, ..., 1-c}: up moves x -> x+c carry probability
     (1/2) min{1, psi(x+c)/psi(x)} (x < 1-c), down moves the mirror image
     (x > 0), and the remainder is holding mass.  Detailed balance makes the
-    normalized grid values of psi stationary.
+    normalized grid values of psi stationary.  ConfigError for a c that
+    ``density._checked_inverse`` refuses.
     """
     n = _checked_inverse(c)
-    if n < 2:
-        raise GridMismatch("birth-death grid needs 1/c >= 2")
     vals = psi.grid_values(c)
     if np.any(vals <= 0.0):
         raise DensityNonpositive("density nonpositive on the grid")
@@ -350,9 +349,8 @@ class ContinuousSampler1D:
 
 
 def ball_walk_sampler(psi: DensitySpec, c: float) -> ContinuousSampler1D:
-    """Ball walk with proposal half-width c targeting psi; c in (0, 1/2]."""
-    if not (0.0 < c <= 0.5):
-        raise GridMismatch("ball walk half-width must lie in (0, 1/2]")
+    """Ball walk with proposal half-width c targeting psi; ConfigError for a c
+    that ``density._checked_inverse`` refuses."""
     _checked_inverse(c)
     return ContinuousSampler1D(target=psi, c=c)
 
@@ -366,7 +364,6 @@ class DominatedKernel:
     within 1e-10, and ``kernel`` dominates the base kernel entrywise on S.
     """
 
-    variant: str
     support: np.ndarray  # indices into the base state set, ascending
     kernel: FiniteKernel
     conditional_stationary: np.ndarray
@@ -434,8 +431,7 @@ def restrict(
         # (the Gibbs table is P within ROW_SUM_TOL, checked above), so the chain
         # is its own restriction; the residual check of k.stationary is the
         # stationarity check, and domination holds with equality.
-        return DominatedKernel(variant=variant, support=S, kernel=k,
-                               conditional_stationary=_conditional_law(k, S))
+        return DominatedKernel(support=S, kernel=k, conditional_stationary=_conditional_law(k, S))
     if variant == "gibbs-restriction":
         q = _gibbs_matrix(pi_table, S)
     elif variant == "trace":
@@ -453,12 +449,7 @@ def restrict(
         )
 
     sub = FiniteKernel(p=q, states=k.states[S] if k.states is not None else None)
-    return DominatedKernel(
-        variant=variant,
-        support=S,
-        kernel=sub,
-        conditional_stationary=pi_s,
-    )
+    return DominatedKernel(support=S, kernel=sub, conditional_stationary=pi_s)
 
 
 def _conditional_law(k: FiniteKernel, S: np.ndarray) -> np.ndarray:

@@ -651,7 +651,8 @@ def estimate_hitting_batch(jobs, replicas: int) -> list[McEstimate]:
     of job take no walkers (``_walk_jobs``): one whose start lies in its
     target reports zero, and a finite-kernel job whose target holds no
     state is censored at its horizon, so it raises AllCensored below
-    without a walker having run; the jobs after it do not walk either.
+    without a walker of its own having run.  Every job is answered before
+    any is judged, so a failing batch still walks its other jobs.
 
     Raises
     ------
@@ -659,17 +660,16 @@ def estimate_hitting_batch(jobs, replicas: int) -> list[McEstimate]:
         For the first job, in job order, none of whose replicas hits
         within its horizon.
     ValueError
-        If replicas < 1, a horizon is not a nonnegative integer, a seed is
-        not an integer in [0, 2**64) (a bool is neither), a finite-kernel
-        start or target value is not a state of the chain
+        If replicas is not an integer >= 1, a horizon is not a
+        nonnegative integer, a seed is not an integer in [0, 2**64) (a
+        bool is neither), a finite-kernel start or target value is not a
+        state of the chain
         (``FiniteKernel.state_set``), a ball-walk start lies outside [0, 1]
         (NaN included), or the samplers cannot share a population; no
         walker runs.
     TypeError
         If a sampler is neither a FiniteKernel nor a ContinuousSampler1D.
     """
-    if replicas < 1:
-        raise ValueError("need at least one replica")
     jobs = list(jobs)
     estimates = []
     for (_, x0, _, seed, horizon), (times, censored) in zip(jobs, _walk_jobs(jobs, replicas)):
@@ -683,14 +683,15 @@ def estimate_hitting_batch(jobs, replicas: int) -> list[McEstimate]:
 def _walk_jobs(jobs: list, replicas: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """(times, censored) of ``replicas`` walkers for each job (sampler, x0, target, seed, horizon).
 
-    The one place where jobs become walkers.  Each job's pair holds its
-    replicas in order, as ``_first_hits`` returns them.  Two kinds of job
-    take no walkers, because their results are known before any draw:
+    The one place where jobs become walkers, and the one judge of a walk:
+    it checks replicas and every job's seed, horizon, sampler and start
+    before any walker runs, then answers each job by itself.  Each job's
+    pair holds its replicas in order, as ``_first_hits`` returns them.  Two
+    kinds of job take no walkers, because their results are known before
+    any draw:
     - a job whose start lies in its target: each replica arrives at time 0;
     - a finite-kernel job whose target holds no state: each replica is
       censored at the horizon, which is what ``_first_hits`` would return.
-      Every replica is censored, so the pairs stop at the first such job,
-      and no job after it walks.
     A walker's draws depend only on its key and its step, so leaving these
     jobs out changes no other job's result.  The rest run as one
     population.
@@ -698,17 +699,16 @@ def _walk_jobs(jobs: list, replicas: int) -> list[tuple[np.ndarray, np.ndarray]]
     Raises the ValueError and TypeError of ``estimate_hitting_batch``
     before any walker runs.
     """
-    rules, arrivals, group_of = {}, [], {}
+    if not (_is_int(replicas) and replicas >= 1):
+        raise ValueError(f"replicas must be an integer >= 1, got {replicas!r}")
+    arrivals, group_of = [], {}
     samplers = []  # the sampler of each group
     empty = set()  # the groups of a finite kernel whose target holds no state
     results = []
     walking = []  # (job index, start, seed, horizon, group) of the jobs that take walkers
-    stop = len(jobs)  # one past the first job censored for want of a target
     for j, (sampler, x0, target, seed, horizon) in enumerate(jobs):
         _check_walk(seed, horizon, "horizon")
-        if id(sampler) not in rules:
-            rules[id(sampler)] = _walker_rule(sampler)
-        rule = rules[id(sampler)]
+        rule = _walker_rule(sampler)
         if (id(sampler), id(target)) not in group_of:
             group_of[id(sampler), id(target)] = len(arrivals)
             arrivals.append(rule.arrival(target))
@@ -720,13 +720,11 @@ def _walk_jobs(jobs: list, replicas: int) -> list[tuple[np.ndarray, np.ndarray]]
             results.append((np.zeros(replicas), np.zeros(replicas, dtype=bool)))
         elif g in empty:
             results.append((np.full(replicas, float(horizon)), np.ones(replicas, dtype=bool)))
-            stop = min(stop, j + 1)
         else:
             results.append(None)  # filled in by the walk
             walking.append((j, start, seed, horizon, g))
-    walking = [job for job in walking if job[0] < stop]
     if walking:
-        draws = rules[id(samplers[0])].draws
+        draws = _walker_rule(samplers[0]).draws
         index, starts, seeds, horizons, groups = zip(*walking)
         times, censored = _first_hits(starts, seeds, horizons, groups, arrivals,
                                       _population_advance(samplers), draws, replicas,
@@ -734,7 +732,7 @@ def _walk_jobs(jobs: list, replicas: int) -> list[tuple[np.ndarray, np.ndarray]]
         for k, j in enumerate(index):
             rows = slice(k * replicas, (k + 1) * replicas)
             results[j] = times[rows], censored[rows]
-    return results[:stop]
+    return results
 
 
 # --- coupling with a dominated restriction ----------------------------------------
@@ -764,13 +762,11 @@ def coupled_escape_estimate(
     DominationViolation
         If the entrywise domination check fails on the support.
     ValueError
-        If t is not a nonnegative integer, seed is not an integer in
-        [0, 2**64) (a bool is neither), or x0 is not a state of g or lies
-        outside the support.
+        If x0 is not a state of g or lies outside the support; then, from
+        ``_walk_jobs``, if t is not a nonnegative integer, seed is not an
+        integer in [0, 2**64) (a bool is neither), or replicas is not an
+        integer >= 1.  No walker runs.
     """
-    _check_walk(seed, t, "step count")
-    if replicas < 1:
-        raise ValueError("need at least one replica")
     _check_domination(g.p, g_c.kernel.p, g_c.support)
     x0 = _walker_rule(g).place(x0)
     if x0 not in g_c.support:

@@ -371,6 +371,35 @@ def test_certify_rejects_incompatible_certificate():
         m.certify_drift_and_hit(corp.kernel, bad, variant=corp.variant)
 
 
+# states 0 and 1 joined, each with a pendant state far up V (2 on 0, 3 on 1): a
+# tree, so reversible, and bipartite, so of period 2.  C = C' = {0, 1}, whose
+# restriction holds its escaping mass and mixes, while the base chain's rows from
+# 0 and 1 never overlap.
+ESCAPE = 0.01
+PERIOD_TWO = m.build_finite_kernel([[0, 1 - ESCAPE, ESCAPE, 0], [1 - ESCAPE, 0, 0, ESCAPE],
+                                    [1, 0, 0, 0], [0, 1, 0, 0]])
+PERIOD_TWO_V = np.array([1.0, 1.0, 6000.0, 6000.0])
+
+
+@pytest.mark.parametrize("variant", ["mh-restriction", "trace"])
+def test_certify_refuses_a_drift_that_fails_on_the_base_chain(variant):
+    # PV(0) = 0.99 + 60 exceeds b = 10; the radii follow from (0, 10), so they are compatible
+    cert = m.DriftCertificate.with_radii(PERIOD_TWO_V, 0.0, 10.0)
+    assert m.compatibility_check(cert, "theorem2").passed
+    with pytest.raises(errors.IncompatibleCertificate, match="drift fails on the base chain"):
+        m.certify_drift_and_hit(PERIOD_TWO, cert, variant=variant)
+
+
+@pytest.mark.parametrize("variant", ["mh-restriction", "trace"])
+def test_certify_refuses_a_base_chain_without_overlap_at_t_plus_one(variant):
+    cert = m.DriftCertificate.with_radii(PERIOD_TWO_V, 0.0, 100.0)
+    assert m.verify_drift(PERIOD_TWO, cert.v, cert.lam, cert.b).passed
+    assert cert.small_set.tolist() == cert.inner_set.tolist() == [0, 1]
+    with pytest.raises(errors.IncompatibleCertificate,
+                       match=r"no overlap at T\+1=\d+: pairwise TV is 1"):
+        m.certify_drift_and_hit(PERIOD_TWO, cert, variant=variant)
+
+
 @functools.cache
 def _spectral_bound():
     # 1024 states: the restriction C = {V <= r} passes the exact-mixing cap

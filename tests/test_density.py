@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,7 +55,7 @@ def test_central_ratio_exponential():
     expected = math.exp(hi - lo)
     assert EXP.measured_central_ratio() == pytest.approx(expected, rel=1e-3)
     assert EXP.check_nearly_unimodal()
-    assert not EXP.check_nearly_unimodal(ratio=1.2)
+    assert not replace(EXP, unimodal_ratio=1.2).check_nearly_unimodal()
 
 
 def test_grid_values():

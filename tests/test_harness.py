@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import os
 import re
 import runpy
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import mcergo as m
-from mcergo import chain_analysis, errors, harness
+from mcergo import chain_analysis, errors, harness, montecarlo
 from mcergo.cli import build_parser, main as cli_main
 from mcergo.corpus import bd_expdrift
 from mcergo.harness import (
@@ -303,6 +304,19 @@ def test_run_scaling_prints_one_line_per_c_in_c_list_order(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("cs, values", [
+    ([1 / 4, 1 / 8, 1 / 16], [6.0, 30.0, 110.0]),
+    ([1 / 4, 1 / 8, 1 / 16, 1 / 32], [6.0, 30.0, 110.0, 470.0]),
+])
+def test_loglog_slope_stderr_is_the_least_squares_standard_error(cs, values):
+    from scipy import stats
+
+    slope, slope_stderr = harness._loglog_slope(cs, values)
+    fit = stats.linregress([math.log(c) for c in cs], [math.log(v) for v in values])
+    assert slope == pytest.approx(fit.slope, rel=1e-12)
+    assert slope_stderr == pytest.approx(fit.stderr, rel=1e-12)
+
+
 def test_run_scaling_rejects_violated_unimodality(tmp_path):
     two_bumps = {
         "kind": "piecewise-linear-table",
@@ -343,6 +357,21 @@ def test_run_certify_corpus_chain(tmp_path):
     profile = (tmp_path / "run" / "tv_profile.csv").read_text().splitlines()
     assert profile[0] == "t,max_tv,min_bound,dominated"
     assert len(profile) == 502
+
+
+def test_run_certify_skips_the_tv_audit_above_the_state_cap(tmp_path, monkeypatch):
+    # bd-expdrift has 32 states; the cap of the certify module's exact routes stays
+    monkeypatch.setattr(harness, "EXACT_OVERLAP_STATE_CAP", 31)
+    cfg = parse_config({"experiment": "certify",
+                        "chain": {"kind": "corpus", "name": "bd-expdrift"}})
+    rep = run_certify(cfg, out_dir=tmp_path / "run")
+    assert rep["ok"] and rep["dominance_verdict"] == "SKIPPED"
+    assert rep["note_profile"] == "exact TV profile limited to 31 states"
+    assert rep["bound"]["source"] == "pseudo-minorization"
+    assert "max_dominance_violation" not in rep
+    assert not (tmp_path / "run" / "tv_profile.csv").exists()
+    on_disk = json.loads((tmp_path / "run" / "certify_report.json").read_text())
+    assert on_disk["dominance_verdict"] == "SKIPPED"
 
 
 EXP_TILT_CFG = {"kind": "exponential-tilt", "tilt": -1.0, "unimodal_alpha": 1.0 / 3.0,
@@ -781,8 +810,28 @@ def _write_text(path, text):
     return str(path)
 
 
+# C' = {0, 1, 2} for r' = 5 holds state 0, which lies outside C = {1, 2} for r = 2.5
+COUPLE_START_OUTSIDE_C = {
+    "experiment": "couple", "chain": {"kind": "lazy-srw", "c": 0.25},
+    "certificate": {"v": [3, 1, 2, 8], "lambda": 0.9, "r": 2.5, "r_prime": 5},
+    "replicas": 10}
+
+
+def _step_chains(c):
+    return [{"kind": "birth-death", "density": UNIFORM_CFG, "c": c},
+            {"kind": "lazy-srw", "c": c}]
+
+
 # case -> (exit code, payload built in a scratch directory)
 MALFORMED_INPUTS = {
+    # c = 0 and NaN used to raise ZeroDivisionError and ValueError out of main,
+    # and c = 1 exited 1 through GridMismatch
+    **{f"{chain['kind']}-c-{c!r}": (2, lambda d, chain=chain: _hitmix_payload(chain))
+       for c in (0, float("nan"), float("inf"), -0.25, 1, "x") for chain in _step_chains(c)},
+    # used to raise ValueError out of main
+    "couple-start-outside-C": (1, lambda d: COUPLE_START_OUTSIDE_C),
+    "couple-small-set-empty": (1, lambda d: dict(COUPLE_START_OUTSIDE_C, certificate=dict(
+        COUPLE_START_OUTSIDE_C["certificate"], r=-1))),
     "c_list-zero": (2, lambda d: _scaling_payload(c_list=[0])),
     "c_list-not-a-list": (2, lambda d: _scaling_payload(c_list=0.25)),
     "replicas-fractional": (2, lambda d: _scaling_payload(replicas=2.5)),
@@ -845,7 +894,31 @@ def test_cli_malformed_input_is_a_structured_error(tmp_path, capsys, case):
                      "--quiet"]) == code
     err = capsys.readouterr().err
     assert err.startswith("config error:" if code == 2 else "analysis failure:")
-    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case, message", [
+    ("couple-start-outside-C", r"start state 0, the first of C' = \{V <= r'\}, lies outside C"),
+    ("couple-small-set-empty", "sublevel sets are empty"),
+])
+def test_run_couple_refuses_a_certificate_before_any_walker_runs(tmp_path, monkeypatch, case,
+                                                                  message):
+    monkeypatch.setattr(montecarlo, "_first_hits", lambda *args: pytest.fail("walked"))
+    cfg = parse_config(MALFORMED_INPUTS[case][1](tmp_path))
+    with pytest.raises(errors.IncompatibleCertificate, match=message):
+        run_couple(cfg, out_dir=tmp_path / "run")
+
+
+def test_run_couple_takes_radii_r_prime_above_r_when_the_start_lies_in_C(tmp_path):
+    # no compatibility check: C' = C = {0, 1, 2} with r' = 50 > r = 20 still runs
+    cfg = parse_config({
+        "experiment": "couple",
+        "chain": {"kind": "matrix", "rows": [[0.9, 0.1, 0, 0], [0.9, 0, 0.1, 0],
+                                             [0.9, 0, 0, 0.1], [0.9, 0, 0, 0.1]]},
+        "certificate": {"v": [1, 2, 3, 100], "lambda": 0.5, "r": 20, "r_prime": 50},
+        "restriction": "trace", "replicas": 10})
+    rep = run_couple(cfg, out_dir=tmp_path / "run")
+    assert rep["ok"] and rep["estimate"].replicas == 10
 
 
 def test_cli_couple_success(tmp_path):

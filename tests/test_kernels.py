@@ -255,6 +255,35 @@ def test_lazy_srw_matches_the_row_by_row_loop(inverse):
     assert np.array_equal(k.states, np.arange(inverse) * (1.0 / inverse))
 
 
+# every function that takes a grid step c, each judged by density._checked_inverse
+STEP_TAKERS = {
+    "birth_death_chain": lambda c: m.birth_death_chain(EXP, c).n,
+    "lazy_srw": lambda c: m.lazy_srw(c).n,
+    "ball_walk_sampler": lambda c: round(1.0 / m.ball_walk_sampler(EXP, c).c),
+    "grid_values": lambda c: EXP.grid_values(c).size,
+}
+
+
+@pytest.mark.parametrize("c", [
+    0, 0.0, -0.25, float("nan"), float("inf"), 1, 1.0, 0.75, 0.3, 5e-324, 10**400,
+    True, "0.25", None,
+], ids=["0", "0.0", "-0.25", "nan", "inf", "1", "1.0", "0.75", "0.3", "5e-324", "10**400",
+        "True", "str", "None"])
+@pytest.mark.parametrize("taker", list(STEP_TAKERS))
+def test_step_sizes_without_an_integer_reciprocal_of_two_or_more_are_refused(taker, c):
+    # 0 and NaN used to raise ZeroDivisionError and ValueError, 1 and a ball
+    # walk's 0.75 GridMismatch
+    with pytest.raises(errors.ConfigError, match="step size c must be a finite number > 0"):
+        STEP_TAKERS[taker](c)
+
+
+@pytest.mark.parametrize("c, n", [(0.5, 2), (1.0 / 3.0, 3), (np.float64(0.125), 8),
+                                  (0.25 + 1e-12, 4), (1.0 / 64.0, 64)])
+@pytest.mark.parametrize("taker", list(STEP_TAKERS))
+def test_step_sizes_with_an_integer_reciprocal_are_taken(taker, c, n):
+    assert STEP_TAKERS[taker](c) == n
+
+
 # --- Metropolis-Hastings grid kernel ------------------------------------------------
 
 def test_mh_uniform_target_returns_proposal():
@@ -581,6 +610,17 @@ def test_restrict_errors():
         m.restrict(gk, range(6), "gibbs-restriction", pi_table=np.ones((2, 2)))
     with pytest.raises(ValueError, match="unknown restriction variant"):
         m.restrict(k, range(3), "censored")
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_trace_refuses_a_censoring_solve_that_is_not_finite(monkeypatch, bad):
+    # numpy's solve raises on the exact zero pivot of an absorbing complement;
+    # a solve that returned inf or NaN instead must be refused as well, since
+    # NaN row sums would pass the renormalization test
+    absorbing = m.build_finite_kernel([[0.5, 0.5, 0.0], [0.25, 0.25, 0.5], [0.0, 0.0, 1.0]])
+    monkeypatch.setattr(kernels.np.linalg, "solve", lambda a, b: np.full(np.shape(b), bad))
+    with pytest.raises(errors.SingularCensoring, match="complement contains an absorbing set"):
+        m.restrict(absorbing, [0, 1], "trace")
 
 
 @pytest.mark.parametrize("subset", [[4, 5], [0, 1]])

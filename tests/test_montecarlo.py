@@ -145,9 +145,10 @@ def test_empty_target_jobs_leave_the_other_jobs_bit_identical(monkeypatch):
         m.estimate_hitting_batch([reachable[0], empty, never], replicas)
 
 
-def test_no_job_after_an_empty_target_walks(monkeypatch):
-    # the batch fails at the empty-target job whatever the later jobs give, so
-    # only the jobs before it, which could fail first, take walkers
+def test_every_job_of_a_failing_batch_is_answered(monkeypatch):
+    # each job walks whatever another job's target holds: the empty-target job
+    # takes no walkers of its own, the jobs after it still walk, and
+    # AllCensored names it, the first all-censored job in job order
     k = PATH3
     reachable, empty, never = (k, 0, [2], 1, 50), (k, 0, [], 2, 50), (k, 0, [2], 3, 1)
     walked = []
@@ -160,9 +161,12 @@ def test_no_job_after_an_empty_target_walks(monkeypatch):
     monkeypatch.setattr(montecarlo, "_first_hits", recording_first_hits)
     with pytest.raises(errors.AllCensored, match=r"within 50 steps \(seed 2\)"):
         m.estimate_hitting_batch([reachable, empty, never], 300)
-    assert walked == [[1]]
-    assert len(montecarlo._walk_jobs([empty, reachable], 300)) == 1
-    assert walked == [[1]]  # nothing walked for a batch that fails at its first job
+    assert walked == [[1, 3]]
+    (_, empty_censored), (times, censored) = montecarlo._walk_jobs([empty, reachable], 300)
+    assert walked == [[1, 3], [1]] and empty_censored.all()
+    [(alone_times, alone_censored)] = montecarlo._walk_jobs([reachable], 300)
+    assert times.tolist() == alone_times.tolist()
+    assert censored.tolist() == alone_censored.tolist()
 
 
 def test_a_drawable_state_of_probability_zero_is_walked_to(monkeypatch):
@@ -1005,6 +1009,33 @@ def test_ball_walk_starts_at_the_interval_ends_are_accepted():
     assert [est.mean for est in ends] == [0.0, 0.0]  # each starts in its target
 
 
+# every function that walks, fed a replica count
+REPLICA_TAKERS = {
+    "estimate_hitting": lambda replicas: m.estimate_hitting(
+        K6, 0, [5], replicas=replicas, horizon=10, seed=0),
+    "estimate_hitting_batch": lambda replicas: m.estimate_hitting_batch(
+        [(K6, 0, [5], 0, 10), (K6, 1, [5], 1, 10)], replicas),
+    "coupled_escape_estimate": lambda replicas: m.coupled_escape_estimate(
+        K6, TRACE6, 0, 10, replicas=replicas, seed=0),
+}
+
+
+@pytest.mark.parametrize("replicas", [0, -1, np.int64(0), 2.5, True],
+                         ids=["0", "-1", "int64(0)", "2.5", "True"])
+@pytest.mark.parametrize("taker", list(REPLICA_TAKERS))
+def test_replica_counts_that_are_not_integers_above_zero_are_rejected(monkeypatch, taker,
+                                                                     replicas):
+    monkeypatch.setattr(montecarlo, "_first_hits", _no_walkers)
+    with pytest.raises(ValueError, match="replicas must be an integer >= 1"):
+        REPLICA_TAKERS[taker](replicas)
+
+
+def test_coupled_escape_rejects_a_start_outside_the_coupling_set(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_first_hits", _no_walkers)
+    with pytest.raises(ValueError, match="start state must lie in the coupling set"):
+        m.coupled_escape_estimate(K6, TRACE6, 3, 10, replicas=10, seed=0)
+
+
 @pytest.mark.parametrize("x0", [-1, 4])
 def test_coupled_escape_rejects_a_start_outside_the_chain(monkeypatch, x0):
     rows = np.tile([0.55, 0.25, 0.15, 0.05], (4, 1))
@@ -1067,7 +1098,6 @@ def test_coupled_escape_matches_exit_probability():
 def test_coupled_escape_rejects_non_dominating():
     k, dom = _simple_dominated()
     fake = m.DominatedKernel(
-        variant=dom.variant,
         support=dom.support,
         kernel=m.build_finite_kernel(np.tile([0.2, 0.2, 0.6], (3, 1))),
         conditional_stationary=dom.conditional_stationary,

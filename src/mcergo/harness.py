@@ -498,8 +498,8 @@ def run_hitmix(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
         raise ConfigError(f"config is for {cfg.experiment!r}, not hitmix")
     if cfg.chain is None:
         raise ConfigError("hitmix needs a 'chain'")
-    out_dir = _prepare_out(cfg, out_dir)
     k, _ = chain_from_config(cfg.chain)
+    out_dir = _prepare_out(cfg, out_dir)
 
     results, errors = {}, []
     # all three read k.stationary: (P + I)/2 has the law of P
@@ -553,13 +553,13 @@ def run_couple(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
     if cfg.experiment != "couple":
         raise ConfigError(f"config is for {cfg.experiment!r}, not couple")
     k, cert = _chain_and_certificate(cfg)
-    out_dir = _prepare_out(cfg, out_dir)
     horizon = cfg.horizon or 50
     small_set, inner_set = cert.sublevel_sets()
     x0 = int(inner_set[0])
     if x0 not in small_set:  # r' > r can put C' outside C
         raise IncompatibleCertificate(
             f"start state {x0}, the first of C' = {{V <= r'}}, lies outside C = {{V <= r}}")
+    out_dir = _prepare_out(cfg, out_dir)
     dom = restrict(k, small_set, cfg.restriction)
     est = coupled_escape_estimate(k, dom, x0, horizon, cfg.replicas, cfg.seed)
     exact = exit_probability(k, dom.support, x0, horizon)

@@ -3,13 +3,13 @@
 Randomness is counter-based: replica r draws from the Philox stream keyed
 (seed, r), so every replica's draws are a pure function of (seed, replica
 index, step) and results are independent of scheduling and worker count.
-``sample_path`` uses the replica-0 stream.  Batch estimators reposition a
-single Philox generator per walker and block by writing its key, counter
-and buffer position straight into numpy's state struct, and fill each row
-with one ctypes call to numpy's C ``random_standard_uniform_fill``, the
-routine under ``Generator.random`` (``_ReplicaStreams``).  The call's
-arguments are ctypes objects built once per block; a row sets only the
-address its destination holds.  That is stream-identical to
+``sample_path`` uses the replica-0 stream.  Batch estimators give each
+walker row of a block a Philox state record of its own, a copy of numpy's
+state struct in a table made at the first fill, write the records' keys,
+counters and buffer positions by whole columns, and fill each row with
+one ctypes call to numpy's C ``random_standard_uniform_fill``, the routine
+under ``Generator.random`` (``_ReplicaStreams``), made by ``map`` so that
+no Python statement runs per row.  That is stream-identical to
 constructing ``Philox(key=[seed, r])`` per walker but far cheaper.  If the
 struct does not check out or the routine cannot be bound,
 ``_ReplicaStreams`` assigns ``Philox.state`` and calls
@@ -65,7 +65,9 @@ import ctypes
 import functools
 import numbers
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -89,6 +91,13 @@ _GUIDE_BYTES = 1 << 21  # most bytes of one finite kernel's guide table
 _SCAN_STEPS = 8  # most vectorized forward steps of a finite step's scan
 _FINISH_ONE_BY_ONE = 16  # a finite step finishes this few walkers one at a time
 _PHILOX_WORDS = 4  # uniform doubles per Philox counter increment
+# Philox records of a stream table (``_StreamRecords``), the rows one chunk
+# fills: a table costs about 0.2 MiB and 0.15 ms to make, once per walker
+# loop, and a chunk's column writes about 20 ns a row
+_RECORDS = 512
+# the uint64 words of one Philox record (``_StreamRecords``): numpy's
+# philox_state (8), then the key, the counter and a bitgen_t (5)
+_KEY, _CTR, _BITGEN, _RECORD_WORDS = 8, 10, 14, 19
 
 
 @dataclass(frozen=True)
@@ -126,29 +135,33 @@ class _ReplicaStreams:
     key; anything else is refused before any row is written (ValueError,
     or TypeError for another dtype, as ``Generator.random`` raises).
 
-    One generator is repositioned per row.  On the ``"direct"`` path,
-    ``block`` writes key, counter word 0 and ``buffer_pos`` straight into
-    numpy's ``philox_state`` struct (through ``Philox.ctypes.state_address``:
-    counter pointer at byte 0, key pointer at byte 8, int ``buffer_pos`` at
-    byte 16) and fills the row with one ctypes call to numpy's C routine
-    ``random_standard_uniform_fill(bitgen_t *, npy_intp, double *)``, the
-    routine ``Generator.random`` itself calls, without its Python wrapper.
-    Its arguments are built once per block: the ``bitgen_t`` pointer is
-    the ``c_void_p`` numpy hands out, the width one ``c_ssize_t`` and the
-    destination one ``c_void_p`` whose value is set to each row's address;
-    ctypes passes these as they are, where it would convert an int on every
-    call.  The routine is bound through ``ctypes.PyDLL``, so a call keeps
-    the GIL: the generator is this object's alone, so
-    ``Generator.random``'s lock would guard nothing.  On the ``"state"``
-    path, ``block`` assigns ``Philox.state``, which validates and copies a
-    dict per row, and calls ``Generator.random``.  Both give the bits of
-    ``replica_generator``.  Construction takes the direct path only when
-    the routine binds (``_c_uniform_fill``, at the first construction, so
-    that importing this module loads no ``numpy.random``), the struct reads
-    back as expected and a few directly written draws match
-    ``replica_generator`` (checked once per process); ``path`` names the
-    path taken.  Key word 0 is set only when it changes, so keys grouped by
-    seed cost one assignment per group.
+    On the ``"direct"`` path every row has a generator of its own: a record
+    of a table of ``_RECORDS`` rows (``_StreamRecords``), made at the first
+    fill.  A record holds a copy of numpy's ``philox_state`` struct whose
+    counter and key pointers point at the record's own counter and key, and
+    a ``bitgen_t`` whose state is that struct and whose four function
+    pointers are those of this object's Philox, as numpy's random C API
+    (``numpy/random/bitgen.h``) lays them out.  For each chunk of up to
+    ``_RECORDS`` rows, ``block`` writes the keys, counters and buffer
+    positions (4, a used-up buffer, as a fresh stream starts) by whole
+    columns, and ``map`` then fills each row with one ctypes call to numpy's
+    C routine ``random_standard_uniform_fill(bitgen_t *, npy_intp, double
+    *)``, the routine ``Generator.random`` itself calls, without its Python
+    wrapper.  So no Python statement runs per row.  The call's arguments are
+    ctypes instances that outlive the row: the record's ``bitgen_t``
+    pointer, one width a block, and a destination pointer that reads its
+    value from an array the chunk writes by column.  The routine is bound
+    through ``ctypes.PyDLL``, so a call keeps the GIL: the records are this
+    object's alone, so ``Generator.random``'s lock would guard nothing.  On
+    the ``"state"`` path, ``block`` assigns ``Philox.state``, which
+    validates and copies a dict per row, and calls ``Generator.random``.
+    Both give the bits of ``replica_generator``.  Construction takes the
+    direct path only when the routine binds (``_c_uniform_fill``, at the
+    first construction, so that importing this module loads no
+    ``numpy.random``), the generator's own struct and ``bitgen_t`` read back
+    as expected (``_layout_ok``) and a few record fills match
+    ``replica_generator`` (checked once per binding); ``path`` names the
+    path taken.
     """
 
     def __init__(self):
@@ -157,6 +170,7 @@ class _ReplicaStreams:
         self._template = self._bg.state
         self._template["state"]["counter"][:] = 0
         self._template["buffer_pos"] = _PHILOX_WORDS
+        self._records = None  # the record table, made at the first direct fill
         self.path = "direct" if self._layout_ok() else "state"
 
     def block(self, keys, offsets, out: np.ndarray) -> np.ndarray:
@@ -176,41 +190,33 @@ class _ReplicaStreams:
             # chosen per call: a bound method kept on self would be a reference
             # cycle, holding the generator until the cyclic collector runs
             fill = self._fill_direct if self.path == "direct" else self._fill_state
-            # memoryviews hand out one Python int at a time, not a list of them all
-            fill(memoryview(seeds), memoryview(replicas),
-                 memoryview(offsets // _PHILOX_WORDS), out)
+            fill(seeds, replicas, offsets // _PHILOX_WORDS, out)
         return out
 
     def _fill_direct(self, seeds, replicas, counters, out):
-        key, ctr, buffer_pos = self._key, self._ctr, self._buffer_pos
-        # the arguments are built once a block: ctypes passes an instance of
-        # an argtype as it is, but converts an int on every call (about 110 ns
-        # for the width).  Passing each row's address as an int instead of
-        # through dest saved a further 50 ns a row, but the `couple`
-        # benchmark's peak RSS rose by 0.5-0.7 MiB over 25 s runs.
-        fill, bitgen = self._uniform_fill, self._bitgen
-        width, dest = ctypes.c_ssize_t(out.shape[1]), ctypes.c_void_p()
+        if self._records is None:
+            self._records = _StreamRecords(self._functions, _RECORDS)
+        records, fill = self._records, self._uniform_fill
+        words, buffer_pos, dests = records.words, records.buffer_pos, records.dests
+        width = ctypes.c_ssize_t(out.shape[1])
         start, stride = out.ctypes.data, out.strides[0]
-        # a row of a multiple of 4 draws uses up its last counter's buffer, as
-        # a fresh stream starts, so buffer_pos needs setting once per block
-        partial = out.shape[1] % _PHILOX_WORDS
-        buffer_pos.value = _PHILOX_WORDS
-        seed = None
-        for at, s, r, c in zip(range(start, start + stride * len(seeds), stride),
-                               seeds, replicas, counters):
-            if s != seed:
-                key[0] = seed = s
-            key[1], ctr[0] = r, c
-            dest.value = at
-            fill(bitgen, width, dest)
-            if partial:
-                buffer_pos.value = _PHILOX_WORDS
+        for a in range(0, len(out), len(dests)):
+            rows = min(len(dests), len(out) - a)
+            words[:rows, _KEY] = seeds[a:a + rows]
+            words[:rows, _KEY + 1] = replicas[a:a + rows]
+            words[:rows, _CTR] = counters[a:a + rows]
+            words[:rows, _CTR + 1:_CTR + _PHILOX_WORDS] = 0
+            buffer_pos[:rows] = _PHILOX_WORDS
+            dests[:rows] = np.arange(start + a * stride, start + (a + rows) * stride, stride)
+            deque(map(fill, records.bitgens, repeat(width, rows), records.dest_ptrs), maxlen=0)
 
     def _fill_state(self, seeds, replicas, counters, out):
         st = self._template
         key, ctr = st["state"]["key"], st["state"]["counter"]
         seed = None
-        for row, s, r, c in zip(out, seeds, replicas, counters):
+        # memoryviews hand out one Python int at a time, not a list of them all
+        for row, s, r, c in zip(out, memoryview(seeds), memoryview(replicas),
+                                memoryview(counters)):
             if s != seed:
                 key[0] = seed = s
             key[1], ctr[0] = r, c
@@ -220,39 +226,83 @@ class _ReplicaStreams:
     _probed_fill = None  # the bound C fill whose probe fills matched
 
     def _layout_ok(self) -> bool:
-        """Bind the ``philox_state`` fields and the C fill, read the fields
-        back, and check direct writes against fresh streams; the layout is
-        numpy's, so that check runs once per binding of the C fill."""
+        """Bind the C fill, read the generator's ``philox_state`` and
+        ``bitgen_t`` back, and check record fills against fresh streams; the
+        layout is numpy's, so that check runs once per binding of the C fill.
+
+        A record copies the state into 64 bytes, which holds it when the key
+        sits 64 bytes past the state, as in numpy's Philox object, and
+        points its ``bitgen_t`` at that copy, which stands in for the
+        generator's own state only when the generator's ``bitgen_t`` points
+        at ``state_address``.
+        """
         try:
-            addr = self._bg.ctypes.state_address
+            interface = self._bg.ctypes
+            addr = interface.state_address
             ctr_at, key_at = (ctypes.c_void_p * 2).from_address(addr)
-            self._bitgen = self._bg.ctypes.bit_generator
+            bitgen = (ctypes.c_uint64 * 5).from_address(interface.bit_generator.value)
             self._uniform_fill = _c_uniform_fill()
         except (AttributeError, OSError, TypeError, ValueError):
             return False
-        # the counter and key live inside the generator object; refuse any
-        # pointer that does not, rather than read through it
-        if not (ctr_at and key_at and abs(ctr_at - addr) < 4096 and abs(key_at - addr) < 4096):
+        # the counter and key live inside the generator object, the key right
+        # after the state, and the generator's bitgen_t steps that state;
+        # refuse any other layout rather than read through its pointers
+        if not (ctr_at and abs(ctr_at - addr) < 4096 and key_at == addr + 64
+                and bitgen[0] == addr):
             return False
+        self._functions = bitgen[1:]  # next_uint64, next_uint32, next_double, next_raw
         probe = self._bg.state
         probe["state"]["key"][:] = (3, 5)
         probe["state"]["counter"][:] = (7, 0, 0, 0)
         probe["buffer_pos"] = 2
         self._bg.state = probe
-        self._key = (ctypes.c_uint64 * 2).from_address(key_at)
-        self._ctr = (ctypes.c_uint64 * 4).from_address(ctr_at)
-        self._buffer_pos = ctypes.c_int.from_address(addr + 16)
-        if (list(self._key), list(self._ctr), self._buffer_pos.value) != ([3, 5], [7, 0, 0, 0], 2):
+        key = (ctypes.c_uint64 * 2).from_address(key_at)
+        ctr = (ctypes.c_uint64 * 4).from_address(ctr_at)
+        buffer_pos = ctypes.c_int.from_address(addr + 16)
+        if (list(key), list(ctr), buffer_pos.value) != ([3, 5], [7, 0, 0, 0], 2):
             return False
         if self._uniform_fill is _ReplicaStreams._probed_fill:
             return True
         for s, r, offset, width in [(2**64 - 1, 7, 12, 9), (5, 0, 0, 3), (5, 3, 300, 8)]:
             out = np.empty((1, width))
-            self._fill_direct([s], [r], [offset // _PHILOX_WORDS], out)
+            self._fill_direct(np.array([s], dtype=np.uint64), np.array([r], dtype=np.uint64),
+                              np.array([offset // _PHILOX_WORDS]), out)
             if not np.array_equal(out[0], replica_generator(s, r).random(offset + width)[offset:]):
                 return False
         _ReplicaStreams._probed_fill = self._uniform_fill
         return True
+
+
+class _StreamRecords:
+    """A table of ``rows`` Philox records and the ctypes arguments that fill from them.
+
+    Record i is row i of ``words``, ``_RECORD_WORDS`` uint64 words: numpy's
+    ``philox_state`` (8 words: counter pointer, key pointer, the int
+    ``buffer_pos`` at byte 16, the 4-word output buffer and the 32-bit
+    cache, zero here), then the key (2 words, at ``_KEY``), the counter (4,
+    at ``_CTR``) and a ``bitgen_t`` (5, at ``_BITGEN``: a pointer to the
+    record's state and the generator's four function pointers
+    ``functions``).  Everything but keys, counters and buffer positions is
+    written here, once.  ``buffer_pos`` is an int32 view of the
+    ``buffer_pos`` column, right on either byte order.  ``bitgens`` holds a
+    ``c_void_p`` to each record's ``bitgen_t``, and ``dest_ptrs`` a
+    ``c_void_p`` reading its value from entry i of ``dests``, so that a
+    fill sets its destinations by one whole-array write.
+    """
+
+    def __init__(self, functions, rows: int):
+        self.words = np.zeros((rows, _RECORD_WORDS), dtype=np.uint64)
+        at = self.words.ctypes.data + self.words.strides[0] * np.arange(rows, dtype=np.uint64)
+        self.words[:, 0] = at + 8 * _CTR
+        self.words[:, 1] = at + 8 * _KEY
+        self.words[:, _BITGEN] = at
+        self.words[:, _BITGEN + 1:] = functions
+        self.buffer_pos = self.words.view(np.int32)[:, 4]
+        self.bitgens = list(map(ctypes.c_void_p, (at + 8 * _BITGEN).tolist()))
+        self.dests = np.zeros(rows, dtype=np.intp)
+        first = self.dests.ctypes.data
+        self.dest_ptrs = list(map(ctypes.c_void_p.from_address,
+                                  range(first, first + self.dests.nbytes, self.dests.itemsize)))
 
 
 @functools.cache
@@ -263,10 +313,13 @@ def _c_uniform_fill():
     exported by the extension that holds ``Generator``.  Bound through
     ``ctypes.PyDLL``, so a call holds the GIL, once per process: each
     library handle makes classes of its own, which only the cyclic garbage
-    collector frees.  AttributeError or OSError if it cannot be bound.
+    collector frees.  It declares no ``argtypes``: every caller passes
+    ctypes instances of the C types (``c_void_p``, ``c_ssize_t``), which
+    ctypes passes as they are, with no ``from_param`` call per argument (a
+    Python int would go as a C int, and ctypes refuses any that does not
+    fit one).  AttributeError or OSError if it cannot be bound.
     """
     fill = ctypes.PyDLL(np.random._generator.__file__).random_standard_uniform_fill
-    fill.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p)
     fill.restype = None
     return fill
 

@@ -897,6 +897,16 @@ def test_cli_malformed_input_is_a_structured_error(tmp_path, capsys, case):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
+def test_cli_refusal_leaves_no_output_directory(tmp_path, case):
+    # hitmix judged its chain, and couple its certificate, only after making --out
+    code, build = MALFORMED_INPUTS[case]
+    payload = build(tmp_path)
+    cfg = _write_cfg(tmp_path, payload)
+    assert cli_main([payload["experiment"], "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--quiet"]) == code
+    assert not (tmp_path / "o").exists()
+
 @pytest.mark.parametrize("case, message", [
     ("couple-start-outside-C", r"start state 0, the first of C' = \{V <= r'\}, lies outside C"),
     ("couple-small-set-empty", "sublevel sets are empty"),

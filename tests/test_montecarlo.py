@@ -398,9 +398,9 @@ def test_block_refuses_an_unfit_out_before_writing(streams_on_both_paths, make_o
 
 
 def test_consecutive_blocks_fill_their_own_buffers_on_both_paths(streams_on_both_paths):
-    # the direct path builds its ctypes width and destination once a block and
-    # points the destination at each row; a second block, of another width,
-    # buffer and seed, fills only its own buffer, at its own width
+    # the direct path keeps its records and destination pointers from block to
+    # block; a second block, of another width, buffer and seed, fills only its
+    # own buffer, at its own width
     blocks = [([(5, 0), (5, 3), (5, 1)], [0, 8, 4], 3), ([(9, 1), (2**64 - 1, 0)], [4, 0], 8)]
     for streams in streams_on_both_paths:
         outs = [np.full((len(keys), width), -1.0) for keys, _, width in blocks]
@@ -410,6 +410,60 @@ def test_consecutive_blocks_fill_their_own_buffers_on_both_paths(streams_on_both
             expected = [montecarlo.replica_generator(s, r).random(o + width)[o:]
                         for (s, r), o in zip(keys, offsets)]
             assert np.array_equal(out, expected), streams.path
+
+
+def _state_path_streams():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo._ReplicaStreams, "_layout_ok", lambda self: False)
+        return montecarlo._ReplicaStreams()
+
+
+def _philox_at(seed, replica, counter, width):
+    """Oracle: ``width`` draws of the stream keyed (seed, replica) after ``counter``
+    Philox counter increments, at any counter."""
+    bg = np.random.Philox(key=np.array([seed, replica], dtype=np.uint64),
+                          counter=np.array([counter, 0, 0, 0], dtype=np.uint64))
+    return np.random.Generator(bg).random(width)
+
+
+@pytest.mark.parametrize("width", [*range(1, 10), 48])
+def test_record_fill_across_chunks_matches_the_state_path(monkeypatch, width):
+    # a table of 3 records fills a block of 8 rows in three chunks, then one of
+    # 5 rows in two, so each record is reused at other keys and counters; the
+    # seed changes inside the second chunk of each block, and the offsets
+    # reach counters of 2**61 - 1, the largest an int64 offset gives
+    monkeypatch.setattr(montecarlo, "_RECORDS", 3)
+    big = 2**63 - 4
+    blocks = [([(5, 0), (5, 3), (5, 1), (5, 2**64 - 1), (9, 4), (9, 0), (2**64 - 1, 7), (0, 0)],
+               [0, 4, 300, big, 8, big - 4, 2**40, 12]),
+              ([(7, 2), (7, 2), (8, 2), (8, 5), (8, 6)], [big, 0, 4, 2**62, 96])]
+    direct, state = montecarlo._ReplicaStreams(), _state_path_streams()
+    assert (direct.path, state.path) == ("direct", "state")
+    for keys, offsets in blocks:
+        got = direct.block(keys, offsets, np.full((len(keys), width), -1.0))
+        want = state.block(keys, offsets, np.full((len(keys), width), -1.0))
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, [_philox_at(s, r, o // 4, width)
+                                    for (s, r), o in zip(keys, offsets)])
+        for row, (s, r), o in zip(got, keys, offsets):
+            if o < 1000:
+                stream = montecarlo.replica_generator(s, r)
+                assert np.array_equal(row, stream.random(o + width)[o:])
+    assert len(direct._records.dests) == 3
+
+
+def test_record_fill_of_a_population_in_many_chunks():
+    # one block of 2 * 512 + 5 rows in the default table, as a finite-kernel
+    # population fills them: records 0-4 fill a row in each of three
+    # chunks, the others in two
+    rng = np.random.default_rng(12)
+    rows = 2 * montecarlo._RECORDS + 5
+    keys = np.column_stack((np.sort(rng.integers(0, 3, rows)), rng.integers(0, 25_000, rows)))
+    offsets = rng.integers(0, 40, rows) * 4
+    for width in (25, 40):
+        got = montecarlo._ReplicaStreams().block(keys, offsets, np.empty((rows, width)))
+        assert np.array_equal(got, _state_path_streams().block(keys, offsets,
+                                                               np.empty((rows, width))))
 
 
 def _walk_alone(p, x0, target, seed, replica, horizon):
@@ -1240,6 +1294,30 @@ def test_state_path_when_the_layout_check_fails(monkeypatch, corpus_estimates):
         assert _corpus_estimates() == corpus_estimates
         assert _batch(sampler, jobs, 700, 300) == direct
         monkeypatch.undo()
+
+
+class _PhiloxWithForeignBitgen(np.random.Philox):
+    """A Philox whose ctypes interface hands out a copy of its ``bitgen_t``
+    with the state word 8 bytes past ``state_address``."""
+
+    @property
+    def ctypes(self):
+        interface = super().ctypes
+        words = (ctypes.c_uint64 * 5).from_address(interface.bit_generator.value)
+        self._foreign = (ctypes.c_uint64 * 5)(words[0] + 8, *words[1:])
+        return interface._replace(bit_generator=ctypes.c_void_p(ctypes.addressof(self._foreign)))
+
+
+def test_state_path_when_the_bitgen_does_not_point_at_the_state(monkeypatch, corpus_estimates):
+    sampler = m.ball_walk_sampler(EXP, 1.0 / 8.0)
+    high = lambda xs: np.asarray(xs) >= 0.75  # noqa: E731
+    jobs = [(0.0, high, 3), (0.5, high, 6)]
+    assert montecarlo._ReplicaStreams().path == "direct"
+    direct = _batch(sampler, jobs, 700, 300)
+    monkeypatch.setattr(np.random, "Philox", _PhiloxWithForeignBitgen)
+    assert montecarlo._ReplicaStreams().path == "state"
+    assert _corpus_estimates() == corpus_estimates
+    assert _batch(sampler, jobs, 700, 300) == direct
 
 
 def test_layout_probe_fills_run_once_per_binding(monkeypatch):

@@ -39,7 +39,7 @@ from .errors import (
     NonpositiveDenominator,
     ResidualTooLarge,
 )
-from .kernels import FiniteKernel, restrict
+from .kernels import FiniteKernel, _is_int, restrict
 from .tolerances import EQUALITY_TOL, ROW_SUM_TOL, SPECTRAL_RESIDUAL_TOL
 
 # The exact routes' size cap: T by mixing_time, and the certify run's TV audit.
@@ -232,9 +232,10 @@ def _drift_b(k: FiniteKernel, v: np.ndarray, lam_grid: np.ndarray) -> np.ndarray
 
 
 def multistep_drift_params(lam: float, b: float, t: int) -> tuple[float, float]:
-    """Drift parameters inherited by the t-step kernel."""
-    if t < 1:
-        raise InvalidParameters("step count must be >= 1")
+    """Drift parameters inherited by the t-step kernel; InvalidParameters unless
+    t is an integer >= 1 (a bool is not one)."""
+    if not (_is_int(t) and t >= 1):
+        raise InvalidParameters(f"step count must be an integer >= 1, got {t!r}")
     _check_drift(lam, b)
     lam_t = lam ** t
     return lam_t, b * (1.0 - lam_t) / (1.0 - lam)

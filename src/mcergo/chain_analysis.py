@@ -33,7 +33,7 @@ from .errors import (
     TooManyStates,
     Unreachable,
 )
-from .kernels import FiniteKernel, lazy_transform
+from .kernels import FiniteKernel, _is_int, lazy_transform
 from .tolerances import (
     HITTING_CONDITION_TOL,
     LINEAR_RESIDUAL_TOL,
@@ -562,14 +562,14 @@ def exit_probability(k: FiniteKernel, subset, x0: int, t: int) -> float:
     EmptySubset
         If ``subset`` is empty.
     ValueError
-        If t < 0, a value of ``subset`` or x0 is not a state of k, or x0 is
-        not in ``subset``.
+        If t is not a nonnegative integer (a bool is not one), a value of
+        ``subset`` or x0 is not a state of k, or x0 is not in ``subset``.
     """
     S = k.state_set(subset, "subset state")
     if S.size == 0:
         raise EmptySubset("exit subset is empty")
-    if t < 0:
-        raise ValueError("step count must be nonnegative")
+    if not (_is_int(t) and t >= 0):
+        raise ValueError(f"step count must be a nonnegative integer, got {t!r}")
     at = np.flatnonzero(S == k.state_set([x0], "start"))
     if not at.size:
         raise ValueError(f"start {x0} is not in the subset")
@@ -628,12 +628,14 @@ def pseudo_minorization(k: FiniteKernel, subset, t: int) -> MinorizationReport:
     ------
     DegenerateOverlap
         If eps <= 0 within tolerance, signalling t too small.
+    ValueError
+        If t is not an integer >= 1 (a bool is not one).
     """
     S = k.state_set(subset, "subset state")
     if S.size == 0:
         raise EmptySubset("minorization subset is empty")
-    if t < 1:
-        raise ValueError("step count must be >= 1")
+    if not (_is_int(t) and t >= 1):
+        raise ValueError(f"step count must be an integer >= 1, got {t!r}")
     rows = np.linalg.matrix_power(k.p, t)
     sub = rows[S]
     e = 0.5 * np.abs(sub - sub.mean(axis=0)).sum(axis=1)
@@ -669,7 +671,8 @@ def pseudo_minorization(k: FiniteKernel, subset, t: int) -> MinorizationReport:
 
 
 def mix_to_hit_bound(t_m: int) -> float:
-    """Certified upper bound t_H(1/3) <= 12 * t_m."""
-    if t_m < 0:
-        raise ValueError("mixing time must be nonnegative")
+    """Certified upper bound t_H(1/3) <= 12 * t_m; ValueError unless t_m is a
+    nonnegative integer (a bool is not one)."""
+    if not (_is_int(t_m) and t_m >= 0):
+        raise ValueError(f"mixing time must be a nonnegative integer, got {t_m!r}")
     return 12.0 * t_m

@@ -50,8 +50,9 @@ from .kernels import (
     kernel_from_csv,
     lazy_srw,
     restrict,
+    _is_int,
 )
-from .montecarlo import _is_int, coupled_escape_estimate, estimate_hitting_batch
+from .montecarlo import coupled_escape_estimate, estimate_hitting_batch
 from .svg import emit_svg
 
 RESTRICTIONS = ("mh-restriction", "trace")  # gibbs needs a probability table no config carries

@@ -13,6 +13,7 @@ carries: no builder attaches one.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -146,6 +147,11 @@ class FiniteKernel:
             self.states is None or np.array_equal(self.states, other.states)
         )
         return np.array_equal(self.p, other.p) and same_states
+
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _float_array(values, what: str) -> np.ndarray:

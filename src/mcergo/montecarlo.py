@@ -3,17 +3,20 @@
 Randomness is counter-based: replica r draws from the Philox stream keyed
 (seed, r), so every replica's draws are a pure function of (seed, replica
 index, step) and results are independent of scheduling and worker count.
-``sample_path`` uses the replica-0 stream.  Batch estimators give each
-walker row of a block a Philox state record of its own, a copy of numpy's
-state struct in a table made at the first fill, write the records' keys,
-counters and buffer positions by whole columns, and fill each row with
-one ctypes call to numpy's C ``random_standard_uniform_fill``, the routine
-under ``Generator.random`` (``_ReplicaStreams``), made by ``map`` so that
-no Python statement runs per row.  That is stream-identical to
-constructing ``Philox(key=[seed, r])`` per walker but far cheaper.  If the
-struct does not check out or the routine cannot be bound,
-``_ReplicaStreams`` assigns ``Philox.state`` and calls
-``Generator.random`` instead, which gives the same bits more slowly.
+``sample_path`` uses the replica-0 stream.  Whether a Philox state record
+of the toolkit's own can stand in for numpy's Philox is decided once per
+process, at the first walker loop (``_record_fill``): numpy's C
+``random_standard_uniform_fill``, the routine under ``Generator.random``,
+must bind, a Philox's state struct must read back as numpy lays it out,
+and a few record fills must match fresh streams.  Where it can, each
+walker loop's ``_ReplicaStreams`` holds only a table of records, copies of
+numpy's state struct; a block writes their keys, counters and buffer
+positions by whole columns and fills each row with one ctypes call to
+that routine, made by ``map`` so that no Python statement runs per row.
+That is stream-identical to constructing ``Philox(key=[seed, r])`` per
+walker but far cheaper.  Where it cannot, ``_ReplicaStreams`` holds only a
+Philox and its Generator, assigns ``Philox.state`` and calls
+``Generator.random`` per row, which gives the same bits more slowly.
 
 One walker loop, ``_first_hits``, runs every walker: the hitting times of
 target sets (``estimate_hitting_batch`` runs many (sampler, start, target,
@@ -63,7 +66,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import numbers
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
@@ -73,7 +75,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import AllCensored
-from .kernels import ContinuousSampler1D, DominatedKernel, FiniteKernel, _check_domination
+from .kernels import ContinuousSampler1D, DominatedKernel, FiniteKernel, _check_domination, _is_int
 
 # One stream block holds population x row steps x draws uniform doubles, and
 # the population of a sampler is what fills it: 4096 finite-kernel walkers
@@ -135,43 +137,43 @@ class _ReplicaStreams:
     key; anything else is refused before any row is written (ValueError,
     or TypeError for another dtype, as ``Generator.random`` raises).
 
-    On the ``"direct"`` path every row has a generator of its own: a record
-    of a table of ``_RECORDS`` rows (``_StreamRecords``), made at the first
-    fill.  A record holds a copy of numpy's ``philox_state`` struct whose
-    counter and key pointers point at the record's own counter and key, and
-    a ``bitgen_t`` whose state is that struct and whose four function
-    pointers are those of this object's Philox, as numpy's random C API
-    (``numpy/random/bitgen.h``) lays them out.  For each chunk of up to
-    ``_RECORDS`` rows, ``block`` writes the keys, counters and buffer
-    positions (4, a used-up buffer, as a fresh stream starts) by whole
-    columns, and ``map`` then fills each row with one ctypes call to numpy's
-    C routine ``random_standard_uniform_fill(bitgen_t *, npy_intp, double
-    *)``, the routine ``Generator.random`` itself calls, without its Python
-    wrapper.  So no Python statement runs per row.  The call's arguments are
-    ctypes instances that outlive the row: the record's ``bitgen_t``
+    Which path an object takes is decided once per process, by
+    ``_record_fill`` at the first construction (so that importing this
+    module loads no ``numpy.random``), and ``path`` names it.  Each object
+    then builds only what its path needs.  On the ``"direct"`` path that
+    is a table of ``_RECORDS`` Philox records (``_StreamRecords``), one per
+    object, so that two walker loops, in two threads or one re-entered from
+    a target predicate, never share a record.  A record holds a copy of
+    numpy's ``philox_state`` struct whose counter and key pointers point at
+    the record's own counter and key, and a ``bitgen_t`` whose state is
+    that struct and whose four function pointers are those of a Philox, as
+    numpy's random C API (``numpy/random/bitgen.h``) lays them out.  For
+    each chunk of up to ``_RECORDS`` rows, ``_fill_records`` writes the
+    keys, counters and buffer positions (4, a used-up buffer, as a fresh
+    stream starts) by whole columns, and ``map`` then fills each row with
+    one ctypes call to numpy's C routine ``random_standard_uniform_fill``,
+    the routine ``Generator.random`` itself calls, without its Python
+    wrapper.  So no Python statement runs per row.  The call's arguments
+    are ctypes instances that outlive the row: the record's ``bitgen_t``
     pointer, one width a block, and a destination pointer that reads its
-    value from an array the chunk writes by column.  The routine is bound
-    through ``ctypes.PyDLL``, so a call keeps the GIL: the records are this
-    object's alone, so ``Generator.random``'s lock would guard nothing.  On
-    the ``"state"`` path, ``block`` assigns ``Philox.state``, which
-    validates and copies a dict per row, and calls ``Generator.random``.
-    Both give the bits of ``replica_generator``.  Construction takes the
-    direct path only when the routine binds (``_c_uniform_fill``, at the
-    first construction, so that importing this module loads no
-    ``numpy.random``), the generator's own struct and ``bitgen_t`` read back
-    as expected (``_layout_ok``) and a few record fills match
-    ``replica_generator`` (checked once per binding); ``path`` names the
-    path taken.
+    value from an array the chunk writes by column.  The routine keeps the
+    GIL (``ctypes.PyDLL``): the records are this object's alone, so
+    ``Generator.random``'s lock would guard nothing.  On the ``"state"``
+    path the object holds a Philox, its Generator and a template of a fresh
+    stream's state, and ``block`` assigns ``Philox.state``, which validates
+    and copies a dict per row, and calls ``Generator.random``.  Both give
+    the bits of ``replica_generator``.
     """
 
     def __init__(self):
-        self._bg = np.random.Philox(key=np.uint64(0))
-        self._gen = np.random.Generator(self._bg)
-        self._template = self._bg.state
-        self._template["state"]["counter"][:] = 0
-        self._template["buffer_pos"] = _PHILOX_WORDS
-        self._records = None  # the record table, made at the first direct fill
-        self.path = "direct" if self._layout_ok() else "state"
+        direct = _record_fill()
+        self.path = "direct" if direct else "state"
+        if direct:
+            self._records = _StreamRecords(*direct, _RECORDS)
+        else:
+            self._bg = np.random.Philox(key=np.uint64(0))
+            self._gen = np.random.Generator(self._bg)
+            self._template = self._bg.state  # counter 0 and buffer_pos 4, as every row starts
 
     def block(self, keys, offsets, out: np.ndarray) -> np.ndarray:
         if not isinstance(out, np.ndarray) or out.dtype != np.float64:
@@ -186,29 +188,11 @@ class _ReplicaStreams:
         offsets = np.broadcast_to(np.asarray(offsets, dtype=np.int64), seeds.shape)
         if np.any(offsets % _PHILOX_WORDS) or np.any(offsets < 0):
             raise ValueError("stream offsets must be nonnegative multiples of 4")
-        if out.size:
-            # chosen per call: a bound method kept on self would be a reference
-            # cycle, holding the generator until the cyclic collector runs
-            fill = self._fill_direct if self.path == "direct" else self._fill_state
-            fill(seeds, replicas, offsets // _PHILOX_WORDS, out)
+        if out.size and self.path == "direct":
+            _fill_records(self._records, seeds, replicas, offsets // _PHILOX_WORDS, out)
+        elif out.size:
+            self._fill_state(seeds, replicas, offsets // _PHILOX_WORDS, out)
         return out
-
-    def _fill_direct(self, seeds, replicas, counters, out):
-        if self._records is None:
-            self._records = _StreamRecords(self._functions, _RECORDS)
-        records, fill = self._records, self._uniform_fill
-        words, buffer_pos, dests = records.words, records.buffer_pos, records.dests
-        width = ctypes.c_ssize_t(out.shape[1])
-        start, stride = out.ctypes.data, out.strides[0]
-        for a in range(0, len(out), len(dests)):
-            rows = min(len(dests), len(out) - a)
-            words[:rows, _KEY] = seeds[a:a + rows]
-            words[:rows, _KEY + 1] = replicas[a:a + rows]
-            words[:rows, _CTR] = counters[a:a + rows]
-            words[:rows, _CTR + 1:_CTR + _PHILOX_WORDS] = 0
-            buffer_pos[:rows] = _PHILOX_WORDS
-            dests[:rows] = np.arange(start + a * stride, start + (a + rows) * stride, stride)
-            deque(map(fill, records.bitgens, repeat(width, rows), records.dest_ptrs), maxlen=0)
 
     def _fill_state(self, seeds, replicas, counters, out):
         st = self._template
@@ -223,55 +207,6 @@ class _ReplicaStreams:
             self._bg.state = st
             self._gen.random(out=row)
 
-    _probed_fill = None  # the bound C fill whose probe fills matched
-
-    def _layout_ok(self) -> bool:
-        """Bind the C fill, read the generator's ``philox_state`` and
-        ``bitgen_t`` back, and check record fills against fresh streams; the
-        layout is numpy's, so that check runs once per binding of the C fill.
-
-        A record copies the state into 64 bytes, which holds it when the key
-        sits 64 bytes past the state, as in numpy's Philox object, and
-        points its ``bitgen_t`` at that copy, which stands in for the
-        generator's own state only when the generator's ``bitgen_t`` points
-        at ``state_address``.
-        """
-        try:
-            interface = self._bg.ctypes
-            addr = interface.state_address
-            ctr_at, key_at = (ctypes.c_void_p * 2).from_address(addr)
-            bitgen = (ctypes.c_uint64 * 5).from_address(interface.bit_generator.value)
-            self._uniform_fill = _c_uniform_fill()
-        except (AttributeError, OSError, TypeError, ValueError):
-            return False
-        # the counter and key live inside the generator object, the key right
-        # after the state, and the generator's bitgen_t steps that state;
-        # refuse any other layout rather than read through its pointers
-        if not (ctr_at and abs(ctr_at - addr) < 4096 and key_at == addr + 64
-                and bitgen[0] == addr):
-            return False
-        self._functions = bitgen[1:]  # next_uint64, next_uint32, next_double, next_raw
-        probe = self._bg.state
-        probe["state"]["key"][:] = (3, 5)
-        probe["state"]["counter"][:] = (7, 0, 0, 0)
-        probe["buffer_pos"] = 2
-        self._bg.state = probe
-        key = (ctypes.c_uint64 * 2).from_address(key_at)
-        ctr = (ctypes.c_uint64 * 4).from_address(ctr_at)
-        buffer_pos = ctypes.c_int.from_address(addr + 16)
-        if (list(key), list(ctr), buffer_pos.value) != ([3, 5], [7, 0, 0, 0], 2):
-            return False
-        if self._uniform_fill is _ReplicaStreams._probed_fill:
-            return True
-        for s, r, offset, width in [(2**64 - 1, 7, 12, 9), (5, 0, 0, 3), (5, 3, 300, 8)]:
-            out = np.empty((1, width))
-            self._fill_direct(np.array([s], dtype=np.uint64), np.array([r], dtype=np.uint64),
-                              np.array([offset // _PHILOX_WORDS]), out)
-            if not np.array_equal(out[0], replica_generator(s, r).random(offset + width)[offset:]):
-                return False
-        _ReplicaStreams._probed_fill = self._uniform_fill
-        return True
-
 
 class _StreamRecords:
     """A table of ``rows`` Philox records and the ctypes arguments that fill from them.
@@ -281,16 +216,18 @@ class _StreamRecords:
     ``buffer_pos`` at byte 16, the 4-word output buffer and the 32-bit
     cache, zero here), then the key (2 words, at ``_KEY``), the counter (4,
     at ``_CTR``) and a ``bitgen_t`` (5, at ``_BITGEN``: a pointer to the
-    record's state and the generator's four function pointers
-    ``functions``).  Everything but keys, counters and buffer positions is
-    written here, once.  ``buffer_pos`` is an int32 view of the
-    ``buffer_pos`` column, right on either byte order.  ``bitgens`` holds a
-    ``c_void_p`` to each record's ``bitgen_t``, and ``dest_ptrs`` a
-    ``c_void_p`` reading its value from entry i of ``dests``, so that a
-    fill sets its destinations by one whole-array write.
+    record's state and a Philox's four function pointers ``functions``).
+    Everything but keys, counters and buffer positions is written here,
+    once.  ``buffer_pos`` is an int32 view of the ``buffer_pos`` column,
+    right on either byte order.  ``fill`` is the C fill of ``_record_fill``,
+    ``bitgens`` holds a ``c_void_p`` to each record's ``bitgen_t``, and
+    ``dest_ptrs`` a ``c_void_p`` reading its value from entry i of
+    ``dests``, so that a fill sets its destinations by one whole-array
+    write.
     """
 
-    def __init__(self, functions, rows: int):
+    def __init__(self, fill, functions, rows: int):
+        self.fill = fill
         self.words = np.zeros((rows, _RECORD_WORDS), dtype=np.uint64)
         at = self.words.ctypes.data + self.words.strides[0] * np.arange(rows, dtype=np.uint64)
         self.words[:, 0] = at + 8 * _CTR
@@ -305,28 +242,85 @@ class _StreamRecords:
                                   range(first, first + self.dests.nbytes, self.dests.itemsize)))
 
 
+def _fill_records(records: _StreamRecords, seeds, replicas, counters, out):
+    """Fill row i of ``out`` from the stream keyed (seeds[i], replicas[i]) at
+    Philox counter counters[i], through the records, a chunk of rows at a time."""
+    words, buffer_pos, dests = records.words, records.buffer_pos, records.dests
+    width = ctypes.c_ssize_t(out.shape[1])
+    start, stride = out.ctypes.data, out.strides[0]
+    for a in range(0, len(out), len(dests)):
+        rows = min(len(dests), len(out) - a)
+        words[:rows, _KEY] = seeds[a:a + rows]
+        words[:rows, _KEY + 1] = replicas[a:a + rows]
+        words[:rows, _CTR] = counters[a:a + rows]
+        words[:rows, _CTR + 1:_CTR + _PHILOX_WORDS] = 0
+        buffer_pos[:rows] = _PHILOX_WORDS
+        dests[:rows] = np.arange(start + a * stride, start + (a + rows) * stride, stride)
+        deque(map(records.fill, records.bitgens, repeat(width, rows), records.dest_ptrs),
+              maxlen=0)
+
+
 @functools.cache
-def _c_uniform_fill():
-    """numpy's C ``random_standard_uniform_fill(bitgen_t *, npy_intp cnt, double *out)``.
+def _record_fill():
+    """(numpy's C uniform fill, the four function pointers of a Philox
+    ``bitgen_t``) where a record fill (``_StreamRecords``) gives numpy's
+    Philox bits, else None: the one decision of the stream path, made once
+    per process.
 
-    Part of numpy's random C API (``numpy/random/c_distributions.pxd``),
-    exported by the extension that holds ``Generator``.  Bound through
-    ``ctypes.PyDLL``, so a call holds the GIL, once per process: each
-    library handle makes classes of its own, which only the cyclic garbage
-    collector frees.  It declares no ``argtypes``: every caller passes
-    ctypes instances of the C types (``c_void_p``, ``c_ssize_t``), which
-    ctypes passes as they are, with no ``from_param`` call per argument (a
-    Python int would go as a C int, and ctypes refuses any that does not
-    fit one).  AttributeError or OSError if it cannot be bound.
+    The fill is numpy's C ``random_standard_uniform_fill(bitgen_t *,
+    npy_intp cnt, double *out)``, part of numpy's random C API
+    (``numpy/random/c_distributions.pxd``) and exported by the extension
+    that holds ``Generator``.  It is bound through ``ctypes.PyDLL``, so a
+    call holds the GIL, and only here: each library handle makes classes of
+    its own, which only the cyclic garbage collector frees.  It declares no
+    ``argtypes``: every caller passes ctypes instances of the C types
+    (``c_void_p``, ``c_ssize_t``), which ctypes passes as they are, with no
+    ``from_param`` call per argument (a Python int would go as a C int, and
+    ctypes refuses any that does not fit one).
+
+    A record copies the state into 64 bytes, which holds it when the key
+    sits 64 bytes past the state, as in numpy's Philox object, and points
+    its ``bitgen_t`` at that copy, which stands in for the generator's own
+    state only when the generator's ``bitgen_t`` points at
+    ``state_address``.  So the answer is None unless the routine binds, a
+    Philox's ``philox_state`` and ``bitgen_t`` read back as that layout has
+    them, and three fills of a one-record table match ``replica_generator``.
     """
-    fill = ctypes.PyDLL(np.random._generator.__file__).random_standard_uniform_fill
+    bg = np.random.Philox(key=np.uint64(0))
+    try:
+        interface = bg.ctypes
+        addr = interface.state_address
+        ctr_at, key_at = (ctypes.c_void_p * 2).from_address(addr)
+        bitgen = (ctypes.c_uint64 * 5).from_address(interface.bit_generator.value)
+        fill = ctypes.PyDLL(np.random._generator.__file__).random_standard_uniform_fill
+    except (AttributeError, OSError, TypeError, ValueError):
+        return None
     fill.restype = None
-    return fill
-
-
-def _is_int(value) -> bool:
-    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # the counter and key live inside the generator object, the key right
+    # after the state, and the generator's bitgen_t steps that state;
+    # refuse any other layout rather than read through its pointers
+    if not (ctr_at and abs(ctr_at - addr) < 4096 and key_at == addr + 64
+            and bitgen[0] == addr):
+        return None
+    functions = tuple(bitgen[1:])  # next_uint64, next_uint32, next_double, next_raw
+    probe = bg.state
+    probe["state"]["key"][:] = (3, 5)
+    probe["state"]["counter"][:] = (7, 0, 0, 0)
+    probe["buffer_pos"] = 2
+    bg.state = probe
+    key = (ctypes.c_uint64 * 2).from_address(key_at)
+    ctr = (ctypes.c_uint64 * 4).from_address(ctr_at)
+    buffer_pos = ctypes.c_int.from_address(addr + 16)
+    if (list(key), list(ctr), buffer_pos.value) != ([3, 5], [7, 0, 0, 0], 2):
+        return None
+    records = _StreamRecords(fill, functions, 1)
+    for s, r, offset, width in [(2**64 - 1, 7, 12, 9), (5, 0, 0, 3), (5, 3, 300, 8)]:
+        out = np.empty((1, width))
+        _fill_records(records, np.array([s], dtype=np.uint64), np.array([r], dtype=np.uint64),
+                      np.array([offset // _PHILOX_WORDS]), out)
+        if not np.array_equal(out[0], replica_generator(s, r).random(offset + width)[offset:]):
+            return None
+    return fill, functions
 
 
 def _check_walk(seed, steps, what: str) -> None:

@@ -829,6 +829,28 @@ def test_exit_probability_rejects_bad_arguments():
         m.exit_probability(k, [-1, 0], 0, 3)
 
 
+K4 = m.build_finite_kernel(np.tile([0.55, 0.25, 0.15, 0.05], (4, 1)))
+STEP_COUNT_TAKERS = {
+    "exit_probability": (lambda t: m.exit_probability(K4, [0, 1], 0, t), ValueError),
+    "pseudo_minorization": (lambda t: m.pseudo_minorization(K4, [0, 1], t), ValueError),
+    "multistep_drift_params": (lambda t: m.multistep_drift_params(0.5, 1.0, t),
+                               errors.InvalidParameters),
+    "mix_to_hit_bound": (m.mix_to_hit_bound, ValueError),
+}
+
+
+@pytest.mark.parametrize("name", STEP_COUNT_TAKERS)
+@pytest.mark.parametrize("t", [2.5, 2.0, np.float64(3.0), True, np.bool_(True), "2", None])
+def test_step_counts_are_integers(name, t):
+    # a bool or non-integer step count gets the error of the function's own
+    # bound check, not a TypeError or a result
+    call, error = STEP_COUNT_TAKERS[name]
+    with pytest.raises(error, match="integer"):
+        call(t)
+    call(np.int64(2))
+    call(2)
+
+
 # --- mix-to-hit direction ------------------------------------------------------------------
 
 def test_mix_to_hit_values():

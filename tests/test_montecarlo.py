@@ -1,4 +1,5 @@
 import bisect
+import contextlib
 import ctypes
 import math
 
@@ -341,10 +342,7 @@ def test_replica_streams_write_philox_state_directly():
 @pytest.fixture(scope="module")
 def streams_on_both_paths():
     """A ``_ReplicaStreams`` on the direct path and one on the state path."""
-    direct = montecarlo._ReplicaStreams()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(montecarlo._ReplicaStreams, "_layout_ok", lambda self: False)
-        state = montecarlo._ReplicaStreams()
+    direct, state = montecarlo._ReplicaStreams(), _state_path_streams()
     assert (direct.path, state.path) == ("direct", "state")
     return direct, state
 
@@ -413,9 +411,27 @@ def test_consecutive_blocks_fill_their_own_buffers_on_both_paths(streams_on_both
 
 
 def _state_path_streams():
+    """A ``_ReplicaStreams`` built as where record fills cannot stand in for
+    numpy's Philox; the decision kept for the process is left as it is."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(montecarlo._ReplicaStreams, "_layout_ok", lambda self: False)
+        mp.setattr(montecarlo, "_record_fill", lambda: None)
         return montecarlo._ReplicaStreams()
+
+
+@contextlib.contextmanager
+def _stream_path_decided_under(owner, name, value):
+    """Set ``owner.name`` to ``value`` and make the stream path decision
+    afresh under it.  On exit the patch is undone first and the decision is
+    then cleared, so that the next walker loop decides without it, even
+    when the body fails."""
+    clear = montecarlo._record_fill.cache_clear
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(owner, name, value)
+            clear()
+            yield mp
+    finally:
+        clear()
 
 
 def _philox_at(seed, replica, counter, width):
@@ -1278,22 +1294,21 @@ def _unloadable(name):
     raise OSError(f"cannot load {name}")
 
 
-def test_state_path_when_the_layout_check_fails(monkeypatch, corpus_estimates):
+def test_state_path_when_the_layout_check_fails(corpus_estimates):
     sampler = m.ball_walk_sampler(EXP, 1.0 / 8.0)
     high = lambda xs: np.asarray(xs) >= 0.75  # noqa: E731
     jobs = [(0.0, high, 3), (0.5, high, 6)]
     assert montecarlo._ReplicaStreams().path == "direct"
     direct = _batch(sampler, jobs, 700, 300)
-    # the struct does not check out; the C fill does not bind; its library does not load
-    for owner, name, failing in [(montecarlo._ReplicaStreams, "_layout_ok", lambda self: False),
+    # the struct does not read back; the C fill does not bind; its library does not load
+    for owner, name, failing in [(ctypes.c_int, "from_address", lambda address: ctypes.c_int(3)),
                                  (ctypes, "PyDLL", _NoSymbols),
                                  (ctypes, "PyDLL", _unloadable)]:
-        montecarlo._c_uniform_fill.cache_clear()  # bound once per process
-        monkeypatch.setattr(owner, name, failing)
-        assert montecarlo._ReplicaStreams().path == "state"
-        assert _corpus_estimates() == corpus_estimates
-        assert _batch(sampler, jobs, 700, 300) == direct
-        monkeypatch.undo()
+        with _stream_path_decided_under(owner, name, failing):
+            assert montecarlo._ReplicaStreams().path == "state"
+            assert _corpus_estimates() == corpus_estimates
+            assert _batch(sampler, jobs, 700, 300) == direct
+    assert montecarlo._ReplicaStreams().path == "direct"
 
 
 class _PhiloxWithForeignBitgen(np.random.Philox):
@@ -1308,42 +1323,54 @@ class _PhiloxWithForeignBitgen(np.random.Philox):
         return interface._replace(bit_generator=ctypes.c_void_p(ctypes.addressof(self._foreign)))
 
 
-def test_state_path_when_the_bitgen_does_not_point_at_the_state(monkeypatch, corpus_estimates):
+def test_state_path_when_the_bitgen_does_not_point_at_the_state(corpus_estimates):
     sampler = m.ball_walk_sampler(EXP, 1.0 / 8.0)
     high = lambda xs: np.asarray(xs) >= 0.75  # noqa: E731
     jobs = [(0.0, high, 3), (0.5, high, 6)]
     assert montecarlo._ReplicaStreams().path == "direct"
     direct = _batch(sampler, jobs, 700, 300)
-    monkeypatch.setattr(np.random, "Philox", _PhiloxWithForeignBitgen)
-    assert montecarlo._ReplicaStreams().path == "state"
-    assert _corpus_estimates() == corpus_estimates
-    assert _batch(sampler, jobs, 700, 300) == direct
-
-
-def test_layout_probe_fills_run_once_per_binding(monkeypatch):
-    fills = []
-    fill_direct = montecarlo._ReplicaStreams._fill_direct
-
-    def counting_fill(self, *args):
-        fills.append(args[-1].shape)
-        return fill_direct(self, *args)
-
-    montecarlo._c_uniform_fill.cache_clear()  # a fresh binding probes again
-    monkeypatch.setattr(montecarlo._ReplicaStreams, "_fill_direct", counting_fill)
-    assert montecarlo._ReplicaStreams().path == "direct"
-    assert fills == [(1, 9), (1, 3), (1, 8)]
-    assert [montecarlo._ReplicaStreams().path for _ in range(3)] == ["direct"] * 3
-    assert len(fills) == 3
-    # a probe that fails is not remembered: the next construction probes again
-    montecarlo._c_uniform_fill.cache_clear()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(montecarlo, "replica_generator", lambda seed, replica: np.random.default_rng(1))
+    with _stream_path_decided_under(np.random, "Philox", _PhiloxWithForeignBitgen):
         assert montecarlo._ReplicaStreams().path == "state"
-    assert len(fills) == 4
+        assert _corpus_estimates() == corpus_estimates
+        assert _batch(sampler, jobs, 700, 300) == direct
     assert montecarlo._ReplicaStreams().path == "direct"
+
+
+def test_layout_probe_fills_run_once_per_process():
+    fills = []
+    fill_records = montecarlo._fill_records
+
+    def counting_fill(records, *args):
+        fills.append(args[-1].shape)
+        return fill_records(records, *args)
+
+    with _stream_path_decided_under(montecarlo, "_fill_records", counting_fill):
+        assert [montecarlo._ReplicaStreams().path for _ in range(4)] == ["direct"] * 4
+        assert fills == [(1, 9), (1, 3), (1, 8)]
+    # a failed probe decides the state path for the process, until the
+    # decision is cleared, even once its cause is gone
+    wrong = lambda seed, replica: np.random.default_rng(1)  # noqa: E731
+    with _stream_path_decided_under(montecarlo, "replica_generator", wrong) as mp:
+        assert montecarlo._ReplicaStreams().path == "state"
+        mp.undo()
+        assert montecarlo._ReplicaStreams().path == "state"
     assert montecarlo._ReplicaStreams().path == "direct"
-    assert len(fills) == 7
-    # each instance still reads its own struct back
-    monkeypatch.setattr(ctypes.c_int, "from_address", lambda address: ctypes.c_int(3))
-    assert montecarlo._ReplicaStreams().path == "state"
-    assert len(fills) == 7
+
+
+def test_a_direct_path_walker_loop_constructs_no_philox(monkeypatch):
+    assert montecarlo._ReplicaStreams().path == "direct"  # the decision is made
+    built = []
+
+    class CountingPhilox(np.random.Philox):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", CountingPhilox)
+    high = lambda xs: np.asarray(xs) >= 0.75  # noqa: E731
+    m.estimate_hitting(m.ball_walk_sampler(EXP, 1.0 / 8.0), 0.0, high, 50, 300, 3)
+    m.estimate_hitting(K6, 0, [5], 50, 300, 3)
+    assert m.sample_path(PATH3, 0, 12, seed=6).size == 13
+    assert built == []
+    # the count sees the Philox that a state-path object holds
+    assert _state_path_streams().path == "state" and len(built) == 1

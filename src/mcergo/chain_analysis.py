@@ -551,7 +551,8 @@ def exit_probability(k: FiniteKernel, subset, x0: int, t: int) -> float:
     in one step, so the term s is the probability of the first exit at step
     s + 1.  That costs t vector-matrix products with Q and sums
     nonnegative terms, with no 1 - (Q^t 1)(x0) to lose digits to
-    cancellation; the value is exactly 0 when S is the whole space.  The
+    cancellation.  When no state of S sends mass out of S (S the whole
+    space, say), e is zero and the value is exactly 0, with no step.  The
     identity coupling of a kernel with a restriction that dominates it on S
     keeps the two chains equal until the base chain first leaves S, so this
     is the exact decoupling probability that
@@ -575,6 +576,8 @@ def exit_probability(k: FiniteKernel, subset, x0: int, t: int) -> float:
         raise ValueError(f"start {x0} is not in the subset")
     q = k.p[np.ix_(S, S)]
     exit_mass = k.p[S][:, np.delete(np.arange(k.n), S)].sum(axis=1)
+    if not exit_mass.any():
+        return 0.0
     law = np.zeros(S.size)  # delta_x0 Q^s: where the chain is at step s, still in S
     law[at[0]] = 1.0
     left = 0.0

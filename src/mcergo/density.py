@@ -7,7 +7,8 @@ read from it exactly, and quantiles by bisection on it to absolute
 tolerance ``tolerances.QUAD_TOL``.  Each psi is monotone or linear between
 its knots, so its extremes over an interval lie at the interval ends or at
 knots inside it; the positivity and near-unimodality checks read only
-those points.
+those points.  This module reads no configs: ``harness.density_from_config``
+builds a DensitySpec from one.
 """
 from __future__ import annotations
 
@@ -20,7 +21,10 @@ import numpy as np
 from .errors import ConfigError, DensityNonpositive
 from .tolerances import QUAD_TOL
 
-DENSITY_KINDS = ("uniform", "exponential-tilt", "piecewise-linear-table")
+# each kind and the params it needs
+DENSITY_KINDS = {"uniform": (), "exponential-tilt": ("tilt",),
+                 "piecewise-linear-table": ("xs", "ys")}
+
 
 @dataclass(frozen=True)
 class DensitySpec:
@@ -38,18 +42,18 @@ class DensitySpec:
     unimodal_ratio: float = 2.0
 
     def __post_init__(self):
-        if self.kind not in DENSITY_KINDS:
+        if not (isinstance(self.kind, str) and self.kind in DENSITY_KINDS):
             raise ConfigError(f"unknown density kind {self.kind!r}")
         if not (0.0 < self.unimodal_alpha < 0.5):
             raise ConfigError("unimodal_alpha must lie in (0, 0.5)")
         if self.unimodal_ratio < 1.0:
             raise ConfigError("unimodal_ratio must be >= 1")
-        if self.kind == "exponential-tilt":
-            if "tilt" not in self.params:
-                raise ConfigError("exponential-tilt density needs a 'tilt' parameter")
-        elif self.kind == "piecewise-linear-table":
-            xs = np.asarray(self.params.get("xs", ()), dtype=float)
-            ys = np.asarray(self.params.get("ys", ()), dtype=float)
+        for key in DENSITY_KINDS[self.kind]:
+            if key not in self.params:
+                raise ConfigError(f"{self.kind} density needs a {key!r} parameter")
+        if self.kind == "piecewise-linear-table":
+            xs = np.asarray(self.params["xs"], dtype=float)
+            ys = np.asarray(self.params["ys"], dtype=float)
             if xs.size < 2 or xs.size != ys.size:
                 raise ConfigError("piecewise table needs matching xs/ys with >= 2 knots")
             if xs[0] != 0.0 or xs[-1] != 1.0 or np.any(np.diff(xs) <= 0):
@@ -133,43 +137,6 @@ class DensitySpec:
 
     def check_nearly_unimodal(self) -> bool:
         return self.measured_central_ratio() <= self.unimodal_ratio * (1.0 + 1e-12)
-
-    # -- config schema -------------------------------------------------------
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "DensitySpec":
-        if not isinstance(cfg, dict):
-            raise ConfigError("density config must be an object")
-        cfg = dict(cfg)
-        kind = cfg.pop("kind", None)
-        if kind is None:
-            raise ConfigError("density config needs a 'kind'")
-        alpha = _config_float(cfg.pop("unimodal_alpha", 1.0 / 3.0), "unimodal_alpha")
-        ratio = _config_float(cfg.pop("unimodal_ratio", 2.0), "unimodal_ratio")
-        params = {}
-        if kind == "exponential-tilt":
-            if "tilt" not in cfg:
-                raise ConfigError("exponential-tilt density needs 'tilt'")
-            params["tilt"] = _config_float(cfg.pop("tilt"), "tilt")
-        elif kind == "piecewise-linear-table":
-            for key in ("xs", "ys"):
-                if key not in cfg:
-                    raise ConfigError(f"piecewise table config missing {key!r}")
-                values = cfg.pop(key)
-                if not isinstance(values, (list, tuple)):
-                    raise ConfigError(f"piecewise table {key!r} must be a list, got {values!r}")
-                params[key] = tuple(_config_float(v, key) for v in values)
-        if cfg:
-            raise ConfigError(f"unknown density config keys: {sorted(cfg)}")
-        return cls(kind=kind, params=params, unimodal_alpha=alpha, unimodal_ratio=ratio)
-
-
-def _config_float(value, what: str) -> float:
-    """A number read from a config; ConfigError when ``value`` is not one."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be a number, got {value!r}") from None
 
 
 def _checked_inverse(c) -> int:

@@ -5,7 +5,13 @@ and round-trip exactly through ``serialize_config``/``parse_config``.
 Every run writes a manifest (config hash, seed, toolkit version) next to
 its outputs; reruns with the same manifest produce byte-identical CSVs.
 
-This is the one module that knows the output formats: every CSV header
+This is the one module that knows the config schema: one reader,
+``_config_object``, checks the keys of every config object against its
+table (``ExperimentConfig``'s fields, ``CHAIN_KINDS``, ``CERTIFICATE_KEYS``,
+``V_KINDS`` and the density keys built from ``density.DENSITY_KINDS``), and
+the ``*_from_config`` functions turn the values into analysis objects.
+
+It is also the one module that knows the output formats: every CSV header
 (``SCALING_COLUMNS``, ``HITMIX_COLUMNS``, ``COUPLE_COLUMNS``), CSV row and
 report dict is built here from the analysis results, which hold only what
 they compute (``HitMixReport``, ``McEstimate``, ``GeometricBound``, whose
@@ -40,7 +46,7 @@ from .chain_analysis import (
     tv_table,
 )
 from .corpus import bd_expdrift
-from .density import DensitySpec, _checked_inverse, _config_float
+from .density import DENSITY_KINDS, DensitySpec, _checked_inverse
 from .errors import ConfigError, IncompatibleCertificate, InvalidParameters, McergoError
 from .kernels import (
     FiniteKernel,
@@ -99,8 +105,10 @@ class ExperimentConfig:
         # the Monte Carlo streams take the seed as one uint64 word of a Philox key
         if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
             raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        if not (self.horizon is None or _is_int(self.horizon) and self.horizon >= 1):
-            raise ConfigError(f"horizon must be null or an integer >= 1, got {self.horizon!r}")
+        # the walker loop holds horizons as int64
+        if not (self.horizon is None or _is_int(self.horizon) and 1 <= self.horizon < 2**63):
+            raise ConfigError(
+                f"horizon must be null or an integer in [1, 2**63), got {self.horizon!r}")
         if not isinstance(self.svg, bool):
             raise ConfigError(f"svg must be true or false, got {self.svg!r}")
         if not isinstance(self.output_path, str):
@@ -117,14 +125,8 @@ def parse_config(payload) -> ExperimentConfig:
             payload = json.loads(payload)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(payload) - {f.name for f in fields(ExperimentConfig)}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "experiment" not in payload:
-        raise ConfigError("config needs an 'experiment'")
-    kwargs = dict(payload)
+    kwargs = dict(_config_object(payload, "", {f.name: f.name == "experiment"
+                                                for f in fields(ExperimentConfig)}))
     if kwargs.get("c_list") is not None:
         if not isinstance(kwargs["c_list"], (list, tuple)):
             raise ConfigError(f"c_list must be a list of step sizes, got {kwargs['c_list']!r}")
@@ -178,53 +180,98 @@ def _derived_seed(seed: int, *key) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-# --- chain / certificate loading from config ---------------------------------
+# --- the config schema: one reader and a key table per object ----------------
+
+# each chain kind and its keys, {key: required}
+CHAIN_KINDS = {
+    "matrix": {"rows": True, "states": False},
+    "birth-death": {"density": True, "c": True},
+    "lazy-srw": {"c": True},
+    "kernel-csv": {"path": True},
+    "corpus": {"name": True},
+}
+CERTIFICATE_KEYS = {"v": True, "lambda": False, "b": False, "r": False, "r_prime": False}
+V_KINDS = {"exp-of-coordinate": {"kappa": False}}
+DENSITY_KEYS = {kind: {**dict.fromkeys(params, True), "unimodal_alpha": False,
+                       "unimodal_ratio": False} for kind, params in DENSITY_KINDS.items()}
+
+
+def _config_object(spec, where: str, keys: dict) -> dict:
+    """``spec``, checked to be an object whose keys all lie in ``keys`` ({key: required}).
+
+    ConfigError when it is not an object, holds a key outside ``keys``, or
+    lacks a required key; a null value counts as missing.  ``where`` names
+    the object in the messages ("" for the top level).
+    """
+    what = f"{where} config".lstrip()
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{what} must be an object")
+    unknown = set(spec) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    for key, required in keys.items():
+        if required and spec.get(key) is None:
+            raise ConfigError(f"{what} needs {key!r}")
+    return spec
+
+
+def _config_kind(spec, where: str, kinds: dict) -> dict:
+    """``spec`` read by ``_config_object`` with the keys of its ``kind``, a str in ``kinds``."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not (isinstance(kind, str) and kind in kinds):
+        raise ConfigError(f"{where} config needs 'kind' from {sorted(kinds)}, got {kind!r}")
+    return _config_object(spec, where, {"kind": True, **kinds[kind]})
+
+
+def _config_float(value, what: str) -> float:
+    """A number read from a config; ConfigError when ``value`` is not one."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+
 
 def chain_from_config(spec: dict) -> tuple[FiniteKernel, DriftCertificate | None]:
     """Build (kernel, optional corpus certificate)."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("chain config needs a 'kind'")
-    spec = dict(spec)
-    kind = spec.pop("kind")
+    spec = _config_kind(spec, "chain", CHAIN_KINDS)
+    kind = spec["kind"]
     if kind == "matrix":
-        rows = spec.pop("rows", None)
-        states = spec.pop("states", None)
-        if rows is None:
-            raise ConfigError("matrix chain needs 'rows'")
-        _reject_unknown(spec, "chain")
-        return build_finite_kernel(rows, states=states), None
+        return build_finite_kernel(spec["rows"], states=spec.get("states")), None
     if kind == "birth-death":
-        density = spec.pop("density", None)
-        c = spec.pop("c", None)
-        if density is None or c is None:
-            raise ConfigError("birth-death chain needs 'density' and 'c'")
-        _reject_unknown(spec, "chain")
-        return birth_death_chain(DensitySpec.from_config(density), _config_float(c, "c")), None
+        density = density_from_config(spec["density"])
+        return birth_death_chain(density, _config_float(spec["c"], "c")), None
     if kind == "lazy-srw":
-        c = spec.pop("c", None)
-        if c is None:
-            raise ConfigError("lazy-srw chain needs 'c'")
-        _reject_unknown(spec, "chain")
-        return lazy_srw(_config_float(c, "c")), None
+        return lazy_srw(_config_float(spec["c"], "c")), None
     if kind == "kernel-csv":
-        path = spec.pop("path", None)
-        if path is None:
-            raise ConfigError("kernel-csv chain needs 'path'")
-        _reject_unknown(spec, "chain")
-        return kernel_from_csv(path), None
-    if kind == "corpus":
-        name = spec.pop("name", None)
-        _reject_unknown(spec, "chain")
-        if name == "bd-expdrift":
-            corp = bd_expdrift()
-            return corp.kernel, corp.cert
-        raise ConfigError(f"unknown corpus chain {name!r}")
-    raise ConfigError(f"unknown chain kind {kind!r}")
+        if not isinstance(spec["path"], str):
+            raise ConfigError(f"kernel-csv path must be a string, got {spec['path']!r}")
+        return kernel_from_csv(spec["path"]), None
+    if spec["name"] != "bd-expdrift":
+        raise ConfigError(f"unknown corpus chain {spec['name']!r}")
+    corp = bd_expdrift()
+    return corp.kernel, corp.cert
 
 
-def _reject_unknown(leftover: dict, where: str):
-    if leftover:
-        raise ConfigError(f"unknown {where} config keys: {sorted(leftover)}")
+def density_from_config(spec: dict) -> DensitySpec:
+    """A DensitySpec from its config: a ``kind``, that kind's params, and
+    optionally ``unimodal_alpha`` and ``unimodal_ratio``.
+
+    ``tilt`` is a number, and ``xs`` and ``ys`` lists of numbers; the rest
+    is judged by ``DensitySpec``.
+    """
+    spec = _config_kind(spec, "density", DENSITY_KEYS)
+    params = {}
+    for key in DENSITY_KINDS[spec["kind"]]:
+        value = spec[key]
+        if key == "tilt":
+            params[key] = _config_float(value, key)
+        elif isinstance(value, (list, tuple)):
+            params[key] = tuple(_config_float(v, key) for v in value)
+        else:
+            raise ConfigError(f"piecewise table {key!r} must be a list, got {value!r}")
+    return DensitySpec(spec["kind"], params, **{
+        key: _config_float(spec[key], key)
+        for key in ("unimodal_alpha", "unimodal_ratio") if key in spec})
 
 
 def certificate_from_config(spec: dict, k: FiniteKernel) -> DriftCertificate:
@@ -234,34 +281,19 @@ def certificate_from_config(spec: dict, k: FiniteKernel) -> DriftCertificate:
     ``lambda`` alone gets the smallest b that holds at it; a ``b`` alone is
     a ConfigError.  Omitted radii are ``DriftCertificate.with_radii``'s.
     """
-    if not isinstance(spec, dict):
-        raise ConfigError("certificate config must be an object")
-    spec = dict(spec)
-    v_spec = spec.pop("v", None)
-    if v_spec is None:
-        raise ConfigError("certificate needs 'v'")
-    if isinstance(v_spec, dict):
-        v_spec = dict(v_spec)
-        kind = v_spec.pop("kind", None)
-        if kind == "exp-of-coordinate":
-            kappa = _config_float(v_spec.pop("kappa", 1.0), "kappa")
-            _reject_unknown(v_spec, "certificate v")
-            with np.errstate(over="ignore"):  # the drift check refuses an infinite V
-                v = np.exp(kappa * k.coordinates())
-        else:
-            raise ConfigError(f"unknown v kind {kind!r}")
+    spec = _config_object(spec, "certificate", CERTIFICATE_KEYS)
+    if isinstance(spec["v"], dict):  # "exp-of-coordinate", the one kind
+        v_spec = _config_kind(spec["v"], "certificate v", V_KINDS)
+        kappa = _config_float(v_spec.get("kappa", 1.0), "kappa")
+        with np.errstate(over="ignore"):  # the drift check refuses an infinite V
+            v = np.exp(kappa * k.coordinates())
     else:
-        v = _config_floats(v_spec, "v")
+        v = _config_floats(spec["v"], "v")
         if v.shape != (k.n,):
             raise InvalidParameters(
                 f"certificate V needs one value per state: shape {v.shape}, {k.n} states")
-
-    def number(key):
-        value = spec.pop(key, None)
-        return None if value is None else _config_float(value, key)
-
-    lam, b, r, r_prime = (number(key) for key in ("lambda", "b", "r", "r_prime"))
-    _reject_unknown(spec, "certificate")
+    lam, b, r, r_prime = (None if spec.get(key) is None else _config_float(spec[key], key)
+                          for key in ("lambda", "b", "r", "r_prime"))
     if b is None:
         lam, b = fit_drift(k, v, None if lam is None else [lam])
     elif lam is None:
@@ -297,7 +329,7 @@ def run_scaling(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
         raise ConfigError(f"config is for {cfg.experiment!r}, not scaling")
     if cfg.density is None or not cfg.c_list:
         raise ConfigError("scaling needs 'density' and a nonempty 'c_list'")
-    density = DensitySpec.from_config(cfg.density)
+    density = density_from_config(cfg.density)
     if not density.check_nearly_unimodal():
         raise ConfigError(
             "density violates its declared near-unimodality parameters: "

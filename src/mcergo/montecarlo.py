@@ -324,10 +324,11 @@ def _record_fill():
 
 
 def _check_walk(seed, steps, what: str) -> None:
-    """ValueError unless ``steps`` is a nonnegative integer and ``seed`` an
-    integer in [0, 2**64), the one uint64 word of a Philox key it becomes."""
-    if not (_is_int(steps) and steps >= 0):
-        raise ValueError(f"{what} must be a nonnegative integer, got {steps!r}")
+    """ValueError unless ``steps`` is a nonnegative integer below 2**63 (the
+    walker loop holds step counts as int64) and ``seed`` an integer in
+    [0, 2**64), the one uint64 word of a Philox key it becomes."""
+    if not (_is_int(steps) and 0 <= steps < 2**63):
+        raise ValueError(f"{what} must be a nonnegative integer below 2**63, got {steps!r}")
     if not (_is_int(seed) and 0 <= int(seed) < 2**64):
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
@@ -647,7 +648,7 @@ def sample_path(sampler, x0, t: int, seed: int) -> np.ndarray:
     Raises
     ------
     ValueError
-        If t is not a nonnegative integer, seed is not an integer in
+        If t is not an integer in [0, 2**63), seed is not an integer in
         [0, 2**64) (a bool is neither), or x0 is not a state of the
         sampler; no step is taken.
     """
@@ -707,8 +708,8 @@ def estimate_hitting_batch(jobs, replicas: int) -> list[McEstimate]:
         For the first job, in job order, none of whose replicas hits
         within its horizon.
     ValueError
-        If replicas is not an integer >= 1, a horizon is not a
-        nonnegative integer, a seed is not an integer in [0, 2**64) (a
+        If replicas is not an integer >= 1, a horizon is not an integer
+        in [0, 2**63), a seed is not an integer in [0, 2**64) (a
         bool is neither), a finite-kernel start or target value is not a
         state of the chain
         (``FiniteKernel.state_set``), a ball-walk start lies outside [0, 1]
@@ -810,7 +811,7 @@ def coupled_escape_estimate(
         If the entrywise domination check fails on the support.
     ValueError
         If x0 is not a state of g or lies outside the support; then, from
-        ``_walk_jobs``, if t is not a nonnegative integer, seed is not an
+        ``_walk_jobs``, if t is not an integer in [0, 2**63), seed is not an
         integer in [0, 2**64) (a bool is neither), or replicas is not an
         integer >= 1.  No walker runs.
     """

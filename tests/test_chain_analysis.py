@@ -801,6 +801,14 @@ def test_exit_probability_from_the_whole_space_is_exactly_zero():
             assert decoupling_exact(case.kernel.p, dom.support, case.x0, t) == 0.0
 
 
+def test_exit_probability_takes_no_step_from_a_closed_set():
+    # no state of {0, 1} sends mass out of it: t = 2**62 products would never end
+    k = m.build_finite_kernel([[0.5, 0.5, 0.0], [0.25, 0.75, 0.0], [0.2, 0.3, 0.5]])
+    assert m.exit_probability(k, [0, 1], 1, 2**62) == 0.0
+    assert m.exit_probability(k, range(3), 2, 2**62) == 0.0
+    assert m.exit_probability(k, [1, 2], 2, 3) > 0.0
+
+
 def test_exit_probability_of_iid_rows():
     # every row puts 0.05 outside {0, 1, 2}, so leaving by t has 1 - 0.95^t
     k = m.build_finite_kernel(np.tile([0.55, 0.25, 0.15, 0.05], (4, 1)))

@@ -7,6 +7,7 @@ from scipy import integrate
 
 import mcergo as m
 from mcergo import corpus, errors
+from mcergo.harness import density_from_config
 from mcergo.tolerances import QUAD_TOL
 
 EXP = m.DensitySpec(kind="exponential-tilt", params={"tilt": -1.0}, unimodal_ratio=1.5)
@@ -74,12 +75,12 @@ def test_from_config_reads_each_kind():
                        params={"xs": (0.0, 0.5, 1.0), "ys": (1.0, 2.0, 1.0)},
                        unimodal_alpha=0.25, unimodal_ratio=2.5)),
     ):
-        assert m.DensitySpec.from_config(cfg) == d
+        assert density_from_config(cfg) == d
 
 
 def test_config_rejects_unknown_keys():
     with pytest.raises(errors.ConfigError):
-        m.DensitySpec.from_config({"kind": "uniform", "scale": 2.0})
+        density_from_config({"kind": "uniform", "scale": 2.0})
 
 
 @pytest.mark.parametrize("cfg", [
@@ -91,7 +92,7 @@ def test_config_rejects_unknown_keys():
 ])
 def test_config_that_is_not_an_object_of_lists_is_refused(cfg):
     with pytest.raises(errors.ConfigError):
-        m.DensitySpec.from_config(cfg)
+        density_from_config(cfg)
 
 
 def test_bad_parameters_rejected():

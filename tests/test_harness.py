@@ -19,10 +19,15 @@ import mcergo as m
 from mcergo import chain_analysis, errors, harness, montecarlo
 from mcergo.cli import build_parser, main as cli_main
 from mcergo.corpus import bd_expdrift
+from mcergo.density import DENSITY_KINDS
 from mcergo.harness import (
+    CERTIFICATE_KEYS,
+    CHAIN_KINDS,
+    V_KINDS,
     chain_from_config,
     certificate_from_config,
     config_hash,
+    density_from_config,
     parse_config,
     run_certify,
     run_couple,
@@ -171,6 +176,53 @@ def test_certificate_v_refuses_an_unknown_key():
     k = m.lazy_srw(0.25)
     with pytest.raises(errors.ConfigError, match=r"unknown certificate v config keys: \['kapa'\]"):
         certificate_from_config({"v": {"kind": "exp-of-coordinate", "kapa": 0.5}}, k)
+
+
+# a value of every key in the config key tables
+CONFIG_VALUES = {
+    "rows": [[0.5, 0.5], [0.5, 0.5]], "states": [0.0, 1.0], "density": UNIFORM_CFG, "c": 0.5,
+    "path": "k.csv", "name": "bd-expdrift", "tilt": -1.0, "xs": [0.0, 1.0], "ys": [1.0, 2.0],
+    "unimodal_alpha": 0.25, "unimodal_ratio": 3.0, "kappa": 0.5,
+    "v": {"kind": "exp-of-coordinate"}, "lambda": 0.5, "b": 1.0, "r": 30.0, "r_prime": 10.0,
+}
+# each config object: its reader and {kind: {key: required}}, kind None for one without kinds
+CONFIG_OBJECTS = {
+    "chain": (chain_from_config, CHAIN_KINDS),
+    "density": (density_from_config, {
+        kind: {**dict.fromkeys(params, True), "unimodal_alpha": False, "unimodal_ratio": False}
+        for kind, params in DENSITY_KINDS.items()}),
+    "certificate": (lambda spec: certificate_from_config(spec, m.lazy_srw(0.25)),
+                    {None: CERTIFICATE_KEYS}),
+    "certificate v": (lambda spec: certificate_from_config({"v": spec}, m.lazy_srw(0.25)),
+                      V_KINDS),
+}
+CONFIG_KEY_CASES = [
+    (where, kind, key, value)
+    for where, (_, kinds) in CONFIG_OBJECTS.items()
+    for kind, keys in kinds.items()
+    for key, value in [("extra", 1.0)] + [
+        (key, value) for key in ["kind"] * (kind is not None) + [k for k in keys if keys[k]]
+        for value in ("missing", None)]
+]
+
+
+@pytest.mark.parametrize("where, kind, key, value", CONFIG_KEY_CASES,
+                         ids=[f"{w}-{k}-{key}-{v}" for w, k, key, v in CONFIG_KEY_CASES])
+def test_config_objects_refuse_unknown_and_missing_keys(where, kind, key, value):
+    reader, kinds = CONFIG_OBJECTS[where]
+    spec = {k: CONFIG_VALUES[k] for k in kinds[kind]}
+    if kind is not None:
+        spec["kind"] = kind
+    if key == "extra":
+        spec["extra"] = value
+        message = rf"unknown {where} config keys: \['extra'\]"
+    else:
+        spec[key] = value
+        if value == "missing":
+            del spec[key]
+        message = f"{where} config needs '{key}'"
+    with pytest.raises(errors.ConfigError, match=message):
+        reader(spec)
 
 
 # --- scaling ------------------------------------------------------------------
@@ -842,6 +894,8 @@ MALFORMED_INPUTS = {
         "replicas": 4, "horizon": 5, "seed": 2**64}),
     "horizon-negative": (2, lambda d: _scaling_payload(horizon=-5)),
     "horizon-zero": (2, lambda d: _scaling_payload(horizon=0)),
+    # the walker loop holds horizons as int64: 2**63 ended in an OverflowError traceback
+    "horizon-beyond-int64": (2, lambda d: _scaling_payload(horizon=2**63)),
     "svg-not-boolean": (2, lambda d: _scaling_payload(svg="no")),
     "output_path-not-a-path": (2, lambda d: _scaling_payload(output_path=5)),
     "dtable_path-not-a-path": (2, lambda d: dict(_certify_payload(), dtable_path=0)),
@@ -875,6 +929,11 @@ MALFORMED_INPUTS = {
         {"kind": "matrix", "rows": [[0.5, 0.5], [1.0]]})),
     "rows-not-numbers": (1, lambda d: _hitmix_payload(
         {"kind": "matrix", "rows": [["a", "b"], ["c", "d"]]})),
+    # an integer path used to be opened as a file descriptor, and a list raised TypeError
+    "kernel-csv-path-a-list": (2, lambda d: _hitmix_payload(
+        {"kind": "kernel-csv", "path": [_write_text(d / "k.csv", "\n0.5,0.5\n0.5,0.5\n")]})),
+    "kernel-csv-path-a-number": (2, lambda d: _hitmix_payload(
+        {"kind": "kernel-csv", "path": 10**6})),
     "kernel-csv-cell-not-a-number": (1, lambda d: _hitmix_payload(
         {"kind": "kernel-csv", "path": _write_text(d / "k.csv", "\n0.5,0.5\n0.5,half\n")})),
     "dtable-not-json": (2, lambda d: dict(

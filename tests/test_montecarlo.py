@@ -1056,6 +1056,17 @@ def test_step_counts_that_are_not_nonnegative_integers_are_rejected(monkeypatch,
 
 
 @pytest.mark.parametrize("walker", list(WALKERS))
+def test_step_counts_beyond_int64_are_rejected(monkeypatch, walker):
+    # 2**63 used to raise OverflowError where the walker loop stores horizons as int64
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "_first_hits", _no_walkers)
+        with pytest.raises(ValueError, match=r"must be a nonnegative integer below 2\*\*63"):
+            WALKERS[walker](0, 2**63)
+    if walker != "sample_path":  # every walker hits long before 2**63 - 1 steps
+        WALKERS[walker](0, 2**63 - 1)
+
+
+@pytest.mark.parametrize("walker", list(WALKERS))
 def test_numpy_integer_seeds_and_step_counts_walk_as_ints(walker):
     np.testing.assert_equal(WALKERS[walker](np.uint64(2**64 - 1), np.int64(12)),
                             WALKERS[walker](2**64 - 1, 12))

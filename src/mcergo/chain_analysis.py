@@ -45,7 +45,12 @@ BRUTE_STATE_CAP = 14
 REFINEMENT_ROUNDS = 3
 DEFAULT_MIX_EPS = 0.25
 MIXING_POWER_BYTES = 64 << 20  # the stored powers of mixing_time; n = 512 needs 50 MiB
-TV_BLOCK_COLUMNS = 32  # column block of the tv_table step; 16-48 time alike, 8 and 64 slower
+# Column block of the tv_table step.  tv_table(k, 500) on the exp-tilt chain,
+# one BLAS thread, 2-core VM, medians for 16 / 32 / 48 columns: 23.6 / 24.3 /
+# 30.6 ms at n = 128 and 618 / 721 / 843 ms at n = 512.  On bench `exact`
+# (n = 128), 16 beat 32 in only 6 of 10 alternating pairs, and its median
+# wall_s (0.0582 s against 0.0597 s) by less than their quartile spread (0.004 s).
+TV_BLOCK_COLUMNS = 32
 
 
 # --- stationary distribution ------------------------------------------------
@@ -190,37 +195,55 @@ def tv_table(k: FiniteKernel, t_max: int) -> np.ndarray:
     The one every-t loop: the n x n rows of P^t, times P per step.  For a
     banded P the step multiplies only the band: columns j0..j1 of the next
     rows are rows[:, a:b] @ P[a:b, j0:j1], where a..b are the rows of P that
-    hold every nonzero of those columns (``_column_blocks``).  The terms left
-    out are exact zeros, so where BLAS sums each entry of the full product in
-    k order with FMA, every row keeps its bits.  OpenBLAS 0.3.31 (AVX-512
-    kernels, one thread) does so for n a multiple of 8 up to 384; at other n
-    its edge kernels split a sum in two and its k blocking splits it at
-    n > 384, and the rows then differ from the full product's by at most
-    8.5e-16 relative (measured up to n = 512).  The rows of P^t live in two
-    buffers, swapped each step.  pi is ``k.stationary``."""
-    p, pi = k.p, k.stationary
-    table = np.empty((t_max + 1, k.n))  # allocated after the rows, n = 128 ran ~9% slower
-    rows = np.eye(k.n)
-    nxt, diff = np.empty_like(rows), np.empty_like(rows)
+    hold every nonzero of those columns (``_column_blocks``; a dense P is the
+    one block of all n columns).  The terms left out are exact zeros, so
+    where BLAS sums each entry of the full product in k order with FMA,
+    every row keeps its bits.  OpenBLAS 0.3.31 (AVX-512 kernels, one thread)
+    does so for n a multiple of 8 up to 384; at other n its edge kernels
+    split a sum in two and its k blocking splits it at n > 384, and the rows
+    then differ from the full product's by at most 8.5e-16 relative
+    (measured up to n = 512).
+
+    The rows of P^t live in two buffers, swapped each step, and the products
+    of each parity are sliced out of them once.  Step t writes |P^t - pi|
+    into the buffer that holds no live rows, subtracting pi tiled to n x n
+    (the same differences as broadcasting it, in one contiguous pass), sums
+    it into row t of the table (``_row_l1``), and the products then
+    overwrite that buffer with P^(t+1).  The table is halved once at the
+    end; 0.5 x is exact, so each entry has the bits of 0.5 * sum.  pi is
+    ``k.stationary``."""
+    p, pi, n = k.p, k.stationary, k.n
+    table = np.empty((t_max + 1, n))  # allocated after the rows, n = 128 ran ~9% slower
+    tile = np.tile(pi, (n, 1))
+    buffers = (np.eye(n), np.empty((n, n)))
     blocks = _column_blocks(p)
+    parities = [(rows, nxt, [(rows[:, a:b], p[a:b, j0:j1], nxt[:, j0:j1])
+                             for j0, j1, a, b in blocks])
+                for rows, nxt in (buffers, buffers[::-1])]
     for t in range(t_max + 1):
-        np.abs(np.subtract(rows, pi, out=diff), out=diff)
-        table[t] = 0.5 * diff.sum(axis=1)
+        rows, idle, products = parities[t & 1]
+        _row_l1(rows, tile, idle, table[t])
         if t < t_max:
-            if blocks is None:
-                np.matmul(rows, p, out=nxt)
-            else:
-                for j0, j1, a, b in blocks:
-                    np.matmul(rows[:, a:b], p[a:b, j0:j1], out=nxt[:, j0:j1])
-            rows, nxt = nxt, rows
+            for head, band, out in products:
+                np.matmul(head, band, out=out)
+    table *= 0.5
     return table
 
 
-def _column_blocks(p: np.ndarray) -> list[tuple[int, int, int, int]] | None:
+def _row_l1(rows: np.ndarray, pi: np.ndarray, scratch: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """sum_y |rows[x, y] - pi[y]| for each row x, twice its TV from pi (Levin,
+    Peres and Wilmer, Prop. 4.2); pi is a vector or tiled to the shape of
+    rows.  ``scratch``, of the shape of rows, is overwritten."""
+    np.abs(np.subtract(rows, pi, out=scratch), out=scratch)
+    return scratch.sum(axis=1, out=out)
+
+
+def _column_blocks(p: np.ndarray) -> list[tuple[int, int, int, int]]:
     """(j0, j1, a, b) for each block of ``TV_BLOCK_COLUMNS`` columns of p, where
     rows a..b of p hold every nonzero of columns j0..j1 (a == b for an all-zero
-    block); None when the blocks would not halve the work of one full product,
-    as for a dense P."""
+    block); the one block (0, n, 0, n) when the blocks would not halve the
+    work of one full product, as for a dense P."""
     n = p.shape[0]
     nonzero = p != 0.0
     occupied = nonzero.any(axis=0)
@@ -231,7 +254,7 @@ def _column_blocks(p: np.ndarray) -> list[tuple[int, int, int, int]] | None:
     a = np.minimum.reduceat(first, j0)
     b = np.maximum(np.maximum.reduceat(end, j0), a)
     if 2 * int(((b - a) * (j1 - j0)).sum()) > n * n:
-        return None
+        return [(0, n, 0, n)]
     return list(zip(j0.tolist(), j1.tolist(), a.tolist(), b.tolist()))
 
 
@@ -299,8 +322,7 @@ def mixing_time(
     diff = np.empty((starts.size, k.n))
 
     def mixed(t, rows):
-        np.abs(np.subtract(rows, pi, out=diff), out=diff)
-        checked[t] = 0.5 * float(np.max(diff.sum(axis=1)))
+        checked[t] = 0.5 * float(np.max(_row_l1(rows, pi, diff)))
         return checked[t] <= eps
 
     # invariant: d(lo) > eps, and every t >= hi mixes or lies past t_max

@@ -23,6 +23,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass, fields
 
@@ -98,8 +99,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.restriction not in RESTRICTIONS:
             raise ConfigError(f"unknown restriction {self.restriction!r}; use {RESTRICTIONS}")
-        if not (0.0 < self.alpha < 0.5):
-            raise ConfigError("alpha must lie in (0, 0.5)")
+        if not (isinstance(self.alpha, numbers.Real) and not isinstance(self.alpha, bool)
+                and 0.0 < self.alpha < 0.5):
+            raise ConfigError(f"alpha must be a number in (0, 0.5), got {self.alpha!r}")
         if not (_is_int(self.replicas) and self.replicas >= 1):
             raise ConfigError(f"replicas must be an integer >= 1, got {self.replicas!r}")
         # the Monte Carlo streams take the seed as one uint64 word of a Philox key
@@ -127,7 +129,7 @@ def parse_config(payload) -> ExperimentConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     kwargs = dict(_config_object(payload, "", {f.name: f.name == "experiment"
                                                 for f in fields(ExperimentConfig)}))
-    if kwargs.get("c_list") is not None:
+    if "c_list" in kwargs:
         if not isinstance(kwargs["c_list"], (list, tuple)):
             raise ConfigError(f"c_list must be a list of step sizes, got {kwargs['c_list']!r}")
         kwargs["c_list"] = tuple(kwargs["c_list"])

@@ -315,25 +315,30 @@ def _lazy_cycle(n):
 def _banded_tv_cases():
     bd128 = m.birth_death_chain(EXP, 1.0 / 128.0)
     rng = np.random.default_rng(7)
-    # (name, kernel, takes column blocks)
+    dense64 = random_dense_chain(rng, 64)
+    # (name, kernel, takes column blocks, t_max)
     cases = [
-        ("exp-tilt 1/64", m.birth_death_chain(EXP, 1.0 / 64.0), False),  # no halving
-        ("exp-tilt 1/128", bd128, True),
-        ("exp-tilt 1/256", m.birth_death_chain(EXP, 1.0 / 256.0), True),
-        ("lazy srw 1/160", m.lazy_srw(1.0 / 160.0), True),
-        ("pentadiagonal", m.FiniteKernel(bd128.p @ bd128.p), True),
-        ("transient head", _transient_head_chain(), True),
-        ("lazy cycle", _lazy_cycle(256), True),
-        ("dense 5", random_dense_chain(rng, 5), False),
-        ("dense 64", random_dense_chain(rng, 64), False),
-        ("n = 1", m.build_finite_kernel([[1.0]]), False),
-        ("n = 2", m.build_finite_kernel([[0.5, 0.5], [0.2, 0.8]]), False),
+        ("exp-tilt 1/64", m.birth_death_chain(EXP, 1.0 / 64.0), False, 120),  # no halving
+        ("exp-tilt 1/128", bd128, True, 120),
+        ("exp-tilt 1/256", m.birth_death_chain(EXP, 1.0 / 256.0), True, 120),
+        ("lazy srw 1/160", m.lazy_srw(1.0 / 160.0), True, 120),
+        ("pentadiagonal", m.FiniteKernel(bd128.p @ bd128.p), True, 120),
+        ("transient head", _transient_head_chain(), True, 120),
+        ("lazy cycle", _lazy_cycle(256), True, 120),
+        ("dense 5", random_dense_chain(rng, 5), False, 120),
+        ("dense 64", dense64, False, 120),
+        ("n = 1", m.build_finite_kernel([[1.0]]), False, 120),
+        ("n = 2", m.build_finite_kernel([[0.5, 0.5], [0.2, 0.8]]), False, 120),
+        # the horizons where no product, or one, meets the single final halving
+        *((f"{name} t_max {t_max}", k, blocked, t_max)
+          for name, k, blocked in (("exp-tilt 1/128", bd128, True), ("dense 64", dense64, False))
+          for t_max in (0, 1)),
     ]
     return [pytest.param(*case, id=case[0]) for case in cases]
 
 
-@pytest.mark.parametrize("name, k, blocked", _banded_tv_cases())
-def test_tv_trajectory_is_the_full_product_bit_for_bit(name, k, blocked, monkeypatch):
+@pytest.mark.parametrize("name, k, blocked, t_max", _banded_tv_cases())
+def test_tv_trajectory_is_the_full_product_bit_for_bit(name, k, blocked, t_max, monkeypatch):
     calls = []
     column_blocks = chain_analysis._column_blocks
 
@@ -342,10 +347,10 @@ def test_tv_trajectory_is_the_full_product_bit_for_bit(name, k, blocked, monkeyp
         return calls[-1]
 
     monkeypatch.setattr(chain_analysis, "_column_blocks", recording_blocks)
-    got = chain_analysis.tv_table(k, 120)
-    assert any(b is not None for b in calls) == blocked
-    want = list(tv_trajectory_dense(k, 120))
-    assert len(got) == len(want) == 121
+    got = chain_analysis.tv_table(k, t_max)
+    assert any(b != [(0, k.n, 0, k.n)] for b in calls) == blocked
+    want = list(tv_trajectory_dense(k, t_max))
+    assert len(got) == len(want) == t_max + 1
     for t, (a, b) in enumerate(zip(got, want)):
         assert np.array_equal(a, b), (name, t)
 
@@ -357,7 +362,8 @@ def test_column_blocks_cover_every_nonzero_of_their_columns():
     assert blocks[1] == (32, 64, 31, 65)
     head = chain_analysis._column_blocks(_transient_head_chain().p)
     assert head[0][2] == head[0][3]  # an all-zero block multiplies nothing
-    assert chain_analysis._column_blocks(random_dense_chain(np.random.default_rng(1), 40).p) is None
+    dense = random_dense_chain(np.random.default_rng(1), 40).p
+    assert chain_analysis._column_blocks(dense) == [(0, 40, 0, 40)]  # one full product
     for k in (m.lazy_srw(1.0 / 100.0), _transient_head_chain()):
         p = k.p
         for j0, j1, a, b in chain_analysis._column_blocks(p):

@@ -886,6 +886,11 @@ MALFORMED_INPUTS = {
         COUPLE_START_OUTSIDE_C["certificate"], r=-1))),
     "c_list-zero": (2, lambda d: _scaling_payload(c_list=[0])),
     "c_list-not-a-list": (2, lambda d: _scaling_payload(c_list=0.25)),
+    # a null c_list or alpha, or a string alpha, used to be judged by a TypeError
+    # that named no key
+    "c_list-null": (2, lambda d: _scaling_payload(c_list=None)),
+    "alpha-null": (2, lambda d: dict(_hitmix_payload(BD_CHAIN), alpha=None)),
+    "alpha-a-string": (2, lambda d: dict(_hitmix_payload(BD_CHAIN), alpha="0.4")),
     "replicas-fractional": (2, lambda d: _scaling_payload(replicas=2.5)),
     "seed-fractional": (2, lambda d: _scaling_payload(seed=1.5)),
     "seed-boolean": (2, lambda d: _scaling_payload(seed=True)),
@@ -954,6 +959,13 @@ def test_cli_malformed_input_is_a_structured_error(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("config error:" if code == 2 else "analysis failure:")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case, key", [
+    ("c_list-null", "c_list"), ("alpha-null", "alpha"), ("alpha-a-string", "alpha")])
+def test_config_error_names_the_key(tmp_path, case, key):
+    with pytest.raises(errors.ConfigError, match=f"^{key} must be"):
+        parse_config(MALFORMED_INPUTS[case][1](tmp_path))
 
 
 @pytest.mark.parametrize("case", list(MALFORMED_INPUTS))

@@ -190,39 +190,56 @@ def _class_stationary(q: np.ndarray) -> np.ndarray:
 # --- total variation ---------------------------------------------------------
 
 def tv_table(k: FiniteKernel, t_max: int) -> np.ndarray:
-    """The (t_max + 1) x n array of TV(P^t(x, .), pi), row t, column x.
+    """The (t_max + 1) x n array of TV(P^t(x, .), pi P^t), row t, column x.
 
-    The one every-t loop: the n x n rows of P^t, times P per step.  For a
-    banded P the step multiplies only the band: columns j0..j1 of the next
-    rows are rows[:, a:b] @ P[a:b, j0:j1], where a..b are the rows of P that
-    hold every nonzero of those columns (``_column_blocks``; a dense P is the
-    one block of all n columns).  The terms left out are exact zeros, so
-    where BLAS sums each entry of the full product in k order with FMA,
+    The one every-t loop.  Since pi P = pi, the differences D_t = P^t - 1 pi
+    follow the recurrence of P^t, D_(t+1) = D_t P (Levin, Peres and Wilmer,
+    Markov Chains and Mixing Times, Sec. 4.4), so the loop starts from
+    D_0 = I - 1 pi and multiplies by P each step, with no subtraction of pi:
+    row t of the table is half the row sums of |D_t|.  In floating point the
+    computed pi is stationary only up to its residual, so row t measures the
+    TV against pi P^t rather than pi.  That reference is never further from
+    the true stationary law pi* than pi is: P contracts the l1 norm of a
+    signed measure of total mass 0 (Ex. 4.2), so ||pi P^t - pi*||_1 =
+    ||(pi - pi*) P^t||_1 <= ||pi - pi*||_1.  By the same contraction,
+    ||pi P^t - pi||_1 <= t ||pi P - pi||_1, so each entry lies within
+    (t / 2) ||pi P - pi||_1 of TV(P^t(x, .), pi), up to rounding.
+
+    For a banded P the step multiplies only the band: columns j0..j1 of the
+    next rows are rows[:, a:b] @ P[a:b, j0:j1], where a..b are the rows of P
+    that hold every nonzero of those columns (``_column_blocks``; a dense P
+    is the one block of all n columns).  The terms left out are exact zeros,
+    so where BLAS sums each entry of the full product in k order with FMA,
     every row keeps its bits.  OpenBLAS 0.3.31 (AVX-512 kernels, one thread)
     does so for n a multiple of 8 up to 384; at other n its edge kernels
     split a sum in two and its k blocking splits it at n > 384, and the rows
     then differ from the full product's by at most 8.5e-16 relative
     (measured up to n = 512).
 
-    The rows of P^t live in two buffers, swapped each step, and the products
-    of each parity are sliced out of them once.  Step t writes |P^t - pi|
-    into the buffer that holds no live rows, subtracting pi tiled to n x n
-    (the same differences as broadcasting it, in one contiguous pass), sums
-    it into row t of the table (``_row_l1``), and the products then
-    overwrite that buffer with P^(t+1).  The table is halved once at the
-    end; 0.5 x is exact, so each entry has the bits of 0.5 * sum.  pi is
-    ``k.stationary``."""
+    The rows of D_t live in two buffers, swapped each step, and the products
+    of each parity are sliced out of them once.  Step t writes |D_t| into
+    the buffer that holds no live rows and sums it into row t of the table,
+    and the products then overwrite that buffer with D_(t+1).  The table is
+    halved once at the end; 0.5 x is exact.  pi is ``k.stationary``.
+
+    Raises
+    ------
+    ValueError
+        If ``t_max`` is not an integer >= 0 (a bool is not one).
+    """
+    if not (_is_int(t_max) and t_max >= 0):
+        raise ValueError(f"t_max must be an integer >= 0, got {t_max!r}")
     p, pi, n = k.p, k.stationary, k.n
     table = np.empty((t_max + 1, n))  # allocated after the rows, n = 128 ran ~9% slower
-    tile = np.tile(pi, (n, 1))
     buffers = (np.eye(n), np.empty((n, n)))
+    np.subtract(buffers[0], pi, out=buffers[0])  # D_0 = I - 1 pi, in place
     blocks = _column_blocks(p)
     parities = [(rows, nxt, [(rows[:, a:b], p[a:b, j0:j1], nxt[:, j0:j1])
                              for j0, j1, a, b in blocks])
                 for rows, nxt in (buffers, buffers[::-1])]
     for t in range(t_max + 1):
         rows, idle, products = parities[t & 1]
-        _row_l1(rows, tile, idle, table[t])
+        np.abs(rows, out=idle).sum(axis=1, out=table[t])
         if t < t_max:
             for head, band, out in products:
                 np.matmul(head, band, out=out)
@@ -230,13 +247,11 @@ def tv_table(k: FiniteKernel, t_max: int) -> np.ndarray:
     return table
 
 
-def _row_l1(rows: np.ndarray, pi: np.ndarray, scratch: np.ndarray,
-            out: np.ndarray | None = None) -> np.ndarray:
-    """sum_y |rows[x, y] - pi[y]| for each row x, twice its TV from pi (Levin,
-    Peres and Wilmer, Prop. 4.2); pi is a vector or tiled to the shape of
-    rows.  ``scratch``, of the shape of rows, is overwritten."""
-    np.abs(np.subtract(rows, pi, out=scratch), out=scratch)
-    return scratch.sum(axis=1, out=out)
+def _row_l1(rows: np.ndarray, pi: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """sum_y |rows[x, y] - pi[y]| for each row x, twice its TV from the
+    vector pi (Levin, Peres and Wilmer, Prop. 4.2).  ``scratch``, of the
+    shape of rows, is overwritten."""
+    return np.abs(np.subtract(rows, pi, out=scratch), out=scratch).sum(axis=1)
 
 
 def _column_blocks(p: np.ndarray) -> list[tuple[int, int, int, int]]:

@@ -261,9 +261,21 @@ def is_tridiagonal_triu(p):
 
 
 def tv_trajectory_dense(k, t_max):
-    """TV(P^t(x, .), pi) from every start for t = 0..t_max, one full rows @ P
-    product per step: the loop ``chain_analysis.tv_table`` ran before it
-    multiplied only the band of P."""
+    """TV(P^t(x, .), pi P^t) from every start for t = 0..t_max: the rows of
+    D_t = P^t - 1 pi from D_0 = I - 1 pi, one full rows @ P product per step,
+    the recurrence of ``chain_analysis.tv_table`` before it multiplied only
+    the band of P."""
+    rows = np.eye(k.n) - k.stationary
+    for t in range(t_max + 1):
+        yield 0.5 * np.abs(rows).sum(axis=1)
+        if t < t_max:
+            rows = rows @ k.p
+
+
+def tv_trajectory_minus_pi(k, t_max):
+    """TV(P^t(x, .), pi) from every start for t = 0..t_max: the rows of P^t,
+    one full rows @ P product per step, minus pi at every t, the loop
+    ``chain_analysis.tv_table`` ran before it advanced P^t - 1 pi itself."""
     rows = np.eye(k.n)
     pi = k.stationary
     for t in range(t_max + 1):

@@ -850,6 +850,7 @@ STEP_COUNT_TAKERS = {
     "multistep_drift_params": (lambda t: m.multistep_drift_params(0.5, 1.0, t),
                                errors.InvalidParameters),
     "mix_to_hit_bound": (m.mix_to_hit_bound, ValueError),
+    "tv_table": (lambda t: chain_analysis.tv_table(K4, t), ValueError),
 }
 
 
@@ -863,6 +864,13 @@ def test_step_counts_are_integers(name, t):
         call(t)
     call(np.int64(2))
     call(2)
+
+
+@pytest.mark.parametrize("t_max", [-1, True, 2.5], ids=["negative", "bool", "float"])
+def test_tv_table_refuses_a_horizon_that_is_not_a_count(t_max):
+    # before: -1 gave an empty (0, n) table, True a 2-row table, 2.5 a bare TypeError
+    with pytest.raises(ValueError, match=r"t_max must be an integer >= 0, got"):
+        chain_analysis.tv_table(K4, t_max)
 
 
 # --- mix-to-hit direction ------------------------------------------------------------------

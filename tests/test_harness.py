@@ -13,12 +13,13 @@ import warnings
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mcergo as m
 from mcergo import chain_analysis, errors, harness, montecarlo
 from mcergo.cli import build_parser, main as cli_main
-from mcergo.corpus import bd_expdrift
+from mcergo.corpus import bd_expdrift, escape_corpus
 from mcergo.density import DENSITY_KINDS
 from mcergo.harness import (
     CERTIFICATE_KEYS,
@@ -36,7 +37,7 @@ from mcergo.harness import (
     serialize_config,
 )
 from mcergo.svg import emit_svg
-from oracles import dominance_profile_loop
+from oracles import dominance_profile_loop, tv_trajectory_minus_pi
 
 UNIFORM_CFG = {"kind": "uniform", "unimodal_alpha": 1.0 / 3.0, "unimodal_ratio": 1.0}
 
@@ -435,18 +436,19 @@ EXP_TILT_CFG = {"kind": "exponential-tilt", "tilt": -1.0, "unimodal_alpha": 1.0 
     ({"experiment": "certify",
       "chain": {"kind": "birth-death", "density": EXP_TILT_CFG, "c": 1.0 / 128.0},
       "certificate": {"v": {"kind": "exp-of-coordinate", "kappa": 0.5}}},
-     "9ecb0f20a1b4f2961119b151126e380b06391d7d160ad81573c8ae51892da9a2",
+     "df11d3bb2e8c0e19c1d6db849683b9e1a3430438a19a3d107afe0fd0032cd15c",
      "19dc8e92cdc138ee2ceaa478156c7acba8756b54fa67d06b0c6187b8d2d1d040"),
     # scripts/run_certification_demo.py
     ({"experiment": "certify", "chain": {"kind": "corpus", "name": "bd-expdrift"},
       "alpha": 1.0 / 3.0},
-     "a03d066914f1cf788d759950d8150eb1b828e4c282734359050f3c9978bd50a4",
+     "b0506adc2ae5339660be15627903ad6ad3a975679f1a89d9dce7dbeaf1d425a7",
      "af43594a3cca1535114342cab0126aec9d29e492a78f81977d75049fb467dff1"),
 ], ids=["bench-exact", "demo"])
 def test_tv_profile_bytes_pinned(tmp_path, raw, digest, report_digest):
     # recorded with BLAS at one thread, as the benchmark runs it (a threaded product
-    # may round differently): the profile before the TV step multiplied only the band
-    # of P, the report before the restriction to every state became the chain itself
+    # may round differently): the profile once tv_table advanced P^t - 1 pi (its
+    # max_tv moved by at most 3.7e-14 relative), the report before the restriction
+    # to every state became the chain itself
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(raw))
     src = Path(m.__file__).resolve().parents[1]
@@ -502,6 +504,36 @@ def test_dominance_profile_reports_a_wrong_bound_as_the_loop_does():
     assert worst > 1e-9 and worst.hex() == want_worst.hex()
     assert rows == want_rows
     assert {row[3] for row in rows} == {"0", "1"}
+
+
+def _escape_0_inputs():
+    case = escape_corpus()[0]
+    return (case.kernel, case.cert,
+            m.certify_drift_and_hit(case.kernel, case.cert, variant=case.variant))
+
+
+@pytest.mark.parametrize("inputs", [
+    lambda: _certify_inputs({"experiment": "certify",
+                             "chain": {"kind": "corpus", "name": "bd-expdrift"},
+                             "alpha": 1.0 / 3.0}),
+    lambda: _certify_inputs(_exp_tilt_certify(1.0 / 128.0)),
+    _escape_0_inputs,
+], ids=["bd-expdrift", "bench-exact", "escape-0"])
+def test_tv_table_lies_within_its_stated_distance_of_the_minus_pi_form(inputs, monkeypatch):
+    k, cert, bound = inputs()
+    horizon = harness.TV_PROFILE_HORIZON
+    pi = k.stationary
+    residual = float(np.abs(pi @ k.p - pi).sum())
+    old = np.array(list(tv_trajectory_minus_pi(k, horizon)))
+    new = chain_analysis.tv_table(k, horizon)
+    # the table measures TV against pi P^t, and ||pi P^t - pi||_1 <= t ||pi P - pi||_1
+    slack = 0.5 * np.arange(horizon + 1) * residual + 64 * np.finfo(float).eps
+    assert np.all(np.abs(new - old).max(axis=1) <= slack)
+    ok, _, rows = harness._dominance_profile(k, cert, bound)
+    monkeypatch.setattr(harness, "tv_table", lambda k, t_max: old.copy())
+    old_ok, _, old_rows = harness._dominance_profile(k, cert, bound)
+    assert ok is old_ok
+    assert [row[3] for row in rows] == [row[3] for row in old_rows]
 
 
 def test_run_certify_structured_failure(tmp_path):

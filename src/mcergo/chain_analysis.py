@@ -247,11 +247,11 @@ def tv_table(k: FiniteKernel, t_max: int) -> np.ndarray:
     return table
 
 
-def _row_l1(rows: np.ndarray, pi: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """sum_y |rows[x, y] - pi[y]| for each row x, twice its TV from the
-    vector pi (Levin, Peres and Wilmer, Prop. 4.2).  ``scratch``, of the
+def _row_l1(rows: np.ndarray, ref: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """sum_y |rows[x, y] - ref[y]| for each row x, twice its TV from the
+    vector ref (Levin, Peres and Wilmer, Prop. 4.2).  ``scratch``, of the
     shape of rows, is overwritten."""
-    return np.abs(np.subtract(rows, pi, out=scratch), out=scratch).sum(axis=1)
+    return np.abs(np.subtract(rows, ref, out=scratch), out=scratch).sum(axis=1)
 
 
 def _column_blocks(p: np.ndarray) -> list[tuple[int, int, int, int]]:
@@ -678,12 +678,13 @@ def pseudo_minorization(k: FiniteKernel, subset, t: int) -> MinorizationReport:
         raise ValueError(f"step count must be an integer >= 1, got {t!r}")
     rows = np.linalg.matrix_power(k.p, t)
     sub = rows[S]
-    e = 0.5 * np.abs(sub - sub.mean(axis=0)).sum(axis=1)
-    v0 = 0.5 * float(np.abs(sub[np.argmax(e)] - sub).sum(axis=1).max())
+    scratch = np.empty_like(sub)
+    e = 0.5 * _row_l1(sub, sub.mean(axis=0), scratch)
+    v0 = 0.5 * float(_row_l1(sub, sub[np.argmax(e)], scratch).max())
     after = np.append(np.maximum.accumulate(e[:0:-1])[::-1], -np.inf)  # max_{b > a} e(b)
     worst = (0.0, (int(S[0]), int(S[0])))
     for a in np.flatnonzero(e + after >= v0 - 1e-9).tolist():
-        diffs = 0.5 * np.abs(sub[a][None, :] - sub[a + 1:]).sum(axis=1)
+        diffs = 0.5 * _row_l1(sub[a + 1:], sub[a], scratch[a + 1:])
         if diffs.size:
             b = int(np.argmax(diffs))
             val = float(diffs[b])

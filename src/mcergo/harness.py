@@ -1,15 +1,23 @@
 """Experiment configs, runners, and report emission.
 
-Configs are strict JSON (lower_snake_case keys, unknown keys are errors)
-and round-trip exactly through ``serialize_config``/``parse_config``.
-Every run writes a manifest (config hash, seed, toolkit version) next to
-its outputs; reruns with the same manifest produce byte-identical CSVs.
+Configs are strict UTF-8 JSON (lower_snake_case keys; unknown keys, and a
+key repeated in any object, are errors) and round-trip exactly through
+``serialize_config``/``parse_config``.  Every run writes a manifest (config
+hash, seed, toolkit version) next to its outputs; reruns with the same
+manifest produce byte-identical CSVs.
 
 This is the one module that knows the config schema: one reader,
 ``_config_object``, checks the keys of every config object against its
 table (``ExperimentConfig``'s fields, ``CHAIN_KINDS``, ``CERTIFICATE_KEYS``,
 ``V_KINDS`` and the density keys built from ``density.DENSITY_KINDS``), and
 the ``*_from_config`` functions turn the values into analysis objects.
+``EXPERIMENT_KEYS`` is the one place that says which fields an experiment
+reads and which it needs.  ``ExperimentConfig.__post_init__`` judges it, so
+a config built in Python or by ``dataclasses.replace`` (the CLI's
+``--seed``) is judged as a parsed one is: a field the experiment does not
+read must hold its default.  ``serialize_config`` still writes all 12
+fields, so the manifest hash of a config does not depend on its experiment's
+table.
 
 It is also the one module that knows the output formats: every CSV header
 (``SCALING_COLUMNS``, ``HITMIX_COLUMNS``, ``COUPLE_COLUMNS``), CSV row and
@@ -79,6 +87,19 @@ TV_PROFILE_HORIZON = 500
 MAX_ACCEPTED_CENSORING = 0.01
 
 
+# the keys each experiment reads, {key: required}: a key outside its experiment's
+# table must be left out (or hold its default), and a required one must be set
+_SHARED_KEYS = {"experiment": True, "seed": False, "output_path": False}
+EXPERIMENT_KEYS = {
+    "scaling": {**_SHARED_KEYS, "density": True, "c_list": True, "alpha": False,
+                "replicas": False, "horizon": False, "svg": False},
+    "certify": {**_SHARED_KEYS, "chain": True, "certificate": False, "restriction": False},
+    "hitmix": {**_SHARED_KEYS, "chain": True, "alpha": False},
+    "couple": {**_SHARED_KEYS, "chain": True, "certificate": False, "restriction": False,
+               "horizon": False, "replicas": False},
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -95,8 +116,17 @@ class ExperimentConfig:
     svg: bool = False
 
     def __post_init__(self):
-        if self.experiment not in RUNNERS:
+        keys = EXPERIMENT_KEYS.get(self.experiment)
+        if keys is None:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
+        object.__setattr__(self, "c_list", tuple(self.c_list))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in keys and value != f.default:
+                raise ConfigError(
+                    f"{self.experiment} does not read {f.name!r}: leave it out, got {value!r}")
+            if keys.get(f.name) and (value is None or value == ()):
+                raise ConfigError(f"{self.experiment} needs {f.name!r}, got {value!r}")
         if self.restriction not in RESTRICTIONS:
             raise ConfigError(f"unknown restriction {self.restriction!r}; use {RESTRICTIONS}")
         if not (isinstance(self.alpha, numbers.Real) and not isinstance(self.alpha, bool)
@@ -121,30 +151,42 @@ class ExperimentConfig:
 
 
 def parse_config(payload) -> ExperimentConfig:
-    """Parse a config dict or JSON string; unknown keys are errors."""
-    if isinstance(payload, (str, bytes)):
-        try:
-            payload = json.loads(payload)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    """Parse a config dict, JSON string or UTF-8 JSON bytes; unknown and
+    repeated keys are errors."""
+    try:
+        if isinstance(payload, bytes):
+            payload = payload.decode("utf-8")
+        if isinstance(payload, str):
+            payload = json.loads(payload, object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # UnicodeDecodeError and json.JSONDecodeError are ValueErrors
+        raise ConfigError(f"config is not valid UTF-8 JSON: {exc}") from exc
     kwargs = dict(_config_object(payload, "", {f.name: f.name == "experiment"
                                                 for f in fields(ExperimentConfig)}))
-    if "c_list" in kwargs:
-        if not isinstance(kwargs["c_list"], (list, tuple)):
-            raise ConfigError(f"c_list must be a list of step sizes, got {kwargs['c_list']!r}")
-        kwargs["c_list"] = tuple(kwargs["c_list"])
+    if "c_list" in kwargs and not isinstance(kwargs["c_list"], (list, tuple)):
+        raise ConfigError(f"c_list must be a list of step sizes, got {kwargs['c_list']!r}")
     try:
         return ExperimentConfig(**kwargs)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object from its (key, value) pairs; ConfigError on a repeated key."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"config repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_config(fh.read())
+        with open(path, "rb") as fh:
+            payload = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return parse_config(payload)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -329,8 +371,6 @@ def run_scaling(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
     """
     if cfg.experiment != "scaling":
         raise ConfigError(f"config is for {cfg.experiment!r}, not scaling")
-    if cfg.density is None or not cfg.c_list:
-        raise ConfigError("scaling needs 'density' and a nonempty 'c_list'")
     density = density_from_config(cfg.density)
     if not density.check_nearly_unimodal():
         raise ConfigError(
@@ -531,8 +571,6 @@ def run_hitmix(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
     """Mixing and maximum hitting survey of one finite chain."""
     if cfg.experiment != "hitmix":
         raise ConfigError(f"config is for {cfg.experiment!r}, not hitmix")
-    if cfg.chain is None:
-        raise ConfigError("hitmix needs a 'chain'")
     k, _ = chain_from_config(cfg.chain)
     out_dir = _prepare_out(cfg, out_dir)
 
@@ -616,8 +654,6 @@ def _chain_and_certificate(cfg: ExperimentConfig):
 
     A configured certificate wins over the corpus chain's own.
     """
-    if cfg.chain is None:
-        raise ConfigError(f"{cfg.experiment} needs a 'chain'")
     k, corpus_cert = chain_from_config(cfg.chain)
     cert = (certificate_from_config(cfg.certificate, k)
             if cfg.certificate is not None else corpus_cert)

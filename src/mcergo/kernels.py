@@ -546,9 +546,12 @@ def kernel_to_csv(k: FiniteKernel, path):
 
 
 def kernel_from_csv(path) -> FiniteKernel:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        lines = [ln for ln in fh if ln.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip()
+            lines = [ln for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise DimensionMismatch(f"kernel csv is not UTF-8: {exc}") from None
     if not lines:
         raise DimensionMismatch("kernel csv needs a header and at least one row")
     try:

@@ -57,8 +57,26 @@ def _scaling_cfg(**overrides):
 
 # --- config ------------------------------------------------------------------
 
-def test_config_round_trip():
-    cfg = _scaling_cfg(svg=True, horizon=777)
+# a config of each experiment with every key it reads set away from its default
+ROUND_TRIP_PAYLOADS = [
+    {"experiment": "scaling", "density": UNIFORM_CFG, "c_list": [0.25, 0.125], "alpha": 0.25,
+     "replicas": 32, "seed": 5, "horizon": 777, "output_path": "s", "svg": True},
+    {"experiment": "certify", "chain": {"kind": "lazy-srw", "c": 0.25}, "seed": 4,
+     "output_path": "c", "certificate": {"v": [1, 2, 3, 4], "lambda": 0.9},
+     "restriction": "trace"},
+    {"experiment": "hitmix", "chain": {"kind": "corpus", "name": "bd-expdrift"}, "alpha": 0.4,
+     "seed": 3, "output_path": "h"},
+    {"experiment": "couple", "chain": {"kind": "corpus", "name": "bd-expdrift"}, "seed": 2,
+     "output_path": "o", "certificate": {"v": {"kind": "exp-of-coordinate", "kappa": 0.5}},
+     "restriction": "trace", "horizon": 40, "replicas": 10},
+]
+
+
+@pytest.mark.parametrize("payload", ROUND_TRIP_PAYLOADS,
+                         ids=[p["experiment"] for p in ROUND_TRIP_PAYLOADS])
+def test_config_round_trip(payload):
+    assert set(payload) == set(harness.EXPERIMENT_KEYS[payload["experiment"]])
+    cfg = parse_config(payload)
     assert parse_config(serialize_config(cfg)) == cfg
 
 
@@ -72,8 +90,8 @@ PINNED_CONFIG_HASHES = [
       "chain": {"kind": "birth-death", "density": {"kind": "uniform"}, "c": 0.125}},
      "87fcdc7605cf00d240fce83ac2ef8ebac97bff15bf7dc81ca25c978dc080b44d"),
     ({"experiment": "certify", "chain": {"kind": "corpus", "name": "bd-expdrift"},
-      "alpha": 0.25},
-     "588164c4bf6a63146ce07d83dab8a34744c3f7ef4c7bfcd729cfc5bf42a03a45"),
+      "restriction": "trace"},
+     "54034e6014880b458b03c7f443a8ffea6edcbb562962993f651c67f5d649e74a"),
     ({"experiment": "couple", "chain": {"kind": "corpus", "name": "bd-expdrift"},
       "horizon": 40, "restriction": "trace",
       "certificate": {"v": {"kind": "exp-of-coordinate", "kappa": 0.5}}},
@@ -91,7 +109,7 @@ def test_config_with_a_dtable_path_is_refused():
     # no route reads a table: the key is unknown, whatever its value
     for value in (None, "d.json"):
         with pytest.raises(errors.ConfigError, match=r"unknown config keys: \['dtable_path'\]"):
-            parse_config({"experiment": "certify", "alpha": 0.25, "dtable_path": value,
+            parse_config({"experiment": "certify", "dtable_path": value,
                           "chain": {"kind": "corpus", "name": "bd-expdrift"}})
 
 
@@ -105,9 +123,24 @@ def test_readme_config_table_is_the_config_schema():
     lines = readme.split("### Config schema", 1)[1].splitlines()
     start = next(i for i, line in enumerate(lines) if line.startswith("|"))
     table = list(itertools.takewhile(lambda line: line.startswith("|"), lines[start:]))
-    assert table[0].startswith("| key ")
-    keys = [re.match(r"\| `(\w+)` +\|", row).group(1) for row in table[2:]]
-    assert keys == [f.name for f in fields(harness.ExperimentConfig)]
+    assert re.match(r"\| key +\| read by +\|", table[0])
+    cells = [re.match(r"\| `(\w+)` +\| ([^|]+?) +\|", row).groups() for row in table[2:]]
+    assert [key for key, _ in cells] == [f.name for f in fields(harness.ExperimentConfig)]
+    # "read by" names each experiment that reads the key, starred where it needs it
+    read_by = {experiment: {} for experiment in harness.EXPERIMENT_KEYS}
+    for key, cell in cells:
+        for name in cell.split(", "):
+            needed = name.endswith("*")
+            for experiment in (read_by if name.rstrip("*") == "all" else [name.rstrip("*")]):
+                read_by[experiment][key] = needed
+    assert read_by == harness.EXPERIMENT_KEYS
+
+
+def test_experiment_keys_name_every_runner_and_only_config_fields():
+    assert list(harness.EXPERIMENT_KEYS) == list(harness.RUNNERS)
+    names = {f.name for f in fields(harness.ExperimentConfig)}
+    assert all(set(keys) <= names for keys in harness.EXPERIMENT_KEYS.values())
+    assert [len(keys) for keys in harness.EXPERIMENT_KEYS.values()] == [9, 6, 5, 8]
 
 
 def test_config_validation():
@@ -792,6 +825,11 @@ def _write_cfg(tmp_path, payload, name="cfg.json"):
     return str(path)
 
 
+def _write_bytes(path, data):
+    path.write_bytes(data)
+    return str(path)
+
+
 def test_cli_scaling_success(tmp_path):
     cfg = _write_cfg(tmp_path, {
         "experiment": "scaling",
@@ -832,11 +870,36 @@ def test_cli_parser_is_built_once_and_keeps_no_parse_state(tmp_path):
         assert json.loads((out / "manifest.json").read_text())["seed"] == seed
 
 
-def test_cli_config_error_exit_two(tmp_path):
-    cfg = _write_cfg(tmp_path, {"experiment": "scaling", "bogus": 1})
-    assert cli_main(["scaling", "--config", cfg]) == 2
+HITMIX_SRW = {"experiment": "hitmix", "chain": {"kind": "lazy-srw", "c": 0.25}}
+
+
+@pytest.mark.parametrize("data, message", [
+    (b'{"experiment": "hitmix", "bogus": 1}', r"unknown config keys: \['bogus'\]"),
+    # json.loads kept the last value of a repeated key, at every level
+    (b'{"experiment": "hitmix", "alpha": 0.1, "alpha": 0.2, "chain": {"kind": "lazy-srw", '
+     b'"c": 0.25}}', "config repeats the key 'alpha'"),
+    (b'{"experiment": "hitmix", "chain": {"kind": "lazy-srw", "c": 0.25, "c": 0.125}}',
+     "config repeats the key 'c'"),
+    (b'{"experiment": "hitmix", "chain": {"kind": "birth-death", "c": 0.25, "density": '
+     b'{"kind": "exponential-tilt", "tilt": 1, "tilt": -1}}}', "config repeats the key 'tilt'"),
+    # a file that is not UTF-8 ended in a UnicodeDecodeError traceback
+    (b"\xff\xfe" + json.dumps(HITMIX_SRW).encode("utf-16-le"),
+     "config is not valid UTF-8 JSON"),
+    # so did an integer of more than 4300 digits, through a bare ValueError
+    (b'{"experiment": "hitmix", "seed": 1' + b"0" * 4300 + b"}",
+     "config is not valid UTF-8 JSON: Exceeds the limit"),
+], ids=["unknown-key", "repeated-key", "repeated-chain-key", "repeated-density-key",
+        "not-utf-8", "int-too-long"])
+def test_cli_config_error_exit_two(tmp_path, capsys, data, message):
+    with pytest.raises(errors.ConfigError, match=f"^{message}"):
+        parse_config(data)
+    cfg = _write_bytes(tmp_path / "cfg.json", data)
+    assert cli_main(["hitmix", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert re.match(f"config error: {message}", err) and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
     missing = str(tmp_path / "nope.json")
-    assert cli_main(["scaling", "--config", missing]) == 2
+    assert cli_main(["hitmix", "--config", missing]) == 2
 
 
 def test_cli_subcommand_mismatch_exit_two(tmp_path):
@@ -906,8 +969,31 @@ def _step_chains(c):
             {"kind": "lazy-srw", "c": c}]
 
 
+COUPLE_CORPUS = {"experiment": "couple", "chain": {"kind": "corpus", "name": "bd-expdrift"},
+                 "replicas": 4, "horizon": 5}
+
+# (experiment, a config of it, a key it does not read, a value other than the key's default):
+# each used to be taken silently, and changed the manifest hash of an otherwise equal run
+UNREAD_KEYS = [
+    ("scaling", _scaling_payload(), "chain", BD_CHAIN),
+    ("scaling", _scaling_payload(), "restriction", "trace"),
+    ("certify", _certify_payload(), "alpha", 0.25),
+    ("certify", _certify_payload(), "replicas", 8),
+    ("certify", _certify_payload(), "horizon", 40),
+    ("hitmix", _hitmix_payload(BD_CHAIN), "svg", True),
+    ("hitmix", _hitmix_payload(BD_CHAIN), "certificate", {"v": EXP_V}),
+    ("couple", COUPLE_CORPUS, "c_list", [0.5]),
+    ("couple", COUPLE_CORPUS, "density", UNIFORM_CFG),
+    ("couple", COUPLE_CORPUS, "alpha", 0.4),
+]
+
 # case -> (exit code, payload built in a scratch directory)
 MALFORMED_INPUTS = {
+    **{f"{experiment}-reads-no-{key}": (2, lambda d, p=payload, key=key, v=value: {**p, key: v})
+       for experiment, payload, key, value in UNREAD_KEYS},
+    # a required key that is empty
+    "scaling-c_list-empty": (2, lambda d: _scaling_payload(c_list=[])),
+    "hitmix-chain-null": (2, lambda d: _hitmix_payload(None)),
     # c = 0 and NaN used to raise ZeroDivisionError and ValueError out of main,
     # and c = 1 exited 1 through GridMismatch
     **{f"{chain['kind']}-c-{c!r}": (2, lambda d, chain=chain: _hitmix_payload(chain))
@@ -973,6 +1059,9 @@ MALFORMED_INPUTS = {
         {"kind": "kernel-csv", "path": 10**6})),
     "kernel-csv-cell-not-a-number": (1, lambda d: _hitmix_payload(
         {"kind": "kernel-csv", "path": _write_text(d / "k.csv", "\n0.5,0.5\n0.5,half\n")})),
+    # a file that is not UTF-8 used to end in a UnicodeDecodeError traceback
+    "kernel-csv-not-utf-8": (1, lambda d: _hitmix_payload(
+        {"kind": "kernel-csv", "path": _write_bytes(d / "k.csv", b"\xff\xfe\n0.5,0.5\n")})),
     "dtable-not-json": (2, lambda d: dict(
         _certify_payload(), dtable_path=_write_text(d / "d.json", "alpha = 1/3\n"))),
     "couple-inner-set-empty": (1, lambda d: {  # V >= 1 > r'
@@ -997,6 +1086,29 @@ def test_cli_malformed_input_is_a_structured_error(tmp_path, capsys, case):
     ("c_list-null", "c_list"), ("alpha-null", "alpha"), ("alpha-a-string", "alpha")])
 def test_config_error_names_the_key(tmp_path, case, key):
     with pytest.raises(errors.ConfigError, match=f"^{key} must be"):
+        parse_config(MALFORMED_INPUTS[case][1](tmp_path))
+
+
+@pytest.mark.parametrize("experiment, payload, key, value", UNREAD_KEYS,
+                         ids=[f"{e}-{k}" for e, _, k, _ in UNREAD_KEYS])
+def test_unread_key_is_refused_naming_the_experiment_and_key(experiment, payload, key, value):
+    with pytest.raises(errors.ConfigError, match=f"^{experiment} does not read '{key}'"):
+        parse_config({**payload, key: value})
+    # at its default the key is taken, and the config (so its hash) is the bare one
+    default = next(f.default for f in fields(harness.ExperimentConfig) if f.name == key)
+    cfg = parse_config(payload)
+    assert parse_config({**payload, key: default}) == cfg
+    # a config built in Python, or changed by dataclasses.replace, is judged the same way
+    with pytest.raises(errors.ConfigError, match=f"^{experiment} does not read '{key}'"):
+        dataclasses.replace(cfg, **{key: value})
+
+
+@pytest.mark.parametrize("case, message", [
+    ("scaling-c_list-empty", "scaling needs 'c_list', got ()"),
+    ("hitmix-chain-null", "hitmix needs 'chain', got None"),
+])
+def test_required_key_error_names_the_experiment_and_key(tmp_path, case, message):
+    with pytest.raises(errors.ConfigError, match=f"^{re.escape(message)}$"):
         parse_config(MALFORMED_INPUTS[case][1](tmp_path))
 
 

@@ -10,7 +10,12 @@ Every certificate is made here, from one b(lambda) over the grid
 ``LAMBDA_GRID`` (``fit_drift``, ``tightest_certificate``), one pair of
 radius thresholds 2b/(1 - lambda) and (2b + 24 r')/(1 - lambda)
 (``compatibility_check``), and default radii ``RADIUS_MARGIN`` times
-those thresholds (``DriftCertificate.with_radii``).
+those thresholds (``DriftCertificate.with_radii``).  Drift parameters and
+V are judged by one check, ``_check_drift``; every function that takes V
+with a kernel (``verify_drift``, ``fit_drift``, ``tightest_certificate``,
+``certify_drift_and_hit`` and ``harness.certificate_from_config``) passes
+it the kernel, which makes it refuse a V without one value per state
+(InvalidParameters).
 
 The overlap step count T comes from the restriction to C = {V <= r}
 alone: its exact mixing time from C' up to ``EXACT_OVERLAP_STATE_CAP``
@@ -39,7 +44,7 @@ from .errors import (
     NonpositiveDenominator,
     ResidualTooLarge,
 )
-from .kernels import FiniteKernel, _is_int, restrict
+from .kernels import FiniteKernel, _checked_count, restrict
 from .tolerances import EQUALITY_TOL, ROW_SUM_TOL, SPECTRAL_RESIDUAL_TOL
 
 # The exact routes' size cap: T by mixing_time, and the certify run's TV audit.
@@ -162,10 +167,14 @@ class DriftCheck:
     worst_slack: float
 
 
-def _check_drift(lam: float = 0.0, b: float = 0.0, v=()) -> np.ndarray:
+def _check_drift(lam: float = 0.0, b: float = 0.0, v=(), k: FiniteKernel | None = None
+                 ) -> np.ndarray:
     """``v`` as a float array; InvalidParameters unless 0 <= lambda < 1, b >= 0 and
-    V is finite and >= 0 (NaN fails).  The one check of drift parameters."""
+    V is finite and >= 0 (NaN fails).  The one check of drift parameters, and
+    with a kernel ``k`` the one check of V's length: one value per state of k."""
     v = np.asarray(v, dtype=float)
+    if k is not None and v.shape != (k.n,):
+        raise InvalidParameters(f"V needs one value per state: shape {v.shape}, {k.n} states")
     if not np.all(np.isfinite(v) & (v >= 0.0)):
         raise InvalidParameters("V must be finite and nonnegative")
     if not (0.0 <= lam < 1.0):
@@ -179,11 +188,10 @@ def verify_drift(k: FiniteKernel, v, lam: float, b: float) -> DriftCheck:
     """Check (PV)(x) <= lam V(x) + b for all x; one matrix-vector product.
 
     Returns the worst slack min_x(lam V(x) + b - (PV)(x)); passes iff the
-    slack is >= -1e-12.
+    slack is >= -1e-12.  InvalidParameters for parameters or a V that
+    ``_check_drift`` refuses.
     """
-    v = _check_drift(lam, b, v)
-    if v.shape != (k.n,):
-        raise InvalidParameters("V length does not match the kernel")
+    v = _check_drift(lam, b, v, k)
     worst = float(np.min(lam * v + b - k.p @ v))
     return DriftCheck(passed=worst >= -ROW_SUM_TOL, worst_slack=worst)
 
@@ -195,9 +203,7 @@ def fit_drift(k: FiniteKernel, v, lam_grid=None) -> tuple[float, float]:
     For each lambda, b(lambda) = max(0, max_x((PV)(x) - lambda V(x))); the
     returned pair always satisfies ``verify_drift``.
     """
-    v = _check_drift(v=v)
-    if v.shape != (k.n,):
-        raise InvalidParameters("V length does not match the kernel")
+    v = _check_drift(v=v, k=k)
     lam_grid = LAMBDA_GRID if lam_grid is None else np.asarray(lam_grid, dtype=float)
     if lam_grid.ndim != 1 or lam_grid.size == 0:
         raise InvalidParameters("lambda grid must be a nonempty list of values")
@@ -218,7 +224,7 @@ def tightest_certificate(k: FiniteKernel, v) -> DriftCertificate:
     {V <= r} smallest.  r' sits 10% above its threshold 2b/(1 - lambda),
     and r ``RADIUS_MARGIN`` above its own.
     """
-    v = _check_drift(v=v)
+    v = _check_drift(v=v, k=k)
     b = _drift_b(k, v, LAMBDA_GRID)
     r_prime = 1.10 * _radius_thresholds(LAMBDA_GRID, b, 0.0)[0]
     best = int(np.argmin(_radius_thresholds(LAMBDA_GRID, b, r_prime)[1]))
@@ -233,9 +239,8 @@ def _drift_b(k: FiniteKernel, v: np.ndarray, lam_grid: np.ndarray) -> np.ndarray
 
 def multistep_drift_params(lam: float, b: float, t: int) -> tuple[float, float]:
     """Drift parameters inherited by the t-step kernel; InvalidParameters unless
-    t is an integer >= 1 (a bool is not one)."""
-    if not (_is_int(t) and t >= 1):
-        raise InvalidParameters(f"step count must be an integer >= 1, got {t!r}")
+    t is a count >= 1 (``kernels._checked_count``)."""
+    t = _checked_count(t, "step count", 1, error=InvalidParameters)
     _check_drift(lam, b)
     lam_t = lam ** t
     return lam_t, b * (1.0 - lam_t) / (1.0 - lam)
@@ -429,13 +434,14 @@ def certify_drift_and_hit(
 
     Raises
     ------
+    InvalidParameters
+        If cert.v does not hold one value per state of k (``_check_drift``).
     IncompatibleCertificate, plus propagated sub-operation errors: on the
     spectral route, IncompatibleCertificate for a restriction that does
     not contract in L2(pi) and ResidualTooLarge for an eigendecomposition
     that misses its residual check.
     """
-    if cert.v.shape != (k.n,):
-        raise InvalidParameters("certificate V length does not match the kernel")
+    _check_drift(v=cert.v, k=k)
     compat = compatibility_check(cert, "theorem2")
     if not compat.passed:
         raise IncompatibleCertificate(f"theorem2 compatibility failed: {compat.margins}")

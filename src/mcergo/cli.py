@@ -34,13 +34,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if cfg.experiment != args.command:
-            raise ConfigError(
-                f"config experiment {cfg.experiment!r} does not match subcommand {args.command!r}"
-            )
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-        result = RUNNERS[cfg.experiment](cfg, out_dir=args.out, quiet=args.quiet)
+        # the runner refuses a config of another experiment, before it makes --out
+        result = RUNNERS[args.command](cfg, out_dir=args.out, quiet=args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

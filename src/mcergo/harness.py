@@ -19,6 +19,12 @@ read must hold its default.  ``serialize_config`` still writes all 12
 fields, so the manifest hash of a config does not depend on its experiment's
 table.
 
+Each input has one judge: ``ExperimentConfig.__post_init__`` every
+top-level value (``c_list`` included: no two steps on one grid), the count
+rule ``kernels._checked_count`` the counts, with the walk's limits read
+from ``montecarlo``, ``certify._check_drift`` a certificate's V, and each
+runner its config's experiment, before any output directory is made.
+
 It is also the one module that knows the output formats: every CSV header
 (``SCALING_COLUMNS``, ``HITMIX_COLUMNS``, ``COUPLE_COLUMNS``), CSV row and
 report dict is built here from the analysis results, which hold only what
@@ -41,6 +47,7 @@ from . import __version__
 from .certify import (
     EXACT_OVERLAP_STATE_CAP,
     DriftCertificate,
+    _check_drift,
     certify_drift_and_hit,
     compatibility_check,
     escape_bound,
@@ -56,7 +63,7 @@ from .chain_analysis import (
 )
 from .corpus import bd_expdrift
 from .density import DENSITY_KINDS, DensitySpec, _checked_inverse
-from .errors import ConfigError, IncompatibleCertificate, InvalidParameters, McergoError
+from .errors import ConfigError, IncompatibleCertificate, McergoError
 from .kernels import (
     FiniteKernel,
     birth_death_chain,
@@ -65,9 +72,9 @@ from .kernels import (
     kernel_from_csv,
     lazy_srw,
     restrict,
-    _is_int,
+    _checked_count,
 )
-from .montecarlo import coupled_escape_estimate, estimate_hitting_batch
+from .montecarlo import SEED_LIMIT, STEP_LIMIT, coupled_escape_estimate, estimate_hitting_batch
 from .svg import emit_svg
 
 RESTRICTIONS = ("mh-restriction", "trace")  # gibbs needs a probability table no config carries
@@ -84,7 +91,6 @@ SCALING_COLUMNS = [
 
 START_GRID_POINTS = 33
 TV_PROFILE_HORIZON = 500
-MAX_ACCEPTED_CENSORING = 0.01
 
 
 # the keys each experiment reads, {key: required}: a key outside its experiment's
@@ -119,6 +125,8 @@ class ExperimentConfig:
         keys = EXPERIMENT_KEYS.get(self.experiment)
         if keys is None:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
+        if not isinstance(self.c_list, (list, tuple)):
+            raise ConfigError(f"c_list must be a list of step sizes, got {self.c_list!r}")
         object.__setattr__(self, "c_list", tuple(self.c_list))
         for f in fields(self):
             value = getattr(self, f.name)
@@ -132,21 +140,22 @@ class ExperimentConfig:
         if not (isinstance(self.alpha, numbers.Real) and not isinstance(self.alpha, bool)
                 and 0.0 < self.alpha < 0.5):
             raise ConfigError(f"alpha must be a number in (0, 0.5), got {self.alpha!r}")
-        if not (_is_int(self.replicas) and self.replicas >= 1):
-            raise ConfigError(f"replicas must be an integer >= 1, got {self.replicas!r}")
-        # the Monte Carlo streams take the seed as one uint64 word of a Philox key
-        if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
-            raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        # the walker loop holds horizons as int64
-        if not (self.horizon is None or _is_int(self.horizon) and 1 <= self.horizon < 2**63):
-            raise ConfigError(
-                f"horizon must be null or an integer in [1, 2**63), got {self.horizon!r}")
+        # the counts a walk takes, with the walk's own limits (montecarlo)
+        _checked_count(self.replicas, "replicas", 1, error=ConfigError)
+        _checked_count(self.seed, "seed", 0, SEED_LIMIT, ConfigError)
+        if self.horizon is not None:
+            _checked_count(self.horizon, "horizon", 1, STEP_LIMIT, ConfigError)
         if not isinstance(self.svg, bool):
             raise ConfigError(f"svg must be true or false, got {self.svg!r}")
         if not isinstance(self.output_path, str):
             raise ConfigError("output_path must be a path")
+        steps = {}  # grid size round(1/c) -> its step
         for c in self.c_list:
-            _checked_inverse(c)
+            n = _checked_inverse(c)
+            if n in steps:
+                raise ConfigError(f"c_list steps {steps[n]!r} and {c!r} have the same grid "
+                                  f"size {n}: each step needs a grid of its own")
+            steps[n] = c
         object.__setattr__(self, "c_list", tuple(float(c) for c in self.c_list))
 
 
@@ -160,10 +169,8 @@ def parse_config(payload) -> ExperimentConfig:
             payload = json.loads(payload, object_pairs_hook=_unique_keys)
     except ValueError as exc:  # UnicodeDecodeError and json.JSONDecodeError are ValueErrors
         raise ConfigError(f"config is not valid UTF-8 JSON: {exc}") from exc
-    kwargs = dict(_config_object(payload, "", {f.name: f.name == "experiment"
-                                                for f in fields(ExperimentConfig)}))
-    if "c_list" in kwargs and not isinstance(kwargs["c_list"], (list, tuple)):
-        raise ConfigError(f"c_list must be a list of step sizes, got {kwargs['c_list']!r}")
+    kwargs = _config_object(payload, "", {f.name: f.name == "experiment"
+                                          for f in fields(ExperimentConfig)})
     try:
         return ExperimentConfig(**kwargs)
     except TypeError as exc:
@@ -332,10 +339,7 @@ def certificate_from_config(spec: dict, k: FiniteKernel) -> DriftCertificate:
         with np.errstate(over="ignore"):  # the drift check refuses an infinite V
             v = np.exp(kappa * k.coordinates())
     else:
-        v = _config_floats(spec["v"], "v")
-        if v.shape != (k.n,):
-            raise InvalidParameters(
-                f"certificate V needs one value per state: shape {v.shape}, {k.n} states")
+        v = _check_drift(v=_config_floats(spec["v"], "v"), k=k)
     lam, b, r, r_prime = (None if spec.get(key) is None else _config_float(spec[key], key)
                           for key in ("lambda", "b", "r", "r_prime"))
     if b is None:

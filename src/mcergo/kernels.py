@@ -149,9 +149,21 @@ class FiniteKernel:
         return np.array_equal(self.p, other.p) and same_states
 
 
-def _is_int(value) -> bool:
-    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def _checked_count(value, what: str, low: int, high: int | None = None,
+                   error: type[Exception] = ValueError) -> int:
+    """``value`` as an int: the one rule for a count (a step count, seed or replica count).
+
+    A count is a Python or numpy integer (a bool is not one) in [low, high),
+    or >= low when ``high`` is None; ``high`` is a power of two, written
+    2**k in the message.  Anything else raises ``error``, whose message
+    names ``what``, the value and the range.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        count = int(value)
+        if low <= count and (high is None or count < high):
+            return count
+    span = f">= {low}" if high is None else f"in [{low}, 2**{high.bit_length() - 1})"
+    raise error(f"{what} must be an integer {span}, got {value!r}")
 
 
 def _float_array(values, what: str) -> np.ndarray:
@@ -238,19 +250,17 @@ def birth_death_chain(psi: DensitySpec, c: float) -> FiniteKernel:
     (1/2) min{1, psi(x+c)/psi(x)} (x < 1-c), down moves the mirror image
     (x > 0), and the remainder is holding mass.  Detailed balance makes the
     normalized grid values of psi stationary.  ConfigError for a c that
-    ``density._checked_inverse`` refuses.
+    ``DensitySpec.grid_values`` refuses.
     """
-    n = _checked_inverse(c)
     vals = psi.grid_values(c)
     if np.any(vals <= 0.0):
         raise DensityNonpositive("density nonpositive on the grid")
+    n = vals.size
+    up = np.arange(n - 1)
     p = np.zeros((n, n))
-    for i in range(n):
-        if i < n - 1:
-            p[i, i + 1] = 0.5 * min(1.0, vals[i + 1] / vals[i])
-        if i > 0:
-            p[i, i - 1] = 0.5 * min(1.0, vals[i - 1] / vals[i])
-        p[i, i] = 1.0 - p[i].sum()
+    p[up, up + 1] = 0.5 * np.minimum(1.0, vals[1:] / vals[:-1])
+    p[up + 1, up] = 0.5 * np.minimum(1.0, vals[:-1] / vals[1:])
+    np.fill_diagonal(p, 1.0 - p.sum(axis=1))
     return FiniteKernel(p=p, states=np.arange(n) * c)
 
 

@@ -58,6 +58,13 @@ refuses an empty target with ``AllCensored`` before any walker runs, and
 ``coupled_escape_estimate`` returns 0 without walking when the coupling
 set is the whole space.
 
+Every count of a walk is judged by the one count rule,
+``kernels._checked_count``, at the walker gate: ``_check_walk`` takes a
+step count in [0, ``STEP_LIMIT``) = [0, 2**63), as the walker loop holds
+it as int64, and a seed in [0, ``SEED_LIMIT``) = [0, 2**64), the one uint64
+word of a Philox key it becomes, and ``_walk_jobs`` a replica count >= 1.
+The two limits are stated here alone; ``harness`` reads them.
+
 The hitting and decoupling estimators return an ``McEstimate`` (mean,
 standard error, replicas, seed, horizon, censored fraction); ``harness``
 writes it.
@@ -75,7 +82,18 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import AllCensored
-from .kernels import ContinuousSampler1D, DominatedKernel, FiniteKernel, _check_domination, _is_int
+from .kernels import (
+    ContinuousSampler1D,
+    DominatedKernel,
+    FiniteKernel,
+    _check_domination,
+    _checked_count,
+)
+
+# the walker loop holds step counts as int64, and a seed becomes one uint64
+# word of a Philox key
+STEP_LIMIT = 2**63
+SEED_LIMIT = 2**64
 
 # One stream block holds population x row steps x draws uniform doubles, and
 # the population of a sampler is what fills it: 4096 finite-kernel walkers
@@ -314,7 +332,7 @@ def _record_fill():
     if (list(key), list(ctr), buffer_pos.value) != ([3, 5], [7, 0, 0, 0], 2):
         return None
     records = _StreamRecords(fill, functions, 1)
-    for s, r, offset, width in [(2**64 - 1, 7, 12, 9), (5, 0, 0, 3), (5, 3, 300, 8)]:
+    for s, r, offset, width in [(SEED_LIMIT - 1, 7, 12, 9), (5, 0, 0, 3), (5, 3, 300, 8)]:
         out = np.empty((1, width))
         _fill_records(records, np.array([s], dtype=np.uint64), np.array([r], dtype=np.uint64),
                       np.array([offset // _PHILOX_WORDS]), out)
@@ -324,13 +342,10 @@ def _record_fill():
 
 
 def _check_walk(seed, steps, what: str) -> None:
-    """ValueError unless ``steps`` is a nonnegative integer below 2**63 (the
-    walker loop holds step counts as int64) and ``seed`` an integer in
-    [0, 2**64), the one uint64 word of a Philox key it becomes."""
-    if not (_is_int(steps) and 0 <= steps < 2**63):
-        raise ValueError(f"{what} must be a nonnegative integer below 2**63, got {steps!r}")
-    if not (_is_int(seed) and 0 <= int(seed) < 2**64):
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    """The walker gate: ValueError unless ``steps`` is a count in [0, STEP_LIMIT)
+    and ``seed`` one in [0, SEED_LIMIT), by the count rule ``kernels._checked_count``."""
+    _checked_count(steps, what, 0, STEP_LIMIT)
+    _checked_count(seed, "seed", 0, SEED_LIMIT)
 
 
 def _summarize(values: np.ndarray, seed: int, horizon: int, censored: np.ndarray) -> McEstimate:
@@ -747,8 +762,7 @@ def _walk_jobs(jobs: list, replicas: int) -> list[tuple[np.ndarray, np.ndarray]]
     Raises the ValueError and TypeError of ``estimate_hitting_batch``
     before any walker runs.
     """
-    if not (_is_int(replicas) and replicas >= 1):
-        raise ValueError(f"replicas must be an integer >= 1, got {replicas!r}")
+    _checked_count(replicas, "replicas", 1)
     arrivals, group_of = [], {}
     samplers = []  # the sampler of each group
     empty = set()  # the groups of a finite kernel whose target holds no state

@@ -56,6 +56,21 @@ def gibbs_restricted_loop(table, S):
     return q
 
 
+def birth_death_loop(psi, c):
+    """Metropolized birth-death matrix on {0, c, ..., 1-c}, built row by row:
+    up and down moves with (1/2) min{1, psi ratio}, the rest held."""
+    vals = psi.grid_values(c)
+    n = vals.size
+    p = np.zeros((n, n))
+    for i in range(n):
+        if i < n - 1:
+            p[i, i + 1] = 0.5 * min(1.0, vals[i + 1] / vals[i])
+        if i > 0:
+            p[i, i - 1] = 0.5 * min(1.0, vals[i - 1] / vals[i])
+        p[i, i] = 1.0 - p[i].sum()
+    return p
+
+
 def lazy_srw_loop(c):
     """Half-lazy simple random walk on {0, c, ..., 1-c}, built row by row:
     hold 1/2, move +-c with 1/4 each, and hold a move that leaves the grid."""

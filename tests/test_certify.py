@@ -1,4 +1,5 @@
 import functools
+import re
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mcergo as m
-from mcergo import errors
+from mcergo import errors, harness
 from mcergo.certify import (
     EXACT_OVERLAP_STATE_CAP,
     _contraction_terms,
@@ -505,6 +506,28 @@ def test_fits_refuse_a_v_that_is_not_finite(fit):
         warnings.simplefilter("error")  # refused before any arithmetic on V
         with pytest.raises(errors.InvalidParameters, match="V must be finite and nonnegative"):
             fit(k, v)
+
+
+# every function that takes V with a kernel, fed the kernel and a V
+V_TAKERS = {
+    "verify_drift": lambda k, v: m.verify_drift(k, v, 0.5, 1.0),
+    "fit_drift": m.fit_drift,
+    "tightest_certificate": tightest_certificate,
+    "certify_drift_and_hit": lambda k, v: m.certify_drift_and_hit(
+        k, m.DriftCertificate.with_radii(v, 0.5, 1.0)),
+    "certificate_from_config": lambda k, v: harness.certificate_from_config(
+        {"v": v.tolist()}, k),
+}
+
+
+@pytest.mark.parametrize("shape", [(7,), (9,), (2, 4)], ids=["short", "long", "2-d"])
+@pytest.mark.parametrize("taker", list(V_TAKERS))
+def test_a_v_without_one_value_per_state_is_refused(taker, shape):
+    # tightest_certificate used to leak numpy's matmul ValueError
+    k = m.birth_death_chain(EXP, 0.125)
+    message = f"V needs one value per state: shape {shape}, 8 states"
+    with pytest.raises(errors.InvalidParameters, match=f"^{re.escape(message)}$"):
+        V_TAKERS[taker](k, np.ones(shape))
 
 
 def test_drift_propagates_to_every_restriction_variant():

@@ -833,7 +833,7 @@ def test_exit_probability_rejects_bad_arguments():
     k = m.build_finite_kernel(np.tile([0.55, 0.25, 0.15, 0.05], (4, 1)))
     with pytest.raises(errors.EmptySubset):
         m.exit_probability(k, [], 0, 3)
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="must be an integer >= 0"):
         m.exit_probability(k, [0, 1], 0, -1)
     with pytest.raises(ValueError, match="not in the subset"):
         m.exit_probability(k, [0, 1], 3, 3)

@@ -482,19 +482,66 @@ def test_tv_profile_bytes_pinned(tmp_path, raw, digest, report_digest):
     # may round differently): the profile once tv_table advanced P^t - 1 pi (its
     # max_tv moved by at most 3.7e-14 relative), the report before the restriction
     # to every state became the chain itself
+    run = _run_at_one_blas_thread(tmp_path, raw)
+    assert _sha256(run / "tv_profile.csv") == digest
+    assert _sha256(run / "certify_report.json") == report_digest
+
+
+def _run_at_one_blas_thread(tmp_path, raw, *options):
+    """The output directory of ``mcergo <experiment> --config raw`` run in a fresh
+    process with BLAS at one thread."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(raw))
-    src = Path(m.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     code = "import sys; from mcergo.cli import main; sys.exit(main(sys.argv[1:]))"
-    subprocess.run([sys.executable, "-c", code, "certify", "--config", str(cfg),
-                    "--out", str(tmp_path / "run"), "--quiet"],
-                   env=env, timeout=120, check=True)
-    profile = (tmp_path / "run" / "tv_profile.csv").read_bytes()
-    assert hashlib.sha256(profile).hexdigest() == digest
-    report = (tmp_path / "run" / "certify_report.json").read_bytes()
-    assert hashlib.sha256(report).hexdigest() == report_digest
+    subprocess.run([sys.executable, "-c", code, raw["experiment"], "--config", str(cfg),
+                    "--out", str(tmp_path / "run"), "--quiet", *options],
+                   env=_one_blas_thread_env(), timeout=120, check=True)
+    return tmp_path / "run"
+
+
+def _one_blas_thread_env() -> dict:
+    src = Path(m.__file__).resolve().parents[1]
+    return dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+# the next three pins hold the same digests with BLAS at one or two threads
+@pytest.mark.parametrize("c, digest", [
+    (1.0 / 64.0, "7337db79797348b61e4b626323eec0fa7a53a3e4fafeab32259e68c3bd208bf6"),
+    (1.0 / 128.0, "a04ea1af763303911653f40adcbcf74d5fe6ded6a1ed243d334f2caf5f52a9a8"),
+], ids=["c1/64", "c1/128"])
+def test_hitmix_bytes_pinned(tmp_path, c, digest):
+    # the hitmix configs of the benchmark's exact workload
+    run = _run_at_one_blas_thread(tmp_path, {
+        "experiment": "hitmix",
+        "chain": {"kind": "birth-death", "density": EXP_TILT_CFG, "c": c}})
+    assert _sha256(run / "hitmix.csv") == digest
+
+
+def test_scaling_bytes_pinned(tmp_path):
+    # the scaling config of the benchmark's scaling workload, at seed 0
+    run = _run_at_one_blas_thread(tmp_path, {
+        "experiment": "scaling", "density": EXP_TILT_CFG, "c_list": [1 / 6, 1 / 8],
+        "alpha": 1.0 / 3.0, "replicas": 256, "svg": True}, "--seed", "0")
+    assert {name: _sha256(run / name) for name in
+            ("scaling.csv", "scaling_fit.csv", "scaling.svg")} == {
+        "scaling.csv": "c999e5a30c06829a94aa8223c3683b0d6c216ee8092661ecf15255990cba44b4",
+        "scaling_fit.csv": "12c2517c6111a60b684ae6113edb9187a294d224e8bafa9b41e9f576fd1af59d",
+        "scaling.svg": "8c3054be40e35d9c2462ee2a732880b0f5a68be509e52545aecc44e69e806f46",
+    }
+
+
+def test_coupling_survey_bytes_pinned(tmp_path):
+    # scripts/run_coupling_survey.py at its defaults (100 000 replicas, seed 17)
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_coupling_survey.py"
+    subprocess.run([sys.executable, str(script), "--out", str(tmp_path / "coupling.csv")],
+                   env=_one_blas_thread_env(), timeout=120, check=True, capture_output=True)
+    assert _sha256(tmp_path / "coupling.csv") == (
+        "30a166d8cb636dfb98de7c41de207193a516e323d25cde3a612df58bb4e205fe")
 
 
 def _certify_inputs(raw):
@@ -910,6 +957,17 @@ def test_cli_subcommand_mismatch_exit_two(tmp_path):
     assert cli_main(["certify", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("command", ["scaling", "certify", "hitmix", "couple"])
+def test_cli_refuses_a_config_of_another_experiment_before_making_out(tmp_path, capsys,
+                                                                      command):
+    payload = _hitmix_payload(BD_CHAIN) if command == "scaling" else _scaling_payload()
+    cfg = _write_cfg(tmp_path, payload)
+    assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: config is for {payload['experiment']!r}, not {command}\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("restriction", ["foo", "gibbs-restriction"])
 def test_cli_unknown_restriction_exit_two(tmp_path, restriction):
     # no config can carry the probability table a Gibbs restriction needs
@@ -1003,6 +1061,10 @@ MALFORMED_INPUTS = {
     "couple-small-set-empty": (1, lambda d: dict(COUPLE_START_OUTSIDE_C, certificate=dict(
         COUPLE_START_OUTSIDE_C["certificate"], r=-1))),
     "c_list-zero": (2, lambda d: _scaling_payload(c_list=[0])),
+    # two steps on one grid used to run both rows and write slope nan (a zero
+    # spread) or -4975559441.6 (a spread of 1e-13), exit 0
+    "c_list-repeats-a-step": (2, lambda d: _scaling_payload(c_list=[0.25, 0.25])),
+    "c_list-repeats-a-grid-size": (2, lambda d: _scaling_payload(c_list=[0.25, 0.2500000000001])),
     "c_list-not-a-list": (2, lambda d: _scaling_payload(c_list=0.25)),
     # a null c_list or alpha, or a string alpha, used to be judged by a TypeError
     # that named no key
@@ -1087,6 +1149,23 @@ def test_cli_malformed_input_is_a_structured_error(tmp_path, capsys, case):
 def test_config_error_names_the_key(tmp_path, case, key):
     with pytest.raises(errors.ConfigError, match=f"^{key} must be"):
         parse_config(MALFORMED_INPUTS[case][1](tmp_path))
+
+
+@pytest.mark.parametrize("c_list", [None, 5, 0.25], ids=["None", "5", "0.25"])
+def test_a_c_list_that_is_not_a_list_is_refused_when_built_in_python(c_list):
+    # None and 5 used to end in a bare TypeError: only parse_config judged the type
+    with pytest.raises(errors.ConfigError, match="^c_list must be a list of step sizes"):
+        harness.ExperimentConfig("scaling", density=UNIFORM_CFG, c_list=c_list)
+
+
+@pytest.mark.parametrize("c_list, message", [
+    ([0.25, 0.25], "c_list steps 0.25 and 0.25 have the same grid size 4"),
+    ([0.5, 0.25, 0.2500000000001],
+     "c_list steps 0.25 and 0.2500000000001 have the same grid size 4"),
+])
+def test_c_list_steps_on_one_grid_are_refused_naming_both(c_list, message):
+    with pytest.raises(errors.ConfigError, match=f"^{re.escape(message)}"):
+        parse_config(_scaling_payload(c_list=c_list))
 
 
 @pytest.mark.parametrize("experiment, payload, key, value", UNREAD_KEYS,

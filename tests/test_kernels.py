@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mcergo as m
-from mcergo import chain_analysis, errors, kernels
+from mcergo import chain_analysis, errors, harness, kernels, montecarlo
 from mcergo.corpus import (
     escape_corpus,
     random_dense_chain,
@@ -16,6 +16,7 @@ from mcergo.corpus import (
 from mcergo.kernels import _check_detailed_balance, _gibbs_matrix
 from oracles import (
     ball_walk_step_clipped,
+    birth_death_loop,
     gibbs_restricted_loop,
     hitting_solve,
     lazy_srw_loop,
@@ -200,6 +201,18 @@ def test_birth_death_exponential_up_probability():
     for i in range(3):
         assert k.p[i, i + 1] == pytest.approx(up, abs=1e-15)
         assert k.p[i + 1, i] == pytest.approx(0.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("psi", [
+    UNIFORM, EXP, m.DensitySpec(kind="exponential-tilt", params={"tilt": 3.7}),
+    m.DensitySpec(kind="piecewise-linear-table",
+                  params={"xs": (0.0, 0.3, 0.35, 1.0), "ys": (1.0, 0.2, 4.0, 0.5)}),
+], ids=["uniform", "tilt-1", "tilt3.7", "piecewise"])
+@pytest.mark.parametrize("n", [2, 3, 7, 64, 129])
+def test_birth_death_equals_the_row_by_row_build_bit_for_bit(psi, n):
+    # the whole-array writes do the loop's arithmetic, entry for entry
+    k = m.birth_death_chain(psi, 1.0 / n)
+    np.testing.assert_array_equal(k.p, birth_death_loop(psi, 1.0 / n))
 
 
 def test_birth_death_stationary_is_normalized_density():
@@ -705,3 +718,57 @@ def test_kernel_csv_round_trip(tmp_path):
     back = m.kernel_from_csv(path)
     assert back == k
     assert back.states is None
+
+
+# --- the count rule --------------------------------------------------------
+
+K4 = m.build_finite_kernel(np.full((4, 4), 0.25))
+SCALING = {"experiment": "scaling", "density": {"kind": "uniform"}, "c_list": (0.25,)}
+
+# every function that takes a count: (call on the count, its exception, low end, high end)
+COUNT_TAKERS = {
+    "tv_table": (lambda t: chain_analysis.tv_table(K4, t), ValueError, 0, None),
+    "exit_probability": (lambda t: m.exit_probability(K4, [0, 1], 0, t), ValueError, 0, None),
+    "pseudo_minorization": (lambda t: m.pseudo_minorization(K4, [0, 1], t), ValueError, 1, None),
+    "mix_to_hit_bound": (m.mix_to_hit_bound, ValueError, 0, None),
+    "multistep_drift_params": (lambda t: m.multistep_drift_params(0.5, 1.0, t),
+                               errors.InvalidParameters, 1, None),
+    "sample_path-length": (lambda t: m.sample_path(K4, 0, t, seed=0), ValueError, 0, 2**63),
+    "sample_path-seed": (lambda s: m.sample_path(K4, 0, 3, seed=s), ValueError, 0, 2**64),
+    "estimate_hitting-horizon": (lambda t: m.estimate_hitting(K4, 0, [3], 4, t, 0),
+                                 ValueError, 0, 2**63),
+    "estimate_hitting-seed": (lambda s: m.estimate_hitting(K4, 0, [3], 4, 10, s),
+                              ValueError, 0, 2**64),
+    "estimate_hitting-replicas": (lambda r: m.estimate_hitting(K4, 0, [3], r, 10, 0),
+                                  ValueError, 1, None),
+    "ExperimentConfig-replicas": (lambda r: harness.ExperimentConfig(**SCALING, replicas=r),
+                                  errors.ConfigError, 1, None),
+    "ExperimentConfig-seed": (lambda s: harness.ExperimentConfig(**SCALING, seed=s),
+                              errors.ConfigError, 0, 2**64),
+    "ExperimentConfig-horizon": (lambda t: harness.ExperimentConfig(**SCALING, horizon=t),
+                                 errors.ConfigError, 1, 2**63),
+}
+COUNT_CASES = [(taker, what, value)
+               for taker, (_, _, low, high) in COUNT_TAKERS.items()
+               for what, value in [("bool", True), ("float", float(low + 1)),
+                                   ("below", low - 1), ("high", high)]
+               if value is not None]
+
+
+@pytest.mark.parametrize("taker, what, value", COUNT_CASES,
+                         ids=[f"{taker}-{what}" for taker, what, _ in COUNT_CASES])
+def test_every_count_taker_refuses_what_is_not_a_count_with_its_own_error(monkeypatch, taker,
+                                                                         what, value):
+    monkeypatch.setattr(montecarlo, "_first_hits", lambda *args: pytest.fail("walked"))
+    take, error, low, high = COUNT_TAKERS[taker]
+    with pytest.raises(error) as refused:
+        take(value)
+    assert refused.type is error
+    span = f">= {low}" if high is None else f"in [{low}, 2**{high.bit_length() - 1})"
+    assert str(refused.value).endswith(f" must be an integer {span}, got {value!r}")
+
+
+@pytest.mark.parametrize("value", [0, np.int64(7), np.uint64(2**64 - 1)])
+def test_a_count_is_returned_as_an_int(value):
+    count = kernels._checked_count(value, "seed", 0, 2**64)
+    assert type(count) is int and count == value

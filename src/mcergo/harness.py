@@ -29,7 +29,9 @@ It is also the one module that knows the output formats: every CSV header
 (``SCALING_COLUMNS``, ``HITMIX_COLUMNS``, ``COUPLE_COLUMNS``), CSV row and
 report dict is built here from the analysis results, which hold only what
 they compute (``HitMixReport``, ``McEstimate``, ``GeometricBound``, whose
-fields ``certify_report.json`` carries as ``dataclasses.asdict``).
+fields ``certify_report.json`` carries as ``dataclasses.asdict``), and
+written by one CSV writer, ``_write_csv``, and one JSON writer,
+``_write_json``.
 """
 from __future__ import annotations
 
@@ -140,11 +142,15 @@ class ExperimentConfig:
         if not (isinstance(self.alpha, numbers.Real) and not isinstance(self.alpha, bool)
                 and 0.0 < self.alpha < 0.5):
             raise ConfigError(f"alpha must be a number in (0, 0.5), got {self.alpha!r}")
-        # the counts a walk takes, with the walk's own limits (montecarlo)
-        _checked_count(self.replicas, "replicas", 1, error=ConfigError)
-        _checked_count(self.seed, "seed", 0, SEED_LIMIT, ConfigError)
+        # the counts a walk takes, with the walk's own limits (montecarlo), stored as
+        # the ints the count rule returns: json writes no numpy integer
+        object.__setattr__(self, "replicas", _checked_count(self.replicas, "replicas", 1,
+                                                            error=ConfigError))
+        object.__setattr__(self, "seed", _checked_count(self.seed, "seed", 0, SEED_LIMIT,
+                                                        ConfigError))
         if self.horizon is not None:
-            _checked_count(self.horizon, "horizon", 1, STEP_LIMIT, ConfigError)
+            object.__setattr__(self, "horizon", _checked_count(self.horizon, "horizon", 1,
+                                                               STEP_LIMIT, ConfigError))
         if not isinstance(self.svg, bool):
             raise ConfigError(f"svg must be true or false, got {self.svg!r}")
         if not isinstance(self.output_path, str):
@@ -213,10 +219,17 @@ def write_manifest(cfg: ExperimentConfig, out_dir):
         "seed": cfg.seed,
         "version": __version__,
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return manifest
+
+
+def _write_json(path, payload):
+    """The one JSON writer: sorted keys, indent 2 and a final newline.  A value
+    json cannot write, such as the certify report's numpy floats, goes through
+    float."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=float)
+        fh.write("\n")
 
 
 def _write_csv(path, header, rows):
@@ -383,40 +396,27 @@ def run_scaling(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
         )
     out_dir = _prepare_out(cfg, out_dir)
 
-    alpha = cfg.alpha
-    alpha_prime = alpha / 4.0
-    exact = []  # (c, tH(bd), tH(srw), tm(bd)) per c
-    runs = []  # (c, horizon, c index) of the Monte Carlo per c
-    for ci, c in enumerate(cfg.c_list):
+    table = []  # one row per c: (c, tH(bd), tH(srw), tm(bd)), then the Monte Carlo's
+    for c in cfg.c_list:
         h_c = birth_death_chain(density, c)
         w_c = lazy_srw(c)
-        th_bd = max_hitting_time(h_c, alpha).t_h
-        th_srw = max_hitting_time(w_c, alpha).t_h
-        exact.append((c, th_bd, th_srw, mixing_time(h_c)))
-        runs.append((c, cfg.horizon or 50 * max(1, math.ceil(th_bd)), ci))
-    mc = _ballwalk_max_hitting(density, runs, alpha_prime, cfg.replicas, cfg.seed)
-    rows = []
-    t_h_values = []
-    series_th = []
-    series_tm = []
-    for (c, th_bd, th_srw, tm_bd), (mc_mean, mc_stderr, censored) in zip(exact, mc):
-        t_h_values.append(th_bd)
-        rows.append([
-            repr(float(c)),
-            repr(float(th_bd)),
-            repr(float(th_srw)),
-            repr(float(mc_mean)),
-            repr(float(mc_stderr)),
-            str(tm_bd),
-            repr(float(censored)),
-        ])
-        series_th.append((c, th_bd))
-        series_tm.append((c, tm_bd))
-        if not quiet:
+        th_bd = max_hitting_time(h_c, cfg.alpha).t_h
+        th_srw = max_hitting_time(w_c, cfg.alpha).t_h
+        table.append((c, th_bd, th_srw, mixing_time(h_c)))
+    runs = [(c, cfg.horizon or 50 * max(1, math.ceil(th_bd)), ci)  # (c, horizon, c index)
+            for ci, (c, th_bd, *_) in enumerate(table)]
+    mc = _ballwalk_max_hitting(density, runs, cfg.alpha / 4.0, cfg.replicas, cfg.seed)
+    table = [(*row, *est) for row, est in zip(table, mc)]  # ..., mean, stderr, censored
+    if not quiet:
+        for c, th_bd, th_srw, tm_bd, *_ in table:
             print(f"c={c}: tH(bd)={th_bd:.2f} tH(srw)={th_srw:.2f} tm={tm_bd}")
 
-    _write_csv(os.path.join(out_dir, "scaling.csv"), SCALING_COLUMNS, rows)
-    slope, slope_stderr = _loglog_slope(cfg.c_list, t_h_values)
+    _write_csv(os.path.join(out_dir, "scaling.csv"), SCALING_COLUMNS, [
+        [repr(float(c)), repr(float(th_bd)), repr(float(th_srw)), repr(float(mean)),
+         repr(float(stderr)), str(tm_bd), repr(float(censored))]
+        for c, th_bd, th_srw, tm_bd, mean, stderr, censored in table])
+    t_h = [th_bd for _, th_bd, *_ in table]
+    slope, slope_stderr = _loglog_slope(cfg.c_list, t_h)
     _write_csv(
         os.path.join(out_dir, "scaling_fit.csv"),
         ["target", "slope", "slope_stderr", "points"],
@@ -429,14 +429,15 @@ def run_scaling(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
     )
     if cfg.svg:
         emit_svg(
-            [("tH birth-death", series_th), ("tm birth-death", series_tm)],
+            [("tH birth-death", [(c, th_bd) for c, th_bd, *_ in table]),
+             ("tm birth-death", [(c, tm_bd) for c, _, _, tm_bd, *_ in table])],
             os.path.join(out_dir, "scaling.svg"),
             title="hitting and mixing times vs step size",
             xlabel="c",
             ylabel="steps",
         )
     write_manifest(cfg, out_dir)
-    return {"out_dir": out_dir, "slope": slope, "slope_stderr": slope_stderr, "tH": t_h_values}
+    return {"out_dir": out_dir, "slope": slope, "slope_stderr": slope_stderr, "tH": t_h}
 
 
 def _ballwalk_max_hitting(density, runs, alpha_prime, replicas, seed):
@@ -536,10 +537,7 @@ def run_certify(cfg: ExperimentConfig, out_dir=None, quiet=True) -> dict:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         ok = False
 
-    with open(os.path.join(out_dir, "certify_report.json"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "certify_report.json"), report)
     write_manifest(cfg, out_dir)
     if not quiet:
         print(f"certify: {'PASS' if ok else 'FAIL'}")

@@ -23,12 +23,12 @@ target sets (``estimate_hitting_batch`` runs many (sampler, start, target,
 seed, horizon) jobs as one walker population, ``estimate_hitting`` is its
 one-job case), the decoupling time of the identity coupling
 (``coupled_escape_estimate``), which is the g-chain's first exit from the
-coupling set, and the single walker of ``sample_path``.  Each sampler has
-one start check and arrival test, given by ``_walker_rule``, and every
-population one step, given by ``_population_advance``: the guide table of
-its one finite kernel, or one ``batch_step`` call for ball walks of one
-target, each walker stepping with its own c.  The population refills as
-walkers retire, so walkers run at different steps side by side.  Every job
+coupling set, and the single walker of ``sample_path``.  What a sampler
+is gets decided in one place, ``_walker_rule``: its start check, its
+arrival test and its population's step, the guide table of its one finite
+kernel, or one ``batch_step`` call for ball walks of one target, each
+walker stepping with its own c.  The population refills as walkers
+retire, so walkers run at different steps side by side.  Every job
 has a horizon of its own, and the jobs with the largest horizon are
 admitted first, so shorter jobs fill the tail of longer ones: the scaling
 study runs the ball walks of all its step sizes c as one population.  A
@@ -42,21 +42,21 @@ block rows, and records an arrival per block row, writing the results
 once at the end of the block.
 
 A finite-kernel step inverts the current state's row CDF at the walker's
-draw.  ``_finite_advance`` builds a guide table (Chen and Asau's index
-table) over the row CDFs once per kernel, and ``_step_states`` then finds
-every walker's next state from its draw's bucket with a few vectorized
-gathers, instead of one masked search per occupied state.  The result is
-``searchsorted(cdf[s], u, side="right")`` bit for bit; ``_step_states``
-gives the argument.
+draw.  The kernel's rule builds a guide table (Chen and Asau's index
+table) over the row CDFs once per population, and ``_step_states`` then
+finds every walker's next state from its draw's bucket with a few
+vectorized gathers, instead of one masked search per occupied state.  The
+result is ``searchsorted(cdf[s], u, side="right")`` bit for bit;
+``_step_states`` gives the argument.
 
 Jobs become walkers in one place, ``_walk_jobs``, and two kinds of job
 take none, since their results are known before any draw: one whose
 start lies in its target (every replica arrives at time 0), and a
 finite-kernel job whose target holds no state (every replica is censored
-at the horizon, as ``_first_hits`` would find).  So ``estimate_hitting``
-refuses an empty target with ``AllCensored`` before any walker runs, and
-``coupled_escape_estimate`` returns 0 without walking when the coupling
-set is the whole space.
+at the horizon, as ``_first_hits`` would find; its rule's arrival test
+is None).  So ``estimate_hitting`` refuses an empty target with
+``AllCensored`` before any walker runs, and ``coupled_escape_estimate``
+returns 0 without walking when the coupling set is the whole space.
 
 Every count of a walk is judged by the one count rule,
 ``kernels._checked_count``, at the walker gate: ``_check_walk`` takes a
@@ -457,16 +457,6 @@ def _step_states(table: _GuideTable, cur: np.ndarray, u: np.ndarray) -> np.ndarr
 
 # --- the walker loop ------------------------------------------------------------
 
-def _finite_advance(k: FiniteKernel):
-    """One step of a finite-kernel walker population from one draw each.
-
-    Builds the kernel's guide table (``_guide_table``) once; every step is
-    then one ``_step_states`` lookup per walker.
-    """
-    table = _guide_table(k.p)
-    return lambda pos, u, grp: _step_states(table, pos, u[:, 0])
-
-
 def _arrival_test(groups, arrivals):
     """The arrival test of positions ordered by the sorted ``groups``.
 
@@ -587,20 +577,26 @@ def _first_hits(starts, seeds, horizons, groups, arrivals, advance, draws, repli
 # --- one step rule per sampler ----------------------------------------------------
 
 class _WalkerRule(NamedTuple):
-    """How ``_first_hits`` starts and stops the walkers of one sampler."""
+    """How ``_first_hits`` starts, steps and stops the walkers of one sampler."""
 
     draws: int  # uniform draws a step takes
     place: Callable  # start -> position; ValueError if it is not a state
-    arrival: Callable  # target -> arrival test (positions -> bool array)
+    arrival: Callable  # target -> arrival test (positions -> bool array); None if it is empty
+    advance: Callable  # samplers of the groups -> advance(pos, u, grp); ValueError for a mix
 
 
 def _walker_rule(sampler) -> _WalkerRule:
-    """The draws per step, start check and arrival test of a FiniteKernel or
-    ContinuousSampler1D.
+    """The draws per step, start check, arrival test and population step of a
+    FiniteKernel or ContinuousSampler1D: the one place that tells them apart.
 
     A FiniteKernel's states are indices and its targets are sets of them; a
     ContinuousSampler1D's states are points of [0, 1] and its targets are
-    vectorized predicates.
+    vectorized predicates.  A population shares the step of its first
+    sampler: one finite kernel steps through its guide table
+    (``_guide_table``, built once) and ``_step_states``; ball walks of one
+    target density through one ``batch_step`` call a step, on a sampler
+    whose c holds each walker's own half-width; c enters the step
+    elementwise, so every walker moves exactly as under its own sampler.
     """
     if isinstance(sampler, FiniteKernel):
         def place(x0):
@@ -609,9 +605,15 @@ def _walker_rule(sampler) -> _WalkerRule:
         def arrival(target):
             member = np.zeros(sampler.n, dtype=bool)
             member[sampler.state_set(target, "target state")] = True
-            return member.__getitem__
+            return member.__getitem__ if member.any() else None
 
-        return _WalkerRule(1, place, arrival)
+        def advance(samplers):
+            if any(s is not sampler for s in samplers):
+                raise ValueError("only the jobs of one finite kernel share a walker population")
+            table = _guide_table(sampler.p)
+            return lambda pos, u, grp: _step_states(table, pos, u[:, 0])
+
+        return _WalkerRule(1, place, arrival, advance)
     if isinstance(sampler, ContinuousSampler1D):
         def place(x0):
             x = float(x0)
@@ -622,28 +624,16 @@ def _walker_rule(sampler) -> _WalkerRule:
         def arrival(target):
             return lambda pos: np.asarray(target(pos), dtype=bool)
 
-        return _WalkerRule(sampler.draws_per_step, place, arrival)
+        def advance(samplers):
+            if not all(isinstance(s, ContinuousSampler1D) and s.target is sampler.target
+                       for s in samplers):
+                raise ValueError("only ball walks of one target density share a walker population")
+            c = np.array([s.c for s in samplers])
+            return lambda pos, u, grp: ContinuousSampler1D(sampler.target, c[grp]).batch_step(
+                pos, u[:, 0], u[:, 1])
+
+        return _WalkerRule(sampler.draws_per_step, place, arrival, advance)
     raise TypeError(f"unsupported sampler type {type(sampler)!r}")
-
-
-def _population_advance(samplers):
-    """``advance(pos, u, grp)`` stepping each walker with the sampler ``samplers[grp]``.
-
-    One finite kernel steps through its guide table (``_finite_advance``).
-    Ball walks of one target step through one ``batch_step`` call a step,
-    on a sampler whose c holds each walker's own half-width; c enters the
-    step elementwise, so every walker moves exactly as under its own
-    sampler.  ValueError for any other mix of samplers.
-    """
-    first = samplers[0]
-    if isinstance(first, FiniteKernel) and all(s is first for s in samplers):
-        return _finite_advance(first)
-    if not all(isinstance(s, ContinuousSampler1D) and s.target is first.target
-               for s in samplers):
-        raise ValueError("only ball walks of one target density share a walker population")
-    c = np.array([s.c for s in samplers])
-    return lambda pos, u, grp: ContinuousSampler1D(first.target, c[grp]).batch_step(
-        pos, u[:, 0], u[:, 1])
 
 
 def _population(draws: int) -> int:
@@ -670,7 +660,7 @@ def sample_path(sampler, x0, t: int, seed: int) -> np.ndarray:
     _check_walk(seed, t, "path length")
     rule = _walker_rule(sampler)
     path = [np.array([rule.place(x0)])]
-    step = _population_advance([sampler])
+    step = rule.advance([sampler])
 
     def advance(pos, u, grp):
         path.append(step(pos, u, grp))
@@ -708,8 +698,8 @@ def estimate_hitting_batch(jobs, replicas: int) -> list[McEstimate]:
     Each walker's draws depend only on its key (seed, replica) and its
     step, so every estimate equals the one its job gives alone, bit for
     bit.  The jobs with the largest horizon are admitted first.  Jobs share
-    one sampler, or they are ball walks of one target density with step
-    sizes of their own (``_population_advance``).  Jobs that pass the same
+    one finite kernel, or they are ball walks of one target density with
+    step sizes of their own (``_walker_rule``).  Jobs that pass the same
     sampler and target object share one arrival test per step.  Two kinds
     of job take no walkers (``_walk_jobs``): one whose start lies in its
     target reports zero, and a finite-kernel job whose target holds no
@@ -728,8 +718,11 @@ def estimate_hitting_batch(jobs, replicas: int) -> list[McEstimate]:
         bool is neither), a finite-kernel start or target value is not a
         state of the chain
         (``FiniteKernel.state_set``), a ball-walk start lies outside [0, 1]
-        (NaN included), or the samplers cannot share a population; no
-        walker runs.
+        (NaN included), or the samplers cannot share a population ("only
+        the jobs of one finite kernel share a walker population" when the
+        first job's sampler is a finite kernel, "only ball walks of one
+        target density share a walker population" when it is a ball walk);
+        no walker runs.
     TypeError
         If a sampler is neither a FiniteKernel nor a ContinuousSampler1D.
     """
@@ -763,9 +756,8 @@ def _walk_jobs(jobs: list, replicas: int) -> list[tuple[np.ndarray, np.ndarray]]
     before any walker runs.
     """
     _checked_count(replicas, "replicas", 1)
-    arrivals, group_of = [], {}
+    arrivals, group_of = [], {}  # an arrival test is None for a target that holds no state
     samplers = []  # the sampler of each group
-    empty = set()  # the groups of a finite kernel whose target holds no state
     results = []
     walking = []  # (job index, start, seed, horizon, group) of the jobs that take walkers
     for j, (sampler, x0, target, seed, horizon) in enumerate(jobs):
@@ -775,22 +767,20 @@ def _walk_jobs(jobs: list, replicas: int) -> list[tuple[np.ndarray, np.ndarray]]
             group_of[id(sampler), id(target)] = len(arrivals)
             arrivals.append(rule.arrival(target))
             samplers.append(sampler)
-            if isinstance(sampler, FiniteKernel) and not arrivals[-1](np.arange(sampler.n)).any():
-                empty.add(len(arrivals) - 1)
         g, start = group_of[id(sampler), id(target)], rule.place(x0)
-        if arrivals[g](np.array([start]))[0]:
-            results.append((np.zeros(replicas), np.zeros(replicas, dtype=bool)))
-        elif g in empty:
+        if arrivals[g] is None:
             results.append((np.full(replicas, float(horizon)), np.ones(replicas, dtype=bool)))
+        elif arrivals[g](np.array([start]))[0]:
+            results.append((np.zeros(replicas), np.zeros(replicas, dtype=bool)))
         else:
             results.append(None)  # filled in by the walk
             walking.append((j, start, seed, horizon, g))
     if walking:
-        draws = _walker_rule(samplers[0]).draws
+        rule = _walker_rule(samplers[0])
         index, starts, seeds, horizons, groups = zip(*walking)
         times, censored = _first_hits(starts, seeds, horizons, groups, arrivals,
-                                      _population_advance(samplers), draws, replicas,
-                                      _population(draws))
+                                      rule.advance(samplers), rule.draws, replicas,
+                                      _population(rule.draws))
         for k, j in enumerate(index):
             rows = slice(k * replicas, (k + 1) * replicas)
             results[j] = times[rows], censored[rows]

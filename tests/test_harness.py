@@ -105,6 +105,30 @@ def test_config_hash_pinned(payload, digest):
     assert config_hash(parse_config(payload)) == digest
 
 
+@pytest.mark.parametrize("counts", [
+    {"experiment": "scaling", "density": {"kind": "uniform"}, "c_list": (0.25,),
+     "seed": np.int64(3)},
+    {"experiment": "couple", "chain": {"kind": "corpus", "name": "bd-expdrift"},
+     "replicas": np.int32(8), "horizon": np.uint8(5), "seed": np.uint64(2**64 - 1)},
+], ids=["scaling-seed", "couple-counts"])
+def test_numpy_integer_counts_are_kept_as_ints(tmp_path, counts):
+    # a numpy integer passes the count rule and is stored as the int it gives,
+    # so the config hashes, and its manifest is written, as the one built from
+    # Python ints
+    cfg = harness.ExperimentConfig(**counts)
+    plain = harness.ExperimentConfig(**{
+        key: int(value) if isinstance(value, np.integer) else value
+        for key, value in counts.items()})
+    for name in ("replicas", "seed", "horizon"):
+        assert type(getattr(cfg, name)) is type(getattr(plain, name))
+    assert cfg == plain and config_hash(cfg) == config_hash(plain)
+    for config, out in ((cfg, tmp_path / "numpy"), (plain, tmp_path / "int")):
+        out.mkdir()
+        harness.write_manifest(config, out)
+    assert (tmp_path / "numpy" / "manifest.json").read_bytes() == \
+        (tmp_path / "int" / "manifest.json").read_bytes()
+
+
 def test_config_with_a_dtable_path_is_refused():
     # no route reads a table: the key is unknown, whatever its value
     for value in (None, "d.json"):
@@ -464,20 +488,22 @@ EXP_TILT_CFG = {"kind": "exponential-tilt", "tilt": -1.0, "unimodal_alpha": 1.0 
                 "unimodal_ratio": 1.5}
 
 
-@pytest.mark.parametrize("raw, digest, report_digest", [
+@pytest.mark.parametrize("raw, digest, report_digest, manifest_digest", [
     # the certify config of the benchmark's exact workload
     ({"experiment": "certify",
       "chain": {"kind": "birth-death", "density": EXP_TILT_CFG, "c": 1.0 / 128.0},
       "certificate": {"v": {"kind": "exp-of-coordinate", "kappa": 0.5}}},
      "df11d3bb2e8c0e19c1d6db849683b9e1a3430438a19a3d107afe0fd0032cd15c",
-     "19dc8e92cdc138ee2ceaa478156c7acba8756b54fa67d06b0c6187b8d2d1d040"),
+     "19dc8e92cdc138ee2ceaa478156c7acba8756b54fa67d06b0c6187b8d2d1d040",
+     "176a0777e5e6b908b5676e0eea4838852e7b7e460724bb436cc02aa6159eaa70"),
     # scripts/run_certification_demo.py
     ({"experiment": "certify", "chain": {"kind": "corpus", "name": "bd-expdrift"},
       "alpha": 1.0 / 3.0},
      "b0506adc2ae5339660be15627903ad6ad3a975679f1a89d9dce7dbeaf1d425a7",
-     "af43594a3cca1535114342cab0126aec9d29e492a78f81977d75049fb467dff1"),
+     "af43594a3cca1535114342cab0126aec9d29e492a78f81977d75049fb467dff1",
+     "e6e1ec6b659df43ecbc496ebee79ef72d38e83856ea94ad3bfe0a94220544450"),
 ], ids=["bench-exact", "demo"])
-def test_tv_profile_bytes_pinned(tmp_path, raw, digest, report_digest):
+def test_tv_profile_bytes_pinned(tmp_path, raw, digest, report_digest, manifest_digest):
     # recorded with BLAS at one thread, as the benchmark runs it (a threaded product
     # may round differently): the profile once tv_table advanced P^t - 1 pi (its
     # max_tv moved by at most 3.7e-14 relative), the report before the restriction
@@ -485,6 +511,7 @@ def test_tv_profile_bytes_pinned(tmp_path, raw, digest, report_digest):
     run = _run_at_one_blas_thread(tmp_path, raw)
     assert _sha256(run / "tv_profile.csv") == digest
     assert _sha256(run / "certify_report.json") == report_digest
+    assert _sha256(run / "manifest.json") == manifest_digest  # one BLAS thread or two
 
 
 def _run_at_one_blas_thread(tmp_path, raw, *options):
@@ -509,17 +536,20 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-# the next three pins hold the same digests with BLAS at one or two threads
-@pytest.mark.parametrize("c, digest", [
-    (1.0 / 64.0, "7337db79797348b61e4b626323eec0fa7a53a3e4fafeab32259e68c3bd208bf6"),
-    (1.0 / 128.0, "a04ea1af763303911653f40adcbcf74d5fe6ded6a1ed243d334f2caf5f52a9a8"),
+# the next four pins hold the same digests with BLAS at one or two threads
+@pytest.mark.parametrize("c, digest, manifest_digest", [
+    (1.0 / 64.0, "7337db79797348b61e4b626323eec0fa7a53a3e4fafeab32259e68c3bd208bf6",
+     "3685f0ce016156074112e5e91d20c8895e9289fa2814c0d04e56766de7b60794"),
+    (1.0 / 128.0, "a04ea1af763303911653f40adcbcf74d5fe6ded6a1ed243d334f2caf5f52a9a8",
+     "e71c71cde18cbb8d6e211c797b0b1ed9ebc4b0b0ee36c469a3ef4df0d66dc7a6"),
 ], ids=["c1/64", "c1/128"])
-def test_hitmix_bytes_pinned(tmp_path, c, digest):
+def test_hitmix_bytes_pinned(tmp_path, c, digest, manifest_digest):
     # the hitmix configs of the benchmark's exact workload
     run = _run_at_one_blas_thread(tmp_path, {
         "experiment": "hitmix",
         "chain": {"kind": "birth-death", "density": EXP_TILT_CFG, "c": c}})
     assert _sha256(run / "hitmix.csv") == digest
+    assert _sha256(run / "manifest.json") == manifest_digest
 
 
 def test_scaling_bytes_pinned(tmp_path):
@@ -528,10 +558,22 @@ def test_scaling_bytes_pinned(tmp_path):
         "experiment": "scaling", "density": EXP_TILT_CFG, "c_list": [1 / 6, 1 / 8],
         "alpha": 1.0 / 3.0, "replicas": 256, "svg": True}, "--seed", "0")
     assert {name: _sha256(run / name) for name in
-            ("scaling.csv", "scaling_fit.csv", "scaling.svg")} == {
+            ("scaling.csv", "scaling_fit.csv", "scaling.svg", "manifest.json")} == {
         "scaling.csv": "c999e5a30c06829a94aa8223c3683b0d6c216ee8092661ecf15255990cba44b4",
         "scaling_fit.csv": "12c2517c6111a60b684ae6113edb9187a294d224e8bafa9b41e9f576fd1af59d",
         "scaling.svg": "8c3054be40e35d9c2462ee2a732880b0f5a68be509e52545aecc44e69e806f46",
+        "manifest.json": "945616146cd6fe5908801a0a0511bab1f704a108967bf55787ec7624b5c8438f",
+    }
+
+
+def test_couple_bytes_pinned(tmp_path):
+    # ``mcergo couple`` on the corpus chain at its defaults (256 replicas,
+    # horizon 50, seed 0): no script or benchmark workload runs it
+    run = _run_at_one_blas_thread(tmp_path, {
+        "experiment": "couple", "chain": {"kind": "corpus", "name": "bd-expdrift"}})
+    assert {name: _sha256(run / name) for name in ("couple.csv", "manifest.json")} == {
+        "couple.csv": "93374c5063e43210ca99fd69296b87b7d862799fc7c928d6d63ff49f2024d674",
+        "manifest.json": "c82e7e6d37a2df0b3e0944eaae9423d8a1132e1a292e6d099eece05745357cc1",
     }
 
 

@@ -112,9 +112,13 @@ PATH3 = m.build_finite_kernel([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]
 
 
 def test_estimate_of_an_empty_target_runs_no_walkers(monkeypatch):
+    # a finite kernel's rule gives no arrival test for a target that holds no
+    # state, so its job is censored at the horizon without a walker
     monkeypatch.setattr(montecarlo, "_first_hits", _no_walkers)
-    with pytest.raises(errors.AllCensored, match="no path from 0 hit the target within 100"):
-        m.estimate_hitting(PATH3, 0, [], replicas=50, horizon=100, seed=1)
+    for empty in ([], set(), np.array([], dtype=int)):
+        assert montecarlo._walker_rule(PATH3).arrival(empty) is None
+        with pytest.raises(errors.AllCensored, match="no path from 0 hit the target within 100"):
+            m.estimate_hitting(PATH3, 0, empty, replicas=50, horizon=100, seed=1)
 
 
 def test_empty_target_jobs_leave_the_other_jobs_bit_identical(monkeypatch):
@@ -515,7 +519,7 @@ def test_refilled_population_matches_walkers_stepped_alone(monkeypatch):
     members = [np.isin(np.arange(3), list(target)) for _, target, _ in jobs]
     times, censored = montecarlo._first_hits(
         [x0 for x0, _, _ in jobs], [seed for *_, seed in jobs], [horizon] * 3, [0, 1, 2],
-        [member.__getitem__ for member in members], montecarlo._finite_advance(k),
+        [member.__getitem__ for member in members], montecarlo._walker_rule(k).advance([k]),
         1, replicas, montecarlo._population(1))
     alone = [_walk_alone(p, x0, target, seed, r, horizon)
              for x0, target, seed in jobs for r in range(replicas)]
@@ -533,16 +537,17 @@ def _ball_walk_first_hits(replicas, population):
     return montecarlo._first_hits(
         [x0 for x0, _, _ in jobs], [seed for _, seed, _ in jobs],
         [300] * len(jobs),  # past the 128-step row cap
-        [g for *_, g in jobs], arrivals, montecarlo._population_advance([sampler] * 2),
+        [g for *_, g in jobs], arrivals, montecarlo._walker_rule(sampler).advance([sampler] * 2),
         sampler.draws_per_step, replicas, population)
 
 
 def _finite_first_hits(replicas, population):
     p = np.array([[0.97, 0.03, 0.0], [0.2, 0.6, 0.2], [0.0, 0.0, 1.0]])
+    k = m.build_finite_kernel(p)
     members = [np.array([False, False, True]), np.array([False, True, False])]
     return montecarlo._first_hits(
         [0, 1, 0], [5, 6, 7], [250] * 3, [0, 0, 1], [member.__getitem__ for member in members],
-        montecarlo._finite_advance(m.build_finite_kernel(p)), 1, replicas, population)
+        montecarlo._walker_rule(k).advance([k]), 1, replicas, population)
 
 
 def _replica_prefix(result, replicas, jobs, keep):
@@ -577,7 +582,8 @@ def test_per_job_horizons_match_runs_of_one_horizon(monkeypatch):
     # 50-step block while the horizon-50 ones walk on, and a horizon-0 job
     # takes no step
     p = np.array([[0.97, 0.03, 0.0], [0.2, 0.6, 0.2], [0.0, 0.0, 1.0]])
-    advance = montecarlo._finite_advance(m.build_finite_kernel(p))
+    k = m.build_finite_kernel(p)
+    advance = montecarlo._walker_rule(k).advance([k])
     at_two = np.array([False, False, True]).__getitem__
     jobs = [(1, 5, 7), (1, 6, 50), (0, 7, 0), (1, 8, 7)]  # (start, seed, horizon)
     replicas = 200
@@ -619,7 +625,8 @@ def test_horizons_ending_at_several_steps_of_one_block(monkeypatch):
     # each of them walkers of the other jobs arrive while these expire;
     # every job gives what it gives alone
     p = np.array([[0.97, 0.03, 0.0], [0.2, 0.6, 0.2], [0.0, 0.0, 1.0]])
-    advance = montecarlo._finite_advance(m.build_finite_kernel(p))
+    k = m.build_finite_kernel(p)
+    advance = montecarlo._walker_rule(k).advance([k])
     at_two = np.array([False, False, True]).__getitem__
     jobs = [(1, 5, 3), (1, 6, 9), (1, 7, 50), (1, 8, 5)]  # (start, seed, horizon)
     replicas = 300
@@ -718,7 +725,7 @@ def test_a_ball_walk_batch_of_two_targets_equals_its_jobs_alone():
 
 def test_several_ball_walks_step_in_one_population():
     # each walker steps with its own sampler's c, so every estimate is the
-    # one its sampler gives alone; other mixes of samplers are refused
+    # one its sampler gives alone
     wide, narrow = m.ball_walk_sampler(EXP, 1.0 / 6.0), m.ball_walk_sampler(EXP, 1.0 / 8.0)
     low = lambda xs: xs <= 0.2  # noqa: E731
     jobs = [(wide, 0.9, low, 1, 400), (narrow, 0.9, low, 2, 600), (wide, 0.1, low, 3, 400)]
@@ -727,8 +734,28 @@ def test_several_ball_walks_step_in_one_population():
              for s, x0, target, seed, horizon in jobs]
     assert together == alone
     assert together[2].mean == 0.0  # starts in its target
-    with pytest.raises(ValueError, match="only ball walks of one target density"):
-        m.estimate_hitting_batch([(wide, 0.9, low, 1, 10), (PATH3, 0, [2], 1, 10)], 5)
+
+
+_KERNEL_JOB = (PATH3, 0, [2], 1, 10)
+_BALL_WALK_JOB = (m.ball_walk_sampler(EXP, 1.0 / 8.0), 0.9, lambda xs: xs <= 0.2, 1, 10)
+_UNIFORM = m.DensitySpec(kind="uniform", params={})
+
+
+@pytest.mark.parametrize("jobs, message", [
+    # equal rows, but another kernel object
+    ([_KERNEL_JOB, (m.build_finite_kernel(PATH3.p), 0, [2], 2, 10)],
+     "only the jobs of one finite kernel share a walker population"),
+    ([_KERNEL_JOB, _BALL_WALK_JOB], "only the jobs of one finite kernel share a walker population"),
+    ([_BALL_WALK_JOB, (m.ball_walk_sampler(_UNIFORM, 1.0 / 8.0), *_BALL_WALK_JOB[1:])],
+     "only ball walks of one target density share a walker population"),
+    ([_BALL_WALK_JOB, _KERNEL_JOB], "only ball walks of one target density share a walker population"),
+], ids=["two-kernels", "kernel-then-ball-walk", "two-densities", "ball-walk-then-kernel"])
+def test_a_population_takes_one_kernel_or_ball_walks_of_one_density(monkeypatch, jobs, message):
+    # the first job's sampler decides the population's kind, and the message
+    # names that kind; no walker runs
+    monkeypatch.setattr(montecarlo, "_first_hits", _no_walkers)
+    with pytest.raises(ValueError, match=message):
+        m.estimate_hitting_batch(jobs, 5)
 
 
 @pytest.mark.parametrize("draws,population", [(1, 4096), (2, 2048)])
